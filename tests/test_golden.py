@@ -1,0 +1,150 @@
+"""Golden fixtures: seeded tree, forest and boosting fits must not drift.
+
+The fixtures under ``tests/golden/`` hold predictions on a probe matrix,
+boosting raw scores and per-round training log loss (as ``float.hex``),
+and the exact ``records.json`` bytes of a small synthetic sweep. Any
+refactor of the learners must reproduce them bit for bit.
+
+Regenerate (only when a change of results is intended) with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+from resnap import ExperimentConfig, run_experiment  # noqa: E402
+from resnap.models import DecisionTree, GradientBoostedTrees, RandomForest  # noqa: E402
+from resnap.reporting import export_records  # noqa: E402
+
+from synth import run_structured_log  # noqa: E402
+
+GOLDEN = Path(__file__).parent / "golden"
+MODELS_FILE = GOLDEN / "models.json"
+RECORDS_FILE = GOLDEN / "synth_records.json"
+
+LEARNERS = {"tree": DecisionTree, "forest": RandomForest, "boosted": GradientBoostedTrees}
+
+CASES = [
+    ("tree", {}),
+    ("tree", {"max_depth": 3}),
+    ("tree", {"min_samples_leaf": 3, "min_samples_split": 5}),
+    ("tree", {"max_features": 2}),
+    ("forest", {"n_estimators": 7, "bootstrap": True}),
+    ("forest", {"n_estimators": 7, "bootstrap": False, "max_depth": 3}),
+    ("forest", {"n_estimators": 5, "min_samples_leaf": 2, "max_features": None}),
+    ("boosted", {"n_estimators": 8, "max_depth": None}),
+    ("boosted", {"n_estimators": 8, "max_depth": 3}),
+    ("boosted", {"n_estimators": 8, "max_depth": 3, "subsample": 0.8, "colsample": 0.8}),
+]
+
+SYNTH_GRIDS = {
+    "forest": {
+        "n_estimators": [5],
+        "max_depth": [None, 3],
+        "min_samples_split": [2],
+        "min_samples_leaf": [1, 2],
+        "bootstrap": [True],
+    },
+    "boosted": {
+        "n_estimators": [4],
+        "max_depth": [None, 3],
+        "learning_rate": [0.1],
+        "subsample": [0.8],
+        "colsample": [0.8],
+    },
+}
+
+
+def _data(kind: str):
+    """Training matrix, labels and probe matrix for one data kind."""
+    rng = np.random.default_rng(20240601 if kind == "int" else 20240602)
+    if kind == "int":
+        X = rng.integers(0, 4, size=(70, 5)).astype(float)
+        probe = rng.integers(-1, 5, size=(120, 5)) + rng.choice([0.0, 0.5], size=(120, 5))
+    else:
+        X = np.round(rng.normal(size=(70, 5)), 2)
+        probe = rng.normal(size=(120, 5))
+    y = rng.choice([2, 3, 5, 8], size=70)
+    # make one column informative so trees grow beyond a stump
+    X[:, 1] += (y == 5) * 2.0
+    return X, y, probe
+
+
+def _fit_case(kind: str, params: dict, data: str, seed: int) -> dict:
+    X, y, probe = _data(data)
+    model = LEARNERS[kind](seed=seed, **params).fit(X, y)
+    entry = {
+        "kind": kind,
+        "params": params,
+        "data": data,
+        "seed": seed,
+        "predictions": [int(v) for v in model.predict(probe)],
+    }
+    if kind == "boosted":
+        entry["train_log_loss"] = [float(v).hex() for v in model.train_log_loss_]
+        entry["raw_scores"] = [
+            [float(v).hex() for v in row] for row in model._raw_scores(probe[:10])
+        ]
+    return entry
+
+
+def _all_cases() -> list[tuple[str, dict, str, int]]:
+    return [
+        (kind, params, data, seed)
+        for i, (kind, params) in enumerate(CASES)
+        for data in ("int", "real")
+        for seed in (i, 100 + i)
+    ]
+
+
+def _synth_records_bytes(out_dir: Path) -> bytes:
+    log = run_structured_log(n_resources=150, events_per_resource=16, seed=20240315)
+    cfg = ExperimentConfig(
+        dataset_id="golden",
+        prefix_candidates=(8,),
+        min_resources=100,
+        encodings=("SeqOnly", "S2gR"),
+        models=("forest", "boosted"),
+        seed=23,
+        cv_folds=2,
+        mi_k=10,
+        grids=SYNTH_GRIDS,
+    )
+    return export_records(run_experiment(log, cfg), out_dir / "records.json").read_bytes()
+
+
+def _case_id(case) -> str:
+    kind, params, data, seed = case
+    return f"{kind}-{'-'.join(f'{k}={v}' for k, v in params.items()) or 'default'}-{data}-s{seed}"
+
+
+@pytest.fixture(scope="module")
+def golden_models() -> list[dict]:
+    return json.loads(MODELS_FILE.read_text())
+
+
+@pytest.mark.parametrize("index", range(len(_all_cases())), ids=[_case_id(c) for c in _all_cases()])
+def test_model_fit_matches_golden(index, golden_models):
+    assert _fit_case(*_all_cases()[index]) == golden_models[index]
+
+
+def test_synthetic_records_match_golden(tmp_path):
+    assert _synth_records_bytes(tmp_path) == RECORDS_FILE.read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    entries = [json.dumps(_fit_case(*c)) for c in _all_cases()]
+    MODELS_FILE.write_text("[\n" + ",\n".join(entries) + "\n]\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        RECORDS_FILE.write_bytes(_synth_records_bytes(Path(tmp)))
+    print(f"wrote {MODELS_FILE} and {RECORDS_FILE}")
