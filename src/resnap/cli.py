@@ -59,7 +59,10 @@ def _load_config(path: str) -> CliConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     datasets: dict[str, DatasetEntry] = {}
-    for entry in raw.get("datasets", []):
+    for i, entry in enumerate(raw.get("datasets", [])):
+        missing = [key for key in ("id", "path") if key not in entry]
+        if missing:
+            raise ConfigError(f"dataset entry {i} has no {' or '.join(map(repr, missing))}")
         mapping = None
         if "csv_mapping" in entry:
             m = entry["csv_mapping"]
@@ -208,8 +211,9 @@ def cmd_grid(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     entry = _select_dataset(config, args.dataset)
-    log = _load_log(entry)
     cfg = _experiment_config(config, entry, args)
+    cfg.validate()
+    log = _load_log(entry)
     records = run_experiment(log, cfg)
     table = aggregate(records)
     out = _out_dir(config, args)

@@ -29,7 +29,7 @@ from .encodings import (
 )
 from .errors import CellTimeoutError, ConfigError, ValidationError
 from .eventlog import EventLog, resource_view
-from .models.search import DEFAULT_GRIDS, grid_search_cv
+from .models.search import DEFAULT_GRIDS, check_grid, grid_search_cv
 from .prefixes import (
     DEFAULT_PREFIX_CANDIDATES,
     PrefixDataset,
@@ -72,6 +72,8 @@ class ExperimentConfig:
         unknown_models = [m for m in self.models if m not in EXPERIMENT_MODELS]
         if unknown_models:
             raise ConfigError(f"unknown models: {', '.join(unknown_models)}")
+        for model, grid in self.grids.items():
+            check_grid(model, grid)
 
     def grid_for(self, model: str) -> Mapping[str, Sequence]:
         if model in self.grids:

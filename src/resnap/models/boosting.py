@@ -1,7 +1,12 @@
 """Gradient-boosted trees with multiclass softmax loss.
 
 Per round, one regression tree per class is fit to the softmax gradient
-residuals (one-hot target minus predicted probability). Leaves apply the
+residuals (one-hot target minus predicted probability). The trees come
+from the shared core in :mod:`resnap.models.tree`: with the gradient as
+the per-row statistic, its split score
+``sum(left)**2 / n_left + sum(right)**2 / n_right`` picks the split of
+least squared error, and ties take the first float maximum, which is the
+lowest feature index, then the lowest threshold. Leaves apply the
 standard multiclass Newton step
 ``(K-1)/K * sum(residual) / sum(p * (1 - p))`` and are shrunk by the
 learning rate. Scores start at the log class priors, so a learning rate
@@ -10,137 +15,20 @@ features per tree.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import ValidationError
 from ..seeding import derive_seed
+from .tree import Tree, grow
 
 _EPS = 1e-12
 
 
-@dataclass
-class _RegNode:
-    value: float
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_RegNode | None" = None
-    right: "_RegNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-class _RegressionTree:
-    """Depth-limited regression tree on gradient/hessian pairs.
-
-    Splits minimise the squared error of the gradient; leaf values are the
-    Newton step computed from the gradient and hessian sums.
-    """
-
-    def __init__(self, max_depth: int | None, leaf_factor: float):
-        self.max_depth = max_depth
-        self.leaf_factor = leaf_factor
-        self.root: _RegNode | None = None
-
-    def fit(self, X: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> "_RegressionTree":
-        self.root = self._grow(X, grad, hess, depth=0)
-        return self
-
-    def _leaf_value(self, grad: np.ndarray, hess: np.ndarray) -> float:
-        denom = hess.sum()
-        if denom < _EPS:
-            return 0.0
-        return self.leaf_factor * grad.sum() / denom
-
-    def _grow(self, X: np.ndarray, grad: np.ndarray, hess: np.ndarray, depth: int) -> _RegNode:
-        node = _RegNode(value=self._leaf_value(grad, hess))
-        n = X.shape[0]
-        if n < 2 or (self.max_depth is not None and depth >= self.max_depth):
-            return node
-        split = self._best_split(X, grad)
-        if split is None:
-            return node
-        node.feature, node.threshold = split
-        mask = X[:, node.feature] <= node.threshold
-        node.left = self._grow(X[mask], grad[mask], hess[mask], depth + 1)
-        node.right = self._grow(X[~mask], grad[~mask], hess[~mask], depth + 1)
-        return node
-
-    @staticmethod
-    def _best_split(X: np.ndarray, grad: np.ndarray) -> tuple[int, float] | None:
-        # minimising child SSE equals maximising (sum g_L)^2/n_L + (sum g_R)^2/n_R
-        n = X.shape[0]
-        total = grad.sum()
-        best_gain = -math.inf
-        best: tuple[int, float] | None = None
-        for f in range(X.shape[1]):
-            col = X[:, f]
-            order = np.argsort(col, kind="stable")
-            xs = col[order]
-            gs = grad[order]
-            cut = np.nonzero(xs[:-1] < xs[1:])[0]
-            if cut.size == 0:
-                continue
-            left_sum = np.cumsum(gs)[cut]
-            left_n = cut + 1
-            right_n = n - left_n
-            gain = left_sum**2 / left_n + (total - left_sum) ** 2 / right_n
-            i = int(np.argmax(gain))
-            if gain[i] > best_gain:
-                best_gain = float(gain[i])
-                thr = float((xs[cut[i]] + xs[cut[i] + 1]) / 2.0)
-                if thr >= xs[cut[i] + 1]:
-                    thr = float(xs[cut[i]])
-                best = (f, thr)
-        return best
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0], dtype=float)
-        self._assign(self.root, X, np.arange(X.shape[0]), out)
-        return out
-
-    def _assign(self, node: _RegNode, X, idx, out) -> None:
-        if node.is_leaf:
-            out[idx] = node.value
-            return
-        mask = X[idx, node.feature] <= node.threshold
-        self._assign(node.left, X, idx[mask], out)
-        self._assign(node.right, X, idx[~mask], out)
-
-    def to_dict(self) -> dict:
-        return _reg_node_to_dict(self.root)
-
-    @classmethod
-    def from_dict(cls, payload: dict, max_depth, leaf_factor) -> "_RegressionTree":
-        tree = cls(max_depth, leaf_factor)
-        tree.root = _reg_node_from_dict(payload)
-        return tree
-
-
-def _reg_node_to_dict(node: _RegNode) -> dict:
-    if node.is_leaf:
-        return {"value": node.value}
-    return {
-        "value": node.value,
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _reg_node_to_dict(node.left),
-        "right": _reg_node_to_dict(node.right),
-    }
-
-
-def _reg_node_from_dict(payload: dict) -> _RegNode:
-    node = _RegNode(value=payload["value"])
-    if "feature" in payload:
-        node.feature = payload["feature"]
-        node.threshold = payload["threshold"]
-        node.left = _reg_node_from_dict(payload["left"])
-        node.right = _reg_node_from_dict(payload["right"])
-    return node
+def _newton_step(grad: np.ndarray, hess: np.ndarray, factor: float) -> float:
+    denom = hess.sum()
+    if denom < _EPS:
+        return 0.0
+    return factor * grad.sum() / denom
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -169,7 +57,7 @@ class GradientBoostedTrees:
         self.seed = seed
         self.classes_: np.ndarray | None = None
         self.init_scores_: np.ndarray | None = None
-        self.rounds_: list[list[tuple[np.ndarray, _RegressionTree]]] = []
+        self.rounds_: list[list[Tree]] = []
         self.train_log_loss_: list[float] = []
 
     def fit(self, X, y) -> "GradientBoostedTrees":
@@ -201,7 +89,7 @@ class GradientBoostedTrees:
                 rows = np.sort(rng.choice(n, size=n_rows, replace=False))
             else:
                 rows = np.arange(n)
-            round_trees: list[tuple[np.ndarray, _RegressionTree]] = []
+            round_trees: list[Tree] = []
             for k in range(n_classes):
                 if self.colsample < 1.0:
                     n_feats = max(1, int(round(self.colsample * d)))
@@ -210,11 +98,15 @@ class GradientBoostedTrees:
                     feats = np.arange(d)
                 grad = onehot[rows, k] - probs[rows, k]
                 hess = probs[rows, k] * (1.0 - probs[rows, k])
-                tree = _RegressionTree(self.max_depth, factor).fit(
-                    X[np.ix_(rows, feats)], grad, hess
+                tree = grow(
+                    X[rows],
+                    grad[:, None],
+                    max_depth=self.max_depth,
+                    features=feats,
+                    node_value=lambda r: _newton_step(grad[r], hess[r], factor),
                 )
-                scores[:, k] += self.learning_rate * tree.predict(X[:, feats])
-                round_trees.append((feats, tree))
+                scores[:, k] += self.learning_rate * tree.value[tree.apply(X)]
+                round_trees.append(tree)
             self.rounds_.append(round_trees)
             self.train_log_loss_.append(self._log_loss(scores, codes))
         return self
@@ -228,8 +120,8 @@ class GradientBoostedTrees:
     def _raw_scores(self, X: np.ndarray) -> np.ndarray:
         scores = np.tile(self.init_scores_, (X.shape[0], 1))
         for round_trees in self.rounds_:
-            for k, (feats, tree) in enumerate(round_trees):
-                scores[:, k] += self.learning_rate * tree.predict(X[:, feats])
+            for k, tree in enumerate(round_trees):
+                scores[:, k] += self.learning_rate * tree.value[tree.apply(X)]
         return scores
 
     def predict(self, X) -> np.ndarray:
@@ -253,13 +145,7 @@ class GradientBoostedTrees:
             },
             "classes": [int(c) for c in self.classes_],
             "init_scores": [float(v) for v in self.init_scores_],
-            "rounds": [
-                [
-                    {"features": [int(f) for f in feats], "tree": tree.to_dict()}
-                    for feats, tree in round_trees
-                ]
-                for round_trees in self.rounds_
-            ],
+            "rounds": [[tree.to_dict() for tree in trees] for trees in self.rounds_],
         }
 
     @classmethod
@@ -267,17 +153,5 @@ class GradientBoostedTrees:
         model = cls(seed=payload["seed"], **payload["params"])
         model.classes_ = np.array(payload["classes"], dtype=np.int64)
         model.init_scores_ = np.array(payload["init_scores"], dtype=float)
-        factor = 1.0
-        if len(model.classes_) > 1:
-            factor = (len(model.classes_) - 1) / len(model.classes_)
-        model.rounds_ = [
-            [
-                (
-                    np.array(entry["features"], dtype=np.int64),
-                    _RegressionTree.from_dict(entry["tree"], model.max_depth, factor),
-                )
-                for entry in round_trees
-            ]
-            for round_trees in payload["rounds"]
-        ]
+        model.rounds_ = [[Tree.from_dict(t) for t in trees] for trees in payload["rounds"]]
         return model

@@ -1,6 +1,7 @@
 """Hyperparameter grids and cross-validated exhaustive grid search."""
 from __future__ import annotations
 
+import inspect
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -38,7 +39,14 @@ DEFAULT_GRIDS: dict[str, dict[str, list]] = {
     "boosted": GRADIENT_BOOSTING_GRID,
 }
 
-MODEL_KINDS = ("majority", "tree", "forest", "boosted")
+_LEARNERS = {
+    "majority": MajorityClassifier,
+    "tree": DecisionTree,
+    "forest": RandomForest,
+    "boosted": GradientBoostedTrees,
+}
+
+MODEL_KINDS = tuple(_LEARNERS)
 
 
 def normalize_depth(value) -> int | None:
@@ -48,20 +56,30 @@ def normalize_depth(value) -> int | None:
     return int(value)
 
 
+def _learner(kind: str):
+    try:
+        return _LEARNERS[kind]
+    except KeyError:
+        raise ConfigError(f"unknown model kind {kind!r}") from None
+
+
 def make_classifier(kind: str, params: Mapping, seed: int):
     """Instantiate a classifier of the given kind with grid-point params."""
     params = dict(params)
     if "max_depth" in params:
         params["max_depth"] = normalize_depth(params["max_depth"])
-    if kind == "majority":
-        return MajorityClassifier(seed=seed, **params)
-    if kind == "tree":
-        return DecisionTree(seed=seed, **params)
-    if kind == "forest":
-        return RandomForest(seed=seed, **params)
-    if kind == "boosted":
-        return GradientBoostedTrees(seed=seed, **params)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    return _learner(kind)(seed=seed, **params)
+
+
+def check_grid(kind: str, grid: Mapping[str, Sequence]) -> None:
+    """Raise ConfigError naming the grid keys the learner's constructor does not take."""
+    accepted = [p for p in inspect.signature(_learner(kind)).parameters if p != "seed"]
+    unknown = [key for key in grid if key not in accepted]
+    if unknown:
+        raise ConfigError(
+            f"unknown {kind} grid parameter(s) {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(accepted) or 'none'}"
+        )
 
 
 def expand_grid(grid: Mapping[str, Sequence]) -> list[dict]:

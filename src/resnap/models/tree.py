@@ -1,16 +1,25 @@
-"""Greedy CART-style decision tree and the majority baseline.
+"""Flat-array decision trees: the core shared by CART, forests and boosting.
 
-Split candidates are the midpoints of consecutive distinct sorted values
-per feature. Minimising the weighted Gini impurity of a split equals
-maximising, over the two children, the sum of squared class counts
-divided by the child size. That score is a small-integer rational, so
-near-optimal candidates are re-compared with exact integer arithmetic:
-ties always resolve to the lowest feature index, then the lowest
-threshold, which keeps training fully deterministic.
+One grower and one split finder serve every tree learner. Each training
+row carries a vector of statistics: a one-hot class row for the CART
+classifier, the softmax gradient for a boosting tree. A split candidate
+is the midpoint of two consecutive distinct values of a feature, and the
+best candidate maximises, over the two children, the squared statistic
+sums divided by the child size,
+``sum(left)**2 / n_left + sum(right)**2 / n_right``. For class counts
+this is minimising the weighted Gini impurity; for gradients it is
+minimising the children's squared error.
+
+Ties resolve to the lowest feature index, then the lowest threshold.
+Integer statistics make the score a small-integer rational, so
+candidates within a float window of the best are re-compared with exact
+integer arithmetic; float statistics take the first float maximum.
+Training is therefore fully deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -21,84 +30,153 @@ _NEAR_RTOL = 1e-7
 
 
 @dataclass
-class _Node:
-    counts: np.ndarray
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
+class Tree:
+    """Binary tree as parallel arrays over its nodes in preorder.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-def _split_candidates(
-    X: np.ndarray,
-    codes: np.ndarray,
-    n_classes: int,
-    feature_ids: np.ndarray,
-    min_samples_leaf: int,
-):
-    """Yield per-feature candidate stats: (feature, thresholds, num, den).
-
-    ``num / den`` is the exact split score (higher is better); both are
-    int64 arrays aligned with ``thresholds``.
+    Node ``i`` sends a row to ``left[i]`` when
+    ``row[feature[i]] <= threshold[i]`` and to ``right[i]`` otherwise.
+    Leaves have ``feature == left == right == -1``. ``value[i]`` is the
+    node's output: class counts for CART, the Newton step for boosting.
     """
-    n = X.shape[0]
-    rows = np.arange(n)
-    for f in feature_ids:
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        xs = col[order]
-        ys = codes[order]
-        cut = np.nonzero(xs[:-1] < xs[1:])[0]
-        if cut.size == 0:
-            continue
-        left_n = cut + 1
-        right_n = n - left_n
-        if min_samples_leaf > 1:
-            ok = (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
-            cut, left_n, right_n = cut[ok], left_n[ok], right_n[ok]
-            if cut.size == 0:
-                continue
-        onehot = np.zeros((n, n_classes), dtype=np.int64)
-        onehot[rows, ys] = 1
-        cum = np.cumsum(onehot, axis=0)
-        left_counts = cum[cut]
-        right_counts = cum[-1] - left_counts
-        sq_left = np.einsum("ij,ij->i", left_counts, left_counts)
-        sq_right = np.einsum("ij,ij->i", right_counts, right_counts)
-        num = sq_left * right_n + sq_right * left_n
-        den = left_n * right_n
-        thresholds = (xs[cut] + xs[cut + 1]) / 2.0
-        # midpoint can round up to the right value for adjacent floats
-        bad = thresholds >= xs[cut + 1]
-        thresholds[bad] = xs[cut][bad]
-        yield int(f), thresholds, num, den
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Leaf index of every row, descending all rows one level at a time."""
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        active = np.flatnonzero(self.feature[node] >= 0)
+        while active.size:
+            at = node[active]
+            go_left = X[active, self.feature[at]] <= self.threshold[at]
+            node[active] = np.where(go_left, self.left[at], self.right[at])
+            active = active[self.feature[node[active]] >= 0]
+        return node
+
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "Tree":
+        return cls(**{f.name: np.asarray(payload[f.name]) for f in fields(cls)})
 
 
 def _best_split(
-    X: np.ndarray,
-    codes: np.ndarray,
-    n_classes: int,
-    feature_ids: np.ndarray,
-    min_samples_leaf: int,
+    X: np.ndarray, stats: np.ndarray, total: np.ndarray, min_samples_leaf: int
 ) -> tuple[int, float] | None:
-    best: tuple[int, float] | None = None
-    best_num = best_den = 0  # exact python ints
-    for f, thresholds, num, den in _split_candidates(
-        X, codes, n_classes, feature_ids, min_samples_leaf
-    ):
-        score = num / den
+    """Best (column of ``X``, threshold) for one node, or None if none is valid.
+
+    All columns are scored in one pass: ``stats`` (rows x k) is gathered
+    in every column's sorted order and summed cumulatively down the rows.
+    """
+    n = X.shape[0]
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    left_n = np.arange(1, n)[:, None]
+    right_n = n - left_n
+    ok = (xs[:-1] < xs[1:]) & (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
+    if not ok.any():
+        return None
+    left = np.cumsum(stats[order[:-1]], axis=0)
+    right = total - left
+    sq_left = np.einsum("ijk,ijk->ij", left, left)
+    sq_right = np.einsum("ijk,ijk->ij", right, right)
+    # transposed, so C order runs over features first, then thresholds
+    score = np.where(ok, sq_left / left_n + sq_right / right_n, -np.inf).T
+    if np.issubdtype(stats.dtype, np.integer):
         top = score.max()
-        near = np.nonzero(score >= top - abs(top) * _NEAR_RTOL)[0]
-        for i in near:  # ascending threshold order within the feature
-            num_i, den_i = int(num[i]), int(den[i])
-            if best is None or num_i * best_den > best_num * den_i:
-                best = (f, float(thresholds[i]))
-                best_num, best_den = num_i, den_i
-    return best
+        best = None
+        best_num = best_den = 0  # exact python ints
+        for j, i in zip(*np.nonzero(score >= top - abs(top) * _NEAR_RTOL)):
+            nl, nr = int(left_n[i, 0]), int(right_n[i, 0])
+            num = int(sq_left[i, j]) * nr + int(sq_right[i, j]) * nl
+            if best is None or num * best_den > best_num * nl * nr:
+                best, best_num, best_den = (j, i), num, nl * nr
+        j, i = best
+    else:
+        j, i = divmod(int(np.argmax(score)), score.shape[1])
+    lo, hi = xs[i, j], xs[i + 1, j]
+    threshold = (lo + hi) / 2.0
+    if threshold >= hi:  # the midpoint of adjacent floats can round up
+        threshold = lo
+    return int(j), float(threshold)
+
+
+def grow(
+    X: np.ndarray,
+    stats: np.ndarray,
+    *,
+    max_depth: int | None = None,
+    min_samples_split: int = 2,
+    min_samples_leaf: int = 1,
+    max_features: int | None = None,
+    features: np.ndarray | None = None,
+    rng: np.random.Generator | None = None,
+    node_value: Callable[[np.ndarray], object] | None = None,
+) -> Tree:
+    """Grow a tree on ``X`` with per-row ``stats`` (rows x k).
+
+    Nodes grow depth-first, left child first, so node ids are preorder
+    and a node draws its ``max_features`` candidates from ``rng`` before
+    any of its descendants. Split candidates come from ``features``
+    (default: every column). A node stays a leaf at ``max_depth``, below
+    ``min_samples_split`` rows, when integer statistics hold one class
+    only, or when no split leaves ``min_samples_leaf`` rows on each
+    side. ``node_value(rows)`` gives each node's value; by default it is
+    the node's statistic sums.
+    """
+    if features is None:
+        features = np.arange(X.shape[1])
+    integer = np.issubdtype(stats.dtype, np.integer)
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    value: list = []
+    # (rows, depth, parent whose right child this is, or -1)
+    stack = [(np.arange(X.shape[0]), 0, -1)]
+    while stack:
+        rows, depth, parent = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            right[parent] = node
+        node_stats = stats[rows]
+        total = node_stats.sum(axis=0)
+        value.append(total if node_value is None else node_value(rows))
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        if (
+            (max_depth is not None and depth >= max_depth)
+            or rows.size < min_samples_split
+            or (integer and np.count_nonzero(total) <= 1)
+        ):
+            continue
+        candidates = features
+        if max_features is not None and max_features < features.size:
+            candidates = features[
+                np.sort(rng.choice(features.size, size=max_features, replace=False))
+            ]
+        split = _best_split(X[np.ix_(rows, candidates)], node_stats, total, min_samples_leaf)
+        if split is None:
+            continue
+        column, cut = split
+        f = int(candidates[column])
+        feature[node], threshold[node], left[node] = f, cut, node + 1
+        mask = X[rows, f] <= cut
+        stack.append((rows[~mask], depth + 1, node))
+        stack.append((rows[mask], depth + 1, -1))
+    return Tree(
+        np.array(feature, dtype=np.int64),
+        np.array(threshold, dtype=float),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.array(value),
+    )
 
 
 class DecisionTree:
@@ -118,7 +196,7 @@ class DecisionTree:
         self.max_features = max_features
         self.seed = seed
         self.classes_: np.ndarray | None = None
-        self._root: _Node | None = None
+        self.tree_: Tree | None = None
 
     def fit(self, X, y) -> "DecisionTree":
         X = np.asarray(X, dtype=float)
@@ -127,63 +205,31 @@ class DecisionTree:
             raise ValidationError("training data must be a non-empty 2-D matrix")
         if X.shape[0] != y.shape[0]:
             raise ValidationError("X and y must have equal length")
-        self.classes_ = np.unique(y)
-        codes = np.searchsorted(self.classes_, y)
-        rng = np.random.default_rng(self.seed)
-        self._root = self._grow(X, codes, depth=0, rng=rng)
+        self.classes_, codes = np.unique(y, return_inverse=True)
+        self.tree_ = grow(
+            X,
+            np.eye(len(self.classes_), dtype=np.int64)[codes],
+            max_depth=self.max_depth,
+            min_samples_split=self.min_samples_split,
+            min_samples_leaf=self.min_samples_leaf,
+            max_features=self.max_features,
+            rng=np.random.default_rng(self.seed),
+        )
         return self
 
-    def _grow(self, X: np.ndarray, codes: np.ndarray, depth: int, rng) -> _Node:
-        counts = np.bincount(codes, minlength=len(self.classes_))
-        node = _Node(counts=counts)
-        n = X.shape[0]
-        if (
-            (self.max_depth is not None and depth >= self.max_depth)
-            or n < self.min_samples_split
-            or np.count_nonzero(counts) <= 1
-        ):
-            return node
-        n_features = X.shape[1]
-        if self.max_features is not None and self.max_features < n_features:
-            feature_ids = np.sort(
-                rng.choice(n_features, size=self.max_features, replace=False)
-            )
-        else:
-            feature_ids = np.arange(n_features)
-        split = _best_split(
-            X, codes, len(self.classes_), feature_ids, self.min_samples_leaf
-        )
-        if split is None:
-            return node
-        node.feature, node.threshold = split
-        mask = X[:, node.feature] <= node.threshold
-        node.left = self._grow(X[mask], codes[mask], depth + 1, rng)
-        node.right = self._grow(X[~mask], codes[~mask], depth + 1, rng)
-        return node
-
     def predict(self, X) -> np.ndarray:
-        if self._root is None:
+        if self.tree_ is None:
             raise ValidationError("model is not fitted")
-        X = np.asarray(X, dtype=float)
-        out = np.empty(X.shape[0], dtype=np.int64)
-        self._assign(self._root, X, np.arange(X.shape[0]), out)
-        return self.classes_[out]
-
-    def _assign(self, node: _Node, X: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-        if node.is_leaf:
-            out[idx] = int(np.argmax(node.counts))  # first max = lowest class id
-            return
-        mask = X[idx, node.feature] <= node.threshold
-        self._assign(node.left, X, idx[mask], out)
-        self._assign(node.right, X, idx[~mask], out)
+        counts = self.tree_.value[self.tree_.apply(np.asarray(X, dtype=float))]
+        return self.classes_[np.argmax(counts, axis=1)]  # first max = lowest class id
 
     def root_split(self) -> tuple[int, float] | None:
         """The fitted root's (feature, threshold), or None for a leaf root."""
-        if self._root is None:
+        if self.tree_ is None:
             raise ValidationError("model is not fitted")
-        if self._root.is_leaf:
+        if self.tree_.feature[0] < 0:
             return None
-        return self._root.feature, self._root.threshold
+        return int(self.tree_.feature[0]), float(self.tree_.threshold[0])
 
     def to_dict(self) -> dict:
         return {
@@ -196,37 +242,15 @@ class DecisionTree:
                 "max_features": self.max_features,
             },
             "classes": [int(c) for c in self.classes_],
-            "root": _node_to_dict(self._root),
+            "tree": self.tree_.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DecisionTree":
         model = cls(seed=payload["seed"], **payload["params"])
         model.classes_ = np.array(payload["classes"], dtype=np.int64)
-        model._root = _node_from_dict(payload["root"])
+        model.tree_ = Tree.from_dict(payload["tree"])
         return model
-
-
-def _node_to_dict(node: _Node) -> dict:
-    if node.is_leaf:
-        return {"counts": [int(c) for c in node.counts]}
-    return {
-        "counts": [int(c) for c in node.counts],
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def _node_from_dict(payload: dict) -> _Node:
-    node = _Node(counts=np.array(payload["counts"], dtype=np.int64))
-    if "feature" in payload:
-        node.feature = payload["feature"]
-        node.threshold = payload["threshold"]
-        node.left = _node_from_dict(payload["left"])
-        node.right = _node_from_dict(payload["right"])
-    return node
 
 
 class MajorityClassifier:

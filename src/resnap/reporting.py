@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .encodings import ENCODINGS
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .experiment import ResultRecord
 
 _RECORD_FIELDS = (
@@ -140,7 +140,12 @@ def load_records(path: str | Path) -> list[ResultRecord]:
     path = Path(path)
     rows: list[dict]
     if path.suffix == ".json":
-        rows = json.loads(path.read_text())["records"]
+        try:
+            rows = json.loads(path.read_text())["records"]
+        except (json.JSONDecodeError, KeyError, TypeError):
+            raise ValidationError(
+                f"{path} is not a records file (a JSON object with a 'records' list)"
+            ) from None
     elif path.suffix == ".csv":
         with open(path, newline="") as handle:
             rows = []

@@ -306,6 +306,8 @@ def test_criterion_4_synthetic_directional_check():
     records = {r.encoding: r for r in run_experiment(log, cfg)}
     seq_acc = records["SeqOnly"].accuracy
     s2gr_acc = records["S2gR"].accuracy
+    assert s2gr_acc >= seq_acc, f"S2gR {s2gr_acc} < SeqOnly {seq_acc}"
+    assert s2gr_acc >= 0.90, f"S2gR accuracy {s2gr_acc} below 0.90"
 
     # independent reference-stack confirmation on the identical split/features
     sklearn_rf = pytest.importorskip("sklearn.ensemble")
@@ -326,9 +328,6 @@ def test_criterion_4_synthetic_directional_check():
         ref_acc[name] = accuracy(clf.predict(encoded.rows[test]), encoded.targets[test])
     assert ref_acc["S2gR"] >= ref_acc["SeqOnly"]
     assert ref_acc["S2gR"] >= 0.90
-
-    assert s2gr_acc >= seq_acc, f"S2gR {s2gr_acc} < SeqOnly {seq_acc}"
-    assert s2gr_acc >= 0.90, f"S2gR accuracy {s2gr_acc} below 0.90"
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0, f"synthetic check took {elapsed:.1f}s"
     report(4, f"synthetic directional check (SeqOnly={seq_acc:.3f}, S2gR={s2gr_acc:.3f})")

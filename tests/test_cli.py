@@ -199,3 +199,34 @@ def test_run_failed_cell_exits_one(fixture_env, capsys):
     assert main(["run", "--config", str(config_path), "--quiet"]) == 1
     records = load_records(tmp_path / "out" / "records.json")
     assert all(r.status == "failed" for r in records)
+
+
+def test_run_unknown_grid_key_exits_two_before_parsing(fixture_env, capsys):
+    tmp_path, data = fixture_env
+    config_path = write_config(tmp_path, data)
+    config = json.loads(config_path.read_text())
+    config["experiment"]["grids"] = {"forest": {"n_trees": [5]}}
+    config_path.write_text(json.dumps(config))
+    data.unlink()  # a parse attempt would fail with "dataset file not found"
+    assert main(["run", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "n_trees" in err and "not found" not in err
+
+
+def test_dataset_without_id_exits_two(fixture_env, capsys):
+    tmp_path, data = fixture_env
+    config_path = write_config(tmp_path, data)
+    config = json.loads(config_path.read_text())
+    del config["datasets"][0]["id"]
+    config_path.write_text(json.dumps(config))
+    assert main(["profile", "--config", str(config_path)]) == 2
+    assert "'id'" in capsys.readouterr().err
+
+
+def test_report_records_file_without_records_key_exits_two(fixture_env, capsys):
+    tmp_path, data = fixture_env
+    config = write_config(tmp_path, data)
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text(json.dumps({"rows": []}))
+    assert main(["report", "--config", str(config), "--records", str(bogus)]) == 2
+    assert "records" in capsys.readouterr().err
