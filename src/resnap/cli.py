@@ -50,6 +50,19 @@ class CliConfig:
     experiment: dict[str, Any]
 
 
+_CSV_COLUMNS = ("case", "activity", "resource", "timestamp")
+
+
+def _number(section: dict, key: str, default, cast):
+    """``cast(section[key])`` (or of ``default``), as a ConfigError if it fails."""
+    value = section.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{key} must be {kind}, got {value!r}") from None
+
+
 def _load_config(path: str) -> CliConfig:
     config_path = Path(path)
     if not config_path.exists():
@@ -66,6 +79,13 @@ def _load_config(path: str) -> CliConfig:
         mapping = None
         if "csv_mapping" in entry:
             m = entry["csv_mapping"]
+            if not isinstance(m, dict):
+                raise ConfigError(f"dataset {entry['id']!r}: csv_mapping must be an object")
+            missing = [key for key in _CSV_COLUMNS if key not in m]
+            if missing:
+                raise ConfigError(
+                    f"dataset {entry['id']!r}: csv_mapping has no {', '.join(map(repr, missing))}"
+                )
             mapping = CsvMapping(
                 case=m["case"],
                 activity=m["activity"],
@@ -93,7 +113,7 @@ def _load_config(path: str) -> CliConfig:
     return CliConfig(
         datasets=datasets,
         output_dir=Path(raw.get("output_dir", "out")),
-        seed=int(raw.get("seed", 0)),
+        seed=_number(raw, "seed", 0, int),
         experiment=raw.get("experiment", {}),
     )
 
@@ -126,18 +146,18 @@ def _experiment_config(
     if args.workers is not None:
         workers = args.workers
     else:
-        workers = int(exp.get("workers", os.cpu_count() or 1))
+        workers = _number(exp, "workers", os.cpu_count() or 1, int)
     grids = {model: grid for model, grid in exp.get("grids", {}).items()}
     return ExperimentConfig(
         dataset_id=entry.dataset_id,
         prefix_candidates=entry.prefix_candidates,
-        min_resources=int(exp.get("min_resources", 100)),
+        min_resources=_number(exp, "min_resources", 100, int),
         encodings=tuple(exp.get("encodings", ENCODINGS)),
         models=tuple(exp.get("models", ("majority", "forest", "boosted"))),
-        split_ratio=float(exp.get("split_ratio", 0.8)),
+        split_ratio=_number(exp, "split_ratio", 0.8, float),
         seed=seed,
-        cv_folds=int(exp.get("cv_folds", 3)),
-        mi_k=int(exp.get("mi_k", 20)),
+        cv_folds=_number(exp, "cv_folds", 3, int),
+        mi_k=_number(exp, "mi_k", 20, int),
         grids=grids,
         cell_timeout=exp.get("cell_timeout"),
         workers=workers,
@@ -184,10 +204,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_grid(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     entry = _select_dataset(config, args.dataset)
+    min_resources = _number(config.experiment, "min_resources", 100, int)
     log = _load_log(entry)
     view = resource_view(log)
-    exp = config.experiment
-    min_resources = int(exp.get("min_resources", 100))
     admissible = prefix_grid(view, entry.prefix_candidates, min_resources)
     counts = {
         length: len(eligible_resources(view, length))

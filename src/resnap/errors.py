@@ -1,4 +1,7 @@
 """Exception hierarchy shared across the package."""
+from __future__ import annotations
+
+import time
 
 
 class ResnapError(Exception):
@@ -23,3 +26,9 @@ class ConfigError(ResnapError):
 
 class CellTimeoutError(ResnapError):
     """A single experiment cell exceeded its wall-time budget."""
+
+
+def check_deadline(deadline: float | None) -> None:
+    """Raise CellTimeoutError once ``time.monotonic()`` has passed ``deadline``."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise CellTimeoutError("wall-time budget exceeded")

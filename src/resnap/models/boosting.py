@@ -11,13 +11,17 @@ standard multiclass Newton step
 ``(K-1)/K * sum(residual) / sum(p * (1 - p))`` and are shrunk by the
 learning rate. Scores start at the log class priors, so a learning rate
 of zero predicts the prior argmax. Rows can be subsampled per round and
-features per tree.
+features per tree. The random draws are made round by round from one
+generator, so the first ``n`` rounds of a fitted model are exactly the
+model fitted with ``n_estimators=n``.
 """
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, check_deadline
 from ..seeding import derive_seed
 from .tree import Tree, grow
 
@@ -60,7 +64,12 @@ class GradientBoostedTrees:
         self.rounds_: list[list[Tree]] = []
         self.train_log_loss_: list[float] = []
 
-    def fit(self, X, y) -> "GradientBoostedTrees":
+    def fit(self, X, y, deadline: float | None = None) -> "GradientBoostedTrees":
+        """Fit the rounds in order.
+
+        Before each round, raise :class:`CellTimeoutError` once
+        ``time.monotonic()`` has passed ``deadline``.
+        """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
         if X.shape[0] == 0:
@@ -83,6 +92,7 @@ class GradientBoostedTrees:
         factor = (n_classes - 1) / n_classes
         self.train_log_loss_.append(self._log_loss(scores, codes))
         for _ in range(self.n_estimators):
+            check_deadline(deadline)
             probs = _softmax(scores)
             if self.subsample < 1.0:
                 n_rows = max(1, int(round(self.subsample * n)))
@@ -117,19 +127,37 @@ class GradientBoostedTrees:
         picked = np.clip(probs[np.arange(len(codes)), codes], _EPS, None)
         return float(-np.mean(np.log(picked)))
 
-    def _raw_scores(self, X: np.ndarray) -> np.ndarray:
-        scores = np.tile(self.init_scores_, (X.shape[0], 1))
-        for round_trees in self.rounds_:
-            for k, tree in enumerate(round_trees):
-                scores[:, k] += self.learning_rate * tree.value[tree.apply(X)]
-        return scores
+    def _staged_scores(self, X) -> Iterator[np.ndarray]:
+        """Raw scores before the first round, then after each round.
 
-    def predict(self, X) -> np.ndarray:
+        Every stage is the same array, updated in place; within a round the
+        classes are added in order. A single-class fit grows no trees, so
+        its scores stay at the prior through all ``n_estimators`` rounds.
+        """
         if self.classes_ is None:
             raise ValidationError("model is not fitted")
         X = np.asarray(X, dtype=float)
-        if len(self.classes_) == 1:
-            return np.full(X.shape[0], self.classes_[0], dtype=self.classes_.dtype)
+        scores = np.tile(self.init_scores_, (X.shape[0], 1))
+        yield scores
+        rounds = self.rounds_ if len(self.classes_) > 1 else [[]] * self.n_estimators
+        for round_trees in rounds:
+            for k, tree in enumerate(round_trees):
+                scores[:, k] += self.learning_rate * tree.value[tree.apply(X)]
+            yield scores
+
+    def staged_predict(self, X) -> Iterator[np.ndarray]:
+        """Yield the predictions after 1, 2, ..., n_estimators rounds."""
+        stages = self._staged_scores(X)
+        next(stages)
+        for scores in stages:
+            yield self.classes_[np.argmax(scores, axis=1)]
+
+    def _raw_scores(self, X) -> np.ndarray:
+        for scores in self._staged_scores(X):
+            pass
+        return scores
+
+    def predict(self, X) -> np.ndarray:
         return self.classes_[np.argmax(self._raw_scores(X), axis=1)]
 
     def to_dict(self) -> dict:

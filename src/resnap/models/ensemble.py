@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, check_deadline
 from ..seeding import derive_seed
 from .tree import DecisionTree
 
@@ -16,6 +17,9 @@ class RandomForest:
     Prediction is a plurality vote over the trees; vote ties resolve to
     the lowest class id. With ``bootstrap=False``, ``n_estimators=1`` and
     ``max_features=None`` the forest reduces exactly to a single tree.
+    Tree ``i`` draws its bootstrap rows and node features from seeds
+    derived from ``i`` alone, so the first ``n`` trees of a fitted forest
+    are exactly the forest fitted with ``n_estimators=n``.
     """
 
     def __init__(
@@ -43,7 +47,12 @@ class RandomForest:
             return max(1, round(math.sqrt(n_features)))
         return self.max_features
 
-    def fit(self, X, y) -> "RandomForest":
+    def fit(self, X, y, deadline: float | None = None) -> "RandomForest":
+        """Fit the trees in index order.
+
+        Before each tree, raise :class:`CellTimeoutError` once
+        ``time.monotonic()`` has passed ``deadline``.
+        """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
         if X.shape[0] == 0:
@@ -53,6 +62,7 @@ class RandomForest:
         per_node = self._features_per_node(X.shape[1])
         self.trees_ = []
         for i in range(self.n_estimators):
+            check_deadline(deadline)
             if self.bootstrap:
                 rng = np.random.default_rng(derive_seed(self.seed, "bootstrap", i))
                 idx = rng.integers(0, n, size=n)
@@ -69,15 +79,21 @@ class RandomForest:
             self.trees_.append(tree.fit(Xi, yi))
         return self
 
-    def predict(self, X) -> np.ndarray:
+    def staged_predict(self, X) -> Iterator[np.ndarray]:
+        """Yield the plurality vote of the first 1, 2, ..., n_estimators trees."""
         if not self.trees_:
             raise ValidationError("model is not fitted")
         X = np.asarray(X, dtype=float)
+        rows = np.arange(X.shape[0])
         votes = np.zeros((X.shape[0], len(self.classes_)), dtype=np.int64)
         for tree in self.trees_:
-            preds = tree.predict(X)
-            votes[np.arange(X.shape[0]), np.searchsorted(self.classes_, preds)] += 1
-        return self.classes_[np.argmax(votes, axis=1)]
+            votes[rows, np.searchsorted(self.classes_, tree.predict(X))] += 1
+            yield self.classes_[np.argmax(votes, axis=1)]
+
+    def predict(self, X) -> np.ndarray:
+        for prediction in self.staged_predict(X):
+            pass
+        return prediction
 
     def to_dict(self) -> dict:
         return {

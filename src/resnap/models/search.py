@@ -3,13 +3,13 @@ from __future__ import annotations
 
 import inspect
 import itertools
-import time
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import CellTimeoutError, ConfigError, ValidationError
+from ..errors import ConfigError, ValidationError, check_deadline
 from ..seeding import derive_seed
 from .boosting import GradientBoostedTrees
 from .ensemble import RandomForest
@@ -53,7 +53,10 @@ def normalize_depth(value) -> int | None:
     """Map the unlimited-depth sentinels (None, -1, "None") to None."""
     if value is None or value == -1 or value == "None":
         return None
-    return int(value)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"max_depth must be an integer or None, got {value!r}") from None
 
 
 def _learner(kind: str):
@@ -72,7 +75,13 @@ def make_classifier(kind: str, params: Mapping, seed: int):
 
 
 def check_grid(kind: str, grid: Mapping[str, Sequence]) -> None:
-    """Raise ConfigError naming the grid keys the learner's constructor does not take."""
+    """Raise ConfigError for a grid the learner cannot be built from.
+
+    Every key must be a parameter of the learner's constructor and every
+    value a non-empty list of candidates; ``max_depth`` candidates must
+    be depths and ``n_estimators`` candidates positive integers, which
+    staged scoring needs as stage numbers.
+    """
     accepted = [p for p in inspect.signature(_learner(kind)).parameters if p != "seed"]
     unknown = [key for key in grid if key not in accepted]
     if unknown:
@@ -80,6 +89,16 @@ def check_grid(kind: str, grid: Mapping[str, Sequence]) -> None:
             f"unknown {kind} grid parameter(s) {', '.join(map(repr, unknown))}; "
             f"accepted: {', '.join(accepted) or 'none'}"
         )
+    for key, values in grid.items():
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ConfigError(
+                f"{kind} grid parameter {key!r} must be a non-empty list, got {values!r}"
+            )
+    for value in grid.get("max_depth", ()):
+        normalize_depth(value)
+    for value in grid.get("n_estimators", ()):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ConfigError(f"n_estimators must be a positive integer, got {value!r}")
 
 
 def expand_grid(grid: Mapping[str, Sequence]) -> list[dict]:
@@ -126,6 +145,20 @@ class CVOutcome:
     model: object = field(repr=False, default=None)
 
 
+def _staged_groups(points: list[dict]) -> list[list[int]]:
+    """Indices of the grid points that differ only in ``n_estimators``.
+
+    Points are compared by the ``repr`` of their other parameters, so
+    values that compare equal but differ in type (``1`` and ``True``)
+    stay apart.
+    """
+    groups: dict[str, list[int]] = {}
+    for i, point in enumerate(points):
+        rest = [(key, value) for key, value in point.items() if key != "n_estimators"]
+        groups.setdefault(repr(rest), []).append(i)
+    return list(groups.values())
+
+
 def grid_search_cv(
     kind: str,
     X,
@@ -138,8 +171,14 @@ def grid_search_cv(
     """Exhaustive stratified-CV search; refits the winner on all data.
 
     The best point is the highest mean fold accuracy; ties keep the
-    earlier grid-enumeration point. ``deadline`` (time.monotonic value)
-    aborts the search with :class:`CellTimeoutError` when exceeded.
+    earlier grid-enumeration point. For a learner with
+    ``staged_predict`` (the ensembles), the points that differ only in
+    ``n_estimators`` share one fit per fold at their largest
+    ``n_estimators``, and each point is scored from the prediction after
+    its own number of trees or rounds, which is exactly the prediction of
+    a model fitted with that number. ``deadline`` (time.monotonic value)
+    aborts the search with :class:`CellTimeoutError` when exceeded; the
+    ensembles also check it before every tree or round.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -147,25 +186,37 @@ def grid_search_cv(
         raise ValidationError("X and y must be non-empty and of equal length")
     if grid is None:
         grid = DEFAULT_GRIDS.get(kind, {})
+    check_grid(kind, grid)
     points = expand_grid(grid)
+    staged = hasattr(_learner(kind), "staged_predict")
+    groups = _staged_groups(points) if staged else [[i] for i in range(len(points))]
+    fit_args = {"deadline": deadline} if staged else {}
     fold_idx = stratified_kfold(y, folds, seed)
     all_idx = np.arange(len(y))
+    per_fold: list[list[float]] = [[] for _ in points]
+    for f, test_idx in enumerate(fold_idx):
+        train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=True)
+        X_train, y_train = X[train_idx], y[train_idx]
+        X_test, y_test = X[test_idx], y[test_idx]
+        for members in groups:
+            check_deadline(deadline)
+            top = max(members, key=lambda i: points[i].get("n_estimators", 0))
+            model = make_classifier(kind, points[top], derive_seed(seed, "fold", f))
+            model.fit(X_train, y_train, **fit_args)
+            if staged:
+                # hits[n - 1]: fold accuracy after n trees or rounds
+                hits = [float(np.mean(p == y_test)) for p in model.staged_predict(X_test)]
+                for i in members:
+                    n = points[i].get("n_estimators", model.n_estimators)
+                    per_fold[i].append(hits[n - 1])
+            else:
+                per_fold[top].append(float(np.mean(model.predict(X_test) == y_test)))
     best: CVOutcome | None = None
-    for point in points:
-        per_fold: list[float] = []
-        for f, test_idx in enumerate(fold_idx):
-            if deadline is not None and time.monotonic() > deadline:
-                raise CellTimeoutError("grid search exceeded its wall-time budget")
-            train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=True)
-            model = make_classifier(kind, point, derive_seed(seed, "fold", f))
-            model.fit(X[train_idx], y[train_idx])
-            preds = model.predict(X[test_idx])
-            per_fold.append(float(np.mean(preds == y[test_idx])))
-        mean_acc = float(np.mean(per_fold))
+    for point, scores in zip(points, per_fold):
+        mean_acc = float(np.mean(scores))
         if best is None or mean_acc > best.mean_fold_accuracy:
-            best = CVOutcome(best_params=point, mean_fold_accuracy=mean_acc, per_fold=per_fold)
-    if deadline is not None and time.monotonic() > deadline:
-        raise CellTimeoutError("grid search exceeded its wall-time budget")
+            best = CVOutcome(best_params=point, mean_fold_accuracy=mean_acc, per_fold=scores)
+    check_deadline(deadline)
     refit = make_classifier(kind, best.best_params, derive_seed(seed, "refit"))
-    best.model = refit.fit(X, y)
+    best.model = refit.fit(X, y, **fit_args)
     return best

@@ -65,19 +65,28 @@ class Tree:
 
 
 def _best_split(
-    X: np.ndarray, stats: np.ndarray, total: np.ndarray, min_samples_leaf: int
+    X: np.ndarray,
+    stats: np.ndarray,
+    total: np.ndarray,
+    min_samples_leaf: int,
+    integer: bool,
 ) -> tuple[int, float] | None:
     """Best (column of ``X``, threshold) for one node, or None if none is valid.
 
     All columns are scored in one pass: ``stats`` (rows x k) is gathered
     in every column's sorted order and summed cumulatively down the rows.
+    ``integer`` says whether ``stats`` holds integers, which selects the
+    exact tie comparison.
     """
-    n = X.shape[0]
+    n, m = X.shape
     order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
+    xs = X[order, np.arange(m)]
     left_n = np.arange(1, n)[:, None]
     right_n = n - left_n
-    ok = (xs[:-1] < xs[1:]) & (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
+    ok = xs[:-1] < xs[1:]
+    # row i leaves i + 1 rows on the left; both children need min_samples_leaf
+    ok[: max(min_samples_leaf - 1, 0)] = False
+    ok[max(n - min_samples_leaf, 0) :] = False
     if not ok.any():
         return None
     left = np.cumsum(stats[order[:-1]], axis=0)
@@ -86,7 +95,7 @@ def _best_split(
     sq_right = np.einsum("ijk,ijk->ij", right, right)
     # transposed, so C order runs over features first, then thresholds
     score = np.where(ok, sq_left / left_n + sq_right / right_n, -np.inf).T
-    if np.issubdtype(stats.dtype, np.integer):
+    if integer:
         top = score.max()
         best = None
         best_num = best_den = 0  # exact python ints
@@ -161,7 +170,9 @@ def grow(
             candidates = features[
                 np.sort(rng.choice(features.size, size=max_features, replace=False))
             ]
-        split = _best_split(X[np.ix_(rows, candidates)], node_stats, total, min_samples_leaf)
+        split = _best_split(
+            X[rows[:, None], candidates], node_stats, total, min_samples_leaf, integer
+        )
         if split is None:
             continue
         column, cut = split

@@ -230,3 +230,53 @@ def test_report_records_file_without_records_key_exits_two(fixture_env, capsys):
     bogus.write_text(json.dumps({"rows": []}))
     assert main(["report", "--config", str(config), "--records", str(bogus)]) == 2
     assert "records" in capsys.readouterr().err
+
+
+def test_run_scalar_grid_value_exits_two_before_parsing(fixture_env, capsys):
+    tmp_path, data = fixture_env
+    config_path = write_config(tmp_path, data)
+    config = json.loads(config_path.read_text())
+    config["experiment"]["grids"]["forest"]["n_estimators"] = 5
+    config_path.write_text(json.dumps(config))
+    data.unlink()  # a parse attempt would fail with "dataset file not found"
+    assert main(["run", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "n_estimators" in err and "not found" not in err
+
+
+def test_csv_mapping_without_columns_exits_two(fixture_env, capsys):
+    tmp_path, data = fixture_env
+    config_path = write_config(tmp_path, data)
+    config = json.loads(config_path.read_text())
+    del config["datasets"][0]["csv_mapping"]["case"]
+    del config["datasets"][0]["csv_mapping"]["timestamp"]
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'case'" in err and "'timestamp'" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("cv_folds", "three"),
+        ("mi_k", "many"),
+        ("workers", "two"),
+        ("min_resources", None),
+        ("split_ratio", "most"),
+        ("max_depth", ["deep"]),
+    ],
+)
+def test_run_non_numeric_value_exits_two_before_parsing(fixture_env, capsys, key, value):
+    tmp_path, data = fixture_env
+    config_path = write_config(tmp_path, data)
+    config = json.loads(config_path.read_text())
+    if key == "max_depth":
+        config["experiment"]["grids"]["forest"][key] = value
+    else:
+        config["experiment"][key] = value
+    config_path.write_text(json.dumps(config))
+    data.unlink()  # a parse attempt would fail with "dataset file not found"
+    assert main(["run", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "not found" not in err

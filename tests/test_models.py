@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from resnap import ValidationError
+from resnap import CellTimeoutError, ValidationError, errors
 from resnap.models import (
     DecisionTree,
     GradientBoostedTrees,
@@ -230,3 +231,74 @@ def test_boosting_json_round_trip():
     clone = GradientBoostedTrees.from_dict(json.loads(json.dumps(model.to_dict())))
     probe = rng.normal(size=(60, 3))
     assert clone.predict(probe).tolist() == model.predict(probe).tolist()
+
+
+# --- staged predictions and in-fit deadlines -------------------------------------
+
+
+def _staged_data(seed):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 4, size=(60, 5)).astype(float)
+    y = (X[:, 0].astype(int) + (rng.random(60) < 0.3)) % 3
+    probe = rng.integers(0, 4, size=(40, 5)).astype(float)
+    return X, y, probe
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+@pytest.mark.parametrize("max_features", ["sqrt", None])
+def test_forest_staged_predict_matches_smaller_forests(bootstrap, max_features):
+    X, y, probe = _staged_data(41)
+    params = dict(max_depth=4, bootstrap=bootstrap, max_features=max_features, seed=3)
+    forest = RandomForest(n_estimators=6, **params).fit(X, y)
+    staged = list(forest.staged_predict(probe))
+    assert len(staged) == 6
+    assert staged[-1].tolist() == forest.predict(probe).tolist()
+    for k, prediction in enumerate(staged, start=1):
+        smaller = RandomForest(n_estimators=k, **params).fit(X, y)
+        assert prediction.tolist() == smaller.predict(probe).tolist()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        dict(max_depth=2),
+        dict(max_depth=3, subsample=0.7, colsample=0.6),
+        dict(max_depth=None, subsample=0.8),
+    ],
+)
+def test_boosting_staged_predict_matches_fewer_rounds(params):
+    X, y, probe = _staged_data(43)
+    model = GradientBoostedTrees(n_estimators=5, seed=4, **params).fit(X, y)
+    staged = list(model.staged_predict(probe))
+    scores = [s.copy() for s in model._staged_scores(probe)]
+    assert len(staged) == 5 and len(scores) == 6
+    for k, prediction in enumerate(staged, start=1):
+        fewer = GradientBoostedTrees(n_estimators=k, seed=4, **params).fit(X, y)
+        assert prediction.tolist() == fewer.predict(probe).tolist()
+        assert np.array_equal(scores[k], fewer._raw_scores(probe))  # bit for bit
+
+
+def test_boosting_single_class_stages_every_round():
+    X = np.arange(6, dtype=float).reshape(-1, 1)
+    model = GradientBoostedTrees(n_estimators=3).fit(X, [4] * 6)
+    assert [p.tolist() for p in model.staged_predict(X)] == [[4] * 6] * 3
+
+
+def test_forest_fit_stops_within_one_tree_of_deadline(monkeypatch):
+    X, y, _ = _staged_data(47)
+    forest = RandomForest(n_estimators=50, seed=1)
+    # the clock reads the number of trees fitted so far
+    monkeypatch.setattr(errors, "time", SimpleNamespace(monotonic=lambda: len(forest.trees_)))
+    with pytest.raises(CellTimeoutError):
+        forest.fit(X, y, deadline=2.5)
+    assert len(forest.trees_) == 3
+
+
+def test_boosting_fit_stops_within_one_round_of_deadline(monkeypatch):
+    X, y, _ = _staged_data(53)
+    model = GradientBoostedTrees(n_estimators=50, max_depth=2, seed=1)
+    # the clock reads the number of rounds fitted so far
+    monkeypatch.setattr(errors, "time", SimpleNamespace(monotonic=lambda: len(model.rounds_)))
+    with pytest.raises(CellTimeoutError):
+        model.fit(X, y, deadline=2.5)
+    assert len(model.rounds_) == 3

@@ -1,20 +1,25 @@
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from resnap import CellTimeoutError, ConfigError
+from resnap import CellTimeoutError, ConfigError, errors
 from resnap.models import (
     GRADIENT_BOOSTING_GRID,
     RANDOM_FOREST_GRID,
+    DecisionTree,
+    RandomForest,
     expand_grid,
     grid_search_cv,
     make_classifier,
     normalize_depth,
     stratified_kfold,
 )
+from resnap.models.search import check_grid
+from resnap.seeding import derive_seed
 
 
 def test_published_grid_shapes():
@@ -128,3 +133,102 @@ def test_grid_search_majority_has_single_point():
     outcome = grid_search_cv("majority", X, y, folds=2, seed=0)
     assert outcome.best_params == {}
     assert outcome.model.predict(X).tolist() == [0] * 8
+
+
+def _naive_search(kind, X, y, grid, folds, seed):
+    """Reference search: one fit per grid point and fold, scored with predict."""
+    fold_idx = stratified_kfold(y, folds, seed)
+    best = None
+    for point in expand_grid(grid):
+        per_fold = []
+        for f, test_idx in enumerate(fold_idx):
+            train_idx = np.setdiff1d(np.arange(len(y)), test_idx)
+            model = make_classifier(kind, point, derive_seed(seed, "fold", f))
+            model.fit(X[train_idx], y[train_idx])
+            per_fold.append(float(np.mean(model.predict(X[test_idx]) == y[test_idx])))
+        if best is None or np.mean(per_fold) > best[1]:
+            best = (point, float(np.mean(per_fold)), per_fold)
+    return best
+
+
+@pytest.mark.parametrize(
+    "kind, grid",
+    [
+        ("forest", {"n_estimators": [3, 1, 5], "max_depth": [2, None], "bootstrap": [True, False]}),
+        ("forest", {"n_estimators": [4, 2, 4], "max_depth": [3]}),  # points 0 and 2 tie
+        ("boosted", {"n_estimators": [4, 2], "max_depth": [2], "subsample": [0.8, 1.0]}),
+        ("boosted", {"n_estimators": [3, 3], "max_depth": [None], "colsample": [0.6]}),
+    ],
+)
+def test_grid_search_staged_scores_match_naive_loop(kind, grid):
+    rng = np.random.default_rng(61)
+    X = rng.integers(0, 4, size=(48, 4)).astype(float)
+    y = (X[:, 0].astype(int) + (rng.random(48) < 0.4)) % 3
+    outcome = grid_search_cv(kind, X, y, grid, folds=3, seed=2)
+    best_params, mean_acc, per_fold = _naive_search(kind, X, y, grid, folds=3, seed=2)
+    assert outcome.best_params == best_params
+    assert outcome.per_fold == per_fold
+    assert outcome.mean_fold_accuracy == mean_acc
+    refit = make_classifier(kind, best_params, derive_seed(2, "refit")).fit(X, y)
+    assert outcome.model.predict(X).tolist() == refit.predict(X).tolist()
+
+
+def test_grid_search_fits_each_group_once_per_fold_at_its_largest_size(monkeypatch):
+    rng = np.random.default_rng(67)
+    X = rng.normal(size=(30, 3))
+    y = rng.integers(0, 2, size=30)
+    sizes = []
+    forest_fit = RandomForest.fit
+
+    def recording_fit(self, X, y, deadline=None):
+        sizes.append((self.n_estimators, self.max_depth))
+        return forest_fit(self, X, y, deadline)
+
+    monkeypatch.setattr(RandomForest, "fit", recording_fit)
+    grid = {"n_estimators": [2, 4, 3], "max_depth": [2, 3]}
+    outcome = grid_search_cv("forest", X, y, grid, folds=3, seed=1)
+    refit = (outcome.best_params["n_estimators"], outcome.best_params["max_depth"])
+    assert sizes == [(4, 2), (4, 3)] * 3 + [refit]
+
+
+@pytest.mark.parametrize("kind", ["forest", "boosted"])
+def test_grid_search_staged_tie_keeps_enumeration_order(kind):
+    X = np.array([[0.0], [1.0]] * 6)
+    y = np.array([0, 1] * 6)
+    outcome = grid_search_cv(kind, X, y, {"n_estimators": [5, 3]}, folds=3, seed=0)
+    assert outcome.per_fold == [1.0, 1.0, 1.0]  # both points score 1.0 on every fold
+    assert outcome.best_params == {"n_estimators": 5}
+
+
+def test_grid_search_deadline_reaches_inside_ensemble_fits(monkeypatch):
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(60, 4))
+    y = rng.integers(0, 3, size=60)
+    fitted = []
+    tree_fit = DecisionTree.fit
+
+    def counting_fit(self, X, y):
+        fitted.append(1)
+        return tree_fit(self, X, y)
+
+    monkeypatch.setattr(DecisionTree, "fit", counting_fit)
+    # the clock reads the number of trees fitted so far
+    monkeypatch.setattr(errors, "time", SimpleNamespace(monotonic=lambda: len(fitted)))
+    with pytest.raises(CellTimeoutError):
+        grid_search_cv("forest", X, y, {"n_estimators": [50]}, folds=3, seed=0, deadline=5.5)
+    assert len(fitted) == 6
+
+
+@pytest.mark.parametrize(
+    "grid, key",
+    [
+        ({"n_estimators": 5}, "n_estimators"),
+        ({"n_estimators": []}, "n_estimators"),
+        ({"n_estimators": [0]}, "n_estimators"),
+        ({"n_estimators": [2.5]}, "n_estimators"),
+        ({"max_depth": ["deep"]}, "max_depth"),
+    ],
+)
+def test_check_grid_rejects_bad_values(grid, key):
+    with pytest.raises(ConfigError, match=key):
+        check_grid("forest", grid)
