@@ -26,7 +26,7 @@ from typing import Any
 from .encodings import ENCODINGS
 from .errors import ConfigError, EmptyLogError, ParseError, ResnapError, ValidationError
 from .eventlog import EventLog, resource_view
-from .experiment import ExperimentConfig, run_experiment
+from .experiment import EXPERIMENT_MODELS, ExperimentConfig, run_experiment
 from .parsers import CsvMapping, parse_csv, parse_xes
 from .prefixes import DEFAULT_PREFIX_CANDIDATES, eligible_resources, prefix_grid
 from .profiling import profile
@@ -63,6 +63,29 @@ def _number(section: dict, key: str, default, cast):
         raise ConfigError(f"{key} must be {kind}, got {value!r}") from None
 
 
+def _object(value, what: str) -> dict:
+    """``value`` if it is a JSON object, else a ConfigError naming ``what``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+# what each kind of list in a config may hold
+_LIST_ITEMS = {
+    "names": lambda v: isinstance(v, str),
+    "objects": lambda v: isinstance(v, dict),
+    "positive integers": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
+}
+
+
+def _list(section: dict, key: str, default, items: str) -> list:
+    """``section[key]`` (or ``default``) as a list of ``items``, else a ConfigError."""
+    value = section.get(key, default)
+    if not isinstance(value, (list, tuple)) or not all(map(_LIST_ITEMS[items], value)):
+        raise ConfigError(f"{key} must be a list of {items}, got {value!r}")
+    return list(value)
+
+
 def _load_config(path: str) -> CliConfig:
     config_path = Path(path)
     if not config_path.exists():
@@ -71,16 +94,15 @@ def _load_config(path: str) -> CliConfig:
         raw = json.loads(config_path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    raw = _object(raw, "the config")
     datasets: dict[str, DatasetEntry] = {}
-    for i, entry in enumerate(raw.get("datasets", [])):
+    for i, entry in enumerate(_list(raw, "datasets", [], "objects")):
         missing = [key for key in ("id", "path") if key not in entry]
         if missing:
             raise ConfigError(f"dataset entry {i} has no {' or '.join(map(repr, missing))}")
         mapping = None
         if "csv_mapping" in entry:
-            m = entry["csv_mapping"]
-            if not isinstance(m, dict):
-                raise ConfigError(f"dataset {entry['id']!r}: csv_mapping must be an object")
+            m = _object(entry["csv_mapping"], f"dataset {entry['id']!r}: csv_mapping")
             missing = [key for key in _CSV_COLUMNS if key not in m]
             if missing:
                 raise ConfigError(
@@ -104,7 +126,7 @@ def _load_config(path: str) -> CliConfig:
             path=Path(entry["path"]),
             format=fmt,
             prefix_candidates=tuple(
-                entry.get("prefix_candidates", DEFAULT_PREFIX_CANDIDATES)
+                _list(entry, "prefix_candidates", DEFAULT_PREFIX_CANDIDATES, "positive integers")
             ),
             csv_mapping=mapping,
         )
@@ -114,7 +136,7 @@ def _load_config(path: str) -> CliConfig:
         datasets=datasets,
         output_dir=Path(raw.get("output_dir", "out")),
         seed=_number(raw, "seed", 0, int),
-        experiment=raw.get("experiment", {}),
+        experiment=_object(raw.get("experiment", {}), "experiment"),
     )
 
 
@@ -147,13 +169,13 @@ def _experiment_config(
         workers = args.workers
     else:
         workers = _number(exp, "workers", os.cpu_count() or 1, int)
-    grids = {model: grid for model, grid in exp.get("grids", {}).items()}
+    grids = dict(_object(exp.get("grids", {}), "experiment.grids"))
     return ExperimentConfig(
         dataset_id=entry.dataset_id,
         prefix_candidates=entry.prefix_candidates,
         min_resources=_number(exp, "min_resources", 100, int),
-        encodings=tuple(exp.get("encodings", ENCODINGS)),
-        models=tuple(exp.get("models", ("majority", "forest", "boosted"))),
+        encodings=tuple(_list(exp, "encodings", ENCODINGS, "names")),
+        models=tuple(_list(exp, "models", EXPERIMENT_MODELS, "names")),
         split_ratio=_number(exp, "split_ratio", 0.8, float),
         seed=seed,
         cv_folds=_number(exp, "cv_folds", 3, int),

@@ -7,6 +7,7 @@ prefix length are paired. Mutual-information feature selection for the
 """
 from __future__ import annotations
 
+import numbers
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -74,6 +75,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown models: {', '.join(unknown_models)}")
         for model, grid in self.grids.items():
             check_grid(model, grid)
+        if self.workers < 1:
+            raise ConfigError(f"workers must be at least 1, got {self.workers!r}")
+        timeout = self.cell_timeout
+        if timeout is not None and (
+            isinstance(timeout, bool) or not isinstance(timeout, numbers.Real) or not timeout > 0
+        ):
+            raise ConfigError(f"cell_timeout must be null or a positive number, got {timeout!r}")
 
     def grid_for(self, model: str) -> Mapping[str, Sequence]:
         if model in self.grids:

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..errors import ValidationError, check_deadline
 from ..seeding import derive_seed
-from .tree import Tree, grow
+from .tree import Tree, grow, presort, subset_order
 
 _EPS = 1e-12
 
@@ -91,14 +91,17 @@ class GradientBoostedTrees:
         rng = np.random.default_rng(derive_seed(self.seed, "boost"))
         factor = (n_classes - 1) / n_classes
         self.train_log_loss_.append(self._log_loss(scores, codes))
+        order = presort(X)  # shared by every class tree of every round
         for _ in range(self.n_estimators):
             check_deadline(deadline)
             probs = _softmax(scores)
             if self.subsample < 1.0:
                 n_rows = max(1, int(round(self.subsample * n)))
                 rows = np.sort(rng.choice(n, size=n_rows, replace=False))
+                X_rows, order_rows = X[rows], subset_order(order, rows)
             else:
                 rows = np.arange(n)
+                X_rows, order_rows = X, order
             round_trees: list[Tree] = []
             for k in range(n_classes):
                 if self.colsample < 1.0:
@@ -109,10 +112,11 @@ class GradientBoostedTrees:
                 grad = onehot[rows, k] - probs[rows, k]
                 hess = probs[rows, k] * (1.0 - probs[rows, k])
                 tree = grow(
-                    X[rows],
+                    X_rows,
                     grad[:, None],
                     max_depth=self.max_depth,
                     features=feats,
+                    order=order_rows,
                     node_value=lambda r: _newton_step(grad[r], hess[r], factor),
                 )
                 scores[:, k] += self.learning_rate * tree.value[tree.apply(X)]

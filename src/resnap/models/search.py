@@ -77,11 +77,14 @@ def make_classifier(kind: str, params: Mapping, seed: int):
 def check_grid(kind: str, grid: Mapping[str, Sequence]) -> None:
     """Raise ConfigError for a grid the learner cannot be built from.
 
-    Every key must be a parameter of the learner's constructor and every
-    value a non-empty list of candidates; ``max_depth`` candidates must
-    be depths and ``n_estimators`` candidates positive integers, which
-    staged scoring needs as stage numbers.
+    The grid must be a mapping. Every key must be a parameter of the
+    learner's constructor and every value a non-empty list of
+    candidates; ``max_depth`` candidates must be depths and
+    ``n_estimators`` candidates positive integers, which staged scoring
+    needs as stage numbers.
     """
+    if not isinstance(grid, Mapping):
+        raise ConfigError(f"{kind} grid must be an object, got {grid!r}")
     accepted = [p for p in inspect.signature(_learner(kind)).parameters if p != "seed"]
     unknown = [key for key in grid if key not in accepted]
     if unknown:

@@ -64,50 +64,70 @@ class Tree:
         return cls(**{f.name: np.asarray(payload[f.name]) for f in fields(cls)})
 
 
+def presort(X: np.ndarray) -> np.ndarray:
+    """(columns x rows) row ids of ``X``: row ``c`` lists the rows in
+    ascending order of column ``c``, equal values in ascending row id."""
+    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+
+
+def subset_order(order: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The :func:`presort` of ``X[rows]``, given the presort ``order`` of ``X``.
+
+    ``rows`` must be ascending. Filtering keeps each column's stable
+    order, and the running count of kept rows renumbers them.
+    """
+    keep = np.zeros(order.shape[1], dtype=bool)
+    keep[rows] = True
+    local = np.cumsum(keep) - 1
+    return local[order[keep[order]].reshape(order.shape[0], -1)]
+
+
 def _best_split(
-    X: np.ndarray,
+    xs: np.ndarray,
+    order: np.ndarray,
     stats: np.ndarray,
     total: np.ndarray,
     min_samples_leaf: int,
     integer: bool,
 ) -> tuple[int, float] | None:
-    """Best (column of ``X``, threshold) for one node, or None if none is valid.
+    """Best (candidate, threshold) for one node, or None if none is valid.
 
-    All columns are scored in one pass: ``stats`` (rows x k) is gathered
-    in every column's sorted order and summed cumulatively down the rows.
+    ``order`` (candidates x rows) holds the node's rows of ``stats`` in
+    each candidate feature's ascending order and ``xs`` the matching
+    feature values. All candidates are scored in one pass: the statistics
+    are gathered in each sorted order and summed cumulatively along it.
     ``integer`` says whether ``stats`` holds integers, which selects the
     exact tie comparison.
     """
-    n, m = X.shape
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = X[order, np.arange(m)]
-    left_n = np.arange(1, n)[:, None]
+    n = xs.shape[1]
+    left_n = np.arange(1, n)
     right_n = n - left_n
-    ok = xs[:-1] < xs[1:]
-    # row i leaves i + 1 rows on the left; both children need min_samples_leaf
-    ok[: max(min_samples_leaf - 1, 0)] = False
-    ok[max(n - min_samples_leaf, 0) :] = False
+    ok = xs[:, :-1] < xs[:, 1:]
+    # position i leaves i + 1 rows on the left; both children need min_samples_leaf
+    ok[:, : max(min_samples_leaf - 1, 0)] = False
+    ok[:, max(n - min_samples_leaf, 0) :] = False
     if not ok.any():
         return None
-    left = np.cumsum(stats[order[:-1]], axis=0)
+    left = np.cumsum(np.take(stats, order[:, :-1], axis=0), axis=1)
     right = total - left
     sq_left = np.einsum("ijk,ijk->ij", left, left)
     sq_right = np.einsum("ijk,ijk->ij", right, right)
-    # transposed, so C order runs over features first, then thresholds
-    score = np.where(ok, sq_left / left_n + sq_right / right_n, -np.inf).T
+    score = sq_left / left_n
+    score += sq_right / right_n
+    score[~ok] = -np.inf  # C order runs over candidates first, then thresholds
     if integer:
         top = score.max()
         best = None
         best_num = best_den = 0  # exact python ints
         for j, i in zip(*np.nonzero(score >= top - abs(top) * _NEAR_RTOL)):
-            nl, nr = int(left_n[i, 0]), int(right_n[i, 0])
-            num = int(sq_left[i, j]) * nr + int(sq_right[i, j]) * nl
+            nl, nr = int(left_n[i]), int(right_n[i])
+            num = int(sq_left[j, i]) * nr + int(sq_right[j, i]) * nl
             if best is None or num * best_den > best_num * nl * nr:
                 best, best_num, best_den = (j, i), num, nl * nr
         j, i = best
     else:
-        j, i = divmod(int(np.argmax(score)), score.shape[1])
-    lo, hi = xs[i, j], xs[i + 1, j]
+        j, i = divmod(int(np.argmax(score)), n - 1)
+    lo, hi = xs[j, i], xs[j, i + 1]
     threshold = (lo + hi) / 2.0
     if threshold >= hi:  # the midpoint of adjacent floats can round up
         threshold = lo
@@ -123,6 +143,7 @@ def grow(
     min_samples_leaf: int = 1,
     max_features: int | None = None,
     features: np.ndarray | None = None,
+    order: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
     node_value: Callable[[np.ndarray], object] | None = None,
 ) -> Tree:
@@ -136,19 +157,33 @@ def grow(
     only, or when no split leaves ``min_samples_leaf`` rows on each
     side. ``node_value(rows)`` gives each node's value; by default it is
     the node's statistic sums.
+
+    When every node scores every feature, the columns are sorted once:
+    ``order`` is :func:`presort` of ``X`` (computed when omitted), and a
+    child that may split gets its parent's sorted rows filtered by the
+    split. With ``max_features`` subsampling, each node sorts its own
+    candidates. Both give the same sorted rows, so the same tree.
     """
     if features is None:
         features = np.arange(X.shape[1])
     integer = np.issubdtype(stats.dtype, np.integer)
+    presorted = max_features is None or max_features >= features.size
+    block = None
+    if presorted:
+        block = (presort(X) if order is None else order)[features]
+        # X[r, features[c]] is columns[r + offsets[c]]
+        columns = np.ascontiguousarray(X.T).ravel()
+        offsets = (features * X.shape[0])[:, None]
+        side = np.zeros(X.shape[0], dtype=bool)
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     value: list = []
-    # (rows, depth, parent whose right child this is, or -1)
-    stack = [(np.arange(X.shape[0]), 0, -1)]
+    # (rows, depth, parent whose right child this is or -1, sorted rows or None)
+    stack = [(np.arange(X.shape[0]), 0, -1, block)]
     while stack:
-        rows, depth, parent = stack.pop()
+        rows, depth, parent, block = stack.pop()
         node = len(feature)
         if parent >= 0:
             right[parent] = node
@@ -165,22 +200,47 @@ def grow(
             or (integer and np.count_nonzero(total) <= 1)
         ):
             continue
-        candidates = features
-        if max_features is not None and max_features < features.size:
+        if presorted:
+            candidates = features
+            split = _best_split(
+                np.take(columns, block + offsets),
+                block,
+                stats,
+                total,
+                min_samples_leaf,
+                integer,
+            )
+        else:
             candidates = features[
                 np.sort(rng.choice(features.size, size=max_features, replace=False))
             ]
-        split = _best_split(
-            X[rows[:, None], candidates], node_stats, total, min_samples_leaf, integer
-        )
+            values = X[rows[:, None], candidates]
+            local = np.argsort(values, axis=0, kind="stable")
+            split = _best_split(
+                values[local, np.arange(candidates.size)].T,
+                local.T,
+                node_stats,
+                total,
+                min_samples_leaf,
+                integer,
+            )
         if split is None:
             continue
         column, cut = split
         f = int(candidates[column])
         feature[node], threshold[node], left[node] = f, cut, node + 1
         mask = X[rows, f] <= cut
-        stack.append((rows[~mask], depth + 1, node))
-        stack.append((rows[mask], depth + 1, -1))
+        left_rows, right_rows = rows[mask], rows[~mask]
+        left_block = right_block = None
+        if presorted and (max_depth is None or depth + 1 < max_depth):
+            side[rows] = mask
+            goes_left = side[block].ravel()
+            if left_rows.size >= min_samples_split:
+                left_block = np.compress(goes_left, block).reshape(features.size, -1)
+            if right_rows.size >= min_samples_split:
+                right_block = np.compress(~goes_left, block).reshape(features.size, -1)
+        stack.append((right_rows, depth + 1, node, right_block))
+        stack.append((left_rows, depth + 1, -1, left_block))
     return Tree(
         np.array(feature, dtype=np.int64),
         np.array(threshold, dtype=float),

@@ -194,7 +194,7 @@ def test_run_failed_cell_exits_one(fixture_env, capsys):
     tmp_path, data = fixture_env
     config_path = write_config(tmp_path, data)
     config = json.loads(config_path.read_text())
-    config["experiment"]["cell_timeout"] = 0.0
+    config["experiment"]["cell_timeout"] = 1e-9  # spent before the first fit
     config_path.write_text(json.dumps(config))
     assert main(["run", "--config", str(config_path), "--quiet"]) == 1
     records = load_records(tmp_path / "out" / "records.json")
@@ -280,3 +280,76 @@ def test_run_non_numeric_value_exits_two_before_parsing(fixture_env, capsys, key
     assert main(["run", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert key in err and "not found" not in err
+
+
+def _edited_config(tmp_path, data, edit) -> Path:
+    """The fixture config after ``edit(config)``, with the log file removed,
+    so a parse attempt would fail with "dataset file not found"."""
+    config_path = write_config(tmp_path, data)
+    config = json.loads(config_path.read_text())
+    config = edit(config) or config
+    config_path.write_text(json.dumps(config))
+    data.unlink()
+    return config_path
+
+
+def _set(section, key, value):
+    def edit(config):
+        target = config if section is None else config[section]
+        target[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("value", ["soon", -1, 0, True])
+def test_run_bad_cell_timeout_exits_two_before_parsing(fixture_env, capsys, value):
+    tmp_path, data = fixture_env
+    config_path = _edited_config(tmp_path, data, _set("experiment", "cell_timeout", value))
+    assert main(["run", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "cell_timeout must be null or a positive number" in err and "not found" not in err
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda config: [config], "the config must be a JSON object"),
+        (_set(None, "experiment", ["SeqOnly"]), "experiment must be a JSON object"),
+        (
+            _set("experiment", "grids", [FAST_GRIDS["forest"]]),
+            "experiment.grids must be a JSON object",
+        ),
+        (_set("experiment", "grids", {"forest": [5]}), "forest grid must be an object"),
+        (_set("experiment", "encodings", "SeqOnly"), "encodings must be a list of names"),
+        (_set("experiment", "models", "forest"), "models must be a list of names"),
+        (_set(None, "datasets", {"id": "fixture"}), "datasets must be a list of objects"),
+    ],
+    ids=["top-level", "experiment", "grids", "single-grid", "encodings", "models", "datasets"],
+)
+def test_run_config_of_wrong_shape_exits_two_before_parsing(fixture_env, capsys, edit, named):
+    tmp_path, data = fixture_env
+    config_path = _edited_config(tmp_path, data, edit)
+    assert main(["run", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "not found" not in err
+
+
+@pytest.mark.parametrize("value", [["three"], [3, 2.5], [0, 3], [True], 3])
+def test_bad_prefix_candidates_exit_two_when_the_config_loads(fixture_env, capsys, value):
+    tmp_path, data = fixture_env
+    config_path = write_config(tmp_path, data, prefix_candidates=value)
+    for command in ("run", "grid"):
+        assert main([command, "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert "prefix_candidates must be a list of positive integers" in err
+        assert "parsing" not in err
+
+
+@pytest.mark.parametrize("via_flag", [False, True], ids=["config", "flag"])
+def test_run_zero_workers_exits_two_before_parsing(fixture_env, capsys, via_flag):
+    tmp_path, data = fixture_env
+    workers = 1 if via_flag else 0
+    config_path = _edited_config(tmp_path, data, _set("experiment", "workers", workers))
+    argv = ["run", "--config", str(config_path)] + (["--workers", "0"] if via_flag else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "workers must be at least 1" in err and "not found" not in err

@@ -202,7 +202,7 @@ def test_run_experiment_empty_grid_names_min_resources(small_log):
 
 
 def test_run_experiment_timeout_marks_cell_failed(small_log):
-    records = run_experiment(small_log, small_config(cell_timeout=0.0))
+    records = run_experiment(small_log, small_config(cell_timeout=1e-9))
     assert all(r.status == "failed" for r in records)
     assert all(r.accuracy is None for r in records)
 
