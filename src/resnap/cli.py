@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .encodings import ENCODINGS
 from .errors import ConfigError, EmptyLogError, ParseError, ResnapError, ValidationError
@@ -70,18 +70,13 @@ def _object(value, what: str) -> dict:
     return value
 
 
-# what each kind of list in a config may hold
-_LIST_ITEMS = {
-    "names": lambda v: isinstance(v, str),
-    "objects": lambda v: isinstance(v, dict),
-    "positive integers": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-}
-
-
-def _list(section: dict, key: str, default, items: str) -> list:
-    """``section[key]`` (or ``default``) as a list of ``items``, else a ConfigError."""
+def _list(
+    section: dict, key: str, default, is_item: Callable[[object], bool], items: str
+) -> list:
+    """``section[key]`` (or ``default``) as a list whose every entry passes
+    ``is_item``, else a ConfigError saying it must be a list of ``items``."""
     value = section.get(key, default)
-    if not isinstance(value, (list, tuple)) or not all(map(_LIST_ITEMS[items], value)):
+    if not isinstance(value, (list, tuple)) or not all(map(is_item, value)):
         raise ConfigError(f"{key} must be a list of {items}, got {value!r}")
     return list(value)
 
@@ -96,7 +91,8 @@ def _load_config(path: str) -> CliConfig:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     raw = _object(raw, "the config")
     datasets: dict[str, DatasetEntry] = {}
-    for i, entry in enumerate(_list(raw, "datasets", [], "objects")):
+    entries = _list(raw, "datasets", [], lambda v: isinstance(v, dict), "objects")
+    for i, entry in enumerate(entries):
         missing = [key for key in ("id", "path") if key not in entry]
         if missing:
             raise ConfigError(f"dataset entry {i} has no {' or '.join(map(repr, missing))}")
@@ -126,7 +122,13 @@ def _load_config(path: str) -> CliConfig:
             path=Path(entry["path"]),
             format=fmt,
             prefix_candidates=tuple(
-                _list(entry, "prefix_candidates", DEFAULT_PREFIX_CANDIDATES, "positive integers")
+                _list(
+                    entry,
+                    "prefix_candidates",
+                    DEFAULT_PREFIX_CANDIDATES,
+                    lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
+                    "positive integers",
+                )
             ),
             csv_mapping=mapping,
         )
@@ -174,8 +176,10 @@ def _experiment_config(
         dataset_id=entry.dataset_id,
         prefix_candidates=entry.prefix_candidates,
         min_resources=_number(exp, "min_resources", 100, int),
-        encodings=tuple(_list(exp, "encodings", ENCODINGS, "names")),
-        models=tuple(_list(exp, "models", EXPERIMENT_MODELS, "names")),
+        encodings=tuple(_list(exp, "encodings", ENCODINGS, lambda v: isinstance(v, str), "names")),
+        models=tuple(
+            _list(exp, "models", EXPERIMENT_MODELS, lambda v: isinstance(v, str), "names")
+        ),
         split_ratio=_number(exp, "split_ratio", 0.8, float),
         seed=seed,
         cv_folds=_number(exp, "cv_folds", 3, int),

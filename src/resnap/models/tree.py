@@ -112,9 +112,8 @@ def _best_split(
     right = total - left
     sq_left = np.einsum("ijk,ijk->ij", left, left)
     sq_right = np.einsum("ijk,ijk->ij", right, right)
-    score = sq_left / left_n
-    score += sq_right / right_n
-    score[~ok] = -np.inf  # C order runs over candidates first, then thresholds
+    # C order runs over candidates first, then thresholds
+    score = np.where(ok, sq_left / left_n + sq_right / right_n, -np.inf)
     if integer:
         top = score.max()
         best = None
@@ -162,7 +161,9 @@ def grow(
     ``order`` is :func:`presort` of ``X`` (computed when omitted), and a
     child that may split gets its parent's sorted rows filtered by the
     split. With ``max_features`` subsampling, each node sorts its own
-    candidates. Both give the same sorted rows, so the same tree.
+    candidates, which costs less than filtering every feature's sorted
+    rows for every child. Both give the same sorted rows, so the same
+    tree.
     """
     if features is None:
         features = np.arange(X.shape[1])
@@ -200,30 +201,17 @@ def grow(
             or (integer and np.count_nonzero(total) <= 1)
         ):
             continue
-        if presorted:
-            candidates = features
-            split = _best_split(
-                np.take(columns, block + offsets),
-                block,
-                stats,
-                total,
-                min_samples_leaf,
-                integer,
-            )
-        else:
+        if presorted:  # global row ids into stats
+            candidates, ids, pool = features, block, stats
+            xs = np.take(columns, block + offsets)
+        else:  # row ids local to the node, into node_stats
             candidates = features[
                 np.sort(rng.choice(features.size, size=max_features, replace=False))
             ]
             values = X[rows[:, None], candidates]
             local = np.argsort(values, axis=0, kind="stable")
-            split = _best_split(
-                values[local, np.arange(candidates.size)].T,
-                local.T,
-                node_stats,
-                total,
-                min_samples_leaf,
-                integer,
-            )
+            xs, ids, pool = values[local, np.arange(candidates.size)].T, local.T, node_stats
+        split = _best_split(xs, ids, pool, total, min_samples_leaf, integer)
         if split is None:
             continue
         column, cut = split
