@@ -44,3 +44,45 @@ def run_structured_log(
             )
             order += 1
     return build_event_log(events)
+
+
+_XES_TZ = timezone(timedelta(hours=1))
+
+
+def run_structured_xes(
+    n_resources: int = 80,
+    events_per_resource: int = 14,
+    seed: int = 20240316,
+) -> bytes:
+    """The run-structured log written as an XES document.
+
+    Each resource's events are cut into cases of one to four events, the
+    traces are shuffled, timestamps carry a +01:00 offset (resources share
+    their clock, so there are many equal timestamps), and about one event
+    in nine is written without ``org:resource``.
+    """
+    rng = np.random.default_rng(seed)
+    log = run_structured_log(n_resources, events_per_resource, seed)
+    traces: list[list[Event]] = []
+    for r in range(n_resources):
+        own = list(log.events[r * events_per_resource:(r + 1) * events_per_resource])
+        while own:
+            cut = int(rng.integers(1, 5))
+            traces.append(own[:cut])
+            own = own[cut:]
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>\n<log xmlns="http://www.xes-standard.org/">\n']
+    for t in rng.permutation(len(traces)):
+        parts.append(f'<trace>\n<string key="concept:name" value="case-{t:04d}"/>\n')
+        for ev in traces[t]:
+            stamp = ev.timestamp.astimezone(_XES_TZ).isoformat(timespec="milliseconds")
+            resource = "" if rng.random() < 1 / 9 else (
+                f'<string key="org:resource" value="{ev.resource}"/>'
+            )
+            parts.append(
+                f'<event><string key="concept:name" value="{ev.activity}"/>{resource}'
+                f'<date key="time:timestamp" value="{stamp}"/>'
+                f'<string key="org:group" value="g{int(rng.integers(0, 3))}"/></event>\n'
+            )
+        parts.append("</trace>\n")
+    parts.append("</log>\n")
+    return "".join(parts).encode()

@@ -2,8 +2,10 @@
 
 The fixtures under ``tests/golden/`` hold predictions on a probe matrix,
 boosting raw scores and per-round training log loss (as ``float.hex``),
-and the exact ``records.json`` bytes of a small synthetic sweep. Any
-refactor of the learners must reproduce them bit for bit.
+the exact ``records.json`` bytes of a small synthetic sweep, and the
+``resnap profile`` JSON and CSV bytes for ``data/demo.csv`` and for a
+seeded XES document. Any refactor of the learners or of ingestion must
+reproduce them bit for bit.
 
 Regenerate (only when a change of results is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -20,14 +22,18 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from resnap import ExperimentConfig, run_experiment  # noqa: E402
+from resnap.cli import main  # noqa: E402
 from resnap.models import DecisionTree, GradientBoostedTrees, RandomForest  # noqa: E402
 from resnap.reporting import export_records  # noqa: E402
 
-from synth import run_structured_log  # noqa: E402
+from synth import run_structured_log, run_structured_xes  # noqa: E402
 
+ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 MODELS_FILE = GOLDEN / "models.json"
 RECORDS_FILE = GOLDEN / "synth_records.json"
+PROFILE_DATASETS = ("demo", "synth_xes")
+PROFILE_FILES = [f"{d}_profile.{ext}" for d in PROFILE_DATASETS for ext in ("json", "csv")]
 
 LEARNERS = {"tree": DecisionTree, "forest": RandomForest, "boosted": GradientBoostedTrees}
 
@@ -120,6 +126,23 @@ def _synth_records_bytes(out_dir: Path) -> bytes:
     return export_records(run_experiment(log, cfg), out_dir / "records.json").read_bytes()
 
 
+def _profile_bytes(out_dir: Path) -> dict[str, bytes]:
+    """``resnap profile`` outputs for the example config's demo CSV and the synthetic XES."""
+    example = json.loads((ROOT / "configs" / "example.json").read_text())
+    demo = next(d for d in example["datasets"] if d["id"] == "demo")
+    xes = out_dir / "synth.xes"
+    xes.write_bytes(run_structured_xes())
+    config = out_dir / "profile_config.json"
+    config.write_text(json.dumps({"datasets": [
+        {**demo, "path": str(ROOT / demo["path"])},
+        {"id": "synth_xes", "path": str(xes), "format": "xes"},
+    ]}))
+    for dataset in PROFILE_DATASETS:
+        args = ["profile", "--config", str(config), "--dataset", dataset, "--out", str(out_dir)]
+        assert main(args + ["--quiet"]) == 0
+    return {name: (out_dir / name).read_bytes() for name in PROFILE_FILES}
+
+
 def _case_id(case) -> str:
     kind, params, data, seed = case
     return f"{kind}-{'-'.join(f'{k}={v}' for k, v in params.items()) or 'default'}-{data}-s{seed}"
@@ -139,6 +162,11 @@ def test_synthetic_records_match_golden(tmp_path):
     assert _synth_records_bytes(tmp_path) == RECORDS_FILE.read_bytes()
 
 
+@pytest.mark.parametrize("name", PROFILE_FILES)
+def test_profile_matches_golden(name, tmp_path):
+    assert _profile_bytes(tmp_path)[name] == (GOLDEN / name).read_bytes()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -147,4 +175,6 @@ if __name__ == "__main__":
     MODELS_FILE.write_text("[\n" + ",\n".join(entries) + "\n]\n")
     with tempfile.TemporaryDirectory() as tmp:
         RECORDS_FILE.write_bytes(_synth_records_bytes(Path(tmp)))
-    print(f"wrote {MODELS_FILE} and {RECORDS_FILE}")
+        for name, data in _profile_bytes(Path(tmp)).items():
+            (GOLDEN / name).write_bytes(data)
+    print(f"wrote {MODELS_FILE}, {RECORDS_FILE} and {len(PROFILE_FILES)} profile files")
