@@ -84,16 +84,10 @@ def encode_seq_only(ds: PrefixDataset) -> EncodedDataset:
 
 def capability_map(log: EventLog) -> CapabilityMap:
     """Which activities each resource ever performs, over the whole log."""
-    activities = tuple(sorted(log.activity_alphabet))
-    index = {a: i for i, a in enumerate(activities)}
-    performed: dict[str, set[int]] = {}
-    for ev in log.events:
-        performed.setdefault(ev.resource, set()).add(index[ev.activity])
-    vectors = {
-        rid: tuple(1 if i in done else 0 for i in range(len(activities)))
-        for rid, done in performed.items()
-    }
-    return CapabilityMap(activities=activities, vectors=vectors)
+    performed = np.zeros((len(log.resources), len(log.activities)), dtype=np.int64)
+    performed[log.resource_codes, log.activity_codes] = 1
+    vectors = dict(zip(log.resources, map(tuple, performed.tolist())))
+    return CapabilityMap(activities=log.activities, vectors=vectors)
 
 
 def encode_scap(ds: PrefixDataset, cap: CapabilityMap) -> EncodedDataset:

@@ -1,18 +1,33 @@
 """In-memory event log model and its resource- and case-ordered views.
 
-An :class:`EventLog` is the single product of ingestion: a validated,
-immutable sequence of events plus the alphabets derived from it. Events
-without a resource are dropped at construction time (and counted), so
-both the resource view and the case view describe the same filtered set
-of events and their statistics stay comparable.
+An :class:`EventLog` is the single product of ingestion: validated,
+immutable, integer-coded columns (one entry per retained event, in file
+order) plus the sorted activity, resource and case alphabets the codes
+index. Events without a resource are dropped at construction time (and
+counted), so both the resource view and the case view describe the same
+filtered set of events and their statistics stay comparable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from datetime import datetime
+from dataclasses import dataclass, field
+from datetime import datetime, timedelta, timezone
+from functools import cached_property
+from itertools import compress
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import EmptyLogError, ValidationError
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+MICROSECOND = timedelta(microseconds=1)
+
+
+def epoch_us(ts: datetime) -> int:
+    """Microseconds since the Unix epoch; naive timestamps are taken as UTC."""
+    if ts.utcoffset() is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return (ts - EPOCH) // MICROSECOND
 
 
 @dataclass(frozen=True)
@@ -36,19 +51,90 @@ class Event:
             raise ValidationError("file_order must be non-negative")
 
 
-@dataclass(frozen=True)
-class EventLog:
-    """Validated events plus the activity/resource/case alphabets.
+@dataclass
+class EventColumns:
+    """Per-event lists a reader fills in file order, before validation.
 
-    Every retained event carries a resource; events lacking one are not
-    stored but are counted in ``dropped_event_count``.
+    ``resources`` holds None (or "") for events without a resource;
+    ``timestamps_us`` holds UTC epoch microseconds. Event ``i`` has file
+    order ``i``.
     """
 
-    events: tuple[Event, ...]
-    activity_alphabet: frozenset[str]
-    resource_set: frozenset[str]
-    case_set: frozenset[str]
+    cases: list[str] = field(default_factory=list)
+    activities: list[str] = field(default_factory=list)
+    resources: list[str | None] = field(default_factory=list)
+    timestamps_us: list[int] = field(default_factory=list)
+
+
+@dataclass(frozen=True, eq=False)
+class EventLog:
+    """Retained events as integer-coded columns plus the sorted alphabets.
+
+    Entry ``i`` of every column describes the ``i``-th retained event in
+    file order: ``activities[activity_codes[i]]`` is its activity, and
+    likewise for resources and cases; ``timestamps_us`` are UTC epoch
+    microseconds. Codes follow the sorted alphabets, so code order is
+    string order. Every retained event carries a resource; events lacking
+    one are not stored but are counted in ``dropped_event_count``.
+    """
+
+    activities: tuple[str, ...]
+    resources: tuple[str, ...]
+    cases: tuple[str, ...]
+    activity_codes: np.ndarray
+    resource_codes: np.ndarray
+    case_codes: np.ndarray
+    timestamps_us: np.ndarray
+    file_order: np.ndarray
     dropped_event_count: int = 0
+
+    @property
+    def n_events(self) -> int:
+        return len(self.file_order)
+
+    @cached_property
+    def activity_alphabet(self) -> frozenset[str]:
+        return frozenset(self.activities)
+
+    @cached_property
+    def resource_set(self) -> frozenset[str]:
+        return frozenset(self.resources)
+
+    @cached_property
+    def case_set(self) -> frozenset[str]:
+        return frozenset(self.cases)
+
+    @cached_property
+    def events(self) -> tuple[Event, ...]:
+        """The retained events as :class:`Event` objects (UTC timestamps),
+        built on first access; the pipeline itself reads only the columns."""
+        return tuple(
+            Event(self.cases[c], self.activities[a], self.resources[r], EPOCH + us * MICROSECOND, o)
+            for c, a, r, us, o in zip(
+                self.case_codes.tolist(),
+                self.activity_codes.tolist(),
+                self.resource_codes.tolist(),
+                self.timestamps_us.tolist(),
+                self.file_order.tolist(),
+            )
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EventLog):
+            return NotImplemented
+        return (
+            (self.activities, self.resources, self.cases, self.dropped_event_count)
+            == (other.activities, other.resources, other.cases, other.dropped_event_count)
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in _COLUMNS
+            )
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+_COLUMNS = ("activity_codes", "resource_codes", "case_codes", "timestamps_us", "file_order")
 
 
 @dataclass(frozen=True)
@@ -65,55 +151,83 @@ class CaseView:
     sequences: Mapping[str, tuple[str, ...]]
 
 
-def build_event_log(events: Iterable[Event]) -> EventLog:
-    """Assemble an EventLog from raw events.
+def build_event_log(events: Iterable[Event] | EventColumns) -> EventLog:
+    """Assemble an EventLog from :class:`Event` objects or a reader's columns.
 
     Events whose resource is missing (None or empty) are dropped and
     counted. Raises :class:`ValidationError` on duplicate file_order and
     :class:`EmptyLogError` when no events are supplied at all.
     """
-    kept: list[Event] = []
-    dropped = 0
-    seen_orders: set[int] = set()
-    total = 0
-    for ev in events:
-        total += 1
-        if ev.file_order in seen_orders:
-            raise ValidationError(f"duplicate file_order {ev.file_order}")
-        seen_orders.add(ev.file_order)
-        if not ev.resource:
-            dropped += 1
-            continue
-        kept.append(ev)
-    if total == 0:
+    if isinstance(events, EventColumns):
+        raw = events
+        file_order = np.arange(len(raw.cases), dtype=np.int64)
+    else:
+        raw = EventColumns()
+        orders: list[int] = []
+        seen_orders: set[int] = set()
+        for ev in events:
+            if ev.file_order in seen_orders:
+                raise ValidationError(f"duplicate file_order {ev.file_order}")
+            seen_orders.add(ev.file_order)
+            orders.append(ev.file_order)
+            raw.cases.append(ev.case_id)
+            raw.activities.append(ev.activity)
+            raw.resources.append(ev.resource)
+            raw.timestamps_us.append(epoch_us(ev.timestamp))
+        file_order = np.array(orders, dtype=np.int64)
+    if not raw.cases:
         raise EmptyLogError("no events in source")
+    keep = [bool(r) for r in raw.resources]
+    kept = np.flatnonzero(keep)
+    resources, resource_codes = _coded(compress(raw.resources, keep))
+    activities, activity_codes = _coded(compress(raw.activities, keep))
+    cases, case_codes = _coded(compress(raw.cases, keep))
     return EventLog(
-        events=tuple(kept),
-        activity_alphabet=frozenset(ev.activity for ev in kept),
-        resource_set=frozenset(ev.resource for ev in kept if ev.resource),
-        case_set=frozenset(ev.case_id for ev in kept),
-        dropped_event_count=dropped,
+        activities=activities,
+        resources=resources,
+        cases=cases,
+        activity_codes=activity_codes,
+        resource_codes=resource_codes,
+        case_codes=case_codes,
+        timestamps_us=np.array(raw.timestamps_us, dtype=np.int64)[kept],
+        file_order=file_order[kept],
+        dropped_event_count=len(keep) - len(kept),
     )
 
 
-def _grouped_sequences(log: EventLog, key_of) -> dict[str, tuple[str, ...]]:
-    if not log.events:
+def _coded(values: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sorted alphabet of ``values`` and each value's index into it."""
+    first_seen: dict[str, int] = {}
+    codes = np.fromiter(
+        (first_seen.setdefault(v, len(first_seen)) for v in values), dtype=np.int64
+    )
+    alphabet = tuple(sorted(first_seen))
+    rank = np.empty(len(alphabet), dtype=np.int64)
+    rank[[first_seen[name] for name in alphabet]] = np.arange(len(alphabet))
+    return alphabet, rank[codes]
+
+
+def _grouped_sequences(
+    log: EventLog, codes: np.ndarray, names: tuple[str, ...]
+) -> dict[str, tuple[str, ...]]:
+    """Activities grouped by ``codes``, keys in code order, each group
+    ordered by (timestamp, file_order)."""
+    if not log.n_events:
         raise EmptyLogError("event log has no events")
-    groups: dict[str, list[Event]] = {}
-    for ev in log.events:
-        groups.setdefault(key_of(ev), []).append(ev)
+    order = np.lexsort((log.file_order, log.timestamps_us, codes))
+    keys = codes[order]
+    starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    bounds = [0, *starts.tolist(), len(keys)]
+    activities = np.array(log.activities, dtype=object)[log.activity_codes[order]].tolist()
     return {
-        key: tuple(
-            ev.activity
-            for ev in sorted(groups[key], key=lambda e: (e.timestamp, e.file_order))
-        )
-        for key in sorted(groups)
+        names[key]: tuple(activities[lo:hi])
+        for key, lo, hi in zip(keys[bounds[:-1]].tolist(), bounds, bounds[1:])
     }
 
 
 def resource_view(log: EventLog) -> ResourceView:
     """Group activities by resource, ordered by (timestamp, file_order)."""
-    return ResourceView(_grouped_sequences(log, lambda ev: ev.resource))
+    return ResourceView(_grouped_sequences(log, log.resource_codes, log.resources))
 
 
 def case_view(log: EventLog) -> CaseView:
@@ -122,4 +236,4 @@ def case_view(log: EventLog) -> CaseView:
     Events dropped at ingestion for missing resources are not restored,
     so case statistics describe the same filtered log as the resource view.
     """
-    return CaseView(_grouped_sequences(log, lambda ev: ev.case_id))
+    return CaseView(_grouped_sequences(log, log.case_codes, log.cases))

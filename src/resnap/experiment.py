@@ -77,6 +77,10 @@ class ExperimentConfig:
             check_grid(model, grid)
         if self.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {self.workers!r}")
+        if self.cv_folds < 2:
+            raise ConfigError(f"cv_folds must be at least 2, got {self.cv_folds!r}")
+        if self.mi_k < 0:
+            raise ConfigError(f"mi_k must be non-negative, got {self.mi_k!r}")
         timeout = self.cell_timeout
         if timeout is not None and (
             isinstance(timeout, bool) or not isinstance(timeout, numbers.Real) or not timeout > 0

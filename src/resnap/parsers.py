@@ -1,11 +1,13 @@
 """Readers for XES (XML) and delimited-text event logs.
 
-Both readers produce the same kind of validated :class:`EventLog`:
+Both readers fill the same per-event columns and produce the same kind
+of validated :class:`EventLog`:
 
 * events lacking a resource are dropped and counted,
-* timestamps are normalised to UTC (naive values are taken as UTC),
+* timestamps are normalised to UTC epoch microseconds (naive values are
+  taken as UTC),
 * gzip-compressed input is detected by its magic bytes and decompressed
-  transparently,
+  transparently; files and streams are read in chunks, never whole,
 * equal timestamps keep their source-file order.
 
 Only the XES subset actually used here is read: per event the
@@ -19,15 +21,20 @@ import gzip
 import io
 import re
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 from .errors import ConfigError, EmptyLogError, ParseError, ValidationError
-from .eventlog import Event, EventLog, build_event_log
+from .eventlog import EPOCH, MICROSECOND, EventColumns, EventLog, build_event_log
 
 _GZIP_MAGIC = b"\x1f\x8b"
+_CHUNK = 64 * 1024
+_EPOCH_NAIVE = EPOCH.replace(tzinfo=None)
+_LONG_FRACTION = re.compile(r"(\.\d{6})\d+")
+_XES_ATTRIBUTES = frozenset(("string", "date", "int", "float", "boolean"))
 
 
 @dataclass(frozen=True)
@@ -46,32 +53,49 @@ class CsvMapping:
     delimiter: str = ","
 
 
-def _open_binary(source: bytes | str | Path | BinaryIO) -> BinaryIO:
-    """Return a binary stream over the source, decompressing gzip if present.
+class _RawReader(io.RawIOBase):
+    """Raw-stream face of any object with ``read``, so it can be buffered."""
 
-    Files and gzip members are streamed rather than loaded whole, so
-    multi-million-event logs parse within bounded memory.
+    def __init__(self, source: BinaryIO):
+        self._source = source
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = self._source.read(len(buffer))
+        buffer[: len(data)] = data
+        return len(data)
+
+
+def _decompressed(stream: io.BufferedIOBase) -> io.BufferedIOBase:
+    """``stream`` itself, or a gzip reader over it when it starts with the magic."""
+    if stream.peek(2)[:2] == _GZIP_MAGIC:
+        return gzip.GzipFile(fileobj=stream)
+    return stream
+
+
+@contextmanager
+def _open_binary(source: bytes | str | Path | BinaryIO) -> Iterator[io.BufferedIOBase]:
+    """A binary stream over the source, decompressing gzip if present.
+
+    Files, file-like sources and gzip members are streamed rather than
+    loaded whole (the gzip magic is peeked through a buffered reader), so
+    multi-million-event logs parse within bounded memory. A file opened
+    here is closed on exit; a caller's stream is left open.
     """
     if isinstance(source, (str, Path)):
-        handle = open(source, "rb")
-        magic = handle.read(2)
-        handle.seek(0)
-        if magic == _GZIP_MAGIC:
-            return gzip.open(handle)
-        return handle
-    if isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
-        if data[:2] == _GZIP_MAGIC:
-            return gzip.open(io.BytesIO(data))
-        return io.BytesIO(data)
-    head = source.read(2)
-    data = head + source.read()
-    if head == _GZIP_MAGIC:
-        return gzip.open(io.BytesIO(data))
-    return io.BytesIO(data)
+        with open(source, "rb") as handle:
+            yield _decompressed(handle)
+    elif isinstance(source, (bytes, bytearray)):
+        data = io.BytesIO(source)
+        yield gzip.GzipFile(fileobj=data) if source[:2] == _GZIP_MAGIC else data
+    else:
+        yield _decompressed(source if hasattr(source, "peek") else io.BufferedReader(_RawReader(source)))
 
 
-def _parse_timestamp_iso(value: str) -> datetime:
+def _iso_us(value: str) -> int:
+    """UTC epoch microseconds of an ISO-8601 timestamp; naive is UTC."""
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
@@ -79,30 +103,87 @@ def _parse_timestamp_iso(value: str) -> datetime:
         ts = datetime.fromisoformat(text)
     except ValueError:
         # some exporters emit more than 6 fractional-second digits
-        trimmed = re.sub(r"(\.\d{6})\d+", r"\1", text)
-        ts = datetime.fromisoformat(trimmed)
-    return _to_utc(ts)
+        ts = datetime.fromisoformat(_LONG_FRACTION.sub(r"\1", text))
+    return _epoch_us(ts)
 
 
-def _to_utc(ts: datetime) -> datetime:
-    if ts.tzinfo is None:
-        return ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+def _epoch_us(ts: datetime) -> int:
+    return (ts - (_EPOCH_NAIVE if ts.utcoffset() is None else EPOCH)) // MICROSECOND
 
 
-def _localname(tag: str) -> str:
-    return tag.rpartition("}")[2]
+class _XesTarget:
+    """Expat target that keeps only the attributes XES traces and events carry.
 
+    For every open ``<trace>`` and ``<event>`` it collects the key/value
+    pairs of its direct attribute children (the first of a duplicate key
+    wins); nested attributes, lists and everything else are skipped, and
+    no ``Element`` is ever built. A trace's events become columns when
+    the trace closes.
+    """
 
-def _xes_attributes(elem: ET.Element) -> dict[str, str]:
-    attrs: dict[str, str] = {}
-    for child in elem:
-        if _localname(child.tag) in ("string", "date", "int", "float", "boolean"):
-            key = child.get("key")
-            value = child.get("value")
-            if key is not None and value is not None and key not in attrs:
-                attrs[key] = value
-    return attrs
+    def __init__(self, columns: EventColumns):
+        self.columns = columns
+        self.frames: list[dict[str, str] | None] = [None]  # one per open element
+        self.kinds: dict[str, str] = {}  # tag -> "attribute", "event", "trace" or ""
+        self.pending: list[dict[str, str]] = []
+        self.in_trace = False
+        self.n_traces = 0
+
+    def _kind(self, tag: str) -> str:
+        name = tag.rpartition("}")[2]
+        kind = self.kinds[tag] = (
+            "attribute" if name in _XES_ATTRIBUTES else name if name in ("event", "trace") else ""
+        )
+        return kind
+
+    def start(self, tag: str, attrib: dict[str, str]) -> None:
+        kind = self.kinds.get(tag) or self._kind(tag)
+        if kind == "attribute":
+            attrs = self.frames[-1]
+            if attrs is not None:
+                key = attrib.get("key")
+                value = attrib.get("value")
+                if key is not None and value is not None and key not in attrs:
+                    attrs[key] = value
+            self.frames.append(None)
+        elif kind:
+            self.frames.append({})
+            if kind == "trace":
+                self.in_trace = True
+        else:
+            self.frames.append(None)
+
+    def end(self, tag: str) -> None:
+        attrs = self.frames.pop()
+        if attrs is None:
+            return
+        if self.kinds[tag] == "trace":
+            self.in_trace = False
+            self.n_traces += 1
+            self._close_trace(attrs.get("concept:name") or f"trace-{self.n_traces}")
+        elif self.in_trace:
+            self.pending.append(attrs)
+
+    def _close_trace(self, case_id: str) -> None:
+        cols = self.columns
+        for attrs in self.pending:
+            activity = attrs.get("concept:name", "")
+            if not activity:
+                raise ValidationError(f"event without concept:name in trace '{case_id}'")
+            ts_text = attrs.get("time:timestamp")
+            if ts_text is None:
+                raise ValidationError(f"event without time:timestamp in trace '{case_id}'")
+            try:
+                ts_us = _iso_us(ts_text)
+            except ValueError as exc:
+                raise ValidationError(
+                    f"unreadable timestamp {ts_text!r} in trace '{case_id}'"
+                ) from exc
+            cols.cases.append(case_id)
+            cols.activities.append(activity)
+            cols.resources.append(attrs.get("org:resource"))
+            cols.timestamps_us.append(ts_us)
+        self.pending.clear()
 
 
 def parse_xes(source: bytes | str | Path | BinaryIO) -> EventLog:
@@ -113,114 +194,80 @@ def parse_xes(source: bytes | str | Path | BinaryIO) -> EventLog:
     activity or timestamp, and :class:`EmptyLogError` when the document
     has no traces.
     """
-    stream = _open_binary(source)
-    raw_events: list[Event] = []
-    pending: list[dict[str, str]] = []
-    n_traces = 0
-    file_order = 0
-    in_trace = False
+    target = _XesTarget(EventColumns())
+    parser = ET.XMLParser(target=target)
     try:
-        for event_kind, elem in ET.iterparse(stream, events=("start", "end")):
-            tag = _localname(elem.tag)
-            if event_kind == "start":
-                if tag == "trace":
-                    in_trace = True
-                continue
-            if tag == "event" and in_trace:
-                pending.append(_xes_attributes(elem))
-                elem.clear()
-            elif tag == "trace":
-                in_trace = False
-                n_traces += 1
-                case_id = _xes_attributes(elem).get("concept:name") or f"trace-{n_traces}"
-                for attrs in pending:
-                    activity = attrs.get("concept:name", "")
-                    if not activity:
-                        raise ValidationError(
-                            f"event without concept:name in trace '{case_id}'"
-                        )
-                    ts_text = attrs.get("time:timestamp")
-                    if ts_text is None:
-                        raise ValidationError(
-                            f"event without time:timestamp in trace '{case_id}'"
-                        )
-                    try:
-                        ts = _parse_timestamp_iso(ts_text)
-                    except ValueError as exc:
-                        raise ValidationError(
-                            f"unreadable timestamp {ts_text!r} in trace '{case_id}'"
-                        ) from exc
-                    raw_events.append(
-                        Event(
-                            case_id=case_id,
-                            activity=activity,
-                            resource=attrs.get("org:resource") or None,
-                            timestamp=ts,
-                            file_order=file_order,
-                        )
-                    )
-                    file_order += 1
-                pending.clear()
-                elem.clear()
+        with _open_binary(source) as stream:
+            while chunk := stream.read(_CHUNK):
+                parser.feed(chunk)
+        parser.close()
     except ET.ParseError as exc:
         line, column = exc.position
         raise ParseError(f"malformed XML at line {line}, column {column}: {exc.msg}") from exc
-    if n_traces == 0:
+    if target.n_traces == 0:
         raise EmptyLogError("XES document contains no traces")
-    if not raw_events:
+    if not target.columns.cases:
         raise EmptyLogError("XES document contains no events")
-    return build_event_log(raw_events)
+    return build_event_log(target.columns)
 
 
 def parse_csv(source: bytes | str | Path | BinaryIO, mapping: CsvMapping) -> EventLog:
     """Parse a delimited-text log into an :class:`EventLog`.
 
-    The first row must be a header containing every mapped column. Data
-    rows are numbered from 1 in error messages. Raises
-    :class:`ConfigError` when a mapped column is missing and
-    :class:`ValidationError` with the row number on bad cell values.
+    The first row must be a header containing every mapped column. Blank
+    lines are skipped; data rows are numbered from 1 in error messages.
+    Raises :class:`ConfigError` when a mapped column is missing and
+    :class:`ValidationError` with the row number on bad cell values (a
+    short row's missing cells read as empty).
     """
-    stream = _open_binary(source)
-    text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
-    reader = csv.DictReader(text, delimiter=mapping.delimiter)
-    if not reader.fieldnames:
-        raise ConfigError("CSV input has no header row")
-    missing = [
-        col
-        for col in (mapping.case, mapping.activity, mapping.resource, mapping.timestamp)
-        if col not in reader.fieldnames
-    ]
-    if missing:
-        raise ConfigError(f"CSV header is missing mapped columns: {', '.join(missing)}")
+    cols = EventColumns()
+    with _open_binary(source) as stream:
+        text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
+        try:
+            reader = csv.reader(text, delimiter=mapping.delimiter)
+            header = next(reader, None)
+            if not header:
+                raise ConfigError("CSV input has no header row")
+            index = {name: i for i, name in enumerate(header)}  # a repeated name: last wins
+            wanted = (mapping.case, mapping.activity, mapping.resource, mapping.timestamp)
+            missing = [col for col in wanted if col not in index]
+            if missing:
+                raise ConfigError(f"CSV header is missing mapped columns: {', '.join(missing)}")
+            _read_csv_rows(reader, [index[col] for col in wanted], mapping.timestamp_format, cols)
+        finally:
+            text.detach()  # leave the underlying stream to its owner
+    if not cols.cases:
+        raise EmptyLogError("CSV input contains no data rows")
+    return build_event_log(cols)
 
-    raw_events: list[Event] = []
-    for row_no, row in enumerate(reader, start=1):
-        case_id = (row.get(mapping.case) or "").strip()
-        activity = (row.get(mapping.activity) or "").strip()
-        resource = (row.get(mapping.resource) or "").strip() or None
-        ts_text = (row.get(mapping.timestamp) or "").strip()
+
+def _read_csv_rows(reader, positions: list[int], timestamp_format: str | None, cols) -> None:
+    i_case, i_activity, i_resource, i_ts = positions
+    width = max(positions) + 1
+    row_no = 0
+    for row in reader:
+        if not row:
+            continue
+        row_no += 1
+        if len(row) < width:
+            row = row + [""] * (width - len(row))
+        case_id = row[i_case].strip()
+        activity = row[i_activity].strip()
+        ts_text = row[i_ts].strip()
         if not case_id:
             raise ValidationError(f"empty case id in row {row_no}")
         if not activity:
             raise ValidationError(f"empty activity in row {row_no}")
         try:
-            if mapping.timestamp_format is None:
-                ts = _parse_timestamp_iso(ts_text)
+            if timestamp_format is None:
+                ts_us = _iso_us(ts_text)
             else:
-                ts = _to_utc(datetime.strptime(ts_text, mapping.timestamp_format))
+                ts_us = _epoch_us(datetime.strptime(ts_text, timestamp_format))
         except ValueError as exc:
             raise ValidationError(
                 f"timestamp {ts_text!r} does not match the expected format in row {row_no}"
             ) from exc
-        raw_events.append(
-            Event(
-                case_id=case_id,
-                activity=activity,
-                resource=resource,
-                timestamp=ts,
-                file_order=row_no - 1,
-            )
-        )
-    if not raw_events:
-        raise EmptyLogError("CSV input contains no data rows")
-    return build_event_log(raw_events)
+        cols.cases.append(case_id)
+        cols.activities.append(activity)
+        cols.resources.append(row[i_resource].strip())
+        cols.timestamps_us.append(ts_us)

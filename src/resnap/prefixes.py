@@ -78,7 +78,7 @@ class PrefixDataset:
 
 def fit_label_encoder(log: EventLog) -> LabelEncoder:
     """Fit one encoder over the full log alphabet so every split shares it."""
-    return LabelEncoder(tuple(sorted(log.activity_alphabet)))
+    return LabelEncoder(log.activities)
 
 
 def eligible_resources(view: ResourceView, prefix_length: int) -> list[str]:

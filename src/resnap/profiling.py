@@ -153,12 +153,12 @@ def profile(log: EventLog) -> DatasetProfile:
     """Assemble the full summary-statistics record for a log."""
     rview = resource_view(log)
     cview = case_view(log)
-    alphabet_size = len(log.activity_alphabet)
+    alphabet_size = len(log.activities)
     return DatasetProfile(
-        n_cases=len(log.case_set),
-        n_events=len(log.events),
+        n_cases=len(log.cases),
+        n_events=log.n_events,
         n_activities=alphabet_size,
-        n_resources=len(log.resource_set),
+        n_resources=len(log.resources),
         avg_seq_len_per_resource=avg_sequence_length(rview),
         avg_specialization=avg_specialization(rview, alphabet_size),
         avg_repetition=avg_repetition(rview),

@@ -4,14 +4,35 @@ The split oracle enumerates every (feature, midpoint) candidate and
 scores it with exact Fractions, so comparisons against the production
 tree are free of float-tie ambiguity. The reference grower sorts every
 candidate feature at every node, one feature at a time, the way the
-split search worked before columns were presorted once per fit.
+split search worked before columns were presorted once per fit. The
+reference readers are the row-at-a-time XES (``iterparse``) and CSV
+(``DictReader``) readers that built one ``Event`` per row, with the
+grouping and sorting the views used before the log was stored as columns.
 """
 from __future__ import annotations
 
+import csv
+import gzip
+import io
+import re
+import xml.etree.ElementTree as ET
 from collections import Counter
+from dataclasses import dataclass
+from datetime import datetime, timezone
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+
+from resnap import ConfigError, EmptyLogError, Event, ParseError, ValidationError
+from resnap.profiling import (
+    DatasetProfile,
+    avg_repetition,
+    avg_sequence_length,
+    avg_specialization,
+    variant_ratio,
+)
+from resnap.eventlog import CaseView, ResourceView
 
 
 def brute_force_root_split(X, y) -> tuple[int, float] | None:
@@ -140,3 +161,195 @@ def _reference_split(X, stats, total, candidates, min_samples_leaf, integer):
                     thr = xs[i]
                 best_score, best = score, (int(f), float(thr))
     return best
+
+
+# --- reference ingestion ---------------------------------------------------
+
+_GZIP_MAGIC = b"\x1f\x8b"
+
+
+@dataclass(frozen=True)
+class ReferenceLog:
+    """What the row-at-a-time readers produced: retained events plus alphabets."""
+
+    events: tuple[Event, ...]
+    activity_alphabet: frozenset[str]
+    resource_set: frozenset[str]
+    case_set: frozenset[str]
+    dropped_event_count: int
+
+
+def _reference_open(source) -> io.BytesIO:
+    if isinstance(source, (str, Path)):
+        data = Path(source).read_bytes()
+    elif isinstance(source, (bytes, bytearray)):
+        data = bytes(source)
+    else:
+        data = source.read()
+    if data[:2] == _GZIP_MAGIC:
+        return gzip.open(io.BytesIO(data))
+    return io.BytesIO(data)
+
+
+def _reference_timestamp(value: str) -> datetime:
+    text = value.strip()
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    try:
+        ts = datetime.fromisoformat(text)
+    except ValueError:
+        ts = datetime.fromisoformat(re.sub(r"(\.\d{6})\d+", r"\1", text))
+    return _reference_utc(ts)
+
+
+def _reference_utc(ts: datetime) -> datetime:
+    if ts.tzinfo is None:
+        return ts.replace(tzinfo=timezone.utc)
+    return ts.astimezone(timezone.utc)
+
+
+def _xes_attributes(elem) -> dict[str, str]:
+    attrs: dict[str, str] = {}
+    for child in elem:
+        if child.tag.rpartition("}")[2] in ("string", "date", "int", "float", "boolean"):
+            key = child.get("key")
+            value = child.get("value")
+            if key is not None and value is not None and key not in attrs:
+                attrs[key] = value
+    return attrs
+
+
+def reference_parse_xes(source) -> ReferenceLog:
+    """``iterparse`` XES reader: one ``Event`` per retained event."""
+    raw: list[Event] = []
+    pending: list[dict[str, str]] = []
+    n_traces = 0
+    in_trace = False
+    try:
+        for kind, elem in ET.iterparse(_reference_open(source), events=("start", "end")):
+            tag = elem.tag.rpartition("}")[2]
+            if kind == "start":
+                if tag == "trace":
+                    in_trace = True
+                continue
+            if tag == "event" and in_trace:
+                pending.append(_xes_attributes(elem))
+                elem.clear()
+            elif tag == "trace":
+                in_trace = False
+                n_traces += 1
+                case_id = _xes_attributes(elem).get("concept:name") or f"trace-{n_traces}"
+                for attrs in pending:
+                    activity = attrs.get("concept:name", "")
+                    if not activity:
+                        raise ValidationError(f"event without concept:name in trace '{case_id}'")
+                    ts_text = attrs.get("time:timestamp")
+                    if ts_text is None:
+                        raise ValidationError(
+                            f"event without time:timestamp in trace '{case_id}'"
+                        )
+                    try:
+                        ts = _reference_timestamp(ts_text)
+                    except ValueError as exc:
+                        raise ValidationError(
+                            f"unreadable timestamp {ts_text!r} in trace '{case_id}'"
+                        ) from exc
+                    resource = attrs.get("org:resource") or None
+                    raw.append(Event(case_id, activity, resource, ts, len(raw)))
+                pending.clear()
+                elem.clear()
+    except ET.ParseError as exc:
+        line, column = exc.position
+        raise ParseError(f"malformed XML at line {line}, column {column}: {exc.msg}") from exc
+    if n_traces == 0:
+        raise EmptyLogError("XES document contains no traces")
+    if not raw:
+        raise EmptyLogError("XES document contains no events")
+    return reference_build(raw)
+
+
+def reference_parse_csv(source, mapping) -> ReferenceLog:
+    """``DictReader`` CSV reader: one ``Event`` per retained row."""
+    text = io.TextIOWrapper(_reference_open(source), encoding="utf-8-sig", newline="")
+    reader = csv.DictReader(text, delimiter=mapping.delimiter)
+    if not reader.fieldnames:
+        raise ConfigError("CSV input has no header row")
+    columns = (mapping.case, mapping.activity, mapping.resource, mapping.timestamp)
+    missing = [col for col in columns if col not in reader.fieldnames]
+    if missing:
+        raise ConfigError(f"CSV header is missing mapped columns: {', '.join(missing)}")
+    raw: list[Event] = []
+    for row_no, row in enumerate(reader, start=1):
+        case_id = (row.get(mapping.case) or "").strip()
+        activity = (row.get(mapping.activity) or "").strip()
+        resource = (row.get(mapping.resource) or "").strip() or None
+        ts_text = (row.get(mapping.timestamp) or "").strip()
+        if not case_id:
+            raise ValidationError(f"empty case id in row {row_no}")
+        if not activity:
+            raise ValidationError(f"empty activity in row {row_no}")
+        try:
+            if mapping.timestamp_format is None:
+                ts = _reference_timestamp(ts_text)
+            else:
+                ts = _reference_utc(datetime.strptime(ts_text, mapping.timestamp_format))
+        except ValueError as exc:
+            raise ValidationError(
+                f"timestamp {ts_text!r} does not match the expected format in row {row_no}"
+            ) from exc
+        raw.append(Event(case_id, activity, resource, ts, row_no - 1))
+    if not raw:
+        raise EmptyLogError("CSV input contains no data rows")
+    return reference_build(raw)
+
+
+def reference_build(events) -> ReferenceLog:
+    """Drop and count resource-less events; alphabets of the retained ones."""
+    kept = tuple(ev for ev in events if ev.resource)
+    return ReferenceLog(
+        events=kept,
+        activity_alphabet=frozenset(ev.activity for ev in kept),
+        resource_set=frozenset(ev.resource for ev in kept),
+        case_set=frozenset(ev.case_id for ev in kept),
+        dropped_event_count=len(events) - len(kept),
+    )
+
+
+def _reference_grouped(log: ReferenceLog, key_of) -> dict[str, tuple[str, ...]]:
+    if not log.events:
+        raise EmptyLogError("event log has no events")
+    groups: dict[str, list[Event]] = {}
+    for ev in log.events:
+        groups.setdefault(key_of(ev), []).append(ev)
+    return {
+        key: tuple(
+            ev.activity for ev in sorted(groups[key], key=lambda e: (e.timestamp, e.file_order))
+        )
+        for key in sorted(groups)
+    }
+
+
+def reference_resource_view(log: ReferenceLog) -> ResourceView:
+    return ResourceView(_reference_grouped(log, lambda ev: ev.resource))
+
+
+def reference_case_view(log: ReferenceLog) -> CaseView:
+    return CaseView(_reference_grouped(log, lambda ev: ev.case_id))
+
+
+def reference_profile(log: ReferenceLog) -> DatasetProfile:
+    """``profile`` over the reference views."""
+    rview = reference_resource_view(log)
+    cview = reference_case_view(log)
+    alphabet_size = len(log.activity_alphabet)
+    return DatasetProfile(
+        n_cases=len(log.case_set),
+        n_events=len(log.events),
+        n_activities=alphabet_size,
+        n_resources=len(log.resource_set),
+        avg_seq_len_per_resource=avg_sequence_length(rview),
+        avg_specialization=avg_specialization(rview, alphabet_size),
+        avg_repetition=avg_repetition(rview),
+        variant_resource_ratio=variant_ratio(rview),
+        variant_case_ratio=variant_ratio(cview),
+    )

@@ -353,3 +353,22 @@ def test_run_zero_workers_exits_two_before_parsing(fixture_env, capsys, via_flag
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "workers must be at least 1" in err and "not found" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("cv_folds", 1, "cv_folds must be at least 2, got 1"),
+        ("cv_folds", -3, "cv_folds must be at least 2, got -3"),
+        ("mi_k", -1, "mi_k must be non-negative, got -1"),
+    ],
+)
+def test_run_bad_cv_folds_or_mi_k_exits_two_before_parsing(fixture_env, capsys, key, value, message):
+    tmp_path, data = fixture_env
+    config_path = write_config(tmp_path, data)
+    config = json.loads(config_path.read_text())
+    config["experiment"][key] = value
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "parsing" not in err
