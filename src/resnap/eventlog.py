@@ -21,13 +21,12 @@ from .errors import EmptyLogError, ValidationError
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 MICROSECOND = timedelta(microseconds=1)
+_EPOCH_NAIVE = datetime(1970, 1, 1)
 
 
 def epoch_us(ts: datetime) -> int:
     """Microseconds since the Unix epoch; naive timestamps are taken as UTC."""
-    if ts.utcoffset() is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return (ts - EPOCH) // MICROSECOND
+    return (ts - (_EPOCH_NAIVE if ts.utcoffset() is None else EPOCH)) // MICROSECOND
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,6 @@ class EventLog:
             )
         )
 
-    __hash__ = None  # type: ignore[assignment]
-
 
 _COLUMNS = ("activity_codes", "resource_codes", "case_codes", "timestamps_us", "file_order")
 
@@ -215,14 +212,10 @@ def _grouped_sequences(
     if not log.n_events:
         raise EmptyLogError("event log has no events")
     order = np.lexsort((log.file_order, log.timestamps_us, codes))
-    keys = codes[order]
-    starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-    bounds = [0, *starts.tolist(), len(keys)]
     activities = np.array(log.activities, dtype=object)[log.activity_codes[order]].tolist()
-    return {
-        names[key]: tuple(activities[lo:hi])
-        for key, lo, hi in zip(keys[bounds[:-1]].tolist(), bounds, bounds[1:])
-    }
+    # the alphabets hold only names of retained events, so no group is empty
+    ends = np.cumsum(np.bincount(codes, minlength=len(names))).tolist()
+    return {name: tuple(activities[lo:hi]) for name, lo, hi in zip(names, [0, *ends], ends)}
 
 
 def resource_view(log: EventLog) -> ResourceView:

@@ -21,18 +21,17 @@ import gzip
 import io
 import re
 import xml.etree.ElementTree as ET
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
 from .errors import ConfigError, EmptyLogError, ParseError, ValidationError
-from .eventlog import EPOCH, MICROSECOND, EventColumns, EventLog, build_event_log
+from .eventlog import EventColumns, EventLog, build_event_log, epoch_us
 
 _GZIP_MAGIC = b"\x1f\x8b"
 _CHUNK = 64 * 1024
-_EPOCH_NAIVE = EPOCH.replace(tzinfo=None)
 _LONG_FRACTION = re.compile(r"(\.\d{6})\d+")
 _XES_ATTRIBUTES = frozenset(("string", "date", "int", "float", "boolean"))
 
@@ -68,30 +67,27 @@ class _RawReader(io.RawIOBase):
         return len(data)
 
 
-def _decompressed(stream: io.BufferedIOBase) -> io.BufferedIOBase:
-    """``stream`` itself, or a gzip reader over it when it starts with the magic."""
-    if stream.peek(2)[:2] == _GZIP_MAGIC:
-        return gzip.GzipFile(fileobj=stream)
-    return stream
-
-
 @contextmanager
-def _open_binary(source: bytes | str | Path | BinaryIO) -> Iterator[io.BufferedIOBase]:
+def _open_binary(source: bytes | str | Path | BinaryIO) -> Iterator[BinaryIO]:
     """A binary stream over the source, decompressing gzip if present.
 
     Files, file-like sources and gzip members are streamed rather than
     loaded whole (the gzip magic is peeked through a buffered reader), so
-    multi-million-event logs parse within bounded memory. A file opened
+    multi-million-event logs parse within bounded memory. What is opened
     here is closed on exit; a caller's stream is left open.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as handle:
-            yield _decompressed(handle)
-    elif isinstance(source, (bytes, bytearray)):
-        data = io.BytesIO(source)
-        yield gzip.GzipFile(fileobj=data) if source[:2] == _GZIP_MAGIC else data
-    else:
-        yield _decompressed(source if hasattr(source, "peek") else io.BufferedReader(_RawReader(source)))
+    with ExitStack() as owned:
+        if isinstance(source, (str, Path)):
+            stream = owned.enter_context(open(source, "rb"))
+        elif isinstance(source, (bytes, bytearray)):
+            stream = io.BufferedReader(io.BytesIO(source))
+        elif hasattr(source, "peek"):
+            stream = source
+        else:
+            stream = io.BufferedReader(_RawReader(source))
+        if stream.peek(2)[:2] == _GZIP_MAGIC:
+            stream = owned.enter_context(gzip.GzipFile(fileobj=stream))
+        yield stream
 
 
 def _iso_us(value: str) -> int:
@@ -104,11 +100,7 @@ def _iso_us(value: str) -> int:
     except ValueError:
         # some exporters emit more than 6 fractional-second digits
         ts = datetime.fromisoformat(_LONG_FRACTION.sub(r"\1", text))
-    return _epoch_us(ts)
-
-
-def _epoch_us(ts: datetime) -> int:
-    return (ts - (_EPOCH_NAIVE if ts.utcoffset() is None else EPOCH)) // MICROSECOND
+    return epoch_us(ts)
 
 
 class _XesTarget:
@@ -241,7 +233,9 @@ def parse_csv(source: bytes | str | Path | BinaryIO, mapping: CsvMapping) -> Eve
     return build_event_log(cols)
 
 
-def _read_csv_rows(reader, positions: list[int], timestamp_format: str | None, cols) -> None:
+def _read_csv_rows(
+    reader, positions: list[int], timestamp_format: str | None, cols: EventColumns
+) -> None:
     i_case, i_activity, i_resource, i_ts = positions
     width = max(positions) + 1
     row_no = 0
@@ -262,7 +256,7 @@ def _read_csv_rows(reader, positions: list[int], timestamp_format: str | None, c
             if timestamp_format is None:
                 ts_us = _iso_us(ts_text)
             else:
-                ts_us = _epoch_us(datetime.strptime(ts_text, timestamp_format))
+                ts_us = epoch_us(datetime.strptime(ts_text, timestamp_format))
         except ValueError as exc:
             raise ValidationError(
                 f"timestamp {ts_text!r} does not match the expected format in row {row_no}"

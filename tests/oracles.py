@@ -191,7 +191,7 @@ def _reference_open(source) -> io.BytesIO:
     return io.BytesIO(data)
 
 
-def _reference_timestamp(value: str) -> datetime:
+def reference_timestamp(value: str) -> datetime:
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
@@ -249,7 +249,7 @@ def reference_parse_xes(source) -> ReferenceLog:
                             f"event without time:timestamp in trace '{case_id}'"
                         )
                     try:
-                        ts = _reference_timestamp(ts_text)
+                        ts = reference_timestamp(ts_text)
                     except ValueError as exc:
                         raise ValidationError(
                             f"unreadable timestamp {ts_text!r} in trace '{case_id}'"
@@ -290,7 +290,7 @@ def reference_parse_csv(source, mapping) -> ReferenceLog:
             raise ValidationError(f"empty activity in row {row_no}")
         try:
             if mapping.timestamp_format is None:
-                ts = _reference_timestamp(ts_text)
+                ts = reference_timestamp(ts_text)
             else:
                 ts = _reference_utc(datetime.strptime(ts_text, mapping.timestamp_format))
         except ValueError as exc:
