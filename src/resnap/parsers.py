@@ -123,13 +123,19 @@ class _XesTarget:
 
     def _kind(self, tag: str) -> str:
         name = tag.rpartition("}")[2]
-        kind = self.kinds[tag] = (
-            "attribute" if name in _XES_ATTRIBUTES else name if name in ("event", "trace") else ""
-        )
+        if name in _XES_ATTRIBUTES:
+            kind = "attribute"
+        elif name in ("event", "trace"):
+            kind = name
+        else:
+            kind = ""
+        self.kinds[tag] = kind
         return kind
 
     def start(self, tag: str, attrib: dict[str, str]) -> None:
-        kind = self.kinds.get(tag) or self._kind(tag)
+        kind = self.kinds.get(tag)
+        if kind is None:
+            kind = self._kind(tag)
         if kind == "attribute":
             attrs = self.frames[-1]
             if attrs is not None:
