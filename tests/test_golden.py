@@ -2,16 +2,18 @@
 
 The fixtures under ``tests/golden/`` hold predictions on a probe matrix,
 boosting raw scores and per-round training log loss (as ``float.hex``),
-the exact ``records.json`` bytes of a small synthetic sweep, and the
-``resnap profile`` JSON and CSV bytes for ``data/demo.csv`` and for a
-seeded XES document. Any refactor of the learners or of ingestion must
-reproduce them bit for bit.
+the SHA-256 of every fitted model's full ``to_dict()`` (every node array
+of every tree), the exact ``records.json`` bytes of a small synthetic
+sweep, and the ``resnap profile`` JSON and CSV bytes for
+``data/demo.csv`` and for a seeded XES document. Any refactor of the
+learners or of ingestion must reproduce them bit for bit.
 
 Regenerate (only when a change of results is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -32,6 +34,7 @@ ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 MODELS_FILE = GOLDEN / "models.json"
 RECORDS_FILE = GOLDEN / "synth_records.json"
+TREE_ARRAYS_FILE = GOLDEN / "tree_arrays.json"
 PROFILE_DATASETS = ("demo", "synth_xes")
 PROFILE_FILES = [f"{d}_profile.{ext}" for d in PROFILE_DATASETS for ext in ("json", "csv")]
 
@@ -48,6 +51,21 @@ CASES = [
     ("boosted", {"n_estimators": 8, "max_depth": None}),
     ("boosted", {"n_estimators": 8, "max_depth": 3}),
     ("boosted", {"n_estimators": 8, "max_depth": 3, "subsample": 0.8, "colsample": 0.8}),
+]
+
+# fits on a low-cardinality matrix where most rows repeat (the shape of
+# bootstrap samples of an encoded prefix matrix); checked by tree arrays only
+DUP_CASES = [
+    ("tree", {}),
+    ("tree", {"min_samples_split": 5, "min_samples_leaf": 2}),
+    ("tree", {"max_features": 2}),
+    ("forest", {"n_estimators": 7, "bootstrap": True}),
+    ("forest", {"n_estimators": 7, "bootstrap": False}),
+    ("forest", {"n_estimators": 7, "bootstrap": True, "min_samples_split": 5}),
+    ("forest", {"n_estimators": 7, "bootstrap": True, "min_samples_leaf": 2}),
+    ("forest", {"n_estimators": 5, "max_features": None, "min_samples_leaf": 2}),
+    ("boosted", {"n_estimators": 6, "max_depth": 3}),
+    ("boosted", {"n_estimators": 6, "max_depth": 3, "subsample": 0.8, "colsample": 0.8}),
 ]
 
 SYNTH_GRIDS = {
@@ -70,6 +88,15 @@ SYNTH_GRIDS = {
 
 def _data(kind: str):
     """Training matrix, labels and probe matrix for one data kind."""
+    if kind == "dup":
+        rng = np.random.default_rng(20240603)
+        # 150 rows drawn from 24 distinct ones with 2-3 levels per column;
+        # labels are noisy, so a repeated row can carry several classes
+        distinct = rng.integers(0, [2, 3, 3, 2, 3, 2], size=(24, 6)).astype(float)
+        pick = rng.integers(0, 24, size=150)
+        X = distinct[pick]
+        y = np.where(rng.random(150) < 0.7, np.array([2, 3, 5, 8])[pick % 4], 3)
+        return X, y, distinct
     rng = np.random.default_rng(20240601 if kind == "int" else 20240602)
     if kind == "int":
         X = rng.integers(0, 4, size=(70, 5)).astype(float)
@@ -108,6 +135,20 @@ def _all_cases() -> list[tuple[str, dict, str, int]]:
         for data in ("int", "real")
         for seed in (i, 100 + i)
     ]
+
+
+def _tree_array_cases() -> list[tuple[str, dict, str, int]]:
+    dup = [(kind, params, "dup", seed) for i, (kind, params) in enumerate(DUP_CASES)
+           for seed in (i, 100 + i)]
+    return _all_cases() + dup
+
+
+def _tree_arrays_digest(kind: str, params: dict, data: str, seed: int) -> str:
+    """SHA-256 of the canonical JSON of the fitted model's ``to_dict()``."""
+    X, y, _ = _data(data)
+    model = LEARNERS[kind](seed=seed, **params).fit(X, y)
+    canonical = json.dumps(model.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def _synth_records_bytes(out_dir: Path) -> bytes:
@@ -158,6 +199,16 @@ def test_model_fit_matches_golden(index, golden_models):
     assert _fit_case(*_all_cases()[index]) == golden_models[index]
 
 
+@pytest.fixture(scope="module")
+def golden_tree_arrays() -> dict[str, str]:
+    return json.loads(TREE_ARRAYS_FILE.read_text())
+
+
+@pytest.mark.parametrize("case", _tree_array_cases(), ids=_case_id)
+def test_model_tree_arrays_match_golden(case, golden_tree_arrays):
+    assert _tree_arrays_digest(*case) == golden_tree_arrays[_case_id(case)]
+
+
 def test_synthetic_records_match_golden(tmp_path):
     assert _synth_records_bytes(tmp_path) == RECORDS_FILE.read_bytes()
 
@@ -173,8 +224,11 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     entries = [json.dumps(_fit_case(*c)) for c in _all_cases()]
     MODELS_FILE.write_text("[\n" + ",\n".join(entries) + "\n]\n")
+    digests = {_case_id(c): _tree_arrays_digest(*c) for c in _tree_array_cases()}
+    TREE_ARRAYS_FILE.write_text(json.dumps(digests, indent=1) + "\n")
     with tempfile.TemporaryDirectory() as tmp:
         RECORDS_FILE.write_bytes(_synth_records_bytes(Path(tmp)))
         for name, data in _profile_bytes(Path(tmp)).items():
             (GOLDEN / name).write_bytes(data)
-    print(f"wrote {MODELS_FILE}, {RECORDS_FILE} and {len(PROFILE_FILES)} profile files")
+    print(f"wrote {MODELS_FILE}, {TREE_ARRAYS_FILE}, {RECORDS_FILE} "
+          f"and {len(PROFILE_FILES)} profile files")
