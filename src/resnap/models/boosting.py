@@ -23,7 +23,7 @@ import numpy as np
 
 from ..errors import ValidationError, check_deadline
 from ..seeding import derive_seed
-from .tree import Tree, grow, presort, subset_order
+from .tree import Tree, check_training_data, grow, presort, sorted_cuts, subset_order
 
 _EPS = 1e-12
 
@@ -70,10 +70,7 @@ class GradientBoostedTrees:
         Before each round, raise :class:`CellTimeoutError` once
         ``time.monotonic()`` has passed ``deadline``.
         """
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y)
-        if X.shape[0] == 0:
-            raise ValidationError("training data must be non-empty")
+        X, y = check_training_data(X, y)
         self.classes_ = np.unique(y)
         n, d = X.shape
         n_classes = len(self.classes_)
@@ -92,13 +89,19 @@ class GradientBoostedTrees:
         factor = (n_classes - 1) / n_classes
         self.train_log_loss_.append(self._log_loss(scores, codes))
         order = presort(X)  # shared by every class tree of every round
+        # the root's sorted values and cuts, shared while rows and features stay
+        root = sorted_cuts(X, order) if self.colsample >= 1.0 else None
         for _ in range(self.n_estimators):
             check_deadline(deadline)
             probs = _softmax(scores)
+            rest = None  # rows left out of the round
             if self.subsample < 1.0:
                 n_rows = max(1, int(round(self.subsample * n)))
                 rows = np.sort(rng.choice(n, size=n_rows, replace=False))
+                rest = np.setdiff1d(np.arange(n), rows, assume_unique=True)
                 X_rows, order_rows = X[rows], subset_order(order, rows)
+                if root is not None:
+                    root = sorted_cuts(X_rows, order_rows)
             else:
                 rows = np.arange(n)
                 X_rows, order_rows = X, order
@@ -111,15 +114,22 @@ class GradientBoostedTrees:
                     feats = np.arange(d)
                 grad = onehot[rows, k] - probs[rows, k]
                 hess = probs[rows, k] * (1.0 - probs[rows, k])
+                leaf = np.empty(n, dtype=np.int64)
+                reached = leaf if rest is None else np.empty(rows.size, dtype=np.int64)
                 tree = grow(
                     X_rows,
                     grad[:, None],
                     max_depth=self.max_depth,
                     features=feats,
                     order=order_rows,
+                    root=root,
                     node_value=lambda r: _newton_step(grad[r], hess[r], factor),
+                    reached=reached,
                 )
-                scores[:, k] += self.learning_rate * tree.value[tree.apply(X)]
+                if rest is not None:
+                    leaf[rows] = reached
+                    leaf[rest] = tree.apply(X[rest])
+                scores[:, k] += self.learning_rate * tree.value[leaf]
                 round_trees.append(tree)
             self.rounds_.append(round_trees)
             self.train_log_loss_.append(self._log_loss(scores, codes))

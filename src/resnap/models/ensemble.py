@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import ValidationError, check_deadline
 from ..seeding import derive_seed
-from .tree import DecisionTree
+from .tree import DecisionTree, check_training_data
 
 
 class RandomForest:
@@ -53,10 +53,7 @@ class RandomForest:
         Before each tree, raise :class:`CellTimeoutError` once
         ``time.monotonic()`` has passed ``deadline``.
         """
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y)
-        if X.shape[0] == 0:
-            raise ValidationError("training data must be non-empty")
+        X, y = check_training_data(X, y)
         self.classes_ = np.unique(y)
         n = X.shape[0]
         per_node = self._features_per_node(X.shape[1])

@@ -82,55 +82,80 @@ def subset_order(order: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return local[order[keep[order]].reshape(order.shape[0], -1)]
 
 
+def sorted_cuts(X: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The root's split-search inputs when every column is a candidate.
+
+    Returns ``X``'s values in the :func:`presort` ``order`` (columns x
+    rows) and their cuts: the (column, position) pairs, in C order, where
+    a column's sorted value rises from position to position + 1. Every
+    tree grown on ``X`` with all columns as candidates starts from these,
+    so boosting computes them once and passes them to :func:`grow`.
+    """
+    xs = np.take_along_axis(X.T, order, axis=1)
+    return xs, _cuts(xs)
+
+
+def _cuts(xs: np.ndarray) -> tuple:
+    return np.nonzero(xs[:, :-1] < xs[:, 1:])
+
+
 def _best_split(
     xs: np.ndarray,
+    cuts: tuple,
     order: np.ndarray,
     stats: np.ndarray,
     total: np.ndarray,
+    size: int,
     min_samples_leaf: int,
     integer: bool,
-) -> tuple[int, float] | None:
-    """Best (candidate, threshold) for one node, or None if none is valid.
+) -> tuple[int, float, int] | None:
+    """Best (candidate, threshold, left size) for one node, or None.
 
     ``order`` (candidates x rows) holds the node's rows of ``stats`` in
-    each candidate feature's ascending order and ``xs`` the matching
-    feature values. All candidates are scored in one pass: the statistics
-    are gathered in each sorted order and summed cumulatively along it.
-    ``integer`` says whether ``stats`` holds integers, which selects the
-    exact tie comparison.
+    each candidate feature's ascending order, ``xs`` the matching feature
+    values and ``cuts`` the positions where they rise (see
+    :func:`sorted_cuts`). Only cuts can be thresholds, so only cuts are
+    scored: the statistics are summed cumulatively along every sorted
+    order, as one pass over all rows, and read at the cuts. A node of
+    integer statistics weighs each row by its count sum and has ``size``
+    equal to its count total; otherwise ``size`` is its row count.
+    ``integer`` also selects the exact tie comparison.
     """
-    n = xs.shape[1]
-    left_n = np.arange(1, n)
-    right_n = n - left_n
-    ok = xs[:, :-1] < xs[:, 1:]
-    # position i leaves i + 1 rows on the left; both children need min_samples_leaf
-    ok[:, : max(min_samples_leaf - 1, 0)] = False
-    ok[:, max(n - min_samples_leaf, 0) :] = False
-    if not ok.any():
+    column, position = cuts
+    if not column.size:
         return None
-    left = np.cumsum(np.take(stats, order[:, :-1], axis=0), axis=1)
+    left = np.cumsum(np.take(stats, order[:, :-1], axis=0), axis=1)[column, position]
+    left_n = left.sum(axis=1) if integer else position + 1
+    right_n = size - left_n
+    if min_samples_leaf > 1:
+        valid = np.flatnonzero((left_n >= min_samples_leaf) & (right_n >= min_samples_leaf))
+        if not valid.size:
+            return None
+        column, position, left, left_n, right_n = (
+            a[valid] for a in (column, position, left, left_n, right_n)
+        )
     right = total - left
-    sq_left = np.einsum("ijk,ijk->ij", left, left)
-    sq_right = np.einsum("ijk,ijk->ij", right, right)
-    # C order runs over candidates first, then thresholds
-    score = np.where(ok, sq_left / left_n + sq_right / right_n, -np.inf)
+    sq_left = np.einsum("ij,ij->i", left, left)
+    sq_right = np.einsum("ij,ij->i", right, right)
+    # cuts run over candidates first, then thresholds
+    score = sq_left / left_n + sq_right / right_n
     if integer:
         top = score.max()
         best = None
         best_num = best_den = 0  # exact python ints
-        for j, i in zip(*np.nonzero(score >= top - abs(top) * _NEAR_RTOL)):
-            nl, nr = int(left_n[i]), int(right_n[i])
-            num = int(sq_left[j, i]) * nr + int(sq_right[j, i]) * nl
+        for t in np.flatnonzero(score >= top - abs(top) * _NEAR_RTOL):
+            nl, nr = int(left_n[t]), int(right_n[t])
+            num = int(sq_left[t]) * nr + int(sq_right[t]) * nl
             if best is None or num * best_den > best_num * nl * nr:
-                best, best_num, best_den = (j, i), num, nl * nr
-        j, i = best
+                best, best_num, best_den = t, num, nl * nr
     else:
-        j, i = divmod(int(np.argmax(score)), n - 1)
+        best = int(np.argmax(score))
+    j, i = column[best], position[best]
     lo, hi = xs[j, i], xs[j, i + 1]
     threshold = (lo + hi) / 2.0
     if threshold >= hi:  # the midpoint of adjacent floats can round up
         threshold = lo
-    return int(j), float(threshold)
+    return int(j), float(threshold), int(left_n[best])
 
 
 def grow(
@@ -143,8 +168,10 @@ def grow(
     max_features: int | None = None,
     features: np.ndarray | None = None,
     order: np.ndarray | None = None,
+    root: tuple[np.ndarray, tuple] | None = None,
     rng: np.random.Generator | None = None,
     node_value: Callable[[np.ndarray], object] | None = None,
+    reached: np.ndarray | None = None,
 ) -> Tree:
     """Grow a tree on ``X`` with per-row ``stats`` (rows x k).
 
@@ -155,15 +182,23 @@ def grow(
     ``min_samples_split`` rows, when integer statistics hold one class
     only, or when no split leaves ``min_samples_leaf`` rows on each
     side. ``node_value(rows)`` gives each node's value; by default it is
-    the node's statistic sums.
+    the node's statistic sums. When given, ``reached`` is filled with the
+    leaf each row of ``X`` ends in, which is ``tree.apply(X)``.
+
+    A row of integer statistics counts as many rows as its counts sum
+    to, in the row limits above and in the child sizes of the split
+    score. A matrix of class counts over the distinct rows of a data set
+    therefore grows the same tree as the one-hot rows of the data set
+    itself: the cumulative sums at every cut are the same integers.
 
     When every node scores every feature, the columns are sorted once:
     ``order`` is :func:`presort` of ``X`` (computed when omitted), and a
     child that may split gets its parent's sorted rows filtered by the
-    split. With ``max_features`` subsampling, each node sorts its own
-    candidates, which costs less than filtering every feature's sorted
-    rows for every child. Both give the same sorted rows, so the same
-    tree.
+    split. ``root`` may pass the root's :func:`sorted_cuts` when
+    ``features`` is every column. With ``max_features`` subsampling,
+    each node sorts its own candidates, which costs less than filtering
+    every feature's sorted rows for every child. Both give the same
+    sorted rows, so the same tree.
     """
     if features is None:
         features = np.arange(X.shape[1])
@@ -181,10 +216,11 @@ def grow(
     left: list[int] = []
     right: list[int] = []
     value: list = []
-    # (rows, depth, parent whose right child this is or -1, sorted rows or None)
-    stack = [(np.arange(X.shape[0]), 0, -1, block)]
+    size = int(stats.sum()) if integer else X.shape[0]
+    # (rows, size, depth, parent whose right child this is or -1, sorted rows or None)
+    stack = [(np.arange(X.shape[0]), size, 0, -1, block)]
     while stack:
-        rows, depth, parent, block = stack.pop()
+        rows, size, depth, parent, block = stack.pop()
         node = len(feature)
         if parent >= 0:
             right[parent] = node
@@ -195,40 +231,48 @@ def grow(
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        if (
+        split = None
+        if not (
             (max_depth is not None and depth >= max_depth)
-            or rows.size < min_samples_split
+            or size < min_samples_split
             or (integer and np.count_nonzero(total) <= 1)
         ):
-            continue
-        if presorted:  # global row ids into stats
-            candidates, ids, pool = features, block, stats
-            xs = np.take(columns, block + offsets)
-        else:  # row ids local to the node, into node_stats
-            candidates = features[
-                np.sort(rng.choice(features.size, size=max_features, replace=False))
-            ]
-            values = X[rows[:, None], candidates]
-            local = np.argsort(values, axis=0, kind="stable")
-            xs, ids, pool = values[local, np.arange(candidates.size)].T, local.T, node_stats
-        split = _best_split(xs, ids, pool, total, min_samples_leaf, integer)
+            if presorted:  # global row ids into stats
+                candidates, ids, pool = features, block, stats
+                if node == 0 and root is not None:
+                    xs, cuts = root
+                else:
+                    xs = np.take(columns, block + offsets)
+                    cuts = _cuts(xs)
+            else:  # row ids local to the node, into node_stats
+                candidates = features[
+                    np.sort(rng.choice(features.size, size=max_features, replace=False))
+                ]
+                values = X[rows[:, None], candidates]
+                local = np.argsort(values, axis=0, kind="stable")
+                xs, ids, pool = values[local, np.arange(candidates.size)].T, local.T, node_stats
+                cuts = _cuts(xs)
+            split = _best_split(xs, cuts, ids, pool, total, size, min_samples_leaf, integer)
         if split is None:
+            if reached is not None:
+                reached[rows] = node
             continue
-        column, cut = split
+        column, cut, left_size = split
         f = int(candidates[column])
         feature[node], threshold[node], left[node] = f, cut, node + 1
         mask = X[rows, f] <= cut
         left_rows, right_rows = rows[mask], rows[~mask]
+        right_size = size - left_size
         left_block = right_block = None
         if presorted and (max_depth is None or depth + 1 < max_depth):
             side[rows] = mask
             goes_left = side[block].ravel()
-            if left_rows.size >= min_samples_split:
+            if left_size >= min_samples_split:
                 left_block = np.compress(goes_left, block).reshape(features.size, -1)
-            if right_rows.size >= min_samples_split:
+            if right_size >= min_samples_split:
                 right_block = np.compress(~goes_left, block).reshape(features.size, -1)
-        stack.append((right_rows, depth + 1, node, right_block))
-        stack.append((left_rows, depth + 1, -1, left_block))
+        stack.append((right_rows, right_size, depth + 1, node, right_block))
+        stack.append((left_rows, left_size, depth + 1, -1, left_block))
     return Tree(
         np.array(feature, dtype=np.int64),
         np.array(threshold, dtype=float),
@@ -236,6 +280,39 @@ def grow(
         np.array(right, dtype=np.int64),
         np.array(value),
     )
+
+
+def check_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` as a float matrix and ``y`` as an array, or ValidationError.
+
+    ``X`` must be a non-empty 2-D matrix and ``y`` a 1-D array with one
+    label per row of ``X``.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValidationError("training data must be a non-empty 2-D matrix")
+    if y.ndim != 1 or X.shape[0] != y.shape[0]:
+        raise ValidationError("X and y must have equal length")
+    return X, y
+
+
+def distinct_rows(X: np.ndarray, codes: np.ndarray, n_classes: int):
+    """The rows of ``X`` that differ bit for bit, and each one's class counts.
+
+    ``codes`` are the rows' class ids in ``range(n_classes)``. One
+    lexsort over the rows' bit patterns puts equal rows next to each
+    other; the distinct rows come out in that order.
+    """
+    bits = np.ascontiguousarray(X).view(np.uint64)
+    order = np.lexsort(bits.T) if X.shape[1] else np.arange(X.shape[0])
+    ranked = bits[order]
+    first = np.ones(X.shape[0], dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.cumsum(first) - 1
+    n_groups = int(group[-1]) + 1
+    counts = np.bincount(group * n_classes + codes[order], minlength=n_groups * n_classes)
+    return X[order[first]], counts.reshape(n_groups, n_classes)
 
 
 class DecisionTree:
@@ -258,16 +335,17 @@ class DecisionTree:
         self.tree_: Tree | None = None
 
     def fit(self, X, y) -> "DecisionTree":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y)
-        if X.ndim != 2 or X.shape[0] == 0:
-            raise ValidationError("training data must be a non-empty 2-D matrix")
-        if X.shape[0] != y.shape[0]:
-            raise ValidationError("X and y must have equal length")
+        """Fit on the distinct rows of ``X`` with their class counts.
+
+        Repeated rows (a bootstrap sample has many) are merged first; the
+        tree is the one grown on the one-hot rows themselves.
+        """
+        X, y = check_training_data(X, y)
         self.classes_, codes = np.unique(y, return_inverse=True)
+        X, counts = distinct_rows(X, codes, len(self.classes_))
         self.tree_ = grow(
             X,
-            np.eye(len(self.classes_), dtype=np.int64)[codes],
+            counts,
             max_depth=self.max_depth,
             min_samples_split=self.min_samples_split,
             min_samples_leaf=self.min_samples_leaf,

@@ -105,9 +105,10 @@ def reference_grow(
         for name, init in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1)):
             nodes[name].append(init)
         nodes["value"].append(total)
+        size = int(total.sum()) if integer else len(rows)
         if (
             (max_depth is not None and depth >= max_depth)
-            or len(rows) < min_samples_split
+            or size < min_samples_split
             or (integer and np.count_nonzero(total) <= 1)
         ):
             return node
@@ -116,7 +117,9 @@ def reference_grow(
             candidates = features[
                 np.sort(rng.choice(features.size, size=max_features, replace=False))
             ]
-        split = _reference_split(X[rows], stats[rows], total, candidates, min_samples_leaf, integer)
+        split = _reference_split(
+            X[rows], stats[rows], total, size, candidates, min_samples_leaf, integer
+        )
         if split is None:
             return node
         f, cut = split
@@ -136,7 +139,7 @@ def reference_grow(
     }
 
 
-def _reference_split(X, stats, total, candidates, min_samples_leaf, integer):
+def _reference_split(X, stats, total, size, candidates, min_samples_leaf, integer):
     n = X.shape[0]
     best_score = None
     best = None
@@ -145,7 +148,8 @@ def _reference_split(X, stats, total, candidates, min_samples_leaf, integer):
         xs = X[order, f]
         left = np.cumsum(stats[order], axis=0)
         for i in range(n - 1):
-            nl, nr = i + 1, n - i - 1
+            nl = int(left[i].sum()) if integer else i + 1
+            nr = size - nl
             if xs[i] == xs[i + 1] or nl < min_samples_leaf or nr < min_samples_leaf:
                 continue
             right = total - left[i]

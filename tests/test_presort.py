@@ -2,15 +2,28 @@
 
 ``grow`` sorts each column once and hands every child its parent's
 sorted rows filtered by the split (or, with feature subsampling, sorts
-each node's candidates itself). The reference in ``oracles`` sorts every
-candidate at every node. Both must give the same tree, array for array.
+each node's candidates itself), and scores only the cuts where a sorted
+column's value rises. ``DecisionTree`` grows on the distinct rows of its
+data with class counts. The reference in ``oracles`` sorts every
+candidate at every node and scans every position of the uncollapsed
+rows. Both must give the same tree, array for array.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from resnap.models.tree import Tree, grow, presort, subset_order
+from resnap import ValidationError
+from resnap.models import DecisionTree, GradientBoostedTrees, RandomForest
+from resnap.models.tree import (
+    Tree,
+    distinct_rows,
+    grow,
+    presort,
+    sorted_cuts,
+    subset_order,
+)
+from resnap.seeding import derive_seed
 
 from oracles import reference_grow
 
@@ -18,6 +31,13 @@ from oracles import reference_grow
 def tied_matrix(rng, n, d, levels=4):
     """Small integer levels, so most columns hold many equal values."""
     return rng.integers(0, levels, size=(n, d)).astype(float)
+
+
+def duplicate_heavy(rng, n, d, n_distinct=20, levels=3):
+    """``n`` rows drawn from ``n_distinct`` low-cardinality rows: most rows repeat."""
+    return rng.integers(0, levels, size=(n_distinct, d)).astype(float)[
+        rng.integers(0, n_distinct, size=n)
+    ]
 
 
 def assert_same_tree(tree: Tree, reference: dict) -> None:
@@ -82,3 +102,173 @@ def test_subset_order_equals_argsort_of_the_subset(seed):
     expected = np.argsort(X[rows], axis=0, kind="stable").T
     assert np.array_equal(subset_order(presort(X), rows), expected)
     assert np.array_equal(presort(X), np.argsort(X, axis=0, kind="stable").T)
+
+
+CART_PARAMS = [
+    {},
+    {"min_samples_split": 5, "min_samples_leaf": 2},
+    {"max_depth": 3},
+    {"min_samples_leaf": 4},
+    {"max_features": 2},
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("params", CART_PARAMS)
+def test_decision_tree_on_repeated_rows_matches_reference_on_uncollapsed_rows(seed, params):
+    rng = np.random.default_rng(400 + seed)
+    X = duplicate_heavy(rng, 160, 5)
+    y = rng.choice([3, 5, 8], size=160)  # repeated rows carry mixed labels
+    model = DecisionTree(seed=seed, **params).fit(X, y)
+    _, codes = np.unique(y, return_inverse=True)
+    expected = reference_grow(
+        X, np.eye(3, dtype=np.int64)[codes], rng=np.random.default_rng(seed), **params
+    )
+    assert model.tree_.feature.size > 1
+    assert_same_tree(model.tree_, expected)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("params", CART_PARAMS[:2])
+def test_bootstrap_trees_match_reference_on_the_sample(seed, params):
+    rng = np.random.default_rng(450 + seed)
+    X = duplicate_heavy(rng, 120, 6, n_distinct=40)
+    y = rng.choice([0, 1, 2, 3], size=120)
+    forest = RandomForest(n_estimators=4, seed=seed, **params).fit(X, y)
+    for i, tree in enumerate(forest.trees_):
+        rng_i = np.random.default_rng(derive_seed(seed, "bootstrap", i))
+        idx = rng_i.integers(0, 120, size=120)
+        _, codes = np.unique(y[idx], return_inverse=True)
+        expected = reference_grow(
+            X[idx],
+            np.eye(codes.max() + 1, dtype=np.int64)[codes],
+            max_features=forest._features_per_node(6),
+            rng=np.random.default_rng(tree.seed),
+            **params,
+        )
+        assert_same_tree(tree.tree_, expected)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("params", [{}, {"min_samples_split": 6, "min_samples_leaf": 3}])
+def test_grow_on_class_counts_matches_weighted_reference(seed, params):
+    rng = np.random.default_rng(500 + seed)
+    X = duplicate_heavy(rng, 100, 4, n_distinct=30)
+    codes = rng.integers(0, 3, size=100)
+    distinct, counts = distinct_rows(X, codes, 3)
+    assert counts.sum() == 100 and distinct.shape[0] == len(np.unique(X, axis=0))
+    tree = grow(distinct, counts, **params)
+    assert_same_tree(tree, reference_grow(distinct, counts, **params))
+    assert_same_tree(tree, reference_grow(X, np.eye(3, dtype=np.int64)[codes], **params))
+
+
+def test_distinct_rows_merges_bit_equal_rows_only():
+    X = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [2.0, 1.0], [0.0, 1.0]])
+    distinct, counts = distinct_rows(X, np.array([0, 1, 1, 0, 0]), 2)
+    merged = {tuple(row.view(np.uint64)): tuple(c) for row, c in zip(distinct, counts)}
+    assert merged == {
+        tuple(np.array([0.0, 1.0]).view(np.uint64)): (2, 1),
+        tuple(np.array([-0.0, 1.0]).view(np.uint64)): (0, 1),
+        tuple(np.array([2.0, 1.0]).view(np.uint64)): (1, 0),
+    }
+    no_columns, totals = distinct_rows(np.empty((4, 0)), np.array([0, 1, 1, 1]), 2)
+    assert no_columns.shape == (1, 0) and totals.tolist() == [[1, 3]]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("integer", [True, False])
+@pytest.mark.parametrize("min_samples_leaf", [1, 3])
+def test_every_position_a_cut(seed, integer, min_samples_leaf):
+    rng = np.random.default_rng(600 + seed)
+    X = np.column_stack([rng.permutation(50) for _ in range(4)]).astype(float)
+    stats = (
+        np.eye(3, dtype=np.int64)[rng.integers(0, 3, size=50)]
+        if integer
+        else rng.normal(size=(50, 1))
+    )
+    xs, (column, position) = sorted_cuts(X, presort(X))
+    assert column.size == 4 * 49
+    tree = grow(X, stats, min_samples_leaf=min_samples_leaf)
+    assert tree.feature.size > 1
+    assert_same_tree(tree, reference_grow(X, stats, min_samples_leaf=min_samples_leaf))
+
+
+@pytest.mark.parametrize("max_features", [None, 2])
+def test_no_position_a_cut(max_features):
+    X = np.tile([1.0, -2.0, 0.5], (30, 1))
+    stats = np.eye(3, dtype=np.int64)[np.arange(30) % 3]
+    assert sorted_cuts(X, presort(X))[1][0].size == 0
+    rng = np.random.default_rng(7)
+    tree = grow(X, stats, max_features=max_features, rng=rng)
+    assert tree.feature.tolist() == [-1] and tree.value.tolist() == [[10, 10, 10]]
+    expected_rng = np.random.default_rng(7)
+    assert_same_tree(
+        tree, reference_grow(X, stats, max_features=max_features, rng=expected_rng)
+    )
+    # the root still drew its candidates, so the random stream is where the reference left it
+    assert rng.integers(1 << 30) == expected_rng.integers(1 << 30)
+
+
+def test_one_distinct_row_still_draws_its_candidates():
+    """A node holding one distinct row with mixed classes reaches the split
+    search on the uncollapsed rows, so the merged tree must draw there too."""
+    X = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 1.0]] * 3)
+    y = np.array([0, 1, 0, 1] * 3)
+    for seed in range(5):
+        model = DecisionTree(max_features=1, seed=seed).fit(X, y)
+        expected = reference_grow(
+            X, np.eye(2, dtype=np.int64)[y], max_features=1, rng=np.random.default_rng(seed)
+        )
+        assert_same_tree(model.tree_, expected)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("max_depth", [None, 3])
+def test_grown_leaf_of_every_row_equals_apply(seed, max_depth):
+    rng = np.random.default_rng(700 + seed)
+    X = tied_matrix(rng, 110, 6, levels=5)
+    grad = rng.normal(size=(110, 1))
+    order = presort(X)
+    reached = np.full(110, -1)
+    tree = grow(X, grad, max_depth=max_depth, order=order, root=sorted_cuts(X, order),
+                reached=reached)
+    assert tree.feature.size > 1
+    assert np.array_equal(reached, tree.apply(X))
+    assert_same_tree(tree, reference_grow(X, grad, max_depth=max_depth))
+    counts = np.eye(3, dtype=np.int64)[rng.integers(0, 3, size=110)]
+    reached = np.full(110, -1)
+    tree = grow(X, counts, max_features=2, rng=np.random.default_rng(seed), reached=reached)
+    assert np.array_equal(reached, tree.apply(X))
+
+
+@pytest.mark.parametrize("sample", [1.0, 0.8])
+def test_boosting_scores_rows_by_their_grown_leaf(sample):
+    """Training scores built from each row's grown leaf (and ``apply`` for
+    rows outside a subsampled round) equal the staged scores of the fitted
+    trees, which apply every row."""
+    rng = np.random.default_rng(800)
+    X = duplicate_heavy(rng, 90, 5, n_distinct=35)
+    y = rng.choice([1, 4, 6], size=90)
+    model = GradientBoostedTrees(
+        n_estimators=4, max_depth=None, subsample=sample, colsample=sample, seed=3
+    ).fit(X, y)
+    codes = np.searchsorted(model.classes_, y)
+    for stage, loss in zip(model._staged_scores(X), model.train_log_loss_):
+        assert model._log_loss(stage, codes) == loss
+
+
+@pytest.mark.parametrize("learner", [RandomForest, GradientBoostedTrees, DecisionTree])
+@pytest.mark.parametrize(
+    "X, y",
+    [
+        (np.zeros(5), np.zeros(5)),
+        (np.zeros((5, 2, 1)), np.zeros(5)),
+        (np.zeros((5, 2)), np.zeros(4)),
+        (np.zeros((5, 2)), np.zeros((5, 1))),
+        (np.zeros((0, 2)), np.zeros(0)),
+    ],
+    ids=["1-D X", "3-D X", "short y", "2-D y", "empty"],
+)
+def test_learners_reject_malformed_training_data(learner, X, y):
+    with pytest.raises(ValidationError):
+        learner().fit(X, y)
