@@ -24,9 +24,21 @@ MICROSECOND = timedelta(microseconds=1)
 _EPOCH_NAIVE = datetime(1970, 1, 1)
 
 
+# the UTC instants a datetime can hold, in epoch microseconds
+_MIN_US = (datetime.min - _EPOCH_NAIVE) // MICROSECOND
+_MAX_US = (datetime.max - _EPOCH_NAIVE) // MICROSECOND
+
+
 def epoch_us(ts: datetime) -> int:
-    """Microseconds since the Unix epoch; naive timestamps are taken as UTC."""
-    return (ts - (_EPOCH_NAIVE if ts.utcoffset() is None else EPOCH)) // MICROSECOND
+    """Microseconds since the Unix epoch; naive timestamps are taken as UTC.
+
+    Raises ValueError when the UTC instant falls outside the years 1 to
+    9999, which no ``datetime`` can hold (``0001-01-01T00:30:00+01:00``).
+    """
+    us = (ts - (_EPOCH_NAIVE if ts.utcoffset() is None else EPOCH)) // MICROSECOND
+    if not _MIN_US <= us <= _MAX_US:
+        raise ValueError(f"{ts.isoformat()} falls outside the years 1 to 9999 in UTC")
+    return us
 
 
 @dataclass(frozen=True)
@@ -152,7 +164,8 @@ def build_event_log(events: Iterable[Event] | EventColumns) -> EventLog:
     """Assemble an EventLog from :class:`Event` objects or a reader's columns.
 
     Events whose resource is missing (None or empty) are dropped and
-    counted. Raises :class:`ValidationError` on duplicate file_order and
+    counted. Raises :class:`ValidationError` on duplicate file_order or a
+    timestamp outside the years 1 to 9999 in UTC, and
     :class:`EmptyLogError` when no events are supplied at all.
     """
     if isinstance(events, EventColumns):
@@ -170,7 +183,10 @@ def build_event_log(events: Iterable[Event] | EventColumns) -> EventLog:
             raw.cases.append(ev.case_id)
             raw.activities.append(ev.activity)
             raw.resources.append(ev.resource)
-            raw.timestamps_us.append(epoch_us(ev.timestamp))
+            try:
+                raw.timestamps_us.append(epoch_us(ev.timestamp))
+            except ValueError as exc:
+                raise ValidationError(f"event {ev.file_order}: {exc}") from exc
         file_order = np.array(orders, dtype=np.int64)
     if not raw.cases:
         raise EmptyLogError("no events in source")

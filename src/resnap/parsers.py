@@ -90,17 +90,24 @@ def _open_binary(source: bytes | str | Path | BinaryIO) -> Iterator[BinaryIO]:
         yield stream
 
 
-def _iso_us(value: str) -> int:
-    """UTC epoch microseconds of an ISO-8601 timestamp; naive is UTC."""
+def _iso(value: str) -> datetime:
+    """An ISO-8601 timestamp; ``Z`` reads as UTC."""
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     try:
-        ts = datetime.fromisoformat(text)
+        return datetime.fromisoformat(text)
     except ValueError:
         # some exporters emit more than 6 fractional-second digits
-        ts = datetime.fromisoformat(_LONG_FRACTION.sub(r"\1", text))
-    return epoch_us(ts)
+        return datetime.fromisoformat(_LONG_FRACTION.sub(r"\1", text))
+
+
+def _utc_us(ts: datetime, text: str, where: str) -> int:
+    """:func:`epoch_us` of a parsed timestamp, or ValidationError naming ``where``."""
+    try:
+        return epoch_us(ts)
+    except ValueError as exc:
+        raise ValidationError(f"timestamp {text!r} {where}: {exc}") from exc
 
 
 class _XesTarget:
@@ -172,11 +179,12 @@ class _XesTarget:
             if ts_text is None:
                 raise ValidationError(f"event without time:timestamp in trace '{case_id}'")
             try:
-                ts_us = _iso_us(ts_text)
+                ts = _iso(ts_text)
             except ValueError as exc:
                 raise ValidationError(
                     f"unreadable timestamp {ts_text!r} in trace '{case_id}'"
                 ) from exc
+            ts_us = _utc_us(ts, ts_text, f"in trace '{case_id}'")
             cols.cases.append(case_id)
             cols.activities.append(activity)
             cols.resources.append(attrs.get("org:resource"))
@@ -260,13 +268,14 @@ def _read_csv_rows(
             raise ValidationError(f"empty activity in row {row_no}")
         try:
             if timestamp_format is None:
-                ts_us = _iso_us(ts_text)
+                ts = _iso(ts_text)
             else:
-                ts_us = epoch_us(datetime.strptime(ts_text, timestamp_format))
+                ts = datetime.strptime(ts_text, timestamp_format)
         except ValueError as exc:
             raise ValidationError(
                 f"timestamp {ts_text!r} does not match the expected format in row {row_no}"
             ) from exc
+        ts_us = _utc_us(ts, ts_text, f"in row {row_no}")
         cols.cases.append(case_id)
         cols.activities.append(activity)
         cols.resources.append(row[i_resource].strip())

@@ -101,6 +101,18 @@ def test_profile_missing_file_exits_two(fixture_env, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stamp", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
+def test_profile_timestamp_outside_datetime_range_exits_two(fixture_env, capsys, stamp):
+    tmp_path, data = fixture_env
+    config = write_config(tmp_path, data)
+    payload = json.loads(config.read_text())
+    del payload["datasets"][0]["csv_mapping"]["timestamp_format"]  # ISO-8601
+    config.write_text(json.dumps(payload))
+    data.write_text(f"case,activity,resource,when\nc1,A,r1,{stamp}\n")
+    assert main(["profile", "--config", str(config)]) == 2
+    assert "years 1 to 9999" in capsys.readouterr().err
+
+
 def test_profile_quiet_emits_machine_json(fixture_env, capsys):
     tmp_path, data = fixture_env
     config = write_config(tmp_path, data)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from datetime import datetime, timedelta, timezone
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -39,6 +41,18 @@ def test_build_event_log_rejects_duplicate_file_order():
     ]
     with pytest.raises(ValidationError, match="file_order"):
         build_event_log(events)
+
+
+@pytest.mark.parametrize(
+    "stamp",
+    [
+        datetime(1, 1, 1, 0, 30, tzinfo=timezone(timedelta(hours=1))),
+        datetime(9999, 12, 31, 23, 30, tzinfo=timezone(timedelta(hours=-1))),
+    ],
+)
+def test_build_event_log_rejects_instants_outside_datetime_range(stamp):
+    with pytest.raises(ValidationError, match="event 4: .*years 1 to 9999"):
+        build_event_log([Event("c1", "A", "r1", stamp, 4)])
 
 
 def test_build_event_log_rejects_empty_input():

@@ -111,6 +111,23 @@ def test_parse_xes_normalises_timestamps_to_utc():
     assert ev.timestamp.hour == 12
 
 
+# the UTC instant of each lies just outside the years 1 to 9999
+OUT_OF_RANGE = ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"]
+
+
+@pytest.mark.parametrize("stamp", OUT_OF_RANGE)
+def test_parse_xes_rejects_instants_outside_datetime_range(stamp):
+    doc = xes_bytes([("c9", [xes_event("A", "r1", stamp=stamp)])])
+    with pytest.raises(ValidationError, match=r"in trace 'c9'.*years 1 to 9999"):
+        parse_xes(doc)
+
+
+def test_parse_xes_keeps_the_extreme_instants_inside_datetime_range():
+    doc = xes_bytes([("c", [xes_event("A", "r1", stamp="0001-01-01T00:30:00+00:30"),
+                            xes_event("B", "r1", stamp="9999-12-31T23:30:00+00:00")])])
+    assert [ev.timestamp.year for ev in parse_xes(doc).events] == [1, 9999]
+
+
 def test_parse_xes_reparse_is_identical():
     doc = xes_bytes(
         [("c1", [xes_event("A", "r1"), xes_event("B", "r2")]), ("c2", [xes_event("A", "r1")])]
@@ -143,6 +160,18 @@ def test_parse_csv_timestamp_mismatch_names_row():
     )
     with pytest.raises(ValidationError, match="row 2"):
         parse_csv(data, MAPPING)
+
+
+@pytest.mark.parametrize("stamp", OUT_OF_RANGE)
+@pytest.mark.parametrize("timestamp_format", [None, "%Y-%m-%dT%H:%M:%S%z"])
+def test_parse_csv_rejects_instants_outside_datetime_range(stamp, timestamp_format):
+    mapping = CsvMapping(
+        case="case", activity="activity", resource="resource", timestamp="when",
+        timestamp_format=timestamp_format,
+    )
+    data = csv_bytes(["c1,A,r1,2024-03-01T10:00:00+00:00", f"c1,B,r1,{stamp}"])
+    with pytest.raises(ValidationError, match=r"in row 2.*years 1 to 9999"):
+        parse_csv(data, mapping)
 
 
 def test_parse_csv_duplicate_rows_get_distinct_file_order():
