@@ -15,6 +15,15 @@ Integer statistics make the score a small-integer rational, so
 candidates within a float window of the best are re-compared with exact
 integer arithmetic; float statistics take the first float maximum.
 Training is therefore fully deterministic.
+
+Only cuts are scored: the positions where a column's sorted values rise,
+the counterpart of LightGBM's thresholds on bin boundaries. On encoded
+prefix matrices, with a few distinct values per column, a node has far
+fewer cuts than rows. The CART classifier also grows on the distinct
+rows of its data, each carrying its class counts, and a row of integer
+statistics weighs as many rows as its counts sum to; a bootstrap sample
+repeats most of its rows. Neither changes a tree: the cumulative sums
+read at the cuts are the ones the scan over every row computed.
 """
 from __future__ import annotations
 
