@@ -104,8 +104,12 @@ def sorted_cuts(X: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, tuple]:
     return xs, _cuts(xs)
 
 
-def _cuts(xs: np.ndarray) -> tuple:
-    return np.nonzero(xs[:, :-1] < xs[:, 1:])
+def _cuts(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = xs.shape[1]
+    values = xs.ravel()  # one pass over all rows; a rise between two columns is no cut
+    column, position = np.divmod(np.flatnonzero(values[:-1] < values[1:]), n)
+    inside = position < n - 1
+    return column[inside], position[inside]
 
 
 def _best_split(
