@@ -88,6 +88,7 @@ class GradientBoostedTrees:
         rng = np.random.default_rng(derive_seed(self.seed, "boost"))
         factor = (n_classes - 1) / n_classes
         self.train_log_loss_.append(self._log_loss(scores, codes))
+        X = np.asfortranarray(X)  # the trees read X column by column
         order = presort(X)  # shared by every class tree of every round
         # the root's sorted values and cuts, shared while rows and features stay
         root = sorted_cuts(X, order) if self.colsample >= 1.0 else None
@@ -112,8 +113,9 @@ class GradientBoostedTrees:
                     feats = np.sort(rng.choice(d, size=n_feats, replace=False))
                 else:
                     feats = np.arange(d)
-                grad = onehot[rows, k] - probs[rows, k]
-                hess = probs[rows, k] * (1.0 - probs[rows, k])
+                p = probs[rows, k]
+                grad = onehot[rows, k] - p
+                hess = p * (1.0 - p)
                 leaf = np.empty(n, dtype=np.int64)
                 reached = leaf if rest is None else np.empty(rows.size, dtype=np.int64)
                 tree = grow(

@@ -237,35 +237,34 @@ def grow(
         node = len(feature)
         if parent >= 0:
             right[parent] = node
-        node_stats = stats[rows]
-        total = node_stats.sum(axis=0)
-        value.append(total if node_value is None else node_value(rows))
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
         split = None
-        if not (
-            (max_depth is not None and depth >= max_depth)
-            or size < min_samples_split
-            or (integer and np.count_nonzero(total) <= 1)
-        ):
-            if presorted:  # global row ids into stats
-                candidates, ids, pool = features, block, stats
-                if node == 0 and root is not None:
-                    xs, cuts = root
-                else:
-                    xs = np.take(columns, block + offsets)
+        if (max_depth is not None and depth >= max_depth) or size < min_samples_split:
+            value.append(stats[rows].sum(axis=0) if node_value is None else node_value(rows))
+        else:
+            node_stats = stats[rows]
+            total = node_stats.sum(axis=0)
+            value.append(total if node_value is None else node_value(rows))
+            if not integer or np.count_nonzero(total) > 1:
+                if presorted:  # global row ids into stats
+                    candidates, ids, pool = features, block, stats
+                    if node == 0 and root is not None:
+                        xs, cuts = root
+                    else:
+                        xs = np.take(columns, block + offsets)
+                        cuts = _cuts(xs)
+                else:  # row ids local to the node, into node_stats
+                    candidates = features[
+                        np.sort(rng.choice(features.size, size=max_features, replace=False))
+                    ]
+                    values = X[rows[:, None], candidates]
+                    local = np.argsort(values, axis=0, kind="stable")
+                    xs, ids, pool = values[local, np.arange(candidates.size)].T, local.T, node_stats
                     cuts = _cuts(xs)
-            else:  # row ids local to the node, into node_stats
-                candidates = features[
-                    np.sort(rng.choice(features.size, size=max_features, replace=False))
-                ]
-                values = X[rows[:, None], candidates]
-                local = np.argsort(values, axis=0, kind="stable")
-                xs, ids, pool = values[local, np.arange(candidates.size)].T, local.T, node_stats
-                cuts = _cuts(xs)
-            split = _best_split(xs, cuts, ids, pool, total, size, min_samples_leaf, integer)
+                split = _best_split(xs, cuts, ids, pool, total, size, min_samples_leaf, integer)
         if split is None:
             if reached is not None:
                 reached[rows] = node

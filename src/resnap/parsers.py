@@ -102,14 +102,6 @@ def _iso(value: str) -> datetime:
         return datetime.fromisoformat(_LONG_FRACTION.sub(r"\1", text))
 
 
-def _utc_us(ts: datetime, text: str, where: str) -> int:
-    """:func:`epoch_us` of a parsed timestamp, or ValidationError naming ``where``."""
-    try:
-        return epoch_us(ts)
-    except ValueError as exc:
-        raise ValidationError(f"timestamp {text!r} {where}: {exc}") from exc
-
-
 class _XesTarget:
     """Expat target that keeps only the attributes XES traces and events carry.
 
@@ -184,7 +176,10 @@ class _XesTarget:
                 raise ValidationError(
                     f"unreadable timestamp {ts_text!r} in trace '{case_id}'"
                 ) from exc
-            ts_us = _utc_us(ts, ts_text, f"in trace '{case_id}'")
+            try:
+                ts_us = epoch_us(ts)
+            except ValueError as exc:
+                raise ValidationError(f"timestamp {ts_text!r} in trace '{case_id}': {exc}") from exc
             cols.cases.append(case_id)
             cols.activities.append(activity)
             cols.resources.append(attrs.get("org:resource"))
@@ -275,7 +270,10 @@ def _read_csv_rows(
             raise ValidationError(
                 f"timestamp {ts_text!r} does not match the expected format in row {row_no}"
             ) from exc
-        ts_us = _utc_us(ts, ts_text, f"in row {row_no}")
+        try:
+            ts_us = epoch_us(ts)
+        except ValueError as exc:
+            raise ValidationError(f"timestamp {ts_text!r} in row {row_no}: {exc}") from exc
         cols.cases.append(case_id)
         cols.activities.append(activity)
         cols.resources.append(row[i_resource].strip())
