@@ -272,3 +272,167 @@ def test_boosting_scores_rows_by_their_grown_leaf(sample):
 def test_learners_reject_malformed_training_data(learner, X, y):
     with pytest.raises(ValidationError):
         learner().fit(X, y)
+
+
+# --- small nodes: one distinct row, two distinct rows, float statistics -----
+
+
+def node_rows(tree: Tree, X: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """(rows of ``X`` reaching the node, depth) for every node, in preorder."""
+    reach: list = [None] * tree.feature.size
+    stack = [(0, np.arange(X.shape[0]), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        reach[node] = (rows, depth)
+        f = tree.feature[node]
+        if f >= 0:
+            goes_left = X[rows, f] <= tree.threshold[node]
+            stack.append((int(tree.right[node]), rows[~goes_left], depth + 1))
+            stack.append((int(tree.left[node]), rows[goes_left], depth + 1))
+    return reach
+
+
+def one_hot_rows(X: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The uncollapsed data set of distinct rows ``X`` with class ``counts``."""
+    repeat = counts.ravel()
+    rows = np.repeat(np.repeat(np.arange(X.shape[0]), counts.shape[1]), repeat)
+    classes = np.repeat(np.tile(np.arange(counts.shape[1]), X.shape[0]), repeat)
+    return X[rows], np.eye(counts.shape[1], dtype=np.int64)[classes]
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 2, 3])
+@pytest.mark.parametrize("swap", [False, True])
+def test_two_distinct_rows_with_unequal_weights(min_samples_leaf, swap):
+    """Two distinct rows weighing 3 and 2 split only while both weigh at least
+    ``min_samples_leaf``; with 3 the node must stay a leaf."""
+    X = np.array([[4.0, 1.0, 7.0], [4.0, 3.0, 5.0]])
+    counts = np.array([[2, 1], [0, 2]], dtype=np.int64)
+    if swap:  # the heavier row holds the larger value
+        X, counts = X[::-1].copy(), counts[::-1].copy()
+    for seed in range(4):
+        tree = grow(X, counts, min_samples_leaf=min_samples_leaf, max_features=2,
+                    rng=np.random.default_rng(seed))
+        expected_rng = np.random.default_rng(seed)
+        assert_same_tree(tree, reference_grow(
+            X, counts, min_samples_leaf=min_samples_leaf, max_features=2, rng=expected_rng
+        ))
+        assert_same_tree(tree, reference_grow(
+            *one_hot_rows(X, counts), min_samples_leaf=min_samples_leaf, max_features=2,
+            rng=np.random.default_rng(seed),
+        ))
+        assert tree.value[0].tolist() == [2, 3]
+        if min_samples_leaf == 3:
+            assert tree.feature.tolist() == [-1]
+        else:
+            assert tree.feature[0] in (1, 2)
+            low = int(np.argmin(X[:, tree.feature[0]]))
+            assert tree.value[1].tolist() == counts[low].tolist()
+            assert tree.value[2].tolist() == counts[1 - low].tolist()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_two_row_node_splits_on_the_first_candidate_whose_values_differ(seed):
+    """Columns 0 and 2 hold one value; the split takes the first drawn candidate
+    among columns 1, 3 and 4, whatever its score would be on other data."""
+    X = np.array([[5.0, 1.0, -2.0, 9.0, 0.5], [5.0, 2.0, -2.0, 3.0, 0.25]])
+    counts = np.array([[1, 0, 2], [0, 1, 0]], dtype=np.int64)
+    draw = np.sort(np.random.default_rng(seed).choice(5, size=3, replace=False))
+    differing = [int(f) for f in draw if f in (1, 3, 4)]
+    tree = grow(X, counts, max_features=3, rng=np.random.default_rng(seed))
+    assert_same_tree(tree, reference_grow(X, counts, max_features=3,
+                                          rng=np.random.default_rng(seed)))
+    if differing:
+        f = differing[0]
+        assert tree.feature[0] == f
+        lo, hi = sorted(X[:, f])
+        assert tree.threshold[0] == (lo + hi) / 2.0
+    else:
+        assert tree.feature.tolist() == [-1]
+
+
+def test_two_row_draws_cover_a_first_candidate_that_does_not_differ():
+    firsts = {
+        int(np.sort(np.random.default_rng(seed).choice(5, size=3, replace=False))[0])
+        for seed in range(6)
+    }
+    assert firsts & {0, 2}
+
+
+def test_two_row_threshold_is_the_guarded_midpoint():
+    lo = 1.0
+    hi = np.nextafter(lo, 2.0)
+    X = np.array([[hi, 0.0], [lo, 0.0]])
+    counts = np.array([[1, 0], [0, 1]], dtype=np.int64)
+    tree = grow(X, counts, max_features=1, rng=np.random.default_rng(0))
+    expected = reference_grow(X, counts, max_features=1, rng=np.random.default_rng(0))
+    assert_same_tree(tree, expected)
+    if tree.feature[0] == 0:
+        assert tree.threshold[0] == lo and tree.value[1].tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("min_samples_leaf", [1, 2, 3])
+def test_two_distinct_row_nodes_in_grown_trees(seed, min_samples_leaf):
+    """Trees over class counts of distinct rows reach many nodes of two distinct
+    rows (weights from 2 up); they must match the reference on the uncollapsed
+    rows, refusals under ``min_samples_leaf`` included."""
+    rng = np.random.default_rng(900 + seed)
+    X = duplicate_heavy(rng, 240, 6, n_distinct=60, levels=4)
+    y = rng.choice([0, 1, 2], size=240, p=[0.5, 0.3, 0.2])
+    _, codes = np.unique(y, return_inverse=True)
+    distinct, counts = distinct_rows(X, codes, 3)
+    tree = grow(distinct, counts, min_samples_leaf=min_samples_leaf, max_features=2,
+                rng=np.random.default_rng(seed))
+    assert_same_tree(tree, reference_grow(
+        X, np.eye(3, dtype=np.int64)[codes], min_samples_leaf=min_samples_leaf,
+        max_features=2, rng=np.random.default_rng(seed),
+    ))
+    two = [node for node, (rows, _) in enumerate(node_rows(tree, distinct))
+           if rows.size == 2 and np.count_nonzero(counts[rows].sum(axis=0)) > 1]
+    assert two
+    weights = {tuple(sorted(counts[rows].sum(axis=1))) for rows, _ in
+               (node_rows(tree, distinct)[n] for n in two)}
+    assert any(a != b for a, b in weights)
+    if min_samples_leaf > 1:
+        refused = [n for n in two if tree.feature[n] < 0 and min(
+            counts[node_rows(tree, distinct)[n][0]].sum(axis=1)) < min_samples_leaf]
+        assert refused
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_distinct_row_nodes_deep_in_a_tree_keep_later_draws(seed):
+    """Nodes of one distinct row with mixed classes sit below the root and
+    before other splitting nodes in preorder; each still draws, so every
+    later node and the generator's final state match the reference."""
+    rng = np.random.default_rng(950 + seed)
+    X = duplicate_heavy(rng, 200, 5, n_distinct=40, levels=3)
+    y = rng.choice([0, 1, 2], size=200)
+    distinct, counts = distinct_rows(X, y, 3)
+    got_rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    tree = grow(distinct, counts, max_features=2, rng=got_rng)
+    assert_same_tree(tree, reference_grow(X, np.eye(3, dtype=np.int64)[y], max_features=2,
+                                          rng=expected_rng))
+    assert got_rng.integers(1 << 30) == expected_rng.integers(1 << 30)
+    reach = node_rows(tree, distinct)
+    mixed = [n for n, (rows, depth) in enumerate(reach)
+             if rows.size == 1 and depth >= 2 and np.count_nonzero(counts[rows[0]]) > 1]
+    assert mixed
+    assert (tree.feature[mixed[0] + 1:] >= 0).any()  # later nodes still split
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("min_samples_leaf", [1, 2])
+def test_float_statistics_with_feature_subsampling(seed, min_samples_leaf):
+    """Gradients with ``max_features``: small nodes, two-row ones included,
+    score with the float formula like any other node."""
+    rng = np.random.default_rng(1000 + seed)
+    X = tied_matrix(rng, 70, 6, levels=6)
+    grad = rng.normal(size=(70, 1))
+    got_rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    tree = grow(X, grad, max_features=3, min_samples_leaf=min_samples_leaf, rng=got_rng)
+    assert_same_tree(tree, reference_grow(
+        X, grad, max_features=3, min_samples_leaf=min_samples_leaf, rng=expected_rng
+    ))
+    assert got_rng.integers(1 << 30) == expected_rng.integers(1 << 30)
+    sizes = [rows.size for rows, _ in node_rows(tree, X)]
+    assert 2 in sizes and (1 in sizes or min_samples_leaf > 1)
