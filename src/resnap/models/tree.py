@@ -36,6 +36,8 @@ from ..errors import ValidationError
 
 # float pre-filter window; exact integer comparison decides inside it
 _NEAR_RTOL = 1e-7
+# sorted-value blocks up to this many entries find their cuts in two dimensions
+_SMALL_BLOCK = 512
 
 
 @dataclass
@@ -105,11 +107,20 @@ def sorted_cuts(X: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, tuple]:
 
 
 def _cuts(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if xs.size <= _SMALL_BLOCK:  # fixed costs dominate: one 2-D comparison
+        return (xs[:, :-1] < xs[:, 1:]).nonzero()
     n = xs.shape[1]
     values = xs.ravel()  # one pass over all rows; a rise between two columns is no cut
-    column, position = np.divmod(np.flatnonzero(values[:-1] < values[1:]), n)
+    column, position = np.divmod((values[:-1] < values[1:]).nonzero()[0], n)
     inside = position < n - 1
     return column[inside], position[inside]
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    threshold = (lo + hi) / 2.0
+    if threshold >= hi:  # the midpoint of adjacent floats can round up
+        threshold = lo
+    return float(threshold)
 
 
 def _best_split(
@@ -121,8 +132,8 @@ def _best_split(
     size: int,
     min_samples_leaf: int,
     integer: bool,
-) -> tuple[int, float, int] | None:
-    """Best (candidate, threshold, left size) for one node, or None.
+) -> tuple[int, float, int, np.ndarray] | None:
+    """Best (candidate, threshold, left size, left sums) for one node, or None.
 
     ``order`` (candidates x rows) holds the node's rows of ``stats`` in
     each candidate feature's ascending order, ``xs`` the matching feature
@@ -137,38 +148,42 @@ def _best_split(
     column, position = cuts
     if not column.size:
         return None
-    left = np.cumsum(np.take(stats, order[:, :-1], axis=0), axis=1)[column, position]
+    left = stats.take(order[:, :-1], axis=0).cumsum(axis=1)[column, position]
     left_n = left.sum(axis=1) if integer else position + 1
     right_n = size - left_n
     if min_samples_leaf > 1:
-        valid = np.flatnonzero((left_n >= min_samples_leaf) & (right_n >= min_samples_leaf))
+        valid = ((left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)).nonzero()[0]
         if not valid.size:
             return None
         column, position, left, left_n, right_n = (
             a[valid] for a in (column, position, left, left_n, right_n)
         )
+    best = 0 if column.size == 1 else _top_cut(left, left_n, right_n, total, integer)
+    j, i = column[best], position[best]
+    return int(j), _midpoint(xs[j, i], xs[j, i + 1]), int(left_n[best]), left[best]
+
+
+def _top_cut(left, left_n, right_n, total, integer: bool) -> int:
+    """Index of the best-scoring cut: the first one, in C order, of the
+    highest score, compared exactly for integer statistics."""
     right = total - left
     sq_left = np.einsum("ij,ij->i", left, left)
     sq_right = np.einsum("ij,ij->i", right, right)
-    # cuts run over candidates first, then thresholds
     score = sq_left / left_n + sq_right / right_n
-    if integer:
-        top = score.max()
-        best = None
-        best_num = best_den = 0  # exact python ints
-        for t in np.flatnonzero(score >= top - abs(top) * _NEAR_RTOL):
-            nl, nr = int(left_n[t]), int(right_n[t])
-            num = int(sq_left[t]) * nr + int(sq_right[t]) * nl
-            if best is None or num * best_den > best_num * nl * nr:
-                best, best_num, best_den = t, num, nl * nr
-    else:
-        best = int(np.argmax(score))
-    j, i = column[best], position[best]
-    lo, hi = xs[j, i], xs[j, i + 1]
-    threshold = (lo + hi) / 2.0
-    if threshold >= hi:  # the midpoint of adjacent floats can round up
-        threshold = lo
-    return int(j), float(threshold), int(left_n[best])
+    if not integer:
+        return int(score.argmax())
+    top = score.max()
+    near = (score >= top - abs(top) * _NEAR_RTOL).nonzero()[0]
+    if near.size == 1:
+        return int(near[0])
+    best = None
+    best_num = best_den = 0  # exact python ints
+    for t in near:
+        nl, nr = int(left_n[t]), int(right_n[t])
+        num = int(sq_left[t]) * nr + int(sq_right[t]) * nl
+        if best is None or num * best_den > best_num * nl * nr:
+            best, best_num, best_den = t, num, nl * nr
+    return int(best)
 
 
 def grow(
@@ -203,6 +218,17 @@ def grow(
     score. A matrix of class counts over the distinct rows of a data set
     therefore grows the same tree as the one-hot rows of the data set
     itself: the cumulative sums at every cut are the same integers.
+    Integer sums are exact, so a child's sums are carried from its
+    parent: the left child's are the cumulative sums at the chosen cut,
+    the right child's the parent's minus those. Float sums are summed
+    over each node's rows.
+
+    The smallest nodes take closed forms, after their candidate draw, so
+    the random stream stays the same. A node of one row has no cut and
+    stays a leaf. Every cut of a node of two rows separates the same two
+    rows, so with integer statistics every cut has the same exact score,
+    and the tie rule picks the first candidate whose two values differ;
+    the split stands if both rows weigh at least ``min_samples_leaf``.
 
     When every node scores every feature, the columns are sorted once:
     ``order`` is :func:`presort` of ``X`` (computed when omitted), and a
@@ -217,11 +243,12 @@ def grow(
         features = np.arange(X.shape[1])
     integer = np.issubdtype(stats.dtype, np.integer)
     presorted = max_features is None or max_features >= features.size
+    columns = np.ascontiguousarray(X.T)  # X[r, f] is columns[f, r]
     block = None
     if presorted:
         block = (presort(X) if order is None else order)[features]
-        # X[r, features[c]] is columns[r + offsets[c]]
-        columns = np.ascontiguousarray(X.T).ravel()
+        # X[r, features[c]] is flat[r + offsets[c]]
+        flat = columns.ravel()
         offsets = (features * X.shape[0])[:, None]
         side = np.zeros(X.shape[0], dtype=bool)
     feature: list[int] = []
@@ -229,11 +256,13 @@ def grow(
     left: list[int] = []
     right: list[int] = []
     value: list = []
-    size = int(stats.sum()) if integer else X.shape[0]
-    # (rows, size, depth, parent whose right child this is or -1, sorted rows or None)
-    stack = [(np.arange(X.shape[0]), size, 0, -1, block)]
+    total = stats.sum(axis=0) if integer else None
+    size = int(total.sum()) if integer else X.shape[0]
+    # (rows, statistic sums if carried, size, depth, parent whose right child
+    #  this is or -1, sorted rows or None)
+    stack = [(np.arange(X.shape[0]), total, size, 0, -1, block)]
     while stack:
-        rows, size, depth, parent, block = stack.pop()
+        rows, total, size, depth, parent, block = stack.pop()
         node = len(feature)
         if parent >= 0:
             right[parent] = node
@@ -241,50 +270,65 @@ def grow(
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        split = None
-        if (max_depth is not None and depth >= max_depth) or size < min_samples_split:
-            value.append(stats[rows].sum(axis=0) if node_value is None else node_value(rows))
-        else:
-            node_stats = stats[rows]
-            total = node_stats.sum(axis=0)
-            value.append(total if node_value is None else node_value(rows))
-            if not integer or np.count_nonzero(total) > 1:
+        stop = (max_depth is not None and depth >= max_depth) or size < min_samples_split
+        if total is None and not (stop and node_value is not None):
+            total = stats[rows].sum(axis=0)
+        value.append(total if node_value is None else node_value(rows))
+        split = values = None
+        if not stop and (not integer or np.count_nonzero(total) > 1):
+            if presorted:
+                candidates = features
+            else:
+                draw = rng.choice(features.size, size=max_features, replace=False)
+                draw.sort()
+                candidates = features[draw]
+            if rows.size == 2 and integer:
+                values = columns[candidates].take(rows, axis=1)
+                rise = ((values[:, 0] < values[:, 1]) | (values[:, 1] < values[:, 0])).nonzero()[0]
+                if rise.size:
+                    column = rise[0]
+                    low = int(values[column, 1] < values[column, 0])
+                    left_total = stats[rows[low]]
+                    left_size = int(left_total.sum())
+                    if min(left_size, size - left_size) >= min_samples_leaf:
+                        cut = _midpoint(values[column, low], values[column, 1 - low])
+                        split = column, cut, left_size, left_total
+            elif rows.size > 1:
                 if presorted:  # global row ids into stats
-                    candidates, ids, pool = features, block, stats
+                    ids, pool = block, stats
                     if node == 0 and root is not None:
                         xs, cuts = root
                     else:
-                        xs = np.take(columns, block + offsets)
+                        xs = flat.take(block + offsets)
                         cuts = _cuts(xs)
-                else:  # row ids local to the node, into node_stats
-                    candidates = features[
-                        np.sort(rng.choice(features.size, size=max_features, replace=False))
-                    ]
-                    values = X[rows[:, None], candidates]
-                    local = np.argsort(values, axis=0, kind="stable")
-                    xs, ids, pool = values[local, np.arange(candidates.size)].T, local.T, node_stats
+                else:  # row ids local to the node, into its rows of stats
+                    values = columns[candidates].take(rows, axis=1)
+                    ids, pool = values.argsort(axis=1, kind="stable"), stats.take(rows, axis=0)
+                    xs = values.copy()
+                    xs.sort(axis=1)
                     cuts = _cuts(xs)
                 split = _best_split(xs, cuts, ids, pool, total, size, min_samples_leaf, integer)
         if split is None:
             if reached is not None:
                 reached[rows] = node
             continue
-        column, cut, left_size = split
+        column, cut, left_size, left_total = split
         f = int(candidates[column])
         feature[node], threshold[node], left[node] = f, cut, node + 1
-        mask = X[rows, f] <= cut
+        mask = (columns[f, rows] if values is None else values[column]) <= cut
         left_rows, right_rows = rows[mask], rows[~mask]
         right_size = size - left_size
+        left_total, right_total = (left_total, total - left_total) if integer else (None, None)
         left_block = right_block = None
         if presorted and (max_depth is None or depth + 1 < max_depth):
             side[rows] = mask
             goes_left = side[block].ravel()
-            if left_size >= min_samples_split:
-                left_block = np.compress(goes_left, block).reshape(features.size, -1)
-            if right_size >= min_samples_split:
-                right_block = np.compress(~goes_left, block).reshape(features.size, -1)
-        stack.append((right_rows, right_size, depth + 1, node, right_block))
-        stack.append((left_rows, left_size, depth + 1, -1, left_block))
+            if left_size >= min_samples_split and left_rows.size > 1:
+                left_block = block.compress(goes_left).reshape(features.size, -1)
+            if right_size >= min_samples_split and right_rows.size > 1:
+                right_block = block.compress(~goes_left).reshape(features.size, -1)
+        stack.append((right_rows, right_total, right_size, depth + 1, node, right_block))
+        stack.append((left_rows, left_total, left_size, depth + 1, -1, left_block))
     return Tree(
         np.array(feature, dtype=np.int64),
         np.array(threshold, dtype=float),
