@@ -23,7 +23,7 @@ import numpy as np
 
 from ..errors import ValidationError, check_deadline
 from ..seeding import derive_seed
-from .tree import Tree, check_training_data, grow, presort, sorted_cuts, subset_order
+from .tree import Tree, check_features, check_training_data, grow, presort, sorted_cuts, subset_order
 
 _EPS = 1e-12
 
@@ -63,6 +63,7 @@ class GradientBoostedTrees:
         self.init_scores_: np.ndarray | None = None
         self.rounds_: list[list[Tree]] = []
         self.train_log_loss_: list[float] = []
+        self.n_features_in_: int | None = None  # None once loaded by from_dict
 
     def fit(self, X, y, deadline: float | None = None) -> "GradientBoostedTrees":
         """Fit the rounds in order.
@@ -71,6 +72,7 @@ class GradientBoostedTrees:
         ``time.monotonic()`` has passed ``deadline``.
         """
         X, y = check_training_data(X, y)
+        self.n_features_in_ = X.shape[1]
         self.classes_ = np.unique(y)
         n, d = X.shape
         n_classes = len(self.classes_)
@@ -152,7 +154,7 @@ class GradientBoostedTrees:
         """
         if self.classes_ is None:
             raise ValidationError("model is not fitted")
-        X = np.asarray(X, dtype=float)
+        X = check_features(X, self.n_features_in_, [t for trees in self.rounds_ for t in trees])
         scores = np.tile(self.init_scores_, (X.shape[0], 1))
         yield scores
         rounds = self.rounds_ if len(self.classes_) > 1 else [[]] * self.n_estimators

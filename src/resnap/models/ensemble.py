@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import ValidationError, check_deadline
 from ..seeding import derive_seed
-from .tree import DecisionTree, check_training_data
+from .tree import DecisionTree, check_features, check_training_data
 
 
 class RandomForest:
@@ -41,6 +41,7 @@ class RandomForest:
         self.seed = seed
         self.classes_: np.ndarray | None = None
         self.trees_: list[DecisionTree] = []
+        self.n_features_in_: int | None = None  # None once loaded by from_dict
 
     def _features_per_node(self, n_features: int) -> int | None:
         if self.max_features == "sqrt":
@@ -54,6 +55,7 @@ class RandomForest:
         ``time.monotonic()`` has passed ``deadline``.
         """
         X, y = check_training_data(X, y)
+        self.n_features_in_ = X.shape[1]
         self.classes_ = np.unique(y)
         n = X.shape[0]
         per_node = self._features_per_node(X.shape[1])
@@ -80,7 +82,7 @@ class RandomForest:
         """Yield the plurality vote of the first 1, 2, ..., n_estimators trees."""
         if not self.trees_:
             raise ValidationError("model is not fitted")
-        X = np.asarray(X, dtype=float)
+        X = check_features(X, self.n_features_in_, [tree.tree_ for tree in self.trees_])
         rows = np.arange(X.shape[0])
         votes = np.zeros((X.shape[0], len(self.classes_)), dtype=np.int64)
         for tree in self.trees_:

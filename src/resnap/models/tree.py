@@ -353,6 +353,31 @@ def check_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+def check_features(X, n_features: int | None, trees) -> np.ndarray:
+    """``X`` as a float matrix the fitted ``trees`` can descend, or ValidationError.
+
+    ``X`` must be 2-D with the ``n_features`` columns of the fitted data.
+    A model loaded with ``from_dict`` does not know that width
+    (``n_features`` is None); then ``X`` needs every column the trees
+    split on.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValidationError("X must be a 2-D matrix")
+    if n_features is not None:
+        if X.shape[1] != n_features:
+            raise ValidationError(
+                f"X has {X.shape[1]} columns, the model was fitted on {n_features}"
+            )
+    else:
+        needed = max((int(tree.feature.max()) + 1 for tree in trees), default=0)
+        if X.shape[1] < needed:
+            raise ValidationError(
+                f"X has {X.shape[1]} columns, the model splits on column {needed - 1}"
+            )
+    return X
+
+
 def distinct_rows(X: np.ndarray, codes: np.ndarray, n_classes: int):
     """The rows of ``X`` that differ bit for bit, and each one's class counts.
 
@@ -389,6 +414,7 @@ class DecisionTree:
         self.seed = seed
         self.classes_: np.ndarray | None = None
         self.tree_: Tree | None = None
+        self.n_features_in_: int | None = None  # None once loaded by from_dict
 
     def fit(self, X, y) -> "DecisionTree":
         """Fit on the distinct rows of ``X`` with their class counts.
@@ -397,6 +423,7 @@ class DecisionTree:
         tree is the one grown on the one-hot rows themselves.
         """
         X, y = check_training_data(X, y)
+        self.n_features_in_ = X.shape[1]
         self.classes_, codes = np.unique(y, return_inverse=True)
         X, counts = distinct_rows(X, codes, len(self.classes_))
         self.tree_ = grow(
@@ -413,7 +440,8 @@ class DecisionTree:
     def predict(self, X) -> np.ndarray:
         if self.tree_ is None:
             raise ValidationError("model is not fitted")
-        counts = self.tree_.value[self.tree_.apply(np.asarray(X, dtype=float))]
+        X = check_features(X, self.n_features_in_, [self.tree_])
+        counts = self.tree_.value[self.tree_.apply(X)]
         return self.classes_[np.argmax(counts, axis=1)]  # first max = lowest class id
 
     def root_split(self) -> tuple[int, float] | None:
@@ -460,9 +488,7 @@ class MajorityClassifier:
         self.label_: int | None = None
 
     def fit(self, X, y) -> "MajorityClassifier":
-        y = np.asarray(y)
-        if y.shape[0] == 0:
-            raise ValidationError("targets must be non-empty")
+        X, y = check_training_data(X, y)
         self.classes_, counts = np.unique(y, return_counts=True)
         self.label_ = int(self.classes_[counts == counts.max()].min())
         return self

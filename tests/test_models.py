@@ -41,6 +41,16 @@ def test_majority_empty_raises():
         MajorityClassifier().fit(np.zeros((0, 1)), [])
 
 
+@pytest.mark.parametrize(
+    "X, y",
+    [(np.zeros((5, 2)), np.zeros(3)), (np.zeros(5), np.zeros(5)), (np.zeros((5, 2)), np.zeros((5, 1)))],
+    ids=["short y", "1-D X", "2-D y"],
+)
+def test_majority_rejects_malformed_training_data(X, y):
+    with pytest.raises(ValidationError):
+        MajorityClassifier().fit(X, y)
+
+
 # --- decision tree -----------------------------------------------------------
 
 
@@ -302,3 +312,57 @@ def test_boosting_fit_stops_within_one_round_of_deadline(monkeypatch):
     with pytest.raises(CellTimeoutError):
         model.fit(X, y, deadline=2.5)
     assert len(model.rounds_) == 3
+
+
+# --- prediction input width -------------------------------------------------
+
+WIDTH_LEARNERS = [
+    lambda: DecisionTree(),
+    lambda: RandomForest(n_estimators=6, seed=1),
+    lambda: GradientBoostedTrees(n_estimators=3, max_depth=2, seed=1),
+]
+
+
+def _fitted_on_column_one(make):
+    """A model fitted on two columns whose labels follow column 1 only."""
+    X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]] * 5)
+    model = make().fit(X, X[:, 1].astype(int))
+    trees = getattr(model, "trees_", None) or [model]
+    if hasattr(model, "rounds_"):
+        assert max(int(t.feature.max()) for r in model.rounds_ for t in r) == 1
+    else:
+        assert max(int(t.tree_.feature.max()) for t in trees) == 1
+    return model
+
+
+def _predictions(model, X):
+    yield lambda: model.predict(X)
+    if hasattr(model, "staged_predict"):
+        yield lambda: next(iter(model.staged_predict(X)))
+
+
+@pytest.mark.parametrize("make", WIDTH_LEARNERS, ids=["tree", "forest", "boosted"])
+@pytest.mark.parametrize(
+    "X",
+    [np.zeros((3, 1)), np.zeros((3, 3)), np.zeros(3), np.zeros((3, 2, 1))],
+    ids=["narrower", "wider", "1-D", "3-D"],
+)
+def test_predict_rejects_X_of_another_width_or_rank(make, X):
+    model = _fitted_on_column_one(make)
+    for predict in _predictions(model, X):
+        with pytest.raises(ValidationError):
+            predict()
+    assert model.predict(np.zeros((3, 2))).shape == (3,)
+
+
+@pytest.mark.parametrize("make", WIDTH_LEARNERS, ids=["tree", "forest", "boosted"])
+def test_loaded_model_checks_x_against_its_largest_split_feature(make):
+    model = _fitted_on_column_one(make)
+    clone = type(model).from_dict(json.loads(json.dumps(model.to_dict())))
+    probe = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 5.0]])
+    # the fitted width is not part of the saved model, so a wider X is accepted
+    assert clone.predict(probe).tolist() == model.predict(probe[:, :2]).tolist()
+    for X in (np.zeros((3, 1)), np.zeros(3)):
+        for predict in _predictions(clone, X):
+            with pytest.raises(ValidationError):
+                predict()
