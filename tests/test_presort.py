@@ -359,15 +359,29 @@ def test_two_row_draws_cover_a_first_candidate_that_does_not_differ():
 
 
 def test_two_row_threshold_is_the_guarded_midpoint():
-    lo = 1.0
+    lo = np.nextafter(1.0, 2.0)  # odd last bit, so the halfway sum rounds to hi
     hi = np.nextafter(lo, 2.0)
-    X = np.array([[hi, 0.0], [lo, 0.0]])
+    assert (lo + hi) / 2.0 >= hi  # the plain midpoint rounds up to the larger value
+    X = np.array([[hi, hi], [lo, lo]])
     counts = np.array([[1, 0], [0, 1]], dtype=np.int64)
-    tree = grow(X, counts, max_features=1, rng=np.random.default_rng(0))
-    expected = reference_grow(X, counts, max_features=1, rng=np.random.default_rng(0))
-    assert_same_tree(tree, expected)
-    if tree.feature[0] == 0:
+    for seed in range(3):
+        tree = grow(X, counts, max_features=1, rng=np.random.default_rng(seed))
+        expected = reference_grow(X, counts, max_features=1, rng=np.random.default_rng(seed))
+        assert_same_tree(tree, expected)
         assert tree.threshold[0] == lo and tree.value[1].tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("max_features", [None, 1])
+def test_near_tie_is_decided_exactly(max_features):
+    """The two cuts score within the float window of each other; the second
+    is better in exact arithmetic, so the first in C order must not win."""
+    X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    counts = np.array([[82, 255], [122, 392], [109, 361]], dtype=np.int64)
+    rng = np.random.default_rng(0)
+    tree = grow(X, counts, max_features=max_features, rng=rng)
+    assert_same_tree(tree, reference_grow(X, counts, max_features=max_features,
+                                          rng=np.random.default_rng(0)))
+    assert tree.threshold[0] == 1.5
 
 
 @pytest.mark.parametrize("seed", range(4))
