@@ -23,7 +23,15 @@ import numpy as np
 
 from ..errors import ValidationError, check_deadline
 from ..seeding import derive_seed
-from .tree import Tree, check_features, check_training_data, grow, presort, sorted_cuts, subset_order
+from .tree import (
+    Tree,
+    check_features,
+    check_training_data,
+    grow,
+    presort,
+    sorted_cuts,
+    subset_order,
+)
 
 _EPS = 1e-12
 

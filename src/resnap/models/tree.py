@@ -24,6 +24,13 @@ rows of its data, each carrying its class counts, and a row of integer
 statistics weighs as many rows as its counts sum to; a bootstrap sample
 repeats most of its rows. Neither changes a tree: the cumulative sums
 read at the cuts are the ones the scan over every row computed.
+
+Forest trees are mostly small nodes, where numpy's per-call cost is the
+cost of a node. A node of one distinct row has no cut, and in a node of
+two distinct rows every cut has the same exact score, so neither runs
+the search (see :func:`grow`). Integer sums are exact, so a child's
+class counts come from its parent's search instead of a sum over its
+rows.
 """
 from __future__ import annotations
 
@@ -284,6 +291,7 @@ def grow(
                 candidates = features[draw]
             if rows.size == 2 and integer:
                 values = columns[candidates].take(rows, axis=1)
+                # a cut needs one value below the other, which no NaN is
                 rise = ((values[:, 0] < values[:, 1]) | (values[:, 1] < values[:, 0])).nonzero()[0]
                 if rise.size:
                     column = rise[0]

@@ -43,7 +43,11 @@ def test_majority_empty_raises():
 
 @pytest.mark.parametrize(
     "X, y",
-    [(np.zeros((5, 2)), np.zeros(3)), (np.zeros(5), np.zeros(5)), (np.zeros((5, 2)), np.zeros((5, 1)))],
+    [
+        (np.zeros((5, 2)), np.zeros(3)),
+        (np.zeros(5), np.zeros(5)),
+        (np.zeros((5, 2)), np.zeros((5, 1))),
+    ],
     ids=["short y", "1-D X", "2-D y"],
 )
 def test_majority_rejects_malformed_training_data(X, y):
@@ -323,15 +327,17 @@ WIDTH_LEARNERS = [
 ]
 
 
+def _trees(model):
+    if hasattr(model, "rounds_"):
+        return [tree for trees in model.rounds_ for tree in trees]
+    return [t.tree_ for t in getattr(model, "trees_", [model])]
+
+
 def _fitted_on_column_one(make):
     """A model fitted on two columns whose labels follow column 1 only."""
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]] * 5)
     model = make().fit(X, X[:, 1].astype(int))
-    trees = getattr(model, "trees_", None) or [model]
-    if hasattr(model, "rounds_"):
-        assert max(int(t.feature.max()) for r in model.rounds_ for t in r) == 1
-    else:
-        assert max(int(t.tree_.feature.max()) for t in trees) == 1
+    assert max(int(tree.feature.max()) for tree in _trees(model)) == 1
     return model
 
 
