@@ -52,14 +52,18 @@ def test_compare_dirs_reports_missing_and_differing_files(tmp_path):
         (d / "same.csv").write_bytes(b"x\n1\n")
     (a / "records.json").write_bytes(records(0.5))
     (b / "records.json").write_bytes(records(0.25))
+    (a / "accuracy.csv").write_bytes(b"m,acc\nforest,0.5\n")
+    (b / "accuracy.csv").write_bytes(b"m,acc\nforest,0.25\n")
     (a / "only_parent.csv").write_bytes(b"")
     (b / "only_change.json").write_bytes(b"{}")
     messages = compare_dirs(a, b)
     assert messages[0] == "only_parent.csv: only in the parent's exports"
     assert messages[1] == "only_change.json: only in the change's exports"
     assert messages[2].startswith("records.json: record 0 differs")
-    assert len(messages) == 3
+    assert messages[3].startswith("accuracy.csv: line 2 differs")
+    assert len(messages) == 4
     (b / "records.json").write_bytes(records(0.5))
+    (b / "accuracy.csv").write_bytes(b"m,acc\nforest,0.5\n")
     (a / "only_parent.csv").unlink()
     (b / "only_change.json").unlink()
     assert compare_dirs(a, b) == []

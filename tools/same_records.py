@@ -9,9 +9,10 @@ then runs ``resnap run --dataset bpic13s`` on each workload config of
 ``perfbench/workloads.py`` at that workload's worker count, in both
 checkouts. Both checkouts also run ``configs/example.json --dataset
 demo``. Each run writes its exports to a directory of its own, and the
-two sides' directories are compared file by file. For the first file
-that differs the tool prints the first differing record of a JSON
-records file, or the first differing line of any other file.
+two sides' directories are compared file by file. For every file that
+differs the tool prints the first differing record of a JSON records
+file, or the first differing line of any other file; records files come
+first.
 
 The workload configs come from the change checkout's ``perfbench/``;
 each side imports its own ``src/``. Exit status: 0 when every export is
@@ -57,12 +58,13 @@ def first_difference(name: str, parent: bytes, change: bytes) -> str | None:
 
 
 def compare_dirs(parent: Path, change: Path) -> list[str]:
-    """One message per file that is missing on one side or differs."""
+    """One message per file that is missing on one side or differs; the
+    records files come before the tables aggregated from them."""
     names_a = {p.name for p in parent.iterdir() if p.is_file()}
     names_b = {p.name for p in change.iterdir() if p.is_file()}
     messages = [f"{name}: only in the parent's exports" for name in sorted(names_a - names_b)]
     messages += [f"{name}: only in the change's exports" for name in sorted(names_b - names_a)]
-    for name in sorted(names_a & names_b):
+    for name in sorted(names_a & names_b, key=lambda name: (not name.startswith("records."), name)):
         message = first_difference(name, (parent / name).read_bytes(), (change / name).read_bytes())
         if message:
             messages.append(message)
@@ -124,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
             n_files = len(list(outs["change"].iterdir()))
             if messages:
                 differing += 1
-                print(f"{label}: DIFFERS\n" + messages[0])
+                print(f"{label}: DIFFERS\n" + "\n".join(messages))
             else:
                 print(f"{label}: {n_files} exports identical")
             sys.stdout.flush()
