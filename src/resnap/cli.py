@@ -16,17 +16,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-from .encodings import ENCODINGS
 from .errors import ConfigError, EmptyLogError, ParseError, ResnapError, ValidationError
 from .eventlog import EventLog, resource_view
-from .experiment import EXPERIMENT_MODELS, ExperimentConfig, run_experiment
+from .experiment import ExperimentConfig, run_experiment
 from .parsers import CsvMapping, parse_csv, parse_xes
 from .prefixes import DEFAULT_PREFIX_CANDIDATES, eligible_resources, prefix_grid
 from .profiling import profile
@@ -35,111 +36,97 @@ from .reporting import aggregate, export_results, load_records
 
 @dataclass
 class DatasetEntry:
-    dataset_id: str
-    path: Path
-    format: str
-    prefix_candidates: tuple[int, ...]
-    csv_mapping: CsvMapping | None
+    id: str
+    path: str
+    format: str = "xes"
+    prefix_candidates: tuple[int, ...] = DEFAULT_PREFIX_CANDIDATES
+    csv_mapping: CsvMapping | None = None
 
 
 @dataclass
 class CliConfig:
+    """The config file; ``experiment`` holds ExperimentConfig keyword arguments."""
+
     datasets: dict[str, DatasetEntry]
-    output_dir: Path
-    seed: int
-    experiment: dict[str, Any]
+    output_dir: str = "out"
+    seed: int = 0
+    experiment: dict[str, Any] = field(default_factory=dict)
 
 
-_CSV_COLUMNS = ("case", "activity", "resource", "timestamp")
+def _fields(cls, raw, what: str, skip: tuple[str, ...] = ()) -> dict:
+    """``raw`` if it is a JSON object of keyword arguments for the dataclass
+    ``cls`` (bar the fields in ``skip``), with a string for every ``str``
+    field; else a ConfigError naming ``what`` and the key."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {raw!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in skip}
+    unknown = [key for key in raw if key not in fields]
+    if unknown:
+        raise ConfigError(
+            f"{what} has unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(fields)}"
+        )
+    missing = [
+        name for name, f in fields.items()
+        if name not in raw and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ConfigError(f"{what} has no {', '.join(map(repr, missing))}")
+    types = typing.get_type_hints(cls)
+    for key, value in raw.items():
+        if types[key] in (str, str | None) and not isinstance(value, str):
+            if types[key] is str or value is not None:
+                raise ConfigError(f"{what}: {key} must be a string, got {value!r}")
+    return raw
 
 
-def _number(section: dict, key: str, default, cast):
-    """``cast(section[key])`` (or of ``default``), as a ConfigError if it fails."""
-    value = section.get(key, default)
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        kind = "an integer" if cast is int else "a number"
-        raise ConfigError(f"{key} must be {kind}, got {value!r}") from None
+def _dataset(i: int, raw) -> DatasetEntry:
+    entry = DatasetEntry(**_fields(DatasetEntry, raw, f"dataset entry {i}"))
+    what = f"dataset {entry.id!r}"
+    if entry.format not in ("xes", "csv"):
+        raise ConfigError(f"{what}: format must be 'xes' or 'csv', got {entry.format!r}")
+    if entry.csv_mapping is not None:
+        mapping = CsvMapping(**_fields(CsvMapping, entry.csv_mapping, f"{what}: csv_mapping"))
+        if len(mapping.delimiter) != 1:
+            raise ConfigError(f"{what}: delimiter must be one character, got {mapping.delimiter!r}")
+        entry.csv_mapping = mapping
+    elif entry.format == "csv":
+        raise ConfigError(f"{what} needs a csv_mapping")
+    return entry
 
 
-def _object(value, what: str) -> dict:
-    """``value`` if it is a JSON object, else a ConfigError naming ``what``."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
-    return value
-
-
-def _list(
-    section: dict, key: str, default, is_item: Callable[[object], bool], items: str
-) -> list:
-    """``section[key]`` (or ``default``) as a list whose every entry passes
-    ``is_item``, else a ConfigError saying it must be a list of ``items``."""
-    value = section.get(key, default)
-    if not isinstance(value, (list, tuple)) or not all(map(is_item, value)):
-        raise ConfigError(f"{key} must be a list of {items}, got {value!r}")
-    return list(value)
-
-
-def _load_config(path: str) -> CliConfig:
-    config_path = Path(path)
+def _load_config(args: argparse.Namespace) -> CliConfig:
+    """The config file with the --seed and --workers overrides, all checked."""
+    config_path = Path(args.config)
     if not config_path.exists():
         raise ConfigError(f"config file not found: {config_path}")
     try:
         raw = json.loads(config_path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    raw = _object(raw, "the config")
+    raw = _fields(CliConfig, raw, "the config")
+    if not isinstance(raw["datasets"], list) or not raw["datasets"]:
+        raise ConfigError(f"datasets must be a list of objects, not empty, got {raw['datasets']!r}")
     datasets: dict[str, DatasetEntry] = {}
-    entries = _list(raw, "datasets", [], lambda v: isinstance(v, dict), "objects")
-    for i, entry in enumerate(entries):
-        missing = [key for key in ("id", "path") if key not in entry]
-        if missing:
-            raise ConfigError(f"dataset entry {i} has no {' or '.join(map(repr, missing))}")
-        mapping = None
-        if "csv_mapping" in entry:
-            m = _object(entry["csv_mapping"], f"dataset {entry['id']!r}: csv_mapping")
-            missing = [key for key in _CSV_COLUMNS if key not in m]
-            if missing:
-                raise ConfigError(
-                    f"dataset {entry['id']!r}: csv_mapping has no {', '.join(map(repr, missing))}"
-                )
-            mapping = CsvMapping(
-                case=m["case"],
-                activity=m["activity"],
-                resource=m["resource"],
-                timestamp=m["timestamp"],
-                timestamp_format=m.get("timestamp_format"),
-                delimiter=m.get("delimiter", ","),
-            )
-        fmt = entry.get("format", "xes")
-        if fmt not in ("xes", "csv"):
-            raise ConfigError(f"unknown dataset format {fmt!r}")
-        if fmt == "csv" and mapping is None:
-            raise ConfigError(f"dataset {entry.get('id')!r} needs a csv_mapping")
-        datasets[entry["id"]] = DatasetEntry(
-            dataset_id=entry["id"],
-            path=Path(entry["path"]),
-            format=fmt,
-            prefix_candidates=tuple(
-                _list(
-                    entry,
-                    "prefix_candidates",
-                    DEFAULT_PREFIX_CANDIDATES,
-                    lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-                    "positive integers",
-                )
-            ),
-            csv_mapping=mapping,
-        )
-    if not datasets:
-        raise ConfigError("config declares no datasets")
-    return CliConfig(
-        datasets=datasets,
-        output_dir=Path(raw.get("output_dir", "out")),
-        seed=_number(raw, "seed", 0, int),
-        experiment=_object(raw.get("experiment", {}), "experiment"),
-    )
+    for i, item in enumerate(raw["datasets"]):
+        entry = _dataset(i, item)
+        if entry.id in datasets:
+            raise ConfigError(f"dataset entry {i}: id {entry.id!r} is already declared")
+        datasets[entry.id] = entry
+    config = CliConfig(**{**raw, "datasets": datasets})
+    # the dataset entry and the seed fill the other ExperimentConfig fields
+    skip = ("dataset_id", "prefix_candidates", "seed")
+    config.experiment = {
+        "workers": os.cpu_count() or 1,
+        **_fields(ExperimentConfig, config.experiment, "experiment", skip),
+    }
+    if args.seed is not None:
+        config.seed = args.seed
+    if args.workers is not None:
+        config.experiment["workers"] = args.workers
+    for entry in datasets.values():
+        _experiment_config(config, entry).validate()
+    return config
 
 
 def _select_dataset(config: CliConfig, dataset_id: str | None) -> DatasetEntry:
@@ -154,7 +141,7 @@ def _select_dataset(config: CliConfig, dataset_id: str | None) -> DatasetEntry:
 
 
 def _load_log(entry: DatasetEntry) -> EventLog:
-    if not entry.path.exists():
+    if not os.path.exists(entry.path):
         raise ConfigError(f"dataset file not found: {entry.path}")
     print(f"parsing {entry.path} ...", file=sys.stderr)
     if entry.format == "xes":
@@ -162,59 +149,40 @@ def _load_log(entry: DatasetEntry) -> EventLog:
     return parse_csv(entry.path, entry.csv_mapping)
 
 
-def _experiment_config(
-    config: CliConfig, entry: DatasetEntry, args: argparse.Namespace
-) -> ExperimentConfig:
-    exp = config.experiment
-    seed = args.seed if args.seed is not None else config.seed
-    if args.workers is not None:
-        workers = args.workers
-    else:
-        workers = _number(exp, "workers", os.cpu_count() or 1, int)
-    grids = dict(_object(exp.get("grids", {}), "experiment.grids"))
+def _experiment_config(config: CliConfig, entry: DatasetEntry) -> ExperimentConfig:
     return ExperimentConfig(
-        dataset_id=entry.dataset_id,
+        dataset_id=entry.id,
         prefix_candidates=entry.prefix_candidates,
-        min_resources=_number(exp, "min_resources", 100, int),
-        encodings=tuple(_list(exp, "encodings", ENCODINGS, lambda v: isinstance(v, str), "names")),
-        models=tuple(
-            _list(exp, "models", EXPERIMENT_MODELS, lambda v: isinstance(v, str), "names")
-        ),
-        split_ratio=_number(exp, "split_ratio", 0.8, float),
-        seed=seed,
-        cv_folds=_number(exp, "cv_folds", 3, int),
-        mi_k=_number(exp, "mi_k", 20, int),
-        grids=grids,
-        cell_timeout=exp.get("cell_timeout"),
-        workers=workers,
+        seed=config.seed,
+        **config.experiment,
     )
 
 
 def _out_dir(config: CliConfig, args: argparse.Namespace) -> Path:
-    out = Path(args.out) if args.out else config.output_dir
+    out = Path(args.out or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     entry = _select_dataset(config, args.dataset)
     log = _load_log(entry)
     prof = profile(log)
     out = _out_dir(config, args)
     data = prof.as_dict()
-    json_path = out / f"{entry.dataset_id}_profile.json"
+    json_path = out / f"{entry.id}_profile.json"
     json_path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    csv_path = out / f"{entry.dataset_id}_profile.csv"
+    csv_path = out / f"{entry.id}_profile.csv"
     with open(csv_path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         keys = sorted(data)
         writer.writerow(["dataset"] + keys)
-        writer.writerow([entry.dataset_id] + [repr(data[k]) if isinstance(data[k], float) else data[k] for k in keys])
+        writer.writerow([entry.id] + [repr(data[k]) if isinstance(data[k], float) else data[k] for k in keys])
     if args.quiet:
-        print(json.dumps({"dataset": entry.dataset_id, **data}, sort_keys=True))
+        print(json.dumps({"dataset": entry.id, **data}, sort_keys=True))
     else:
-        print(f"dataset: {entry.dataset_id}")
+        print(f"dataset: {entry.id}")
         print(f"  cases: {prof.n_cases}  events: {prof.n_events}")
         print(f"  activities: {prof.n_activities}  resources: {prof.n_resources}")
         print(f"  dropped events (no resource): {log.dropped_event_count}")
@@ -228,9 +196,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     entry = _select_dataset(config, args.dataset)
-    min_resources = _number(config.experiment, "min_resources", 100, int)
+    min_resources = _experiment_config(config, entry).min_resources
     log = _load_log(entry)
     view = resource_view(log)
     admissible = prefix_grid(view, entry.prefix_candidates, min_resources)
@@ -254,12 +222,10 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     entry = _select_dataset(config, args.dataset)
-    cfg = _experiment_config(config, entry, args)
-    cfg.validate()
     log = _load_log(entry)
-    records = run_experiment(log, cfg)
+    records = run_experiment(log, _experiment_config(config, entry))
     table = aggregate(records)
     out = _out_dir(config, args)
     written = export_results(records, table, out)
@@ -268,7 +234,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(
             json.dumps(
                 {
-                    "dataset": entry.dataset_id,
+                    "dataset": entry.id,
                     "records": len(records),
                     "failed": len(failed),
                     "files": [str(p) for p in written],
@@ -291,7 +257,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     out = _out_dir(config, args)
     records_path = Path(args.records) if args.records else out / "records.json"
     if not records_path.exists():

@@ -35,6 +35,7 @@ from .prefixes import (
     DEFAULT_PREFIX_CANDIDATES,
     PrefixDataset,
     build_prefix_dataset,
+    check_candidates,
     fit_label_encoder,
     prefix_grid,
 )
@@ -63,29 +64,40 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self) -> None:
-        if not (0.0 < self.split_ratio < 1.0):
-            raise ConfigError("split_ratio must be strictly between 0 and 1")
+        """Raise ConfigError naming the first field of the wrong type or range."""
+        check_candidates(self.prefix_candidates)
+        for key, known in (("encodings", ENCODINGS), ("models", EXPERIMENT_MODELS)):
+            names = getattr(self, key)
+            if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+                raise ConfigError(f"{key} must be a list of names, got {names!r}")
+            unknown = [n for n in names if n not in known]
+            if unknown:
+                raise ConfigError(f"unknown {key}: {', '.join(unknown)}")
+            if len(set(names)) < len(names):
+                raise ConfigError(f"{key} must not repeat a name, got {names!r}")
         if not self.encodings or not self.models:
             raise ConfigError("at least one encoding and one model are required")
-        unknown_enc = [e for e in self.encodings if e not in ENCODINGS]
-        if unknown_enc:
-            raise ConfigError(f"unknown encodings: {', '.join(unknown_enc)}")
-        unknown_models = [m for m in self.models if m not in EXPERIMENT_MODELS]
-        if unknown_models:
-            raise ConfigError(f"unknown models: {', '.join(unknown_models)}")
-        for model, grid in self.grids.items():
-            check_grid(model, grid)
-        if self.workers < 1:
-            raise ConfigError(f"workers must be at least 1, got {self.workers!r}")
-        if self.cv_folds < 2:
-            raise ConfigError(f"cv_folds must be at least 2, got {self.cv_folds!r}")
-        if self.mi_k < 0:
-            raise ConfigError(f"mi_k must be non-negative, got {self.mi_k!r}")
+        ratio = self.split_ratio
+        if isinstance(ratio, bool) or not isinstance(ratio, numbers.Real) or not 0 < ratio < 1:
+            raise ConfigError(f"split_ratio must be a number strictly between 0 and 1, got {ratio!r}")
+        for key, low in (
+            ("seed", None), ("min_resources", 1), ("cv_folds", 2), ("mi_k", 0), ("workers", 1)
+        ):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            if low is not None and value < low:
+                bound = "non-negative" if low == 0 else f"at least {low}"
+                raise ConfigError(f"{key} must be {bound}, got {value!r}")
         timeout = self.cell_timeout
         if timeout is not None and (
             isinstance(timeout, bool) or not isinstance(timeout, numbers.Real) or not timeout > 0
         ):
             raise ConfigError(f"cell_timeout must be null or a positive number, got {timeout!r}")
+        if not isinstance(self.grids, Mapping):
+            raise ConfigError(f"experiment.grids must be a JSON object, got {self.grids!r}")
+        for model, grid in self.grids.items():
+            check_grid(model, grid)
 
     def grid_for(self, model: str) -> Mapping[str, Sequence]:
         if model in self.grids:
@@ -227,9 +239,7 @@ def _encode(
         return encode_scap(ds, cap)
     if encoding == "S2g":
         return encode_s2g(ds, selection)
-    if encoding == "S2gR":
-        return encode_s2gr(ds, selection)
-    raise ConfigError(f"unknown encoding {encoding!r}")
+    return encode_s2gr(ds, selection)  # validate() admits no other encoding
 
 
 def run_experiment(log: EventLog, cfg: ExperimentConfig) -> list[ResultRecord]:

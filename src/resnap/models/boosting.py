@@ -25,6 +25,7 @@ from ..errors import ValidationError, check_deadline
 from ..seeding import derive_seed
 from .tree import (
     Tree,
+    check_estimators,
     check_features,
     check_training_data,
     grow,
@@ -79,6 +80,7 @@ class GradientBoostedTrees:
         Before each round, raise :class:`CellTimeoutError` once
         ``time.monotonic()`` has passed ``deadline``.
         """
+        check_estimators(self.n_estimators)
         X, y = check_training_data(X, y)
         self.n_features_in_ = X.shape[1]
         self.classes_ = np.unique(y)

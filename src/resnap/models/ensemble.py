@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import ValidationError, check_deadline
 from ..seeding import derive_seed
-from .tree import DecisionTree, check_features, check_training_data
+from .tree import DecisionTree, check_estimators, check_features, check_training_data
 
 
 class RandomForest:
@@ -54,6 +54,7 @@ class RandomForest:
         Before each tree, raise :class:`CellTimeoutError` once
         ``time.monotonic()`` has passed ``deadline``.
         """
+        check_estimators(self.n_estimators)
         X, y = check_training_data(X, y)
         self.n_features_in_ = X.shape[1]
         self.classes_ = np.unique(y)

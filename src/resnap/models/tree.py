@@ -34,6 +34,7 @@ rows.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -349,29 +350,37 @@ def grow(
 def check_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     """``X`` as a float matrix and ``y`` as an array, or ValidationError.
 
-    ``X`` must be a non-empty 2-D matrix and ``y`` a 1-D array with one
-    label per row of ``X``.
+    ``X`` must be a non-empty 2-D matrix of finite values and ``y`` a 1-D
+    array with one label per row of ``X``.
     """
-    X = np.asarray(X, dtype=float)
+    X = check_features(X, None, [])
     y = np.asarray(y)
-    if X.ndim != 2 or X.shape[0] == 0:
+    if X.shape[0] == 0:
         raise ValidationError("training data must be a non-empty 2-D matrix")
     if y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise ValidationError("X and y must have equal length")
     return X, y
 
 
+def check_estimators(n) -> None:
+    """ValidationError unless the tree or round count ``n`` is a positive integer."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValidationError(f"n_estimators must be a positive integer, got {n!r}")
+
+
 def check_features(X, n_features: int | None, trees) -> np.ndarray:
     """``X`` as a float matrix the fitted ``trees`` can descend, or ValidationError.
 
-    ``X`` must be 2-D with the ``n_features`` columns of the fitted data.
-    A model loaded with ``from_dict`` does not know that width
+    ``X`` must be 2-D and finite, with the ``n_features`` columns of the
+    fitted data. A model loaded with ``from_dict`` does not know that width
     (``n_features`` is None); then ``X`` needs every column the trees
     split on.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValidationError("X must be a 2-D matrix")
+    if not np.isfinite(X).all():
+        raise ValidationError("X must not hold NaN or infinite values")
     if n_features is not None:
         if X.shape[1] != n_features:
             raise ValidationError(
@@ -494,9 +503,11 @@ class MajorityClassifier:
         self.seed = seed
         self.classes_: np.ndarray | None = None
         self.label_: int | None = None
+        self.n_features_in_: int | None = None  # None once loaded by from_dict
 
     def fit(self, X, y) -> "MajorityClassifier":
         X, y = check_training_data(X, y)
+        self.n_features_in_ = X.shape[1]
         self.classes_, counts = np.unique(y, return_counts=True)
         self.label_ = int(self.classes_[counts == counts.max()].min())
         return self
@@ -504,7 +515,8 @@ class MajorityClassifier:
     def predict(self, X) -> np.ndarray:
         if self.label_ is None:
             raise ValidationError("model is not fitted")
-        return np.full(np.asarray(X).shape[0], self.label_, dtype=np.int64)
+        X = check_features(X, self.n_features_in_, [])
+        return np.full(X.shape[0], self.label_, dtype=np.int64)
 
     def to_dict(self) -> dict:
         return {

@@ -9,6 +9,7 @@ always exists.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -112,6 +113,22 @@ def build_prefix_dataset(
     return PrefixDataset(prefix_length=prefix_length, samples=tuple(samples), encoder=encoder)
 
 
+def check_candidates(lengths) -> None:
+    """ConfigError unless ``lengths`` is a non-empty list of strictly
+    ascending positive integers."""
+    if not (
+        isinstance(lengths, (list, tuple))
+        and lengths
+        and all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in lengths)
+        and lengths[0] >= 1
+        and all(a < b for a, b in zip(lengths, lengths[1:]))
+    ):
+        raise ConfigError(
+            "prefix_candidates must be a list of positive integers, non-empty and "
+            f"strictly ascending, got {lengths!r}"
+        )
+
+
 def prefix_grid(
     view: ResourceView,
     candidate_lengths: Sequence[int],
@@ -122,12 +139,7 @@ def prefix_grid(
     Candidates after the first one whose eligible-resource count drops
     below ``min_resources`` are discarded.
     """
-    if not candidate_lengths:
-        raise ConfigError("candidate prefix lengths must be non-empty")
-    if any(length < 1 for length in candidate_lengths):
-        raise ConfigError("candidate prefix lengths must be positive")
-    if any(a >= b for a, b in zip(candidate_lengths, candidate_lengths[1:])):
-        raise ConfigError("candidate prefix lengths must be strictly ascending")
+    check_candidates(candidate_lengths)
     kept: list[int] = []
     for length in candidate_lengths:
         if len(eligible_resources(view, length)) < min_resources:

@@ -186,6 +186,7 @@ def _wide_rows(cells: Sequence[AggregateCell]) -> tuple[list[str], list[list]]:
 
 
 def _export_wide(cells: Sequence[AggregateCell], path: Path) -> Path:
+    """Write a wide table as CSV, or else as JSON."""
     header, rows = _wide_rows(cells)
     if path.suffix == ".csv":
         with open(path, "w", newline="") as handle:
@@ -193,27 +194,20 @@ def _export_wide(cells: Sequence[AggregateCell], path: Path) -> Path:
             writer.writerow(header)
             for row in rows:
                 writer.writerow([_fmt(v) for v in row])
-    elif path.suffix == ".json":
+    else:
         payload = [dict(zip(header, row)) for row in rows]
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        raise ConfigError(f"unsupported table format {path.suffix!r}")
     return path
 
 
 def export_results(
-    records: Sequence[ResultRecord],
-    table: AggregateTable,
-    out_dir: str | Path,
-    formats: Sequence[str] = ("csv", "json"),
+    records: Sequence[ResultRecord], table: AggregateTable, out_dir: str | Path
 ) -> list[Path]:
-    """Write records plus both aggregate tables in each requested format."""
+    """Write records plus both aggregate tables, as CSV and as JSON."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    for fmt in formats:
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"unsupported export format {fmt!r}")
+    for fmt in ("csv", "json"):
         written.append(export_records(records, out_dir / f"records.{fmt}"))
         written.append(_export_wide(table.accuracy, out_dir / f"accuracy_by_model.{fmt}"))
         written.append(

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from resnap.cli import main
+from resnap.cli import _load_config, build_parser, main
 from resnap.reporting import load_records
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_fixture_csv(path: Path, n_resources: int = 12, events_each: int = 6) -> None:
@@ -384,3 +388,93 @@ def test_run_bad_cv_folds_or_mi_k_exits_two_before_parsing(fixture_env, capsys, 
     assert main(["run", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert message in err and "parsing" not in err
+
+
+DATASET = ("datasets", 0)
+MAPPING = ("datasets", 0, "csv_mapping")
+EXPERIMENT = ("experiment",)
+
+
+def _put(path, key, value):
+    def edit(config):
+        target = config
+        for step in path:
+            target = target[step]
+        target[key] = value
+    return edit
+
+
+def _repeat_dataset(config):
+    config["datasets"].append(dict(config["datasets"][0]))
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (_put((), "output_dir", 5), "output_dir must be a string"),
+        (_put(DATASET, "path", 5), "path must be a string"),
+        (_put(DATASET, "id", ["x"]), "id must be a string"),
+        (_put(MAPPING, "delimiter", ";;"), "delimiter must be one character"),
+        (_put(MAPPING, "timestamp_format", 5), "timestamp_format must be a string"),
+        (_put(MAPPING, "case", 3), "case must be a string"),
+        (_put(DATASET, "prefix_candidates", [5, 3]), "prefix_candidates must be"),
+        (_put(DATASET, "prefix_candidates", []), "prefix_candidates must be"),
+        (_put((), "ouput_dir", "out"), "unknown key(s) 'ouput_dir'"),
+        (_put(DATASET, "prefix_candidate", [3]), "unknown key(s) 'prefix_candidate'"),
+        (_put(MAPPING, "delimeter", ";"), "unknown key(s) 'delimeter'"),
+        (_put(EXPERIMENT, "mi_K", 5), "unknown key(s) 'mi_K'"),
+        (_put(EXPERIMENT, "mi_k", True), "mi_k must be an integer"),
+        (_put(EXPERIMENT, "workers", 1.7), "workers must be an integer"),
+        (_put((), "seed", "3"), "seed must be an integer"),
+        (_put(EXPERIMENT, "cv_folds", 2.9), "cv_folds must be an integer"),
+        (_put(EXPERIMENT, "split_ratio", "0.5"), "split_ratio must be a number"),
+        (_put(EXPERIMENT, "min_resources", False), "min_resources must be an integer"),
+        (_put(EXPERIMENT, "min_resources", -5), "min_resources must be at least 1"),
+        (_repeat_dataset, "id 'fixture' is already declared"),
+        (_put(EXPERIMENT, "encodings", ["SeqOnly", "SeqOnly"]), "encodings must not repeat"),
+    ],
+    ids=[
+        "output_dir-number", "path-number", "id-list", "delimiter-two-chars",
+        "timestamp_format-number", "case-number", "candidates-descending", "candidates-empty",
+        "ouput_dir", "prefix_candidate", "delimeter", "mi_K", "mi_k-true", "workers-fraction",
+        "seed-string", "cv_folds-fraction", "split_ratio-string", "min_resources-false",
+        "min_resources-negative", "repeated-dataset-id", "repeated-encoding",
+    ],
+)
+def test_every_command_rejects_a_config_off_the_schema_before_parsing(
+    fixture_env, capsys, edit, named
+):
+    tmp_path, data = fixture_env
+    config_path = _edited_config(tmp_path, data, edit)
+    for command in ("profile", "grid", "run", "report"):
+        assert main([command, "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert named in err, (command, err)
+        assert "parsing" not in err and "not found" not in err
+
+
+def _readme_config() -> dict:
+    readme = (ROOT / "README.md").read_text()
+    return json.loads(re.search(r"### Config schema\s+```json\n(.*?)```", readme, re.S)[1])
+
+
+def _shipped_configs():
+    yield "example", json.loads((ROOT / "configs" / "example.json").read_text())
+    yield "readme", _readme_config()
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    for name, workload in WORKLOADS.items():
+        yield name, workload.config(Path("log.csv"), Path("log.xes.gz"), seed=1)
+
+
+SHIPPED = dict(_shipped_configs())
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_every_shipped_or_documented_config_passes_the_schema(tmp_path, name):
+    config = SHIPPED[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config))
+    loaded = _load_config(build_parser().parse_args(["run", "--config", str(path)]))
+    assert sorted(loaded.datasets) == sorted(d["id"] for d in config["datasets"])

@@ -372,3 +372,43 @@ def test_loaded_model_checks_x_against_its_largest_split_feature(make):
         for predict in _predictions(clone, X):
             with pytest.raises(ValidationError):
                 predict()
+
+
+# --- training and prediction input -------------------------------------------
+
+ALL_LEARNERS = WIDTH_LEARNERS + [lambda: MajorityClassifier()]
+
+
+@pytest.mark.parametrize("make", ALL_LEARNERS, ids=["tree", "forest", "boosted", "majority"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_fit_and_predict_reject_non_finite_X(make, bad):
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        make().fit([[0.0], [bad], [1.0], [2.0]], [0, 1, 0, 1])
+    model = make().fit([[0.0], [3.0], [1.0], [2.0]], [0, 1, 0, 1])
+    for predict in _predictions(model, np.array([[0.0], [bad]])):
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            predict()
+
+
+@pytest.mark.parametrize(
+    "X",
+    [5, np.zeros(3), np.zeros((3, 1)), np.zeros((3, 3)), np.zeros((3, 2, 1))],
+    ids=["scalar", "1-D", "narrower", "wider", "3-D"],
+)
+def test_majority_predict_checks_X_like_the_tree_learners(X):
+    model = MajorityClassifier().fit(np.zeros((4, 2)), [1, 0, 1, 1])
+    with pytest.raises(ValidationError):
+        model.predict(X)
+    assert model.predict(np.zeros((3, 2))).tolist() == [1, 1, 1]
+    # the fitted width is not part of the saved model, so a loaded one takes any width
+    assert sorted(model.to_dict()) == ["classes", "kind", "label", "seed"]
+    clone = MajorityClassifier.from_dict(json.loads(json.dumps(model.to_dict())))
+    assert clone.predict(np.zeros((2, 5))).tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("make", [RandomForest, GradientBoostedTrees], ids=["forest", "boosted"])
+@pytest.mark.parametrize("n_estimators", [0, -1, 2.5, True])
+def test_ensemble_fit_rejects_n_estimators_that_is_not_a_positive_integer(make, n_estimators):
+    with pytest.raises(ValidationError, match="n_estimators must be a positive integer"):
+        make(n_estimators=n_estimators).fit(np.eye(3), [0, 1, 2])
+    assert make(n_estimators=np.int64(2)).fit(np.eye(3), [0, 1, 2]).predict(np.eye(3)).shape == (3,)

@@ -139,7 +139,7 @@ def test_wide_table_layout(tmp_path):
             record(encoding="S2g", accuracy=0.75),
         ]
     )
-    written = export_results([], table, tmp_path, formats=("csv",))
+    written = export_results([], table, tmp_path)
     acc_file = next(p for p in written if p.name == "accuracy_by_model.csv")
     lines = acc_file.read_text().strip().splitlines()
     assert lines[0] == "model,SeqOnly_mean,SeqOnly_std,S2g_mean,S2g_std"

@@ -5,9 +5,14 @@ import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-from same_records import compare_dirs, first_difference  # noqa: E402
+import bpic13  # noqa: E402
+import same_records  # noqa: E402
+from same_records import cases, compare_dirs, first_difference, run_resnap  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 
 def records(*accuracies) -> bytes:
@@ -67,3 +72,43 @@ def test_compare_dirs_reports_missing_and_differing_files(tmp_path):
     (a / "only_parent.csv").unlink()
     (b / "only_change.json").unlink()
     assert compare_dirs(a, b) == []
+
+
+def test_cases_run_grid_and_profile_every_seed_and_the_example(tmp_path, monkeypatch):
+    monkeypatch.setattr(bpic13, "generate", lambda seed, out: (out / "x.xes.gz", out / "c.csv", None))
+    runs = dict(cases(ROOT, [7], tmp_path))
+    first = next(iter(WORKLOADS))
+    expected = []
+    for name, workload in WORKLOADS.items():
+        expected += [f"{name} seed 7 run", f"{name} seed 7 grid"]
+        if name == first:
+            expected += ["seed 7 profile bpic13s", "seed 7 profile bpic13s_xes"]
+    assert list(runs) == expected + ["example run", "example profile", "example grid"]
+    for name, workload in WORKLOADS.items():
+        run = runs[f"{name} seed 7 run"]
+        assert run[0] == "run" and run[-4:] == ["--seed", "7", "--workers", str(workload.workers)]
+        config = json.loads(Path(run[run.index("--config") + 1]).read_text())
+        assert config == workload.config(tmp_path / "log7" / "c.csv", tmp_path / "log7" / "x.xes.gz", 7)
+    assert runs["seed 7 profile bpic13s_xes"][-2:] == ["--dataset", "bpic13s_xes"]
+    assert runs["example grid"] == ["grid", "--config", str(ROOT / "configs" / "example.json"),
+                                    "--dataset", "demo"]
+
+
+def test_grid_output_is_saved_as_an_export(tmp_path):
+    out = tmp_path / "out"
+    run_resnap(ROOT, ["grid", "--config", str(ROOT / "configs" / "example.json"),
+                      "--dataset", "demo"], out)
+    assert sorted(json.loads((out / "grid.json").read_text())) == ["admissible", "counts"]
+
+
+def test_main_compares_profile_and_grid_exports(tmp_path, monkeypatch, capsys):
+    example = dict(cases(ROOT, [], tmp_path))
+    monkeypatch.setattr(same_records, "cases", lambda change, seeds, work: [
+        (label, run) for label, run in example.items() if label != "example run"
+    ])
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--work", str(tmp_path / "work")]
+    assert same_records.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "example profile: 2 exports identical",
+        "example grid: 1 exports identical",
+    ]

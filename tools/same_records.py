@@ -4,15 +4,18 @@ Usage (from anywhere; needs numpy, like the benchmark):
 
     python3 tools/same_records.py --parent ../parent --change . --seeds 1 2 3
 
-For every seed it writes the benchmark's seeded BPIC13-shaped log once,
-then runs ``resnap run --dataset bpic13s`` on each workload config of
-``perfbench/workloads.py`` at that workload's worker count, in both
-checkouts. Both checkouts also run ``configs/example.json --dataset
-demo``. Each run writes its exports to a directory of its own, and the
-two sides' directories are compared file by file. For every file that
-differs the tool prints the first differing record of a JSON records
-file, or the first differing line of any other file; records files come
-first.
+For every seed it writes the benchmark's seeded BPIC13-shaped log once.
+On each workload config of ``perfbench/workloads.py`` it then runs
+``resnap run --dataset bpic13s`` at that workload's worker count and
+``resnap grid --dataset bpic13s``; on the first workload config it also
+runs ``resnap profile`` for both of its datasets. Both checkouts also run
+``configs/example.json --dataset demo`` through ``run``, ``profile`` and
+``grid``. Every run has an export directory of its own on each side;
+``grid`` has no export files, so its ``--quiet`` output is saved there
+as ``grid.json``. The two sides' directories are compared file by file.
+For every file that differs the tool prints the first differing record
+of a JSON records file, or the first differing line of any other file;
+records files come first.
 
 The workload configs come from the change checkout's ``perfbench/``;
 each side imports its own ``src/``. Exit status: 0 when every export is
@@ -71,27 +74,42 @@ def compare_dirs(parent: Path, change: Path) -> list[str]:
     return messages
 
 
-def run_resnap(checkout: Path, argv: list[str]) -> None:
+def run_resnap(checkout: Path, argv: list[str], out: Path) -> None:
+    """Run ``resnap`` from ``checkout`` with ``--quiet --out out``; the
+    ``grid`` command's stdout goes to ``out/grid.json``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    out = subprocess.run([sys.executable, "-m", "resnap.cli", *argv], cwd=checkout, env=env,
-                         capture_output=True, text=True, check=False, timeout=1800)
-    if out.returncode != 0:
-        raise RuntimeError(f"{checkout}: resnap {' '.join(argv)} exited {out.returncode}\n"
-                           f"{out.stderr.strip()[-2000:]}")
+    argv = [*argv, "--quiet", "--out", str(out)]
+    done = subprocess.run([sys.executable, "-m", "resnap.cli", *argv], cwd=checkout, env=env,
+                          capture_output=True, text=True, check=False, timeout=1800)
+    if done.returncode != 0:
+        raise RuntimeError(f"{checkout}: resnap {' '.join(argv)} exited {done.returncode}\n"
+                           f"{done.stderr.strip()[-2000:]}")
+    if argv[0] == "grid":
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "grid.json").write_text(done.stdout)
 
 
 def cases(change: Path, seeds: list[int], work: Path):
-    """(label, config path, dataset, seed or None, workers or None) of every run."""
+    """(label, resnap argv without ``--quiet`` and ``--out``) of every run."""
     sys.path.insert(0, str(change / "perfbench"))
     import bpic13
     from workloads import WORKLOADS
 
     for seed in seeds:
         xes, csv, _ = bpic13.generate(seed, work / f"log{seed}")
-        for name, workload in WORKLOADS.items():
-            config = workload.write_config(work / f"{name}-{seed}.json", csv, xes, seed)
-            yield f"{name} seed {seed}", config, "bpic13s", seed, workload.workers
-    yield "example", change / EXAMPLE_CONFIG, "demo", None, None
+        for i, (name, workload) in enumerate(WORKLOADS.items()):
+            config = str(workload.write_config(work / f"{name}-{seed}.json", csv, xes, seed))
+            label = f"{name} seed {seed}"
+            yield f"{label} run", ["run", "--config", config, "--dataset", "bpic13s",
+                                   "--seed", str(seed), "--workers", str(workload.workers)]
+            yield f"{label} grid", ["grid", "--config", config, "--dataset", "bpic13s"]
+            if i == 0:  # the workloads share the log, so one config serves every profile
+                for dataset in ("bpic13s", "bpic13s_xes"):
+                    yield f"seed {seed} profile {dataset}", ["profile", "--config", config,
+                                                             "--dataset", dataset]
+    example = str(change / EXAMPLE_CONFIG)
+    for command in ("run", "profile", "grid"):
+        yield f"example {command}", [command, "--config", example, "--dataset", "demo"]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -107,18 +125,11 @@ def main(argv: list[str] | None = None) -> int:
         work = (args.work or Path(tmp)).resolve()
         work.mkdir(parents=True, exist_ok=True)
         differing = 0
-        for i, (label, config, dataset, seed, workers) in enumerate(
-            cases(sides["change"], args.seeds, work)
-        ):
-            outs = {}
+        for i, (label, run) in enumerate(cases(sides["change"], args.seeds, work)):
+            outs = {side: work / f"out{i}-{side}" for side in sides}
             for side, checkout in sides.items():
-                outs[side] = work / f"out{i}-{side}"
-                run = ["run", "--config", str(config), "--dataset", dataset, "--quiet",
-                       "--out", str(outs[side])]
-                if seed is not None:
-                    run += ["--seed", str(seed), "--workers", str(workers)]
                 try:
-                    run_resnap(checkout, run)
+                    run_resnap(checkout, run, outs[side])
                 except RuntimeError as exc:
                     print(f"{label}: {exc}")
                     return 2
