@@ -4,9 +4,11 @@ The fixtures under ``tests/golden/`` hold predictions on a probe matrix,
 boosting raw scores and per-round training log loss (as ``float.hex``),
 the SHA-256 of every fitted model's full ``to_dict()`` (every node array
 of every tree), the exact ``records.json`` bytes of a small synthetic
-sweep, and the ``resnap profile`` JSON and CSV bytes for
-``data/demo.csv`` and for a seeded XES document. Any refactor of the
-learners or of ingestion must reproduce them bit for bit.
+sweep, the ``resnap profile`` JSON and CSV bytes for ``data/demo.csv``
+and for a seeded XES document, and the SHA-256 of every encoded matrix
+(feature names, rows and targets) of the four encodings. Any refactor
+of the learners, of ingestion or of the encodings must reproduce them
+bit for bit.
 
 Regenerate (only when a change of results is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +26,28 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from resnap import ExperimentConfig, run_experiment  # noqa: E402
+from resnap import (  # noqa: E402
+    Event,
+    ExperimentConfig,
+    bigram_count_columns,
+    build_event_log,
+    build_prefix_dataset,
+    capability_map,
+    encode_s2g,
+    encode_s2gr,
+    encode_scap,
+    encode_seq_only,
+    fit_label_encoder,
+    handle_rare_classes,
+    resource_view,
+    run_experiment,
+    select_top_k,
+    stratified_split,
+)
 from resnap.cli import main  # noqa: E402
 from resnap.models import DecisionTree, GradientBoostedTrees, RandomForest  # noqa: E402
 from resnap.reporting import export_records  # noqa: E402
+from resnap.seeding import derive_seed  # noqa: E402
 
 from synth import run_structured_log, run_structured_xes  # noqa: E402
 
@@ -35,6 +56,7 @@ GOLDEN = Path(__file__).parent / "golden"
 MODELS_FILE = GOLDEN / "models.json"
 RECORDS_FILE = GOLDEN / "synth_records.json"
 TREE_ARRAYS_FILE = GOLDEN / "tree_arrays.json"
+ENCODINGS_FILE = GOLDEN / "encodings.json"
 PROFILE_DATASETS = ("demo", "synth_xes")
 PROFILE_FILES = [f"{d}_profile.{ext}" for d in PROFILE_DATASETS for ext in ("json", "csv")]
 
@@ -184,6 +206,69 @@ def _profile_bytes(out_dir: Path) -> dict[str, bytes]:
     return {name: (out_dir / name).read_bytes() for name in PROFILE_FILES}
 
 
+# hand-made logs for the two rare-class rules at L=3: "dup" has one
+# singleton target (C), whose row is appended again; "merge" has two (C, D),
+# which are relabelled to the placeholder class
+HAND_MADE = {
+    "dup": ("ABAB", "ABBAD", "BAAB", "BBAA", "AABC", "CABA", "ACAB"),
+    "merge": ("ABAB", "ABBA", "BAAB", "BBAA", "AABC", "CABD", "DACA"),
+}
+ENCODING_MI_K = 4
+
+
+def _hand_made_log(sequences):
+    start = datetime(2024, 3, 1, tzinfo=timezone.utc)
+    events = [
+        Event(f"c{r}", activity, f"r{r}", start + timedelta(seconds=j), r * 100 + j)
+        for r, seq in enumerate(sequences)
+        for j, activity in enumerate(seq)
+    ]
+    return build_event_log(events)
+
+
+def _encoding_logs() -> dict[str, tuple]:
+    """Per log name: the log and its prefix lengths. "synth" is the golden
+    sweep's log at every prefix length it admits, 1 to 15."""
+    logs = {"synth": (run_structured_log(n_resources=150, events_per_resource=16, seed=20240315),
+                      range(1, 16))}
+    logs.update({name: (_hand_made_log(seqs), range(1, 4)) for name, seqs in HAND_MADE.items()})
+    return logs
+
+
+def _encoded_datasets(name: str, log, length: int) -> dict:
+    """Each encoding of ``log`` at ``length`` as ``run_experiment`` builds it:
+    after rare-class handling, with bigrams selected on the training split."""
+    ds = handle_rare_classes(build_prefix_dataset(resource_view(log), length, fit_label_encoder(log)))
+    train, _ = stratified_split(ds, 0.8, derive_seed(23, name, length, "split"))
+    seq = encode_seq_only(ds)
+    train_prefixes = [tuple(int(v) for v in row) for row in seq.rows[train]]
+    selection = select_top_k(
+        bigram_count_columns(train_prefixes), seq.targets[train].tolist(), ENCODING_MI_K
+    )
+    return {
+        "SeqOnly": seq,
+        "SCap": encode_scap(ds, capability_map(log)),
+        "S2g": encode_s2g(ds, selection),
+        "S2gR": encode_s2gr(ds, selection),
+    }
+
+
+def _encoded_digest(encoded) -> str:
+    digest = hashlib.sha256(json.dumps(list(encoded.feature_names)).encode())
+    digest.update(encoded.rows.tobytes())
+    digest.update(encoded.targets.tobytes())
+    return digest.hexdigest()
+
+
+def _encoding_digests() -> dict[str, str]:
+    return {
+        f"{name}-L{length}-{encoding}": _encoded_digest(encoded)
+        for name, (log, lengths) in _encoding_logs().items()
+        for length in lengths
+        for encoding, encoded in _encoded_datasets(name, log, length).items()
+    }
+
+
 def _case_id(case) -> str:
     kind, params, data, seed = case
     return f"{kind}-{'-'.join(f'{k}={v}' for k, v in params.items()) or 'default'}-{data}-s{seed}"
@@ -213,6 +298,27 @@ def test_synthetic_records_match_golden(tmp_path):
     assert _synth_records_bytes(tmp_path) == RECORDS_FILE.read_bytes()
 
 
+def test_encoded_matrices_match_golden():
+    got = _encoding_digests()
+    want = json.loads(ENCODINGS_FILE.read_text())
+    assert sorted(got) == sorted(want)
+    changed = [key for key in want if got[key] != want[key]]
+    assert not changed, f"encoded matrices differ: {changed}"
+
+
+@pytest.mark.parametrize("name", ["dup", "merge"])
+def test_hand_made_logs_take_their_rare_class_rule(name):
+    log = _hand_made_log(HAND_MADE[name])
+    encoded = _encoded_datasets(name, log, 3)["SeqOnly"]
+    if name == "dup":
+        assert len(encoded.targets) == len(HAND_MADE[name]) + 1
+        assert (encoded.rows[-1] == encoded.rows[4]).all()  # the lone C target, again
+    else:
+        rare_id = len(log.activities)  # the placeholder takes the next free id
+        assert len(encoded.targets) == len(HAND_MADE[name])
+        assert encoded.targets.tolist().count(rare_id) == 2
+
+
 @pytest.mark.parametrize("name", PROFILE_FILES)
 def test_profile_matches_golden(name, tmp_path):
     assert _profile_bytes(tmp_path)[name] == (GOLDEN / name).read_bytes()
@@ -226,9 +332,10 @@ if __name__ == "__main__":
     MODELS_FILE.write_text("[\n" + ",\n".join(entries) + "\n]\n")
     digests = {_case_id(c): _tree_arrays_digest(*c) for c in _tree_array_cases()}
     TREE_ARRAYS_FILE.write_text(json.dumps(digests, indent=1) + "\n")
+    ENCODINGS_FILE.write_text(json.dumps(_encoding_digests(), indent=1) + "\n")
     with tempfile.TemporaryDirectory() as tmp:
         RECORDS_FILE.write_bytes(_synth_records_bytes(Path(tmp)))
         for name, data in _profile_bytes(Path(tmp)).items():
             (GOLDEN / name).write_bytes(data)
-    print(f"wrote {MODELS_FILE}, {TREE_ARRAYS_FILE}, {RECORDS_FILE} "
+    print(f"wrote {MODELS_FILE}, {TREE_ARRAYS_FILE}, {ENCODINGS_FILE}, {RECORDS_FILE} "
           f"and {len(PROFILE_FILES)} profile files")
