@@ -46,7 +46,6 @@ from .prefixes import (
     DEFAULT_PREFIX_CANDIDATES,
     LabelEncoder,
     PrefixDataset,
-    PrefixSample,
     build_prefix_dataset,
     eligible_resources,
     fit_label_encoder,

@@ -11,6 +11,10 @@ Four strategies build the numeric matrix handed to the classifiers:
   with the target, fit on training rows only.
 * ``S2gR``: S2g plus two run statistics, the number of maximal blocks of
   equal adjacent activities and their average length.
+
+Each encoding is the prefix columns followed by zero, one or two feature
+blocks; each block applies a one-prefix definition (``vector_for``,
+``count_2grams``, ``run_features``) to every sample.
 """
 from __future__ import annotations
 
@@ -69,17 +73,19 @@ class SelectedBigrams:
     bigrams: tuple[Bigram, ...]
 
 
-def _seq_matrix(ds: PrefixDataset) -> tuple[list[str], np.ndarray, np.ndarray]:
+def _encoded(ds: PrefixDataset, encoding_id: str, *blocks) -> EncodedDataset:
+    """The prefix columns followed by each ``(names, columns)`` block, as reals."""
     names = [f"pos_{i}" for i in range(1, ds.prefix_length + 1)]
-    rows = np.array([s.prefix for s in ds.samples], dtype=float)
-    targets = np.array([s.target for s in ds.samples], dtype=np.int64)
-    return names, rows.reshape(len(ds.samples), ds.prefix_length), targets
+    rows = [ds.prefixes.astype(float)]
+    for block_names, columns in blocks:
+        names += block_names
+        rows.append(np.array(columns, dtype=float).reshape(len(ds.samples), len(block_names)))
+    return EncodedDataset(tuple(names), np.hstack(rows), ds.targets.copy(), encoding_id)
 
 
 def encode_seq_only(ds: PrefixDataset) -> EncodedDataset:
     """Row i is the label-encoded prefix of sample i, as reals."""
-    names, rows, targets = _seq_matrix(ds)
-    return EncodedDataset(tuple(names), rows, targets, "SeqOnly")
+    return _encoded(ds, "SeqOnly")
 
 
 def capability_map(log: EventLog) -> CapabilityMap:
@@ -90,12 +96,14 @@ def capability_map(log: EventLog) -> CapabilityMap:
     return CapabilityMap(activities=log.activities, vectors=vectors)
 
 
+def _capability_block(ds: PrefixDataset, cap: CapabilityMap):
+    return [f"cap_{a}" for a in cap.activities], [cap.vector_for(r) for r in ds.resource_ids]
+
+
 def encode_scap(ds: PrefixDataset, cap: CapabilityMap) -> EncodedDataset:
     """SeqOnly columns followed by the resource's capability bits."""
-    names, rows, targets = _seq_matrix(ds)
-    names += [f"cap_{a}" for a in cap.activities]
-    cap_rows = np.array([cap.vector_for(s.resource_id) for s in ds.samples], dtype=float)
-    return EncodedDataset(tuple(names), np.hstack([rows, cap_rows]), targets, "SCap")
+    return _encoded(ds, "SCap", _capability_block(ds, cap))
+
 
 
 def count_2grams(prefix: Sequence) -> dict[Bigram, int]:
@@ -150,27 +158,15 @@ def select_top_k(
     return SelectedBigrams(tuple(bg for _, bg in scored[:k]))
 
 
-def _bigram_matrix(ds: PrefixDataset, selection: SelectedBigrams) -> np.ndarray:
-    rows = np.zeros((len(ds.samples), len(selection.bigrams)), dtype=float)
-    for i, sample in enumerate(ds.samples):
-        counts = count_2grams(sample.prefix)
-        for j, bg in enumerate(selection.bigrams):
-            rows[i, j] = counts.get(bg, 0)
-    return rows
-
-
-def _bigram_names(ds: PrefixDataset, selection: SelectedBigrams) -> list[str]:
-    return [
-        f"2g_{ds.encoder.decode(a)}->{ds.encoder.decode(b)}" for a, b in selection.bigrams
-    ]
+def _bigram_block(ds: PrefixDataset, selection: SelectedBigrams):
+    names = [f"2g_{ds.encoder.decode(a)}->{ds.encoder.decode(b)}" for a, b in selection.bigrams]
+    counts = [count_2grams(p) for p in ds.prefixes.tolist()]
+    return names, [[c.get(bg, 0) for bg in selection.bigrams] for c in counts]
 
 
 def encode_s2g(ds: PrefixDataset, selection: SelectedBigrams) -> EncodedDataset:
     """SeqOnly columns followed by one count column per selected bigram."""
-    names, rows, targets = _seq_matrix(ds)
-    names += _bigram_names(ds, selection)
-    rows = np.hstack([rows, _bigram_matrix(ds, selection)])
-    return EncodedDataset(tuple(names), rows, targets, "S2g")
+    return _encoded(ds, "S2g", _bigram_block(ds, selection))
 
 
 def run_features(prefix: Sequence) -> tuple[int, float]:
@@ -181,14 +177,13 @@ def run_features(prefix: Sequence) -> tuple[int, float]:
     return n_runs, len(prefix) / n_runs
 
 
+def _run_block(ds: PrefixDataset):
+    return ["n_runs", "avg_run_len"], [run_features(p) for p in ds.prefixes.tolist()]
+
+
 def encode_s2gr(ds: PrefixDataset, selection: SelectedBigrams) -> EncodedDataset:
     """S2g columns followed by the two run statistics."""
-    names, rows, targets = _seq_matrix(ds)
-    names += _bigram_names(ds, selection)
-    names += ["n_runs", "avg_run_len"]
-    runs = np.array([run_features(s.prefix) for s in ds.samples], dtype=float)
-    rows = np.hstack([rows, _bigram_matrix(ds, selection), runs])
-    return EncodedDataset(tuple(names), rows, targets, "S2gR")
+    return _encoded(ds, "S2gR", _bigram_block(ds, selection), _run_block(ds))
 
 
 def encoded_to_csv(encoded: EncodedDataset, path: str | Path) -> None:

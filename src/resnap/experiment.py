@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import numbers
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -130,20 +129,20 @@ def handle_rare_classes(ds: PrefixDataset) -> PrefixDataset:
     With several, those targets are relabelled to a reserved placeholder
     id appended to the encoder. Afterwards every class has count >= 2.
     """
-    counts = Counter(s.target for s in ds.samples)
-    rare = sorted(t for t, c in counts.items() if c == 1)
-    if not rare:
+    classes, counts = np.unique(ds.targets, return_counts=True)
+    rare = classes[counts == 1]
+    if not len(rare):
         return ds
     if len(rare) == 1:
-        extra = next(s for s in ds.samples if s.target == rare[0])
-        return PrefixDataset(ds.prefix_length, ds.samples + (extra,), ds.encoder)
+        (row,) = np.flatnonzero(ds.targets == rare[0])
+        return PrefixDataset(
+            ds.prefix_length, ds.resource_ids + (ds.resource_ids[row],),
+            np.vstack([ds.samples, ds.samples[row]]), ds.encoder,
+        )
     encoder = ds.encoder.with_extra(RARE_LABEL)
-    rare_id = encoder.encode(RARE_LABEL)
-    rare_set = set(rare)
-    samples = tuple(
-        replace(s, target=rare_id) if s.target in rare_set else s for s in ds.samples
-    )
-    return PrefixDataset(ds.prefix_length, samples, encoder)
+    samples = ds.samples.copy()
+    samples[np.isin(ds.targets, rare), -1] = encoder.encode(RARE_LABEL)
+    return PrefixDataset(ds.prefix_length, ds.resource_ids, samples, encoder)
 
 
 def stratified_split(
@@ -152,7 +151,7 @@ def stratified_split(
     """Per-class split: each class sends max(1, round((1-ratio)*n)) to test."""
     if not (0.0 < ratio < 1.0):
         raise ConfigError("split ratio must be strictly between 0 and 1")
-    targets = np.array([s.target for s in ds.samples])
+    targets = ds.targets
     classes, counts = np.unique(targets, return_counts=True)
     if counts.min() < 2:
         raise ValidationError(
@@ -261,14 +260,12 @@ def run_experiment(log: EventLog, cfg: ExperimentConfig) -> list[ResultRecord]:
         ds = handle_rare_classes(build_prefix_dataset(view, length, encoder))
         split_seed = derive_seed(cfg.seed, cfg.dataset_id, length, "split")
         train_idx, test_idx = stratified_split(ds, cfg.split_ratio, split_seed)
-        prefixes = [s.prefix for s in ds.samples]
-        leak = example_leakage(
-            {prefixes[i] for i in train_idx}, [prefixes[i] for i in test_idx]
-        ).leaked_fraction
+        prefixes = ds.prefixes.tolist()
+        train_prefixes = [prefixes[i] for i in train_idx]
+        leak = example_leakage(train_prefixes, [prefixes[i] for i in test_idx]).leaked_fraction
         selection = None
         if needs_selection:
-            train_prefixes = [prefixes[i] for i in train_idx]
-            train_targets = [ds.samples[i].target for i in train_idx]
+            train_targets = ds.targets[train_idx].tolist()
             selection = select_top_k(
                 bigram_count_columns(train_prefixes), train_targets, cfg.mi_k
             )

@@ -12,7 +12,9 @@ import csv
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .eventlog import EventLog, ResourceView
@@ -63,18 +65,31 @@ class LabelEncoder:
         return LabelEncoder(self.classes + (label,))
 
 
-@dataclass(frozen=True)
-class PrefixSample:
-    resource_id: str
-    prefix: tuple[int, ...]
-    target: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrefixDataset:
+    """One sample per resource, as one row of an int64 code matrix.
+
+    Row i of ``samples`` holds the first L activity ids of
+    ``resource_ids[i]``, then the id of its target.
+    """
+
     prefix_length: int
-    samples: tuple[PrefixSample, ...]
+    resource_ids: tuple[str, ...]
+    samples: np.ndarray
     encoder: LabelEncoder
+
+    def __post_init__(self) -> None:
+        shape = (len(self.resource_ids), self.prefix_length + 1)
+        if not isinstance(self.samples, np.ndarray) or self.samples.shape != shape:
+            raise ValidationError(f"samples must be a {shape[0]} x {shape[1]} matrix, one row per resource")
+
+    @property
+    def prefixes(self) -> np.ndarray:
+        return self.samples[:, :-1]
+
+    @property
+    def targets(self) -> np.ndarray:
+        return self.samples[:, -1]
 
 
 def fit_label_encoder(log: EventLog) -> LabelEncoder:
@@ -103,14 +118,11 @@ def build_prefix_dataset(
             f"no resource has {prefix_length + 1} or more activities; "
             "shorten the prefix grid"
         )
-    samples = []
-    for rid in resources:
-        seq = view.sequences[rid]
-        prefix = tuple(encoder.encode(a) for a in seq[:prefix_length])
-        samples.append(
-            PrefixSample(resource_id=rid, prefix=prefix, target=encoder.encode(seq[prefix_length]))
-        )
-    return PrefixDataset(prefix_length=prefix_length, samples=tuple(samples), encoder=encoder)
+    samples = np.array(
+        [[encoder.encode(a) for a in view.sequences[rid][: prefix_length + 1]] for rid in resources],
+        dtype=np.int64,
+    )
+    return PrefixDataset(prefix_length, tuple(resources), samples, encoder)
 
 
 def check_candidates(lengths) -> None:
@@ -157,9 +169,5 @@ def prefix_dataset_to_csv(ds: PrefixDataset, path: str | Path) -> None:
             + [f"a_{i}" for i in range(1, ds.prefix_length + 1)]
             + ["target"]
         )
-        for sample in ds.samples:
-            writer.writerow(
-                [sample.resource_id]
-                + [ds.encoder.decode(a) for a in sample.prefix]
-                + [ds.encoder.decode(sample.target)]
-            )
+        for rid, row in zip(ds.resource_ids, ds.samples.tolist()):
+            writer.writerow([rid] + [ds.encoder.decode(a) for a in row])

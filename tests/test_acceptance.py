@@ -20,7 +20,6 @@ from resnap import (
     ExperimentConfig,
     LabelEncoder,
     PrefixDataset,
-    PrefixSample,
     ResourceView,
     accuracy,
     bigram_count_columns,
@@ -143,11 +142,8 @@ def test_criterion_2_tree_oracle_sweep():
 
 
 def _dataset_from_targets(targets):
-    samples = tuple(
-        PrefixSample(resource_id=f"r{i}", prefix=(0,), target=t)
-        for i, t in enumerate(targets)
-    )
-    return PrefixDataset(prefix_length=1, samples=samples, encoder=ENC)
+    samples = np.array([[0, t] for t in targets], dtype=np.int64)
+    return PrefixDataset(1, tuple(f"r{i}" for i in range(len(targets))), samples, ENC)
 
 
 def test_criterion_3_split_partition_and_proportions():
@@ -179,7 +175,7 @@ def test_criterion_3_rare_class_rules():
         out = handle_rare_classes(ds)
         before = {t: targets.count(t) for t in set(targets)}
         singles = sorted(t for t, c in before.items() if c == 1)
-        after = [s.target for s in out.samples]
+        after = out.targets.tolist()
         if not singles:
             assert out is ds
         elif len(singles) == 1:
@@ -314,8 +310,8 @@ def test_criterion_4_synthetic_directional_check():
     view = resource_view(log)
     ds = handle_rare_classes(build_prefix_dataset(view, 20, fit_label_encoder(log)))
     train, test = stratified_split(ds, 0.8, derive_seed(17, "synthetic", 20, "split"))
-    prefixes = [s.prefix for s in ds.samples]
-    targets = [s.target for s in ds.samples]
+    prefixes = ds.prefixes.tolist()
+    targets = ds.targets.tolist()
     selection = select_top_k(
         bigram_count_columns([prefixes[i] for i in train]),
         [targets[i] for i in train],

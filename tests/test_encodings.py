@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from resnap import (
     LabelEncoder,
     PrefixDataset,
-    PrefixSample,
     ResourceView,
     SelectedBigrams,
     ValidationError,
@@ -35,12 +34,9 @@ A, B, C = 0, 1, 2
 
 
 def dataset(*prefix_target_pairs, encoder=ENC):
-    samples = tuple(
-        PrefixSample(resource_id=f"r{i}", prefix=tuple(p), target=t)
-        for i, (p, t) in enumerate(prefix_target_pairs)
-    )
-    length = len(samples[0].prefix)
-    return PrefixDataset(prefix_length=length, samples=samples, encoder=encoder)
+    samples = np.array([list(p) + [t] for p, t in prefix_target_pairs], dtype=np.int64)
+    resource_ids = tuple(f"r{i}" for i in range(len(samples)))
+    return PrefixDataset(samples.shape[1] - 1, resource_ids, samples, encoder)
 
 
 # --- SeqOnly ---------------------------------------------------------------
@@ -63,8 +59,8 @@ def test_encode_seq_only_single_column():
 def test_encode_seq_only_rows_decode_to_prefixes():
     ds = dataset(([A, B], C), ([C, C], A))
     enc = encode_seq_only(ds)
-    for row, sample in zip(enc.rows, ds.samples):
-        assert tuple(int(v) for v in row) == sample.prefix
+    for row, prefix in zip(enc.rows, ds.prefixes.tolist()):
+        assert [int(v) for v in row] == prefix
 
 
 # --- capability map ----------------------------------------------------------

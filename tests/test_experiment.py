@@ -8,7 +8,6 @@ from resnap import (
     ExperimentConfig,
     LabelEncoder,
     PrefixDataset,
-    PrefixSample,
     ValidationError,
     accuracy,
     handle_rare_classes,
@@ -23,11 +22,9 @@ ENC = LabelEncoder(("A", "B", "C"))
 
 
 def dataset_with_targets(targets, prefix=(0,)):
-    samples = tuple(
-        PrefixSample(resource_id=f"r{i}", prefix=tuple(prefix), target=t)
-        for i, t in enumerate(targets)
-    )
-    return PrefixDataset(prefix_length=len(prefix), samples=samples, encoder=ENC)
+    samples = np.array([list(prefix) + [t] for t in targets], dtype=np.int64)
+    resource_ids = tuple(f"r{i}" for i in range(len(targets)))
+    return PrefixDataset(len(prefix), resource_ids, samples, ENC)
 
 
 # --- rare classes -----------------------------------------------------------
@@ -35,14 +32,15 @@ def dataset_with_targets(targets, prefix=(0,)):
 
 def test_single_rare_class_is_duplicated():
     ds = handle_rare_classes(dataset_with_targets([0, 0, 1]))
-    assert [s.target for s in ds.samples] == [0, 0, 1, 1]
-    assert ds.samples[-1] == ds.samples[2]
+    assert ds.targets.tolist() == [0, 0, 1, 1]
+    assert ds.samples[-1].tolist() == ds.samples[2].tolist()
+    assert ds.resource_ids == ("r0", "r1", "r2", "r2")
 
 
 def test_multiple_rare_classes_merge_into_placeholder():
     ds = handle_rare_classes(dataset_with_targets([0, 0, 1, 2]))
     rare_id = ds.encoder.encode(RARE_LABEL)
-    assert [s.target for s in ds.samples] == [0, 0, rare_id, rare_id]
+    assert ds.targets.tolist() == [0, 0, rare_id, rare_id]
     assert ds.encoder.decode(rare_id) == RARE_LABEL
 
 
@@ -55,8 +53,8 @@ def test_rare_handling_makes_all_counts_at_least_two():
     for targets in ([0], [0, 1, 2, 2], [0, 1], [2, 2, 1, 0, 0]):
         ds = handle_rare_classes(dataset_with_targets(targets))
         counts = {}
-        for s in ds.samples:
-            counts[s.target] = counts.get(s.target, 0) + 1
+        for t in ds.targets.tolist():
+            counts[t] = counts.get(t, 0) + 1
         assert min(counts.values()) >= 2
 
 
@@ -66,7 +64,7 @@ def test_rare_handling_makes_all_counts_at_least_two():
 def test_split_sizes_per_class():
     ds = dataset_with_targets([0] * 10 + [1] * 10)
     train, test = stratified_split(ds, ratio=0.8, seed=0)
-    targets = np.array([s.target for s in ds.samples])
+    targets = ds.targets
     assert np.sum(targets[test] == 0) == 2
     assert np.sum(targets[test] == 1) == 2
     assert len(train) == 16
@@ -75,7 +73,7 @@ def test_split_sizes_per_class():
 def test_split_class_of_two_gives_one_each():
     ds = dataset_with_targets([0, 0, 1, 1])
     train, test = stratified_split(ds, ratio=0.8, seed=3)
-    targets = np.array([s.target for s in ds.samples])
+    targets = ds.targets
     for cls in (0, 1):
         assert np.sum(targets[test] == cls) == 1
         assert np.sum(targets[train] == cls) == 1
@@ -241,7 +239,7 @@ def test_majority_cell_accuracy_is_test_frequency_of_train_majority(small_log):
     from resnap.seeding import derive_seed
 
     train, test = stratified_split(ds, 0.8, derive_seed(11, "synthetic", 5, "split"))
-    targets = np.array([s.target for s in ds.samples])
+    targets = ds.targets
     counts = np.bincount(targets[train])
     majority = int(np.flatnonzero(counts == counts.max()).min())
     expected = float(np.mean(targets[test] == majority))

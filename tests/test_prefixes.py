@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import csv
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from resnap import (
     ConfigError,
     LabelEncoder,
+    PrefixDataset,
     ResourceView,
     ValidationError,
     build_prefix_dataset,
@@ -95,15 +97,15 @@ def test_eligible_count_non_increasing_in_length(length):
 def test_build_prefix_dataset_takes_first_l_and_next():
     v = seq_view(r1="ABAC")
     ds = build_prefix_dataset(v, 2, encoder_for("A", "B", "C"))
-    sample = ds.samples[0]
-    assert sample.prefix == (0, 1)  # A, B
-    assert sample.target == 0  # A
+    assert ds.samples.tolist() == [[0, 1, 0]]  # A, B, then A
+    assert ds.prefixes.tolist() == [[0, 1]]
+    assert ds.targets.tolist() == [0]
 
 
 def test_build_prefix_dataset_excludes_targetless_resource():
     v = seq_view(r1="AB", r2="ABC")
     ds = build_prefix_dataset(v, 2, encoder_for("A", "B", "C"))
-    assert [s.resource_id for s in ds.samples] == ["r2"]
+    assert ds.resource_ids == ("r2",)
 
 
 def test_build_prefix_dataset_one_sample_per_eligible_resource():
@@ -123,9 +125,9 @@ def test_prefix_plus_target_reproduces_sequence_head(length):
     v = seq_view(r1="ABCABCA", r2="BCABCAB")
     enc = encoder_for("A", "B", "C")
     ds = build_prefix_dataset(v, length, enc)
-    for sample in ds.samples:
-        decoded = tuple(enc.decode(i) for i in sample.prefix) + (enc.decode(sample.target),)
-        assert decoded == v.sequences[sample.resource_id][: length + 1]
+    for rid, prefix, target in zip(ds.resource_ids, ds.prefixes.tolist(), ds.targets.tolist()):
+        decoded = tuple(enc.decode(i) for i in prefix) + (enc.decode(target),)
+        assert decoded == v.sequences[rid][: length + 1]
 
 
 def test_build_prefix_dataset_deterministic_order():
@@ -133,8 +135,15 @@ def test_build_prefix_dataset_deterministic_order():
     enc = encoder_for("A", "B", "C")
     first = build_prefix_dataset(v, 1, enc)
     second = build_prefix_dataset(v, 1, enc)
-    assert first == second
-    assert [s.resource_id for s in first.samples] == ["r1", "r2"]
+    assert first.resource_ids == second.resource_ids
+    assert np.array_equal(first.samples, second.samples)
+    assert first.resource_ids == ("r1", "r2")
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 2), (3, 3), (2, 3, 1)])
+def test_prefix_dataset_rejects_a_matrix_of_the_wrong_shape(shape):
+    with pytest.raises(ValidationError, match="2 x 3 matrix"):
+        PrefixDataset(2, ("r1", "r2"), np.zeros(shape, dtype=np.int64), encoder_for("A"))
 
 
 # --- prefix grid ------------------------------------------------------------
