@@ -141,7 +141,7 @@ def _select_dataset(config: CliConfig, dataset_id: str | None) -> DatasetEntry:
 
 
 def _load_log(entry: DatasetEntry) -> EventLog:
-    if not os.path.exists(entry.path):
+    if not os.path.isfile(entry.path):
         raise ConfigError(f"dataset file not found: {entry.path}")
     print(f"parsing {entry.path} ...", file=sys.stderr)
     if entry.format == "xes":

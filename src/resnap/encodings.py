@@ -12,9 +12,8 @@ Four strategies build the numeric matrix handed to the classifiers:
 * ``S2gR``: S2g plus two run statistics, the number of maximal blocks of
   equal adjacent activities and their average length.
 
-Each encoding is the prefix columns followed by zero, one or two feature
-blocks; each block applies a one-prefix definition (``vector_for``,
-``count_2grams``, ``run_features``) to every sample.
+Each is the SeqOnly columns followed by zero, one or two feature blocks:
+capability bits, selected-bigram counts and run statistics.
 """
 from __future__ import annotations
 
@@ -103,7 +102,6 @@ def _capability_block(ds: PrefixDataset, cap: CapabilityMap):
 def encode_scap(ds: PrefixDataset, cap: CapabilityMap) -> EncodedDataset:
     """SeqOnly columns followed by the resource's capability bits."""
     return _encoded(ds, "SCap", _capability_block(ds, cap))
-
 
 
 def count_2grams(prefix: Sequence) -> dict[Bigram, int]:

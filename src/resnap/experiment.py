@@ -10,7 +10,7 @@ from __future__ import annotations
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -96,6 +96,9 @@ class ExperimentConfig:
         if not isinstance(self.grids, Mapping):
             raise ConfigError(f"experiment.grids must be a JSON object, got {self.grids!r}")
         for model, grid in self.grids.items():
+            if model not in EXPERIMENT_MODELS:
+                accepted = ", ".join(EXPERIMENT_MODELS)
+                raise ConfigError(f"experiment.grids has a grid for {model!r}; accepted: {accepted}")
             check_grid(model, grid)
 
     def grid_for(self, model: str) -> Mapping[str, Sequence]:
@@ -135,14 +138,12 @@ def handle_rare_classes(ds: PrefixDataset) -> PrefixDataset:
         return ds
     if len(rare) == 1:
         (row,) = np.flatnonzero(ds.targets == rare[0])
-        return PrefixDataset(
-            ds.prefix_length, ds.resource_ids + (ds.resource_ids[row],),
-            np.vstack([ds.samples, ds.samples[row]]), ds.encoder,
-        )
+        return replace(ds, resource_ids=ds.resource_ids + (ds.resource_ids[row],),
+                       samples=np.vstack([ds.samples, ds.samples[row]]))
     encoder = ds.encoder.with_extra(RARE_LABEL)
     samples = ds.samples.copy()
     samples[np.isin(ds.targets, rare), -1] = encoder.encode(RARE_LABEL)
-    return PrefixDataset(ds.prefix_length, ds.resource_ids, samples, encoder)
+    return replace(ds, samples=samples, encoder=encoder)
 
 
 def stratified_split(
@@ -151,8 +152,7 @@ def stratified_split(
     """Per-class split: each class sends max(1, round((1-ratio)*n)) to test."""
     if not (0.0 < ratio < 1.0):
         raise ConfigError("split ratio must be strictly between 0 and 1")
-    targets = ds.targets
-    classes, counts = np.unique(targets, return_counts=True)
+    classes, counts = np.unique(ds.targets, return_counts=True)
     if counts.min() < 2:
         raise ValidationError(
             "every class needs at least 2 samples; apply rare-class handling first"
@@ -160,11 +160,11 @@ def stratified_split(
     rng = np.random.default_rng(derive_seed(seed, "split"))
     test: list[int] = []
     for cls in classes:
-        idx = rng.permutation(np.nonzero(targets == cls)[0])
+        idx = rng.permutation(np.nonzero(ds.targets == cls)[0])
         n_test = max(1, round((1.0 - ratio) * len(idx)))
         test.extend(int(i) for i in idx[:n_test])
     test_idx = np.array(sorted(test), dtype=np.int64)
-    train_idx = np.setdiff1d(np.arange(len(targets)), test_idx, assume_unique=True)
+    train_idx = np.setdiff1d(np.arange(len(ds.samples)), test_idx, assume_unique=True)
     return train_idx, test_idx
 
 
@@ -265,10 +265,8 @@ def run_experiment(log: EventLog, cfg: ExperimentConfig) -> list[ResultRecord]:
         leak = example_leakage(train_prefixes, [prefixes[i] for i in test_idx]).leaked_fraction
         selection = None
         if needs_selection:
-            train_targets = ds.targets[train_idx].tolist()
-            selection = select_top_k(
-                bigram_count_columns(train_prefixes), train_targets, cfg.mi_k
-            )
+            columns = bigram_count_columns(train_prefixes)
+            selection = select_top_k(columns, ds.targets[train_idx].tolist(), cfg.mi_k)
         for encoding in cfg.encodings:
             encoded = _encode(encoding, ds, cap, selection)
             for model in cfg.models:

@@ -81,7 +81,7 @@ class PrefixDataset:
     def __post_init__(self) -> None:
         shape = (len(self.resource_ids), self.prefix_length + 1)
         if not isinstance(self.samples, np.ndarray) or self.samples.shape != shape:
-            raise ValidationError(f"samples must be a {shape[0]} x {shape[1]} matrix, one row per resource")
+            raise ValidationError(f"samples must be {shape[0]} x {shape[1]}: one row per resource id")
 
     @property
     def prefixes(self) -> np.ndarray:
@@ -119,7 +119,7 @@ def build_prefix_dataset(
             "shorten the prefix grid"
         )
     samples = np.array(
-        [[encoder.encode(a) for a in view.sequences[rid][: prefix_length + 1]] for rid in resources],
+        [[encoder.encode(a) for a in view.sequences[r][: prefix_length + 1]] for r in resources],
         dtype=np.int64,
     )
     return PrefixDataset(prefix_length, tuple(resources), samples, encoder)

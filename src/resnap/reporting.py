@@ -19,29 +19,25 @@ Schemas:
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence, get_type_hints
 
 from .encodings import ENCODINGS
 from .errors import ConfigError, ValidationError
 from .experiment import ResultRecord
 
-_RECORD_FIELDS = (
-    "dataset",
-    "model",
-    "encoding",
-    "prefix_length",
-    "accuracy",
-    "n_train",
-    "n_test",
-    "leakage_fraction",
-    "best_params",
-    "status",
-)
+# the exported fields of a record, in column order, and their types
+_FIELDS = tuple(f.name for f in fields(ResultRecord) if f.name != "wall_time")
+_TYPES = get_type_hints(ResultRecord)
+# a field's type -> how CSV text is read as one, and the types a value of it may have
+_PARSE = {int: int, float: float, float | None: float, Mapping: json.loads}
+_ACCEPT = {float: numbers.Real, float | None: (numbers.Real, type(None)), Mapping: dict}
 
 
 @dataclass(frozen=True)
@@ -102,18 +98,7 @@ def _fmt(value) -> str:
 
 
 def _record_row(record: ResultRecord) -> dict:
-    return {
-        "dataset": record.dataset,
-        "model": record.model,
-        "encoding": record.encoding,
-        "prefix_length": record.prefix_length,
-        "accuracy": record.accuracy,
-        "n_train": record.n_train,
-        "n_test": record.n_test,
-        "leakage_fraction": record.leakage_fraction,
-        "best_params": dict(record.best_params),
-        "status": record.status,
-    }
+    return {key: getattr(record, key) for key in _FIELDS} | {"best_params": dict(record.best_params)}
 
 
 def export_records(records: Sequence[ResultRecord], path: str | Path) -> Path:
@@ -125,48 +110,60 @@ def export_records(records: Sequence[ResultRecord], path: str | Path) -> Path:
     elif path.suffix == ".csv":
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(_RECORD_FIELDS)
+            writer.writerow(_FIELDS)
             for r in records:
                 row = _record_row(r)
                 row["best_params"] = json.dumps(row["best_params"], sort_keys=True)
-                writer.writerow([_fmt(row[f]) for f in _RECORD_FIELDS])
+                writer.writerow([_fmt(row[f]) for f in _FIELDS])
     else:
         raise ConfigError(f"unsupported records format {path.suffix!r}")
     return path
 
 
+def _field(where: str, key: str, value, text: bool):
+    """Field ``key`` of a loaded record, parsed first if it is CSV text;
+    ValidationError unless it has the field's type."""
+    kind, raw = _TYPES[key], value
+    with contextlib.suppress(ValueError, TypeError):  # unparsed text fails the check below
+        if text and kind is not str:  # CSV writes an accuracy of None as ""
+            value = None if kind == float | None and value == "" else _PARSE[kind](value)
+    if isinstance(value, bool) or not isinstance(value, _ACCEPT.get(kind, kind)):
+        raise ValidationError(f"{where}: {key} has the wrong type: {raw!r}")
+    return value
+
+
+def _record(where: str, row, text: bool) -> ResultRecord:
+    keys = list(row) if isinstance(row, dict) else []
+    missing = [key for key in _FIELDS if key not in keys]
+    unknown = [key for key in keys if key not in _FIELDS]
+    if missing or unknown:
+        raise ValidationError(f"{where}: missing key(s) {missing}, unknown key(s) {unknown}")
+    return ResultRecord(wall_time=0.0, **{key: _field(where, key, row[key], text) for key in _FIELDS})
+
+
 def load_records(path: str | Path) -> list[ResultRecord]:
-    """Read records back; wall_time is not stored and loads as zero."""
+    """Read records back; wall_time is not stored and loads as zero.
+
+    A record with a missing or unknown key, or a value of the wrong type,
+    raises ValidationError naming the file, the record and the key.
+    """
     path = Path(path)
-    rows: list[dict]
     if path.suffix == ".json":
         try:
             rows = json.loads(path.read_text())["records"]
         except (json.JSONDecodeError, KeyError, TypeError):
+            rows = None
+        if not isinstance(rows, list):
             raise ValidationError(
                 f"{path} is not a records file (a JSON object with a 'records' list)"
-            ) from None
+            )
     elif path.suffix == ".csv":
         with open(path, newline="") as handle:
-            rows = []
-            for raw in csv.DictReader(handle):
-                rows.append(
-                    {
-                        "dataset": raw["dataset"],
-                        "model": raw["model"],
-                        "encoding": raw["encoding"],
-                        "prefix_length": int(raw["prefix_length"]),
-                        "accuracy": float(raw["accuracy"]) if raw["accuracy"] else None,
-                        "n_train": int(raw["n_train"]),
-                        "n_test": int(raw["n_test"]),
-                        "leakage_fraction": float(raw["leakage_fraction"]),
-                        "best_params": json.loads(raw["best_params"]),
-                        "status": raw["status"],
-                    }
-                )
+            rows = list(csv.DictReader(handle))
     else:
         raise ConfigError(f"unsupported records format {path.suffix!r}")
-    return [ResultRecord(wall_time=0.0, **row) for row in rows]
+    text = path.suffix == ".csv"
+    return [_record(f"{path}: record {i}", row, text) for i, row in enumerate(rows, start=1)]
 
 
 def _wide_rows(cells: Sequence[AggregateCell]) -> tuple[list[str], list[list]]:

@@ -206,6 +206,75 @@ def test_report_missing_records_exits_two(fixture_env, capsys):
     assert main(["report", "--config", str(config)]) == 2
 
 
+GOOD_RECORD = {
+    "dataset": "fixture", "model": "forest", "encoding": "SeqOnly", "prefix_length": 3,
+    "accuracy": 0.5, "n_train": 8, "n_test": 2, "leakage_fraction": 0.0, "best_params": {},
+    "status": "ok",
+}
+CSV_HEADER = ",".join(GOOD_RECORD)
+CSV_GOOD = "fixture,forest,SeqOnly,3,0.5,8,2,0.0,{},ok"
+
+
+def _json_records(**change) -> str:
+    bad = {k: v for k, v in {**GOOD_RECORD, **change}.items() if v is not None}
+    return json.dumps({"records": [GOOD_RECORD, bad]})
+
+
+@pytest.mark.parametrize(
+    "name, content, named",
+    [
+        ("no-column.csv",
+         CSV_HEADER.replace("n_test,", "") + "\n" + CSV_GOOD.replace(",2,", ",") + "\n",
+         "record 1: missing key(s) ['n_test']"),
+        ("bad-length.csv", f"{CSV_HEADER}\n{CSV_GOOD}\n{CSV_GOOD.replace(',3,', ',abc,')}\n",
+         "record 2: prefix_length has the wrong type: 'abc'"),
+        ("no-key.json", _json_records(n_train=None), "record 2: missing key(s) ['n_train']"),
+        ("extra-key.json", _json_records(wall_time=1.5), "unknown key(s) ['wall_time']"),
+        ("string-accuracy.json", _json_records(accuracy="0.5"),
+         "record 2: accuracy has the wrong type: '0.5'"),
+    ],
+    ids=["no-column", "bad-length", "no-key", "extra-key", "string-accuracy"],
+)
+def test_report_malformed_records_file_exits_two(fixture_env, capsys, name, content, named):
+    tmp_path, data = fixture_env
+    config = write_config(tmp_path, data)
+    records = tmp_path / name
+    records.write_text(content)
+    assert main(["report", "--config", str(config), "--records", str(records)]) == 2
+    err = capsys.readouterr().err
+    assert str(records) in err and named in err, err
+
+
+def test_records_files_with_every_field_load(tmp_path):
+    good = tmp_path / "good.csv"
+    good.write_text(f"{CSV_HEADER}\n{CSV_GOOD}\n{CSV_GOOD.replace(',0.5,', ',,')}\n")
+    csv_records = load_records(good)
+    assert [r.accuracy for r in csv_records] == [0.5, None]
+    good_json = tmp_path / "good.json"
+    good_json.write_text(json.dumps({"records": [GOOD_RECORD]}))
+    assert load_records(good_json) == csv_records[:1]
+
+
+def test_profile_dataset_path_naming_a_directory_exits_two(fixture_env, capsys):
+    tmp_path, data = fixture_env
+    config = write_config(tmp_path, data)
+    payload = json.loads(config.read_text())
+    payload["datasets"][0]["path"] = str(tmp_path)
+    config.write_text(json.dumps(payload))
+    assert main(["profile", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"dataset file not found: {tmp_path}" in err and "Traceback" not in err
+
+
+def test_grid_for_an_experiment_model_the_config_does_not_select_is_accepted(fixture_env, capsys):
+    tmp_path, data = fixture_env
+    config_path = write_config(tmp_path, data)
+    config = json.loads(config_path.read_text())
+    config["experiment"]["grids"]["boosted"] = {"n_estimators": [2]}  # models: majority, forest
+    config_path.write_text(json.dumps(config))
+    assert main(["grid", "--config", str(config_path), "--quiet"]) == 0
+
+
 def test_run_failed_cell_exits_one(fixture_env, capsys):
     tmp_path, data = fixture_env
     config_path = write_config(tmp_path, data)
@@ -432,13 +501,14 @@ def _repeat_dataset(config):
         (_put(EXPERIMENT, "min_resources", -5), "min_resources must be at least 1"),
         (_repeat_dataset, "id 'fixture' is already declared"),
         (_put(EXPERIMENT, "encodings", ["SeqOnly", "SeqOnly"]), "encodings must not repeat"),
+        (_put(EXPERIMENT, "grids", {"tree": {"max_depth": [3]}}), "a grid for 'tree'"),
     ],
     ids=[
         "output_dir-number", "path-number", "id-list", "delimiter-two-chars",
         "timestamp_format-number", "case-number", "candidates-descending", "candidates-empty",
         "ouput_dir", "prefix_candidate", "delimeter", "mi_K", "mi_k-true", "workers-fraction",
         "seed-string", "cv_folds-fraction", "split_ratio-string", "min_resources-false",
-        "min_resources-negative", "repeated-dataset-id", "repeated-encoding",
+        "min_resources-negative", "repeated-dataset-id", "repeated-encoding", "tree-grid",
     ],
 )
 def test_every_command_rejects_a_config_off_the_schema_before_parsing(

@@ -142,7 +142,7 @@ def test_build_prefix_dataset_deterministic_order():
 
 @pytest.mark.parametrize("shape", [(2,), (2, 2), (3, 3), (2, 3, 1)])
 def test_prefix_dataset_rejects_a_matrix_of_the_wrong_shape(shape):
-    with pytest.raises(ValidationError, match="2 x 3 matrix"):
+    with pytest.raises(ValidationError, match="must be 2 x 3"):
         PrefixDataset(2, ("r1", "r2"), np.zeros(shape, dtype=np.int64), encoder_for("A"))
 
 
