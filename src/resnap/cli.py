@@ -98,11 +98,11 @@ def _dataset(i: int, raw) -> DatasetEntry:
 def _load_config(args: argparse.Namespace) -> CliConfig:
     """The config file with the --seed and --workers overrides, all checked."""
     config_path = Path(args.config)
-    if not config_path.exists():
+    if not config_path.is_file():
         raise ConfigError(f"config file not found: {config_path}")
     try:
         raw = json.loads(config_path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8 text
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     raw = _fields(CliConfig, raw, "the config")
     if not isinstance(raw["datasets"], list) or not raw["datasets"]:
@@ -260,7 +260,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = _out_dir(config, args)
     records_path = Path(args.records) if args.records else out / "records.json"
-    if not records_path.exists():
+    if not records_path.is_file():
         raise ConfigError(f"records file not found: {records_path}")
     records = load_records(records_path)
     table = aggregate(records)

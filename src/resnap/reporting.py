@@ -151,15 +151,18 @@ def load_records(path: str | Path) -> list[ResultRecord]:
     if path.suffix == ".json":
         try:
             rows = json.loads(path.read_text())["records"]
-        except (json.JSONDecodeError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError):  # not JSON or not UTF-8 text, no records
             rows = None
         if not isinstance(rows, list):
             raise ValidationError(
                 f"{path} is not a records file (a JSON object with a 'records' list)"
             )
     elif path.suffix == ".csv":
-        with open(path, newline="") as handle:
-            rows = list(csv.DictReader(handle))
+        try:
+            with open(path, newline="") as handle:
+                rows = list(csv.DictReader(handle))
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path} is not a records file (not UTF-8 text)") from None
     else:
         raise ConfigError(f"unsupported records format {path.suffix!r}")
     text = path.suffix == ".csv"

@@ -232,14 +232,24 @@ def _json_records(**change) -> str:
         ("extra-key.json", _json_records(wall_time=1.5), "unknown key(s) ['wall_time']"),
         ("string-accuracy.json", _json_records(accuracy="0.5"),
          "record 2: accuracy has the wrong type: '0.5'"),
+        ("latin-1.csv",
+         f"{CSV_HEADER}\n{CSV_GOOD}\n".replace("fixture", "caf\xe9").encode("latin-1"),
+         "not UTF-8 text"),
+        ("latin-1.json",
+         _json_records(dataset="caf\xe9").encode("latin-1").replace(b"\\u00e9", b"\xe9"),
+         "is not a records file"),
     ],
-    ids=["no-column", "bad-length", "no-key", "extra-key", "string-accuracy"],
+    ids=["no-column", "bad-length", "no-key", "extra-key", "string-accuracy", "latin-1-csv",
+         "latin-1-json"],
 )
 def test_report_malformed_records_file_exits_two(fixture_env, capsys, name, content, named):
     tmp_path, data = fixture_env
     config = write_config(tmp_path, data)
     records = tmp_path / name
-    records.write_text(content)
+    if isinstance(content, bytes):
+        records.write_bytes(content)
+    else:
+        records.write_text(content)
     assert main(["report", "--config", str(config), "--records", str(records)]) == 2
     err = capsys.readouterr().err
     assert str(records) in err and named in err, err
@@ -264,6 +274,15 @@ def test_profile_dataset_path_naming_a_directory_exits_two(fixture_env, capsys):
     assert main(["profile", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert f"dataset file not found: {tmp_path}" in err and "Traceback" not in err
+
+
+def test_config_or_records_path_naming_a_directory_exits_two(fixture_env, capsys):
+    tmp_path, data = fixture_env
+    config = write_config(tmp_path, data)
+    assert main(["report", "--config", str(tmp_path)]) == 2
+    assert f"config file not found: {tmp_path}" in capsys.readouterr().err
+    assert main(["report", "--config", str(config), "--records", str(tmp_path)]) == 2
+    assert f"records file not found: {tmp_path}" in capsys.readouterr().err
 
 
 def test_grid_for_an_experiment_model_the_config_does_not_select_is_accepted(fixture_env, capsys):
