@@ -152,7 +152,8 @@ def stratified_split(
     """Per-class split: each class sends max(1, round((1-ratio)*n)) to test."""
     if not (0.0 < ratio < 1.0):
         raise ConfigError("split ratio must be strictly between 0 and 1")
-    classes, counts = np.unique(ds.targets, return_counts=True)
+    targets = ds.targets
+    classes, counts = np.unique(targets, return_counts=True)
     if counts.min() < 2:
         raise ValidationError(
             "every class needs at least 2 samples; apply rare-class handling first"
@@ -160,11 +161,11 @@ def stratified_split(
     rng = np.random.default_rng(derive_seed(seed, "split"))
     test: list[int] = []
     for cls in classes:
-        idx = rng.permutation(np.nonzero(ds.targets == cls)[0])
+        idx = rng.permutation(np.nonzero(targets == cls)[0])
         n_test = max(1, round((1.0 - ratio) * len(idx)))
         test.extend(int(i) for i in idx[:n_test])
     test_idx = np.array(sorted(test), dtype=np.int64)
-    train_idx = np.setdiff1d(np.arange(len(ds.samples)), test_idx, assume_unique=True)
+    train_idx = np.setdiff1d(np.arange(len(targets)), test_idx, assume_unique=True)
     return train_idx, test_idx
 
 

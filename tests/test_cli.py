@@ -255,16 +255,6 @@ def test_report_malformed_records_file_exits_two(fixture_env, capsys, name, cont
     assert str(records) in err and named in err, err
 
 
-def test_records_files_with_every_field_load(tmp_path):
-    good = tmp_path / "good.csv"
-    good.write_text(f"{CSV_HEADER}\n{CSV_GOOD}\n{CSV_GOOD.replace(',0.5,', ',,')}\n")
-    csv_records = load_records(good)
-    assert [r.accuracy for r in csv_records] == [0.5, None]
-    good_json = tmp_path / "good.json"
-    good_json.write_text(json.dumps({"records": [GOOD_RECORD]}))
-    assert load_records(good_json) == csv_records[:1]
-
-
 def test_profile_dataset_path_naming_a_directory_exits_two(fixture_env, capsys):
     tmp_path, data = fixture_env
     config = write_config(tmp_path, data)
