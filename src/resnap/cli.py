@@ -159,17 +159,24 @@ def _experiment_config(config: CliConfig, entry: DatasetEntry) -> ExperimentConf
 
 
 def _out_dir(config: CliConfig, args: argparse.Namespace) -> Path:
+    """The output directory, or ConfigError when it or the nearest of its
+    parents that exists is not a directory. It is made when written to."""
     out = Path(args.out or config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"output directory {out} cannot be made: {path} is not a directory")
+            break
     return out
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
     config = _load_config(args)
     entry = _select_dataset(config, args.dataset)
+    out = _out_dir(config, args)
     log = _load_log(entry)
     prof = profile(log)
-    out = _out_dir(config, args)
+    out.mkdir(parents=True, exist_ok=True)
     data = prof.as_dict()
     json_path = out / f"{entry.id}_profile.json"
     json_path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
@@ -224,10 +231,10 @@ def cmd_grid(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
     entry = _select_dataset(config, args.dataset)
+    out = _out_dir(config, args)
     log = _load_log(entry)
     records = run_experiment(log, _experiment_config(config, entry))
     table = aggregate(records)
-    out = _out_dir(config, args)
     written = export_results(records, table, out)
     failed = [r for r in records if r.status != "ok"]
     if args.quiet:

@@ -17,6 +17,7 @@ model fitted with ``n_estimators=n``.
 """
 from __future__ import annotations
 
+import numbers
 from typing import Iterator
 
 import numpy as np
@@ -50,6 +51,12 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
+def check_fraction(name: str, value) -> None:
+    """ValidationError unless ``value`` is a number in (0, 1] that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value <= 1:
+        raise ValidationError(f"{name} must be a number in (0, 1], got {value!r}")
+
+
 class GradientBoostedTrees:
     """Multiclass softmax boosting over regression trees."""
 
@@ -81,6 +88,8 @@ class GradientBoostedTrees:
         ``time.monotonic()`` has passed ``deadline``.
         """
         check_estimators(self.n_estimators)
+        check_fraction("subsample", self.subsample)
+        check_fraction("colsample", self.colsample)
         X, y = check_training_data(X, y)
         self.n_features_in_ = X.shape[1]
         self.classes_ = np.unique(y)

@@ -8,7 +8,13 @@ import numpy as np
 
 from ..errors import ValidationError, check_deadline
 from ..seeding import derive_seed
-from .tree import DecisionTree, check_estimators, check_features, check_training_data
+from .tree import (
+    DecisionTree,
+    check_estimators,
+    check_features,
+    check_max_features,
+    check_training_data,
+)
 
 
 class RandomForest:
@@ -55,6 +61,7 @@ class RandomForest:
         ``time.monotonic()`` has passed ``deadline``.
         """
         check_estimators(self.n_estimators)
+        check_max_features(self.max_features, sqrt=True)
         X, y = check_training_data(X, y)
         self.n_features_in_ = X.shape[1]
         self.classes_ = np.unique(y)

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import inspect
 import itertools
-import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -11,9 +10,9 @@ import numpy as np
 
 from ..errors import ConfigError, ValidationError, check_deadline
 from ..seeding import derive_seed
-from .boosting import GradientBoostedTrees
+from .boosting import GradientBoostedTrees, check_fraction
 from .ensemble import RandomForest
-from .tree import DecisionTree, MajorityClassifier
+from .tree import DecisionTree, MajorityClassifier, check_estimators, check_max_features
 
 # "None" and -1 both mean unlimited depth
 RANDOM_FOREST_GRID: dict[str, list] = {
@@ -66,6 +65,11 @@ def _learner(kind: str):
         raise ConfigError(f"unknown model kind {kind!r}") from None
 
 
+def _parameters(kind: str) -> list[str]:
+    """The learner's grid parameters: its constructor's, less ``seed``."""
+    return [p for p in inspect.signature(_learner(kind)).parameters if p != "seed"]
+
+
 def make_classifier(kind: str, params: Mapping, seed: int):
     """Instantiate a classifier of the given kind with grid-point params."""
     params = dict(params)
@@ -79,13 +83,15 @@ def check_grid(kind: str, grid: Mapping[str, Sequence]) -> None:
 
     The grid must be a mapping. Every key must be a parameter of the
     learner's constructor and every value a non-empty list of
-    candidates; ``max_depth`` candidates must be depths and
+    candidates. ``max_depth`` candidates must be depths and
     ``n_estimators`` candidates positive integers, which staged scoring
-    needs as stage numbers.
+    needs as stage numbers. ``max_features`` candidates must be None or
+    positive integers, or ``"sqrt"`` for a forest, and ``subsample`` and
+    ``colsample`` candidates numbers in (0, 1].
     """
     if not isinstance(grid, Mapping):
         raise ConfigError(f"{kind} grid must be an object, got {grid!r}")
-    accepted = [p for p in inspect.signature(_learner(kind)).parameters if p != "seed"]
+    accepted = _parameters(kind)
     unknown = [key for key in grid if key not in accepted]
     if unknown:
         raise ConfigError(
@@ -99,9 +105,18 @@ def check_grid(kind: str, grid: Mapping[str, Sequence]) -> None:
             )
     for value in grid.get("max_depth", ()):
         normalize_depth(value)
-    for value in grid.get("n_estimators", ()):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ConfigError(f"n_estimators must be a positive integer, got {value!r}")
+    checks = {
+        "n_estimators": check_estimators,
+        "max_features": lambda value: check_max_features(value, sqrt=kind == "forest"),
+        "subsample": lambda value: check_fraction("subsample", value),
+        "colsample": lambda value: check_fraction("colsample", value),
+    }
+    for key, check in checks.items():
+        for value in grid.get(key, ()):
+            try:
+                check(value)
+            except ValidationError as exc:
+                raise ConfigError(f"{kind} grid: {exc}") from None
 
 
 def expand_grid(grid: Mapping[str, Sequence]) -> list[dict]:
@@ -182,6 +197,11 @@ def grid_search_cv(
     a model fitted with that number. ``deadline`` (time.monotonic value)
     aborts the search with :class:`CellTimeoutError` when exceeded; the
     ensembles also check it before every tree or round.
+
+    A learner without grid parameters (``majority``) has one point to
+    choose, so it is only refit: its outcome has no fold scores and a
+    NaN mean. The folds are still made, so too few samples for ``folds``
+    raise ConfigError as for every other learner.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -195,6 +215,8 @@ def grid_search_cv(
     groups = _staged_groups(points) if staged else [[i] for i in range(len(points))]
     fit_args = {"deadline": deadline} if staged else {}
     fold_idx = stratified_kfold(y, folds, seed)
+    if not _parameters(kind):  # one point to choose: refit only
+        fold_idx = []
     all_idx = np.arange(len(y))
     per_fold: list[list[float]] = [[] for _ in points]
     for f, test_idx in enumerate(fold_idx):
@@ -216,7 +238,7 @@ def grid_search_cv(
                 per_fold[top].append(float(np.mean(model.predict(X_test) == y_test)))
     best: CVOutcome | None = None
     for point, scores in zip(points, per_fold):
-        mean_acc = float(np.mean(scores))
+        mean_acc = float(np.mean(scores)) if scores else float("nan")
         if best is None or mean_acc > best.mean_fold_accuracy:
             best = CVOutcome(best_params=point, mean_fold_accuracy=mean_acc, per_fold=scores)
     check_deadline(deadline)

@@ -30,7 +30,11 @@ cost of a node. A node of one distinct row has no cut, and in a node of
 two distinct rows every cut has the same exact score, so neither runs
 the search (see :func:`grow`). Integer sums are exact, so a child's
 class counts come from its parent's search instead of a sum over its
-rows.
+rows. A node's candidate features are the sorted draw of
+``rng.choice(d, m, replace=False)``; a tree makes its draws in batches
+from the same random words (:class:`_CandidateDraws`), which costs a
+node a few microseconds instead of numpy's per-call overhead, and
+leaves the generator exactly where the calls would have.
 """
 from __future__ import annotations
 
@@ -194,6 +198,134 @@ def _top_cut(left, left_n, right_n, total, integer: bool) -> int:
     return int(best)
 
 
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+class _CandidateDraws:
+    """The sorted candidates of successive ``rng.choice(d, m, replace=False)``
+    calls, drawn in batches from the same 32-bit words.
+
+    Unless ``d > 10_000`` and ``m > d // 50``, numpy draws by Floyd's
+    algorithm: for ``j`` from ``d - m`` to ``d - 1`` an integer in
+    ``[0, j]``, or ``j`` itself when that one is taken; then it shuffles
+    the ``m`` indices with integers in ``[0, i]``, ``i`` from ``m - 1``
+    down to 1. Each integer is Lemire's method on one 32-bit word of the
+    generator, repeated while the word is rejected (Lemire, "Fast Random
+    Integer Generation in an Interval", 2019). A PCG64 output gives its
+    low half first and buffers its high half for the next word
+    (``has_uint32``). So a draw reads ``2m - 1`` words unless one is
+    rejected, which happens to about one word in 10⁹.
+
+    A batch reads the words of many draws with the generator's
+    ``random_raw``, tests them all for rejection at once, and picks every
+    draw's indices one column at a time. The draw at the first rejection,
+    if any, reads its words one by one and ends the batch. The shuffle
+    only reorders indices that are sorted anyway.
+
+    A batch reads ahead, so :meth:`finish` rewinds ``rng`` to its first
+    state and advances it past exactly the words of the draws taken,
+    which leaves it in the state those ``rng.choice`` calls would have.
+    Other bit generators, and numpy's tail shuffle for large ``d``, draw
+    with ``rng.choice``.
+    """
+
+    _MAX_WORDS = 1 << 15  # words per batch, which bounds a batch's memory
+
+    def __init__(self, rng: np.random.Generator, features: np.ndarray, m: int):
+        d = features.size
+        self.rng, self.features, self.m = rng, features, m
+        self.rows, self.next, self.batch = (), 0, 64
+        pcg = isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
+        tail_shuffle = d > 10_000 and m > d // 50  # numpy's choice without Floyd
+        self.exact = pcg and not tail_shuffle
+        if self.exact:
+            self.state = rng.bit_generator.state  # finish() rewinds to it
+            buffered = [self.state["uinteger"]] if self.state["has_uint32"] else []
+            self.words = np.array(buffered, dtype=np.uint64)
+            self.taken = 0  # words of self.words read
+            self.used = 0  # words read by every batch
+            self.ends: np.ndarray | None = None  # self.used after each row of the batch
+            # each word's exclusive bound: Floyd's words, then the shuffle's
+            spans = np.concatenate((np.arange(d - m + 1, d + 1), np.arange(m, 1, -1)))
+            self.spans = spans.astype(np.uint64)
+            self.limits = (1 << 32) % self.spans  # Lemire rejects a low half below this
+
+    def __next__(self) -> np.ndarray:
+        if self.next == len(self.rows):
+            self.rows, self.next = self.features[self._batch()], 0
+        self.next += 1
+        return self.rows[self.next - 1]
+
+    def _batch(self) -> np.ndarray:
+        d, m = self.features.size, self.m
+        if not self.exact:
+            return np.sort(self.rng.choice(d, m, replace=False))[None]
+        k = 2 * m - 1
+        n = max(1, min(self.batch, self._MAX_WORDS // k))
+        self.batch *= 2
+        product = self._peek(n * k).reshape(n, k) * self.spans
+        rejected = ((product & _LOW32) < self.limits).any(axis=1).nonzero()[0]
+        if rejected.size:
+            n = int(rejected[0])
+        picks = (product[:n, :m] >> 32).astype(np.int64)
+        for c in range(1, m):  # Floyd: a taken index gives way to j
+            taken = (picks[:, :c] == picks[:, c, None]).any(axis=1)
+            picks[taken, c] = d - m + c
+        self.ends = self.used + k * np.arange(1, n + 1)
+        self.taken += n * k
+        self.used += n * k
+        if rejected.size:
+            picks = np.vstack((picks, self._one_by_one()))
+            self.ends = np.append(self.ends, self.used)
+        picks.sort(axis=1)
+        return picks
+
+    def _peek(self, count: int) -> np.ndarray:
+        """The next ``count`` words, not yet taken."""
+        if self.words.size - self.taken < count:
+            raw = self.rng.bit_generator.random_raw((count + 1) // 2)
+            fresh = np.stack((raw & _LOW32, raw >> 32), axis=1).ravel()
+            self.words = np.concatenate((self.words[self.taken:], fresh))
+            self.taken = 0
+        return self.words[self.taken:self.taken + count]
+
+    def _bounded(self, top: int) -> int:
+        """numpy's integer in ``[0, top]``, read word by word."""
+        span = top + 1
+        while True:
+            product = int(self._peek(1)[0]) * span
+            self.taken += 1
+            self.used += 1
+            if product & 0xFFFFFFFF >= (1 << 32) % span:
+                return product >> 32
+
+    def _one_by_one(self) -> list[int]:
+        d, m = self.features.size, self.m
+        picks: list[int] = []
+        for j in range(d - m, d):
+            pick = self._bounded(j)
+            picks.append(j if pick in picks else pick)
+        for i in range(m - 1, 0, -1):
+            self._bounded(i)
+        return picks
+
+    def finish(self) -> None:
+        """Advance ``rng`` past the words of every draw taken so far."""
+        if not self.exact or not self.next:
+            return
+        buffered = self.state["has_uint32"]
+        raw = int(self.ends[self.next - 1]) - buffered  # words of the generator's outputs
+        bit_generator = self.rng.bit_generator
+        bit_generator.state = self.state
+        high = self.state["uinteger"]
+        if raw:  # the last output read: its high half is buffered, or was read
+            bit_generator.advance((raw - 1) // 2)
+            high = int(bit_generator.random_raw()) >> 32
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = raw % 2, high
+        bit_generator.state = state
+
+
 def grow(
     X: np.ndarray,
     stats: np.ndarray,
@@ -220,6 +352,12 @@ def grow(
     side. ``node_value(rows)`` gives each node's value; by default it is
     the node's statistic sums. When given, ``reached`` is filled with the
     leaf each row of ``X`` ends in, which is ``tree.apply(X)``.
+
+    A node that subsamples features draws the sorted result of
+    ``rng.choice(features.size, max_features, replace=False)``. The draws
+    come in batches from :class:`_CandidateDraws`, bit for bit the same
+    as those calls, and when the tree is grown ``rng`` is in the state
+    the calls would have left it in, buffered 32-bit word included.
 
     A row of integer statistics counts as many rows as its counts sum
     to, in the row limits above and in the child sizes of the split
@@ -259,6 +397,8 @@ def grow(
         flat = columns.ravel()
         offsets = (features * X.shape[0])[:, None]
         side = np.zeros(X.shape[0], dtype=bool)
+    else:
+        draws = _CandidateDraws(rng, features, max_features)
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -284,12 +424,7 @@ def grow(
         value.append(total if node_value is None else node_value(rows))
         split = values = None
         if not stop and (not integer or np.count_nonzero(total) > 1):
-            if presorted:
-                candidates = features
-            else:
-                draw = rng.choice(features.size, size=max_features, replace=False)
-                draw.sort()
-                candidates = features[draw]
+            candidates = features if presorted else next(draws)
             if rows.size == 2 and integer:
                 values = columns[candidates].take(rows, axis=1)
                 # a cut needs one value below the other, which no NaN is
@@ -338,6 +473,8 @@ def grow(
                 right_block = block.compress(~goes_left).reshape(features.size, -1)
         stack.append((right_rows, right_total, right_size, depth + 1, node, right_block))
         stack.append((left_rows, left_total, left_size, depth + 1, -1, left_block))
+    if not presorted:
+        draws.finish()
     return Tree(
         np.array(feature, dtype=np.int64),
         np.array(threshold, dtype=float),
@@ -366,6 +503,16 @@ def check_estimators(n) -> None:
     """ValidationError unless the tree or round count ``n`` is a positive integer."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ValidationError(f"n_estimators must be a positive integer, got {n!r}")
+
+
+def check_max_features(value, sqrt: bool = False) -> None:
+    """ValidationError unless ``value`` is None, a positive integer that is
+    not a bool, or, where ``sqrt`` allows it, ``"sqrt"``."""
+    if value is None or (sqrt and value == "sqrt"):
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        accepted = "None, 'sqrt' or a positive integer" if sqrt else "None or a positive integer"
+        raise ValidationError(f"max_features must be {accepted}, got {value!r}")
 
 
 def check_features(X, n_features: int | None, trees) -> np.ndarray:
@@ -439,6 +586,7 @@ class DecisionTree:
         Repeated rows (a bootstrap sample has many) are merged first; the
         tree is the one grown on the one-hot rows themselves.
         """
+        check_max_features(self.max_features)
         X, y = check_training_data(X, y)
         self.n_features_in_ = X.shape[1]
         self.classes_, codes = np.unique(y, return_inverse=True)

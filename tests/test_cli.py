@@ -275,6 +275,25 @@ def test_config_or_records_path_naming_a_directory_exits_two(fixture_env, capsys
     assert f"records file not found: {tmp_path}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["profile", "run", "report"])
+@pytest.mark.parametrize("via_flag", [False, True], ids=["config", "flag"])
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "below-a-file"])
+def test_output_directory_naming_a_file_exits_two_before_parsing(
+    fixture_env, capsys, command, via_flag, nested
+):
+    tmp_path, data = fixture_env
+    taken = tmp_path / "taken.txt"
+    taken.write_text("not a directory\n")
+    out = taken / "sub" if nested else taken
+    config_path = write_config(tmp_path, data, **({} if via_flag else {"output_dir": str(out)}))
+    data.unlink()  # a parse attempt would fail with "dataset file not found"
+    argv = [command, "--config", str(config_path)] + (["--out", str(out)] if via_flag else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{taken} is not a directory" in err and "not found" not in err
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_grid_for_an_experiment_model_the_config_does_not_select_is_accepted(fixture_env, capsys):
     tmp_path, data = fixture_env
     config_path = write_config(tmp_path, data)
@@ -511,6 +530,18 @@ def _repeat_dataset(config):
         (_repeat_dataset, "id 'fixture' is already declared"),
         (_put(EXPERIMENT, "encodings", ["SeqOnly", "SeqOnly"]), "encodings must not repeat"),
         (_put(EXPERIMENT, "grids", {"tree": {"max_depth": [3]}}), "a grid for 'tree'"),
+        *(
+            (_put(EXPERIMENT, "grids", {"forest": {"max_features": [value]}}), named)
+            for value, named in [
+                ("log2", "'log2'"), (-1, "got -1"), (1.5, "got 1.5"), (True, "got True"),
+                (0, "got 0"),
+            ]
+        ),
+        *(
+            (_put(EXPERIMENT, "grids", {"boosted": {key: [value]}}), f"{key} must be")
+            for key, value in [("subsample", 1.5), ("subsample", 0), ("colsample", -1),
+                               ("colsample", "most")]
+        ),
     ],
     ids=[
         "output_dir-number", "path-number", "id-list", "delimiter-two-chars",
@@ -518,6 +549,9 @@ def _repeat_dataset(config):
         "ouput_dir", "prefix_candidate", "delimeter", "mi_K", "mi_k-true", "workers-fraction",
         "seed-string", "cv_folds-fraction", "split_ratio-string", "min_resources-false",
         "min_resources-negative", "repeated-dataset-id", "repeated-encoding", "tree-grid",
+        "max_features-log2", "max_features-negative", "max_features-fraction",
+        "max_features-true", "max_features-zero", "subsample-above-one", "subsample-zero",
+        "colsample-negative", "colsample-string",
     ],
 )
 def test_every_command_rejects_a_config_off_the_schema_before_parsing(

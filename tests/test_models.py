@@ -412,3 +412,22 @@ def test_ensemble_fit_rejects_n_estimators_that_is_not_a_positive_integer(make, 
     with pytest.raises(ValidationError, match="n_estimators must be a positive integer"):
         make(n_estimators=n_estimators).fit(np.eye(3), [0, 1, 2])
     assert make(n_estimators=np.int64(2)).fit(np.eye(3), [0, 1, 2]).predict(np.eye(3)).shape == (3,)
+
+
+@pytest.mark.parametrize(
+    "make, value",
+    [
+        (RandomForest, "log2"), (RandomForest, 0), (RandomForest, -1), (RandomForest, 1.5),
+        (RandomForest, True), (DecisionTree, "sqrt"), (DecisionTree, 0),
+    ],
+)
+def test_fit_rejects_max_features_it_cannot_draw(make, value):
+    with pytest.raises(ValidationError, match=f"max_features must be .*, got {value!r}"):
+        make(max_features=value).fit(np.eye(3), [0, 1, 2])
+
+
+@pytest.mark.parametrize("key", ["subsample", "colsample"])
+@pytest.mark.parametrize("value", [0, -1, 1.5, float("nan"), True, "most"])
+def test_boosting_fit_rejects_a_fraction_outside_zero_to_one(key, value):
+    with pytest.raises(ValidationError, match=f"{key} must be a number in"):
+        GradientBoostedTrees(n_estimators=2, **{key: value}).fit(np.eye(3), [0, 1, 2])

@@ -7,8 +7,14 @@ column's value rises. ``DecisionTree`` grows on the distinct rows of its
 data with class counts. The reference in ``oracles`` sorts every
 candidate at every node and scans every position of the uncollapsed
 rows. Both must give the same tree, array for array.
+
+The reference draws each node's candidates with ``Generator.choice``;
+``grow`` draws them in batches. The draws, and the generator state they
+leave, are also checked against the installed numpy directly.
 """
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ from resnap import ValidationError
 from resnap.models import DecisionTree, GradientBoostedTrees, RandomForest
 from resnap.models.tree import (
     Tree,
+    _CandidateDraws,
     distinct_rows,
     grow,
     presort,
@@ -447,3 +454,151 @@ def test_float_statistics_with_feature_subsampling(seed, min_samples_leaf):
     assert got_rng.integers(1 << 30) == expected_rng.integers(1 << 30)
     sizes = [rows.size for rows, _ in node_rows(tree, X)]
     assert 2 in sizes and (1 in sizes or min_samples_leaf > 1)
+
+
+# --- batched candidate draws against numpy's Generator.choice -----------------
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def buffered(rng):
+    """``rng`` after one 32-bit draw, which leaves the output's high half buffered."""
+    rng.integers(1 << 32, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+def generator_state(rng) -> str:
+    """The bit generator's whole state, arrays and buffered word included, as text."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+def assert_draws_match_numpy(make_rng, d, m, n):
+    """``n`` sampler draws equal ``n`` sorted ``rng.choice(d, m, replace=False)``
+    calls, and leave the generator in the same state, buffered word included."""
+    got_rng, expected_rng = make_rng(), make_rng()
+    draws = _CandidateDraws(got_rng, np.arange(d), m)
+    got = [next(draws) for _ in range(n)]
+    draws.finish()
+    for row in got:
+        expected = np.sort(expected_rng.choice(d, m, replace=False))
+        assert row.dtype == expected.dtype and np.array_equal(row, expected)
+    assert generator_state(got_rng) == generator_state(expected_rng)
+    return expected_rng
+
+
+@pytest.mark.parametrize("start_buffered", [False, True])
+@pytest.mark.parametrize("d", [2, 3, 10, 20, 32, 37, 100, 222])
+def test_candidate_draws_match_sorted_numpy_choice(d, start_buffered):
+    for m in sorted({1, round(np.sqrt(d)), d - 1}):
+        for seed in range(16):
+            n = 1 + (seed * 37) % 200  # ends inside the first, second or third batch
+
+            def make_rng():
+                rng = np.random.default_rng(seed)
+                return buffered(rng) if start_buffered else rng
+
+            assert_draws_match_numpy(make_rng, d, m, n)
+
+
+def pcg64_with_zero_word(position: int, seed: int = 0) -> np.random.Generator:
+    """A PCG64 generator whose 32-bit word ``position`` is zero.
+
+    Output ``t`` gives words ``2t`` (its low half) and ``2t + 1``. An
+    output is the XSL-RR permutation of the state stepped before it,
+    ``rotr64(high ^ low, high >> 58)``, and the state before a step is
+    ``(state - inc) * multiplier⁻¹ mod 2¹²⁸``.
+    """
+    source = np.random.default_rng(seed)
+    inc = np.random.PCG64(seed).state["state"]["inc"]
+    output, half = divmod(position, 2)
+    target = int(source.integers(1 << 63)) << 1 & ~(0xFFFFFFFF << (32 * half))
+    high = int(source.integers(1 << 63)) << 1
+    rotation = high >> 58
+    mask64 = (1 << 64) - 1
+    low = high ^ ((target << rotation | target >> (64 - rotation)) & mask64)
+    state = high << 64 | low
+    inverse = pow(PCG64_MULTIPLIER, -1, 1 << 128)
+    for _ in range(output + 1):
+        state = (state - inc) * inverse % (1 << 128)
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+        "has_uint32": 0, "uinteger": 0,
+    }
+    check = np.random.PCG64()
+    check.state = bit_generator.state
+    assert int(check.random_raw(output + 1)[-1]) >> (32 * half) & 0xFFFFFFFF == 0
+    return np.random.Generator(bit_generator)
+
+
+@pytest.mark.parametrize("start_buffered", [False, True])
+@pytest.mark.parametrize(
+    "position",
+    [0, 1, 3, 5 * 20 + 2, 5 * 63 + 3, 5 * 64, 5 * 150 + 1],
+    ids=["first", "second", "shuffle", "mid-batch", "batch-end", "batch-start", "third-batch"],
+)
+def test_candidate_draws_retry_a_rejected_word(position, start_buffered):
+    """Word ``position`` of the draws (the buffered word is word 0) is zero.
+
+    With d=12, m=3 a draw reads its five words as integers in [0, 9],
+    [0, 10], [0, 11], [0, 2] and [0, 1]. A zero word is a Lemire rejection
+    for every bound but a power of two, so each position here is one.
+    """
+    d, m, n = 12, 3, 200
+
+    def make_rng():
+        if not start_buffered:
+            return pcg64_with_zero_word(position)
+        rng = pcg64_with_zero_word(position - 1) if position else np.random.default_rng(0)
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, 0 if position == 0 else 123456789
+        rng.bit_generator.state = state
+        return rng
+
+    expected_rng = assert_draws_match_numpy(make_rng, d, m, n)
+    # one word more than 2m - 1 per draw flips the parity of the words read
+    assert expected_rng.bit_generator.state["has_uint32"] != (n * (2 * m - 1) - start_buffered) % 2
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("start_buffered", [False, True])
+@pytest.mark.parametrize("integer", [True, False])
+def test_grow_leaves_the_generator_where_numpy_choice_would(seed, start_buffered, integer):
+    rng = np.random.default_rng(1100 + seed)
+    X = tied_matrix(rng, 90, 10, levels=5)
+    stats = (np.eye(3, dtype=np.int64)[rng.integers(0, 3, size=90)] if integer
+             else rng.normal(size=(90, 1)))
+    got_rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if start_buffered:
+        buffered(got_rng), buffered(expected_rng)
+    tree = grow(X, stats, max_features=3, rng=got_rng)
+    assert_same_tree(tree, reference_grow(X, stats, max_features=3, rng=expected_rng))
+    assert generator_state(got_rng) == generator_state(expected_rng)
+
+
+@pytest.mark.parametrize(
+    "make_rng, d, m",
+    [
+        (lambda: np.random.Generator(np.random.PCG64DXSM(5)), 37, 6),
+        (lambda: buffered(np.random.Generator(np.random.PCG64DXSM(5))), 37, 6),
+        (lambda: np.random.Generator(np.random.MT19937(5)), 37, 6),
+        (lambda: np.random.Generator(np.random.Philox(5)), 10, 3),
+        (lambda: np.random.default_rng(5), 20_000, 401),  # numpy's tail shuffle
+        (lambda: np.random.default_rng(5), 20_000, 400),  # still Floyd's algorithm
+    ],
+    ids=["pcg64dxsm", "pcg64dxsm-buffered", "mt19937", "philox", "tail-shuffle", "floyd-20000"],
+)
+def test_candidate_draws_on_other_generators_and_sizes(make_rng, d, m):
+    assert_draws_match_numpy(make_rng, d, m, 70)
+
+
+def test_grow_with_another_bit_generator_matches_reference():
+    rng = np.random.default_rng(1200)
+    X = tied_matrix(rng, 80, 9)
+    stats = np.eye(3, dtype=np.int64)[rng.integers(0, 3, size=80)]
+    got_rng = np.random.Generator(np.random.MT19937(3))
+    expected_rng = np.random.Generator(np.random.MT19937(3))
+    tree = grow(X, stats, max_features=3, rng=got_rng)
+    assert_same_tree(tree, reference_grow(X, stats, max_features=3, rng=expected_rng))
+    assert generator_state(got_rng) == generator_state(expected_rng)

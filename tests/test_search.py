@@ -11,6 +11,7 @@ from resnap.models import (
     GRADIENT_BOOSTING_GRID,
     RANDOM_FOREST_GRID,
     DecisionTree,
+    MajorityClassifier,
     RandomForest,
     expand_grid,
     grid_search_cv,
@@ -133,6 +134,21 @@ def test_grid_search_majority_has_single_point():
     outcome = grid_search_cv("majority", X, y, folds=2, seed=0)
     assert outcome.best_params == {}
     assert outcome.model.predict(X).tolist() == [0] * 8
+
+
+def test_grid_search_majority_only_refits(monkeypatch):
+    fitted = []
+    fit = MajorityClassifier.fit
+    monkeypatch.setattr(
+        MajorityClassifier, "fit", lambda self, X, y: fitted.append(len(y)) or fit(self, X, y)
+    )
+    X = np.zeros((8, 1))
+    y = np.array([0, 0, 0, 1, 0, 1, 0, 1])
+    outcome = grid_search_cv("majority", X, y, folds=2, seed=0)
+    assert fitted == [8]  # the refit on all rows, no fold fits
+    assert outcome.per_fold == [] and np.isnan(outcome.mean_fold_accuracy)
+    with pytest.raises(ConfigError, match="cannot make 3 folds from 2 samples"):
+        grid_search_cv("majority", X[:2], y[:2], folds=3, seed=0)
 
 
 def _naive_search(kind, X, y, grid, folds, seed):
