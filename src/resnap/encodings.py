@@ -78,7 +78,7 @@ def _encoded(ds: PrefixDataset, encoding_id: str, *blocks) -> EncodedDataset:
     rows = [ds.prefixes.astype(float)]
     for block_names, columns in blocks:
         names += block_names
-        rows.append(np.array(columns, dtype=float).reshape(len(ds.samples), len(block_names)))
+        rows.append(np.asarray(columns, dtype=float).reshape(len(ds.samples), len(block_names)))
     return EncodedDataset(tuple(names), np.hstack(rows), ds.targets.copy(), encoding_id)
 
 
@@ -95,13 +95,10 @@ def capability_map(log: EventLog) -> CapabilityMap:
     return CapabilityMap(activities=log.activities, vectors=vectors)
 
 
-def _capability_block(ds: PrefixDataset, cap: CapabilityMap):
-    return [f"cap_{a}" for a in cap.activities], [cap.vector_for(r) for r in ds.resource_ids]
-
-
 def encode_scap(ds: PrefixDataset, cap: CapabilityMap) -> EncodedDataset:
     """SeqOnly columns followed by the resource's capability bits."""
-    return _encoded(ds, "SCap", _capability_block(ds, cap))
+    bits = [cap.vector_for(r) for r in ds.resource_ids]
+    return _encoded(ds, "SCap", ([f"cap_{a}" for a in cap.activities], bits))
 
 
 def count_2grams(prefix: Sequence) -> dict[Bigram, int]:
@@ -115,27 +112,40 @@ def mutual_information(column: Sequence, targets: Sequence) -> float:
     Every distinct value is its own category:
     I = sum over (x, y) of p(x, y) * ln(p(x, y) / (p(x) p(y))).
     """
-    if len(column) != len(targets):
-        raise ValidationError("column and targets must have equal length")
-    n = len(column)
-    if n == 0:
-        raise ValidationError("column must be non-empty")
-    joint = Counter(zip(column, targets))
-    px = Counter(column)
-    py = Counter(targets)
-    mi = 0.0
-    for (x, y), n_xy in joint.items():
-        mi += (n_xy / n) * math.log(n_xy * n / (px[x] * py[y]))
-    return max(mi, 0.0)
+    codes = np.unique(column, return_inverse=True)[1].reshape(1, -1)
+    return _mutual_informations(codes, targets)[0]
 
 
-def bigram_count_columns(
-    prefixes: Sequence[Sequence[int]],
-) -> dict[Bigram, list[int]]:
-    """One count column per bigram observed anywhere in the given prefixes."""
-    per_prefix = [count_2grams(p) for p in prefixes]
-    universe = sorted({bg for counts in per_prefix for bg in counts})
-    return {bg: [counts.get(bg, 0) for counts in per_prefix] for bg in universe}
+def _mutual_informations(columns: np.ndarray, targets: Sequence) -> list[float]:
+    """:func:`mutual_information` of each row of a non-negative integer matrix:
+    each row adds its ``math.log`` terms in the order its (value, target)
+    pairs first appear, as a loop over a ``Counter`` does, float for float."""
+    m, n = columns.shape
+    if n == 0 or len(targets) != n:
+        raise ValidationError("column and targets must have equal, non-zero length")
+    y = np.unique(targets, return_inverse=True)[1].reshape(n)
+    cells = np.arange(m)[:, None] * (int(columns.max()) + 1) + columns  # (row, value) ids
+    n_y = int(y.max()) + 1
+    pairs, first, joint = np.unique(cells * n_y + y, return_index=True, return_counts=True)
+    order = np.argsort(first)  # by row, then by first appearance
+    pairs, joint = pairs[order], joint[order]
+    ratio = joint * n / (np.bincount(cells.ravel())[pairs // n_y] * np.bincount(y)[pairs % n_y])
+    mi = [0.0] * m
+    for row, p, r in zip((first[order] // n).tolist(), (joint / n).tolist(), ratio.tolist()):
+        mi[row] += p * math.log(r)
+    return [max(v, 0.0) for v in mi]
+
+
+def bigram_count_columns(prefixes: Sequence[Sequence[int]]) -> dict[Bigram, np.ndarray]:
+    """One count column per bigram observed anywhere in the given prefixes,
+    which share one length and hold non-negative ids: in bigram order, the
+    rows of one ``bincount`` of the bigram codes ``a * K + b``."""
+    matrix = np.asarray(prefixes, dtype=np.int64)
+    n, base = len(matrix), int(matrix.max(initial=0)) + 1
+    universe, index = np.unique(matrix[:, :-1] * base + matrix[:, 1:], return_inverse=True)
+    cells = index.reshape(n, -1) * n + np.arange(n)[:, None]
+    counts = np.bincount(cells.ravel(), minlength=universe.size * n).reshape(-1, n)
+    return dict(zip(zip((universe // base).tolist(), (universe % base).tolist()), counts))
 
 
 def select_top_k(
@@ -150,38 +160,43 @@ def select_top_k(
     """
     if k < 0:
         raise ValidationError("k must be non-negative")
-    scored = sorted(
-        ((-mutual_information(col, targets), bg) for bg, col in bigram_columns.items()),
-    )
+    if not bigram_columns:
+        return SelectedBigrams(())
+    scores = _mutual_informations(np.array(list(bigram_columns.values())), targets)
+    scored = sorted(zip((-v for v in scores), bigram_columns))
     return SelectedBigrams(tuple(bg for _, bg in scored[:k]))
 
 
-def _bigram_block(ds: PrefixDataset, selection: SelectedBigrams):
+def _bigram_block(ds: PrefixDataset, selection: SelectedBigrams, columns: Mapping | None):
+    columns = bigram_count_columns(ds.prefixes) if columns is None else columns
+    absent = np.zeros(len(ds.samples), dtype=np.int64)
     names = [f"2g_{ds.encoder.decode(a)}->{ds.encoder.decode(b)}" for a, b in selection.bigrams]
-    counts = [count_2grams(p) for p in ds.prefixes.tolist()]
-    return names, [[c.get(bg, 0) for bg in selection.bigrams] for c in counts]
+    return names, np.array([columns.get(bg, absent) for bg in selection.bigrams]).T
 
 
-def encode_s2g(ds: PrefixDataset, selection: SelectedBigrams) -> EncodedDataset:
-    """SeqOnly columns followed by one count column per selected bigram."""
-    return _encoded(ds, "S2g", _bigram_block(ds, selection))
+def encode_s2g(
+    ds: PrefixDataset, selection: SelectedBigrams, columns: Mapping | None = None
+) -> EncodedDataset:
+    """SeqOnly columns followed by one count column per selected bigram; ``columns``,
+    when given, is ``bigram_count_columns(ds.prefixes)``."""
+    return _encoded(ds, "S2g", _bigram_block(ds, selection, columns))
 
 
 def run_features(prefix: Sequence) -> tuple[int, float]:
     """Number of maximal same-activity blocks and their average length."""
-    if not prefix:
+    if not len(prefix):
         raise ValidationError("prefix must be non-empty")
-    n_runs = 1 + sum(1 for a, b in zip(prefix, prefix[1:]) if a != b)
+    n_runs = 1 + int(np.count_nonzero(np.asarray(prefix[1:]) != np.asarray(prefix[:-1])))
     return n_runs, len(prefix) / n_runs
 
 
-def _run_block(ds: PrefixDataset):
-    return ["n_runs", "avg_run_len"], [run_features(p) for p in ds.prefixes.tolist()]
-
-
-def encode_s2gr(ds: PrefixDataset, selection: SelectedBigrams) -> EncodedDataset:
-    """S2g columns followed by the two run statistics."""
-    return _encoded(ds, "S2gR", _bigram_block(ds, selection), _run_block(ds))
+def encode_s2gr(
+    ds: PrefixDataset, selection: SelectedBigrams, columns: Mapping | None = None
+) -> EncodedDataset:
+    """S2g columns followed by the two run statistics (``columns`` as for S2g)."""
+    n_runs = 1 + np.count_nonzero(ds.prefixes[:, 1:] != ds.prefixes[:, :-1], axis=1)
+    runs = ["n_runs", "avg_run_len"], np.column_stack([n_runs, ds.prefix_length / n_runs])
+    return _encoded(ds, "S2gR", _bigram_block(ds, selection, columns), runs)
 
 
 def encoded_to_csv(encoded: EncodedDataset, path: str | Path) -> None:

@@ -67,14 +67,15 @@ class EventColumns:
     """Per-event lists a reader fills in file order, before validation.
 
     ``resources`` holds None (or "") for events without a resource;
-    ``timestamps_us`` holds UTC epoch microseconds. Event ``i`` has file
-    order ``i``.
+    ``timestamps_us`` holds int64 arrays of UTC epoch microseconds, one
+    per decoded batch, whose concatenation has one entry per event. Event
+    ``i`` has file order ``i``.
     """
 
     cases: list[str] = field(default_factory=list)
     activities: list[str] = field(default_factory=list)
     resources: list[str | None] = field(default_factory=list)
-    timestamps_us: list[int] = field(default_factory=list)
+    timestamps_us: list[np.ndarray] = field(default_factory=list)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,6 +175,7 @@ def build_event_log(events: Iterable[Event] | EventColumns) -> EventLog:
     else:
         raw = EventColumns()
         orders: list[int] = []
+        stamps: list[int] = []
         seen_orders: set[int] = set()
         for ev in events:
             if ev.file_order in seen_orders:
@@ -184,9 +186,10 @@ def build_event_log(events: Iterable[Event] | EventColumns) -> EventLog:
             raw.activities.append(ev.activity)
             raw.resources.append(ev.resource)
             try:
-                raw.timestamps_us.append(epoch_us(ev.timestamp))
+                stamps.append(epoch_us(ev.timestamp))
             except ValueError as exc:
                 raise ValidationError(f"event {ev.file_order}: {exc}") from exc
+        raw.timestamps_us.append(np.array(stamps, dtype=np.int64))
         file_order = np.array(orders, dtype=np.int64)
     if not raw.cases:
         raise EmptyLogError("no events in source")
@@ -202,7 +205,7 @@ def build_event_log(events: Iterable[Event] | EventColumns) -> EventLog:
         activity_codes=activity_codes,
         resource_codes=resource_codes,
         case_codes=case_codes,
-        timestamps_us=np.array(raw.timestamps_us, dtype=np.int64)[kept],
+        timestamps_us=np.concatenate(raw.timestamps_us)[kept],
         file_order=file_order[kept],
         dropped_event_count=len(keep) - len(kept),
     )

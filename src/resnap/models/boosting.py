@@ -17,6 +17,7 @@ model fitted with ``n_estimators=n``.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Iterator
 
@@ -57,6 +58,12 @@ def check_fraction(name: str, value) -> None:
         raise ValidationError(f"{name} must be a number in (0, 1], got {value!r}")
 
 
+def check_learning_rate(value) -> None:
+    """ValidationError unless ``value`` is a finite number >= 0 that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
+        raise ValidationError(f"learning_rate must be a finite number >= 0, got {value!r}")
+
+
 class GradientBoostedTrees:
     """Multiclass softmax boosting over regression trees."""
 
@@ -90,6 +97,7 @@ class GradientBoostedTrees:
         check_estimators(self.n_estimators)
         check_fraction("subsample", self.subsample)
         check_fraction("colsample", self.colsample)
+        check_learning_rate(self.learning_rate)
         X, y = check_training_data(X, y)
         self.n_features_in_ = X.shape[1]
         self.classes_ = np.unique(y)

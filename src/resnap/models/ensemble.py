@@ -10,6 +10,7 @@ from ..errors import ValidationError, check_deadline
 from ..seeding import derive_seed
 from .tree import (
     DecisionTree,
+    check_bool,
     check_estimators,
     check_features,
     check_max_features,
@@ -62,6 +63,7 @@ class RandomForest:
         """
         check_estimators(self.n_estimators)
         check_max_features(self.max_features, sqrt=True)
+        check_bool("bootstrap", self.bootstrap)  # each tree's fit checks its own parameters
         X, y = check_training_data(X, y)
         self.n_features_in_ = X.shape[1]
         self.classes_ = np.unique(y)

@@ -10,9 +10,16 @@ import numpy as np
 
 from ..errors import ConfigError, ValidationError, check_deadline
 from ..seeding import derive_seed
-from .boosting import GradientBoostedTrees, check_fraction
+from .boosting import GradientBoostedTrees, check_fraction, check_learning_rate
 from .ensemble import RandomForest
-from .tree import DecisionTree, MajorityClassifier, check_estimators, check_max_features
+from .tree import (
+    DecisionTree,
+    MajorityClassifier,
+    check_bool,
+    check_estimators,
+    check_max_features,
+    check_min_samples,
+)
 
 # "None" and -1 both mean unlimited depth
 RANDOM_FOREST_GRID: dict[str, list] = {
@@ -86,8 +93,11 @@ def check_grid(kind: str, grid: Mapping[str, Sequence]) -> None:
     candidates. ``max_depth`` candidates must be depths and
     ``n_estimators`` candidates positive integers, which staged scoring
     needs as stage numbers. ``max_features`` candidates must be None or
-    positive integers, or ``"sqrt"`` for a forest, and ``subsample`` and
-    ``colsample`` candidates numbers in (0, 1].
+    positive integers, or ``"sqrt"`` for a forest; ``subsample`` and
+    ``colsample`` candidates numbers in (0, 1]; ``learning_rate``
+    candidates finite numbers >= 0; ``bootstrap`` candidates booleans;
+    ``min_samples_leaf`` candidates integers >= 1 and ``min_samples_split``
+    candidates integers >= 2. The learners' ``fit`` checks the same.
     """
     if not isinstance(grid, Mapping):
         raise ConfigError(f"{kind} grid must be an object, got {grid!r}")
@@ -110,6 +120,10 @@ def check_grid(kind: str, grid: Mapping[str, Sequence]) -> None:
         "max_features": lambda value: check_max_features(value, sqrt=kind == "forest"),
         "subsample": lambda value: check_fraction("subsample", value),
         "colsample": lambda value: check_fraction("colsample", value),
+        "learning_rate": check_learning_rate,
+        "bootstrap": lambda value: check_bool("bootstrap", value),
+        "min_samples_leaf": lambda value: check_min_samples("min_samples_leaf", value, 1),
+        "min_samples_split": lambda value: check_min_samples("min_samples_split", value, 2),
     }
     for key, check in checks.items():
         for value in grid.get(key, ()):

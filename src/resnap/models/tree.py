@@ -505,6 +505,18 @@ def check_estimators(n) -> None:
         raise ValidationError(f"n_estimators must be a positive integer, got {n!r}")
 
 
+def check_min_samples(name: str, value, least: int) -> None:
+    """ValidationError unless ``value`` is an integer of at least ``least`` that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_bool(name: str, value) -> None:
+    """ValidationError unless ``value`` is a bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{name} must be true or false, got {value!r}")
+
+
 def check_max_features(value, sqrt: bool = False) -> None:
     """ValidationError unless ``value`` is None, a positive integer that is
     not a bool, or, where ``sqrt`` allows it, ``"sqrt"``."""
@@ -587,6 +599,8 @@ class DecisionTree:
         tree is the one grown on the one-hot rows themselves.
         """
         check_max_features(self.max_features)
+        check_min_samples("min_samples_split", self.min_samples_split, 2)
+        check_min_samples("min_samples_leaf", self.min_samples_leaf, 1)
         X, y = check_training_data(X, y)
         self.n_features_in_ = X.shape[1]
         self.classes_, codes = np.unique(y, return_inverse=True)

@@ -5,7 +5,10 @@ of validated :class:`EventLog`:
 
 * events lacking a resource are dropped and counted,
 * timestamps are normalised to UTC epoch microseconds (naive values are
-  taken as UTC),
+  taken as UTC); they are decoded in batches of up to ``_BATCH`` texts,
+  the strict layout of :func:`decode_timestamps` as arrays and any other
+  text one at a time, so every value and error message is the one a
+  per-value read would give,
 * gzip-compressed input is detected by its magic bytes and decompressed
   transparently; files and streams are read in chunks, never whole,
 * equal timestamps keep their source-file order.
@@ -25,13 +28,16 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Callable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, EmptyLogError, ParseError, ValidationError
-from .eventlog import EventColumns, EventLog, build_event_log, epoch_us
+from .eventlog import _MAX_US, _MIN_US, EventColumns, EventLog, build_event_log, epoch_us
 
 _GZIP_MAGIC = b"\x1f\x8b"
 _CHUNK = 64 * 1024
+_BATCH = 8192  # timestamp texts decoded at once
 _LONG_FRACTION = re.compile(r"(\.\d{6})\d+")
 _XES_ATTRIBUTES = frozenset(("string", "date", "int", "float", "boolean"))
 
@@ -102,6 +108,150 @@ def _iso(value: str) -> datetime:
         return datetime.fromisoformat(_LONG_FRACTION.sub(r"\1", text))
 
 
+def _layout(fraction: int, suffix: str) -> np.ndarray:
+    """Per position of the layout, which ASCII codes it admits: ``d`` a
+    digit, ``T`` a ``T`` or a space, ``Z`` either case and ``+`` either sign."""
+    pattern = "dddd-dd-ddTdd:dd:dd" + ("." + "d" * fraction if fraction else "") + suffix
+    table = np.zeros((len(pattern), 128), dtype=bool)
+    for pos, ch in enumerate(pattern):
+        table[pos, [ord(c) for c in _ADMITS.get(ch, ch)]] = True
+    return table
+
+
+_ADMITS = {"d": "0123456789", "T": "T ", "Z": "Zz", "+": "+-"}
+# text length -> (fractional digits, admitted codes per position); the nine lengths differ.
+# Python 3.10's fromisoformat reads no other fraction length.
+_LAYOUTS = {
+    table.shape[0]: (fraction, table)
+    for fraction in (0, 3, 6)
+    for table in (_layout(fraction, suffix) for suffix in ("", "Z", "+dd:dd"))
+}
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def decode_timestamps(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """UTC epoch microseconds of the texts in one strict layout, and which those are.
+
+    The layout is ``YYYY-MM-DD[T| ]HH:MM:SS[.fff|.ffffff][Z|z|±HH:MM]``
+    with ASCII digits; no suffix reads as UTC. A text is read only when
+    every field is in range: the day exists in its month and year, the
+    hour and the offset's hours are at most 23, minutes and seconds at
+    most 59, and the UTC instant falls in the years 1 to 9999. For every
+    text read, the value equals ``epoch_us(_iso(text))``; every other
+    text has ``ok`` False and value 0.
+    """
+    us = np.zeros(len(texts), dtype=np.int64)
+    ok = np.zeros(len(texts), dtype=bool)
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    for length, (fraction, table) in _LAYOUTS.items():
+        rows = np.flatnonzero(lengths == length)
+        if rows.size:
+            us[rows], ok[rows] = _decode_layout([texts[i] for i in rows.tolist()], fraction, table)
+    return us, ok
+
+
+def _decode_layout(texts: list[str], fraction: int, table: np.ndarray):
+    length = table.shape[0]
+    codes = np.array(texts, dtype=f"U{length}").view(np.uint32).reshape(len(texts), length)
+    ok = table[np.arange(length), np.minimum(codes, 127)].all(axis=1)
+    digits = codes.astype(np.int64) - ord("0")
+
+    def number(start: int, width: int) -> np.ndarray:
+        return digits[:, start : start + width] @ 10 ** np.arange(width - 1, -1, -1)
+
+    year, month, day = number(0, 4), number(5, 2), number(8, 2)
+    hour, minute, second = number(11, 2), number(14, 2), number(17, 2)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+    ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
+    seconds = hour * 3600 + minute * 60 + second
+    end = 20 + fraction if fraction else 19
+    if length == end + 6:  # a "±HH:MM" offset
+        off_hour, off_minute = number(end + 1, 2), number(end + 4, 2)
+        ok &= (off_hour <= 23) & (off_minute <= 59)
+        sign = np.where(codes[:, end] == ord("-"), -1, 1)
+        seconds -= sign * (off_hour * 3600 + off_minute * 60)
+    # days since 1970-01-01 of the proleptic Gregorian date, from a March-based year
+    y = year - (month <= 2)
+    era, yoe = np.divmod(y, 400)
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+    us = (days * 86400 + seconds) * 1_000_000
+    if fraction:
+        us += number(20, fraction) * 10 ** (6 - fraction)
+    ok &= (us >= _MIN_US) & (us <= _MAX_US)
+    return np.where(ok, us, 0), ok
+
+
+class _Timestamps:
+    """A reader's timestamp texts, one per event, decoded in batches in file order.
+
+    ``add`` queues the next event's text and decodes the queue once it
+    holds ``_BATCH`` texts. Without ``timestamp_format``, texts in the
+    strict layout are decoded as arrays and every other text by ``_iso``;
+    with it, every text by ``datetime.strptime``. The first text that
+    cannot be read, or whose instant :func:`epoch_us` rejects, raises
+    ValidationError naming ``place(event index)``. Each decoded batch is
+    appended to ``out``.
+    """
+
+    def __init__(
+        self,
+        out: list[np.ndarray],
+        place: Callable[[int], str],
+        unreadable: str,
+        timestamp_format: str | None = None,
+    ):
+        self.out = out
+        self.place = place
+        self.unreadable = unreadable  # message with {text} and {place} fields
+        self.timestamp_format = timestamp_format
+        self.texts: list[str] = []
+        self.decoded = 0  # events whose texts were decoded before the queued ones
+
+    def add(self, text: str) -> None:
+        self.texts.append(text)
+        if len(self.texts) >= _BATCH:
+            self.flush()
+
+    def flush(self) -> None:
+        texts, start = self.texts, self.decoded
+        self.texts, self.decoded = [], start + len(texts)
+        stripped = [t.strip() for t in texts]
+        if self.timestamp_format is None:
+            us, ok = decode_timestamps(stripped)
+        else:
+            us, ok = np.zeros(len(texts), dtype=np.int64), np.zeros(len(texts), dtype=bool)
+        for i in np.flatnonzero(~ok).tolist():
+            where = self.place(start + i)
+            try:
+                if self.timestamp_format is None:
+                    ts = _iso(stripped[i])
+                else:
+                    ts = datetime.strptime(stripped[i], self.timestamp_format)
+            except ValueError as exc:
+                raise ValidationError(
+                    self.unreadable.format(text=texts[i], place=where)
+                ) from exc
+            try:
+                us[i] = epoch_us(ts)
+            except ValueError as exc:
+                raise ValidationError(f"timestamp {texts[i]!r} {where}: {exc}") from exc
+        self.out.append(us)
+
+    @contextmanager
+    def in_file_order(self) -> Iterator[None]:
+        """Decode what is queued when the block ends, also when it raises:
+        an unreadable timestamp earlier in the file is the first error."""
+        try:
+            yield
+        except Exception:
+            self.flush()
+            raise
+        self.flush()
+
+
 class _XesTarget:
     """Expat target that keeps only the attributes XES traces and events carry.
 
@@ -114,6 +264,11 @@ class _XesTarget:
 
     def __init__(self, columns: EventColumns):
         self.columns = columns
+        self.stamps = _Timestamps(
+            columns.timestamps_us,
+            lambda event: f"in trace '{columns.cases[event]}'",
+            "unreadable timestamp {text!r} {place}",
+        )
         self.frames: list[dict[str, str] | None] = [None]  # one per open element
         self.kinds: dict[str, str] = {}  # tag -> "attribute", "event", "trace" or ""
         self.pending: list[dict[str, str]] = []
@@ -170,20 +325,10 @@ class _XesTarget:
             ts_text = attrs.get("time:timestamp")
             if ts_text is None:
                 raise ValidationError(f"event without time:timestamp in trace '{case_id}'")
-            try:
-                ts = _iso(ts_text)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"unreadable timestamp {ts_text!r} in trace '{case_id}'"
-                ) from exc
-            try:
-                ts_us = epoch_us(ts)
-            except ValueError as exc:
-                raise ValidationError(f"timestamp {ts_text!r} in trace '{case_id}': {exc}") from exc
             cols.cases.append(case_id)
             cols.activities.append(activity)
             cols.resources.append(attrs.get("org:resource"))
-            cols.timestamps_us.append(ts_us)
+            self.stamps.add(ts_text)
         self.pending.clear()
 
 
@@ -198,10 +343,10 @@ def parse_xes(source: bytes | str | Path | BinaryIO) -> EventLog:
     target = _XesTarget(EventColumns())
     parser = ET.XMLParser(target=target)
     try:
-        with _open_binary(source) as stream:
+        with target.stamps.in_file_order(), _open_binary(source) as stream:
             while chunk := stream.read(_CHUNK):
                 parser.feed(chunk)
-        parser.close()
+            parser.close()
     except ET.ParseError as exc:
         line, column = exc.position
         raise ParseError(f"malformed XML at line {line}, column {column}: {exc.msg}") from exc
@@ -247,34 +392,27 @@ def _read_csv_rows(
 ) -> None:
     i_case, i_activity, i_resource, i_ts = positions
     width = max(positions) + 1
+    stamps = _Timestamps(
+        cols.timestamps_us,
+        lambda event: f"in row {event + 1}",  # data rows count from 1, one event each
+        "timestamp {text!r} does not match the expected format {place}",
+        timestamp_format,
+    )
     row_no = 0
-    for row in reader:
-        if not row:
-            continue
-        row_no += 1
-        if len(row) < width:
-            row = row + [""] * (width - len(row))
-        case_id = row[i_case].strip()
-        activity = row[i_activity].strip()
-        ts_text = row[i_ts].strip()
-        if not case_id:
-            raise ValidationError(f"empty case id in row {row_no}")
-        if not activity:
-            raise ValidationError(f"empty activity in row {row_no}")
-        try:
-            if timestamp_format is None:
-                ts = _iso(ts_text)
-            else:
-                ts = datetime.strptime(ts_text, timestamp_format)
-        except ValueError as exc:
-            raise ValidationError(
-                f"timestamp {ts_text!r} does not match the expected format in row {row_no}"
-            ) from exc
-        try:
-            ts_us = epoch_us(ts)
-        except ValueError as exc:
-            raise ValidationError(f"timestamp {ts_text!r} in row {row_no}: {exc}") from exc
-        cols.cases.append(case_id)
-        cols.activities.append(activity)
-        cols.resources.append(row[i_resource].strip())
-        cols.timestamps_us.append(ts_us)
+    with stamps.in_file_order():
+        for row in reader:
+            if not row:
+                continue
+            row_no += 1
+            if len(row) < width:
+                row = row + [""] * (width - len(row))
+            case_id = row[i_case].strip()
+            activity = row[i_activity].strip()
+            if not case_id:
+                raise ValidationError(f"empty case id in row {row_no}")
+            if not activity:
+                raise ValidationError(f"empty activity in row {row_no}")
+            cols.cases.append(case_id)
+            cols.activities.append(activity)
+            cols.resources.append(row[i_resource].strip())
+            stamps.add(row[i_ts].strip())

@@ -8,12 +8,16 @@ split search worked before columns were presorted once per fit. The
 reference readers are the row-at-a-time XES (``iterparse``) and CSV
 (``DictReader``) readers that built one ``Event`` per row, with the
 grouping and sorting the views used before the log was stored as columns.
+The reference encodings count each prefix's 2-grams with a ``Counter``
+and score each bigram column with a ``Counter`` loop, the way bigram
+selection and the 2-gram and run blocks worked before they ran on arrays.
 """
 from __future__ import annotations
 
 import csv
 import gzip
 import io
+import math
 import re
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -357,3 +361,42 @@ def reference_profile(log: ReferenceLog) -> DatasetProfile:
         variant_resource_ratio=variant_ratio(rview),
         variant_case_ratio=variant_ratio(cview),
     )
+
+
+def reference_bigram_count_columns(prefixes) -> dict[tuple, list[int]]:
+    """One ``Counter`` of 2-grams per prefix, then one count list per observed bigram."""
+    per_prefix = [Counter(zip(p, p[1:])) for p in prefixes]
+    universe = sorted({bg for counts in per_prefix for bg in counts})
+    return {bg: [counts.get(bg, 0) for counts in per_prefix] for bg in universe}
+
+
+def reference_mutual_information(column, targets) -> float:
+    """Plug-in mutual information, its terms summed over a ``Counter`` of pairs."""
+    n = len(column)
+    joint = Counter(zip(column, targets))
+    px = Counter(column)
+    py = Counter(targets)
+    mi = 0.0
+    for (x, y), n_xy in joint.items():
+        mi += (n_xy / n) * math.log(n_xy * n / (px[x] * py[y]))
+    return max(mi, 0.0)
+
+
+def reference_select_top_k(columns, targets, k: int) -> tuple:
+    """The k bigrams of highest reference mutual information; ties to the smaller bigram."""
+    scored = sorted(
+        (-reference_mutual_information(col, targets), bg) for bg, col in columns.items()
+    )
+    return tuple(bg for _, bg in scored[:k])
+
+
+def reference_bigram_block(prefixes, bigrams) -> list[list[int]]:
+    """Per prefix, the ``Counter`` count of each given bigram."""
+    counts = [Counter(zip(p, p[1:])) for p in prefixes]
+    return [[c.get(bg, 0) for bg in bigrams] for c in counts]
+
+
+def reference_run_features(prefix) -> tuple[int, float]:
+    """Maximal same-activity blocks of one prefix, and their average length."""
+    n_runs = 1 + sum(1 for a, b in zip(prefix, prefix[1:]) if a != b)
+    return n_runs, len(prefix) / n_runs

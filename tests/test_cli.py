@@ -542,6 +542,16 @@ def _repeat_dataset(config):
             for key, value in [("subsample", 1.5), ("subsample", 0), ("colsample", -1),
                                ("colsample", "most")]
         ),
+        *(
+            (_put(EXPERIMENT, "grids", {kind: {key: [value]}}), f"{key} must be")
+            for kind, key, value in [
+                ("boosted", "learning_rate", "fast"), ("boosted", "learning_rate", -0.1),
+                ("boosted", "learning_rate", True), ("forest", "bootstrap", "no"),
+                ("forest", "bootstrap", 1), ("forest", "min_samples_leaf", 0),
+                ("forest", "min_samples_leaf", 1.5), ("forest", "min_samples_split", -3),
+                ("forest", "min_samples_split", 1),
+            ]
+        ),
     ],
     ids=[
         "output_dir-number", "path-number", "id-list", "delimiter-two-chars",
@@ -551,7 +561,10 @@ def _repeat_dataset(config):
         "min_resources-negative", "repeated-dataset-id", "repeated-encoding", "tree-grid",
         "max_features-log2", "max_features-negative", "max_features-fraction",
         "max_features-true", "max_features-zero", "subsample-above-one", "subsample-zero",
-        "colsample-negative", "colsample-string",
+        "colsample-negative", "colsample-string", "learning_rate-string",
+        "learning_rate-negative", "learning_rate-true", "bootstrap-string", "bootstrap-one",
+        "min_samples_leaf-zero", "min_samples_leaf-fraction", "min_samples_split-negative",
+        "min_samples_split-one",
     ],
 )
 def test_every_command_rejects_a_config_off_the_schema_before_parsing(

@@ -25,9 +25,16 @@ from resnap import (
     run_features,
     select_top_k,
 )
-from resnap.encodings import encoded_to_csv
+from resnap.encodings import _mutual_informations, encoded_to_csv
 
 from conftest import make_log
+from oracles import (
+    reference_bigram_block,
+    reference_bigram_count_columns,
+    reference_mutual_information,
+    reference_run_features,
+    reference_select_top_k,
+)
 
 ENC = LabelEncoder(("A", "B", "C"))
 A, B, C = 0, 1, 2
@@ -222,7 +229,7 @@ def test_selection_is_deterministic():
 def test_bigram_count_columns_covers_observed_universe():
     columns = bigram_count_columns([(A, B), (B, B)])
     assert sorted(columns) == [(A, B), (B, B)]
-    assert columns[(A, B)] == [1, 0]
+    assert columns[(A, B)].tolist() == [1, 0]
 
 
 # --- S2g -------------------------------------------------------------------------
@@ -320,3 +327,88 @@ def test_encoded_to_csv_headers_and_target(tmp_path):
         rows = list(csv.reader(handle))
     assert rows[0] == ["pos_1", "pos_2", "target"]
     assert rows[1] == ["0.0", "1.0", "2"]
+
+
+# --- array encodings against the Counter references ------------------------------
+
+
+def seeded_prefixes(seed: int) -> tuple[np.ndarray, list[int]]:
+    """A prefix matrix and targets; small alphabets and short prefixes make many
+    bigram columns identical, so their mutual informations tie."""
+    rng = np.random.default_rng(seed)
+    n, length, k = int(rng.integers(1, 80)), int(rng.integers(1, 9)), int(rng.integers(1, 6))
+    prefixes = rng.integers(0, k, size=(n, length))
+    if seed % 3 == 0:  # a repeated pattern: (0, 1) and (1, 2) occur in the same rows
+        prefixes[: n // 2, :3] = [0, 1, 2][:length]
+    return prefixes, rng.integers(0, int(rng.integers(1, 5)), size=n).tolist()
+
+
+SEEDS = range(60)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bigram_count_columns_match_the_counter_reference(seed):
+    prefixes, _ = seeded_prefixes(seed)
+    columns = bigram_count_columns(prefixes)
+    reference = reference_bigram_count_columns(prefixes.tolist())
+    assert list(columns) == list(reference)
+    assert {bg: col.tolist() for bg, col in columns.items()} == reference
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_selection_scores_and_ties_match_the_counter_reference(seed):
+    prefixes, targets = seeded_prefixes(seed)
+    columns = bigram_count_columns(prefixes)
+    if not columns:
+        return
+    scores = _mutual_informations(np.array(list(columns.values())), targets)
+    reference = reference_bigram_count_columns(prefixes.tolist())
+    assert scores == [reference_mutual_information(col, targets) for col in reference.values()]
+    for k in (0, 1, 3, len(columns)):
+        assert select_top_k(columns, targets, k).bigrams == reference_select_top_k(
+            reference, targets, k
+        )
+
+
+def test_seeded_prefix_sets_hold_mutual_information_ties():
+    tied = 0
+    for seed in SEEDS:
+        prefixes, targets = seeded_prefixes(seed)
+        columns = reference_bigram_count_columns(prefixes.tolist())
+        scores = [reference_mutual_information(col, targets) for col in columns.values()]
+        tied += len(scores) - len(set(scores))
+    assert tied > 50
+
+
+@given(
+    st.lists(st.integers(min_value=-3, max_value=10**12), min_size=1, max_size=30),
+    st.randoms(use_true_random=False),
+)
+def test_mutual_information_matches_the_counter_reference(column, rnd):
+    targets = [rnd.choice("abc") for _ in column]
+    assert mutual_information(column, targets) == reference_mutual_information(column, targets)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bigram_and_run_blocks_match_the_counter_reference(seed):
+    prefixes, targets = seeded_prefixes(seed)
+    ds = PrefixDataset(
+        prefixes.shape[1], tuple(f"r{i}" for i in range(len(prefixes))),
+        np.column_stack([prefixes, targets]), LabelEncoder(tuple("ABCDEFG")),
+    )
+    train = list(range(0, len(prefixes), 2))
+    selection = select_top_k(bigram_count_columns(prefixes[train]), [targets[i] for i in train], 4)
+    bigrams = selection.bigrams + ((6, 6),)  # one bigram no prefix holds
+    selection = SelectedBigrams(bigrams)
+    block = reference_bigram_block(prefixes.tolist(), bigrams)
+    runs = [reference_run_features(p) for p in prefixes.tolist()]
+    expected = np.hstack([prefixes, block, runs]).astype(float)
+    for columns in (None, bigram_count_columns(prefixes)):
+        assert encode_s2gr(ds, selection, columns).rows.tobytes() == expected.tobytes()
+        s2g = encode_s2g(ds, selection, columns).rows
+        assert s2g.tobytes() == expected[:, : s2g.shape[1]].copy().tobytes()
+
+
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=40))
+def test_run_features_match_the_counter_reference(prefix):
+    assert run_features(prefix) == reference_run_features(prefix)

@@ -5,7 +5,10 @@ XES, ``DictReader`` for CSV) that built one ``Event`` per row and grouped
 and sorted them per key. Seeded generated documents go through both; the
 materialised events, alphabets, dropped counts, both views and the
 profile must be equal, and failures must raise the same exception class
-with the same message.
+with the same message. Timestamps are decoded in batches, so the error
+cases include an unreadable timestamp before a later error of another
+kind and near a batch boundary; the batch decoder itself is checked
+against the per-value read, ``epoch_us(_iso(text))``.
 """
 from __future__ import annotations
 
@@ -13,9 +16,13 @@ import gzip
 import html
 import io
 import random
+import re
+import sys
 from datetime import timedelta, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from resnap import (
     CsvMapping,
@@ -27,6 +34,8 @@ from resnap import (
     profile,
     resource_view,
 )
+from resnap.eventlog import epoch_us
+from resnap.parsers import _BATCH, _LAYOUTS, _iso, decode_timestamps
 
 from conftest import xes_bytes, xes_event
 from oracles import (
@@ -38,6 +47,9 @@ from oracles import (
     reference_resource_view,
     reference_timestamp,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import check_iso_layouts  # noqa: E402
 
 INSTANTS = [
     # the same instant written several ways, so equal timestamps meet different spellings
@@ -187,6 +199,14 @@ XES_ERRORS = {
     "empty document": "",
     "no resources": "<log><trace><event><string key='concept:name' value='A'/>"
     "<date key='time:timestamp' value='2024-03-01T12:00:00Z'/></event></trace></log>",
+    "bad timestamp before malformed": "<log><trace><event><string key='concept:name' value='A'/>"
+    "<date key='time:timestamp' value='2024-02-30T12:00:00Z'/></event></trace><trace></log>",
+    "bad timestamp before a later missing activity": "<log><trace><event>"
+    "<string key='concept:name' value='A'/><date key='time:timestamp' value='noon'/></event>"
+    "</trace><trace><event><date key='time:timestamp' value='2024-03-01'/></event></trace></log>",
+    "bad timestamp before missing timestamp in its trace": "<log><trace><event>"
+    "<string key='concept:name' value='A'/><date key='time:timestamp' value=' 24:00 '/></event>"
+    "<event><string key='concept:name' value='B'/></event></trace></log>",
 }
 
 
@@ -269,6 +289,11 @@ CSV_ERRORS = {
     "blank header": "\ncase,act,who,when\n",
     "no data rows": "case,act,who,when\n\n\n",
     "no resources": "case,act,who,when\nc1,A,,2024-03-01T12:00:00\n",
+    "bad timestamp before empty activity": "case,act,who,when\nc1,A,r1,2024-03-01T12:00:00\n"
+    "c1,A,r1,2024-03-01 12:00\nc1,A,r1,2024-03-01T12:00:60\nc1,A,r1,2024-03-01\nc2,,r1,x\n",
+    "bad timestamp before empty case id": "case,act,who,when\nc1,A,r1,2023-02-29T00:00:00Z\n"
+    "\n ,A,r1,2024-03-01T12:00:00\n",
+    "bad timestamp before short row": "case,act,who,when\nc1,A,r1,2024-03-01T12:00:00+24:00\nc2\n",
 }
 
 
@@ -334,3 +359,119 @@ def test_event_input_matches_reference(seed):
     ]
     _assert_same(events, events, build_event_log, reference_build)
 
+
+# --- batched timestamp decoding -----------------------------------------
+
+# the texts the batch decoder must read: everything else goes to _iso one by one
+STRICT = re.compile(
+    r"\d{4}-\d\d-\d\d[T ]\d\d:\d\d:\d\d(\.\d{3}|\.\d{6})?([Zz]|[+-]\d\d:[0-5]\d)?", re.ASCII
+)
+EDGES = [
+    "2024-02-29T00:00:00", "2023-02-29T00:00:00", "1900-02-29 00:00:00", "2000-02-29T12:00:00Z",
+    "2024-01-01T24:00:00", "2024-01-01T23:59:60", "2024-01-01T23:60:00", "2024-13-01T00:00:00",
+    "2024-04-31T00:00:00", "0000-01-01T00:00:00", "0001-01-01T00:00:00",
+    "0001-01-01T00:30:00+01:00", "0001-01-01T00:30:00-01:00", "9999-12-31T23:59:59.999999",
+    "9999-12-31T23:30:00-01:00", "9999-12-31T23:30:00+01:00", "2024-01-01T10:00:00+23:59",
+    "2024-01-01T10:00:00-23:59", "2024-01-01T10:00:00+24:00", "2024-01-01T10:00:00+00:60",
+    "2024-01-01T10:00:00-00:00", "2024-01-01t10:00:00", "2024-01-01T10:00:00.1",
+    "2024-01-01T10:00:00.1234567", "2024-01-01T10:00:00.123456789Z", "2024-01-01T10:00:00.123z",
+    "\u0662\u0660\u0662\u0664-01-01T10:00:00", "2024-01-01T10:00:00+\uff10\uff11:00",
+    "2024-01-01T10:00:0\u0663", "2024-01-01T10:00:00.12\u0663", "2024-01-01T10:00:00Z ",
+]
+NOT_ASCII_DIGITS = "\u0663\uff13\u09e9"  # Arabic-Indic, fullwidth and Bengali three
+
+
+def _per_value(text: str) -> int | None:
+    try:
+        return epoch_us(_iso(text))
+    except ValueError:
+        return None
+
+
+@st.composite
+def timestamp_texts(draw) -> str:
+    """Texts near the strict layout: every field at and past its edges."""
+    year = draw(st.sampled_from([0, 1, 1900, 2000, 2023, 2024, 9999]) | st.integers(0, 9999))
+    month = draw(st.sampled_from([1, 2, 12]) | st.integers(0, 13))
+    day = draw(st.sampled_from([1, 28, 29, 30, 31]) | st.integers(0, 32))
+    clock = [
+        draw(st.sampled_from([0, limit - 1, limit]) | st.integers(0, limit))
+        for limit in (24, 60, 60)
+    ]
+    text = f"{year:04d}-{month:02d}-{day:02d}{draw(st.sampled_from('T tx'))}"
+    text += ":".join(f"{v:02d}" for v in clock)
+    fraction = draw(st.sampled_from([0, 1, 3, 6, 7, 9]))
+    if fraction:
+        text += "." + draw(st.text("0123456789", min_size=fraction, max_size=fraction))
+    suffix = draw(st.sampled_from(["", "Z", "z", "offset"]))
+    if suffix == "offset":
+        sign = draw(st.sampled_from("+-"))
+        hours, minutes = draw(st.integers(0, 24)), draw(st.sampled_from([0, 30, 59, 60]))
+        suffix = f"{sign}{hours:02d}:{minutes:02d}"
+    text += suffix
+    if draw(st.integers(0, 9)) == 0:  # one digit in another script, or a stray character
+        at = draw(st.integers(0, len(text) - 1))
+        text = text[:at] + draw(st.sampled_from(NOT_ASCII_DIGITS + "x-: ")) + text[at + 1 :]
+    return text
+
+
+@given(st.lists(timestamp_texts(), min_size=1, max_size=12))
+@example(EDGES)
+def test_decoder_reads_the_strict_layout_as_the_per_value_read_does(texts):
+    """One batch of mixed layouts: each text the decoder reads has the
+    per-value value, and it reads every strict-layout text that has one."""
+    us, ok = decode_timestamps(texts)
+    for text, value, read in zip(texts, us.tolist(), ok.tolist()):
+        expected = _per_value(text)
+        assert read == (expected is not None and STRICT.fullmatch(text) is not None), text
+        if read:
+            assert value == expected, text
+
+
+def test_fromisoformat_reads_every_layout_the_decoder_reads():
+    """``tools/check_iso_layouts.py`` under this interpreter: its samples
+    cover every batch-decoded length, and both reads agree on each."""
+    assert check_iso_layouts.failures() == []
+    samples = check_iso_layouts.layouts()
+    assert {len(text) for text, _ in samples} == set(_LAYOUTS)
+    us, ok = decode_timestamps([text for text, _ in samples])
+    assert ok.all()
+    assert us.tolist() == [epoch_us(instant) for _, instant in samples]
+
+
+def test_decoder_reads_the_benchmark_layouts():
+    texts = ["2011-01-05T22:13:44.000+01:00", "2011-01-05 22:13:44", "2011-01-05T22:13:44.123456Z"]
+    us, ok = decode_timestamps(texts)
+    assert ok.all()
+    assert us.tolist() == [_per_value(t) for t in texts]
+
+
+def _csv_rows(n: int) -> list[str]:
+    stamps = [s for spellings in INSTANTS for s in spellings] + [
+        "2024-03-01 12:00:00", "2024-03-01T12:00:00.123-00:00", "2024-03-01T12:00:00.123456+05:30",
+    ]
+    return [f"c{i % 7},{ACTIVITIES[i % 5]},{RESOURCES[i % 4]},{stamps[i % len(stamps)]}"
+            for i in range(n)]
+
+
+def test_mixed_layouts_across_batches_match_reference():
+    doc = "\n".join(["case,act,who,when"] + _csv_rows(2 * _BATCH + 3)) + "\n"
+    _assert_same_csv(doc.encode(), ISO)
+
+
+@pytest.mark.parametrize("bad", [_BATCH - 1, _BATCH, _BATCH + 1])
+def test_bad_timestamp_at_a_batch_boundary_matches_reference(bad):
+    """Data row ``bad + 1`` has an unreadable timestamp and the next row an
+    empty activity; the timestamp error comes first on both sides."""
+    rows = _csv_rows(_BATCH + 4)
+    rows[bad] = "c1,A,r1,2024-02-30T00:00:00"
+    rows[bad + 1] = "c1,,r1,2024-03-01T00:00:00"
+    _assert_same_csv(("\n".join(["case,act,who,when"] + rows) + "\n").encode(), ISO)
+
+
+def test_bad_xes_timestamp_after_a_batch_boundary_matches_reference():
+    events = [xes_event("A", "r1") for _ in range(_BATCH + 2)]
+    events[_BATCH] = xes_event("A", "r1", stamp="2024-03-01T25:00:00Z")
+    doc = xes_bytes([("c1", events)])
+    doc = doc.replace(b"</log>", b"<trace></log>")  # malformed after the bad timestamp
+    _assert_same(doc, doc, parse_xes, reference_parse_xes)

@@ -431,3 +431,33 @@ def test_fit_rejects_max_features_it_cannot_draw(make, value):
 def test_boosting_fit_rejects_a_fraction_outside_zero_to_one(key, value):
     with pytest.raises(ValidationError, match=f"{key} must be a number in"):
         GradientBoostedTrees(n_estimators=2, **{key: value}).fit(np.eye(3), [0, 1, 2])
+
+
+@pytest.mark.parametrize(
+    "make, key, value",
+    [
+        (GradientBoostedTrees, "learning_rate", "fast"),
+        (GradientBoostedTrees, "learning_rate", -0.1), (GradientBoostedTrees, "learning_rate", True),
+        (GradientBoostedTrees, "learning_rate", float("nan")),
+        (GradientBoostedTrees, "learning_rate", float("inf")), (RandomForest, "bootstrap", "no"),
+        (RandomForest, "bootstrap", 1), (RandomForest, "min_samples_leaf", 0),
+        (RandomForest, "min_samples_split", -3), (RandomForest, "min_samples_split", 1),
+        (DecisionTree, "min_samples_leaf", 1.5), (DecisionTree, "min_samples_split", True),
+    ],
+)
+def test_fit_rejects_a_parameter_outside_its_range(make, key, value):
+    with pytest.raises(ValidationError, match=f"{key} must be .*, got {value!r}"):
+        make(**{key: value}).fit(np.eye(3), [0, 1, 2])
+
+
+@pytest.mark.parametrize(
+    "make, params",
+    [
+        (GradientBoostedTrees, dict(learning_rate=0)),
+        (GradientBoostedTrees, dict(learning_rate=np.float64(0.3))),
+        (RandomForest, dict(bootstrap=np.bool_(False), min_samples_split=np.int64(2))),
+        (DecisionTree, dict(min_samples_leaf=np.int64(2), min_samples_split=5)),
+    ],
+)
+def test_fit_accepts_the_edges_of_each_parameter_range(make, params):
+    assert make(**params).fit(np.eye(3), [0, 1, 2]).predict(np.eye(3)).shape == (3,)
