@@ -106,14 +106,19 @@ def count_2grams(prefix: Sequence) -> dict[Bigram, int]:
     return dict(Counter(zip(prefix, prefix[1:])))
 
 
+def _codes(values: Sequence) -> np.ndarray:
+    """Each value's index among the distinct values, told apart as ``Counter`` keys are."""
+    index: dict = {}
+    return np.array([index.setdefault(v, len(index)) for v in values], dtype=np.int64)
+
+
 def mutual_information(column: Sequence, targets: Sequence) -> float:
     """Plug-in discrete mutual information, natural log.
 
     Every distinct value is its own category:
     I = sum over (x, y) of p(x, y) * ln(p(x, y) / (p(x) p(y))).
     """
-    codes = np.unique(column, return_inverse=True)[1].reshape(1, -1)
-    return _mutual_informations(codes, targets)[0]
+    return _mutual_informations(_codes(column).reshape(1, -1), targets)[0]
 
 
 def _mutual_informations(columns: np.ndarray, targets: Sequence) -> list[float]:
@@ -123,7 +128,7 @@ def _mutual_informations(columns: np.ndarray, targets: Sequence) -> list[float]:
     m, n = columns.shape
     if n == 0 or len(targets) != n:
         raise ValidationError("column and targets must have equal, non-zero length")
-    y = np.unique(targets, return_inverse=True)[1].reshape(n)
+    y = _codes(targets)
     cells = np.arange(m)[:, None] * (int(columns.max()) + 1) + columns  # (row, value) ids
     n_y = int(y.max()) + 1
     pairs, first, joint = np.unique(cells * n_y + y, return_index=True, return_counts=True)
@@ -137,11 +142,13 @@ def _mutual_informations(columns: np.ndarray, targets: Sequence) -> list[float]:
 
 
 def bigram_count_columns(prefixes: Sequence[Sequence[int]]) -> dict[Bigram, np.ndarray]:
-    """One count column per bigram observed anywhere in the given prefixes,
-    which share one length and hold non-negative ids: in bigram order, the
-    rows of one ``bincount`` of the bigram codes ``a * K + b``."""
+    """One count column per bigram observed anywhere in the given prefixes
+    (of one length, holding non-negative integer ids; none give ``{}``): in bigram
+    order, the rows of one ``bincount`` of the bigram codes ``a * K + b``."""
+    if not len(prefixes):
+        return {}
     matrix = np.asarray(prefixes, dtype=np.int64)
-    n, base = len(matrix), int(matrix.max(initial=0)) + 1
+    n, base = len(matrix), int(matrix.max()) + 1
     universe, index = np.unique(matrix[:, :-1] * base + matrix[:, 1:], return_inverse=True)
     cells = index.reshape(n, -1) * n + np.arange(n)[:, None]
     counts = np.bincount(cells.ravel(), minlength=universe.size * n).reshape(-1, n)
@@ -167,36 +174,31 @@ def select_top_k(
     return SelectedBigrams(tuple(bg for _, bg in scored[:k]))
 
 
-def _bigram_block(ds: PrefixDataset, selection: SelectedBigrams, columns: Mapping | None):
-    columns = bigram_count_columns(ds.prefixes) if columns is None else columns
+def _bigram_block(ds: PrefixDataset, selection: SelectedBigrams):
+    columns = bigram_count_columns(ds.prefixes)
     absent = np.zeros(len(ds.samples), dtype=np.int64)
     names = [f"2g_{ds.encoder.decode(a)}->{ds.encoder.decode(b)}" for a, b in selection.bigrams]
     return names, np.array([columns.get(bg, absent) for bg in selection.bigrams]).T
 
 
-def encode_s2g(
-    ds: PrefixDataset, selection: SelectedBigrams, columns: Mapping | None = None
-) -> EncodedDataset:
-    """SeqOnly columns followed by one count column per selected bigram; ``columns``,
-    when given, is ``bigram_count_columns(ds.prefixes)``."""
-    return _encoded(ds, "S2g", _bigram_block(ds, selection, columns))
+def encode_s2g(ds: PrefixDataset, selection: SelectedBigrams) -> EncodedDataset:
+    """SeqOnly columns followed by one count column per selected bigram."""
+    return _encoded(ds, "S2g", _bigram_block(ds, selection))
 
 
 def run_features(prefix: Sequence) -> tuple[int, float]:
     """Number of maximal same-activity blocks and their average length."""
-    if not len(prefix):
+    if not prefix:
         raise ValidationError("prefix must be non-empty")
-    n_runs = 1 + int(np.count_nonzero(np.asarray(prefix[1:]) != np.asarray(prefix[:-1])))
+    n_runs = 1 + sum(1 for a, b in zip(prefix, prefix[1:]) if a != b)
     return n_runs, len(prefix) / n_runs
 
 
-def encode_s2gr(
-    ds: PrefixDataset, selection: SelectedBigrams, columns: Mapping | None = None
-) -> EncodedDataset:
-    """S2g columns followed by the two run statistics (``columns`` as for S2g)."""
+def encode_s2gr(ds: PrefixDataset, selection: SelectedBigrams) -> EncodedDataset:
+    """S2g columns followed by the two run statistics, counted over the prefix matrix."""
     n_runs = 1 + np.count_nonzero(ds.prefixes[:, 1:] != ds.prefixes[:, :-1], axis=1)
     runs = ["n_runs", "avg_run_len"], np.column_stack([n_runs, ds.prefix_length / n_runs])
-    return _encoded(ds, "S2gR", _bigram_block(ds, selection, columns), runs)
+    return _encoded(ds, "S2gR", _bigram_block(ds, selection), runs)
 
 
 def encoded_to_csv(encoded: EncodedDataset, path: str | Path) -> None:

@@ -232,15 +232,14 @@ def _encode(
     ds: PrefixDataset,
     cap: CapabilityMap | None,
     selection: SelectedBigrams | None,
-    columns: dict | None,
 ):
     if encoding == "SeqOnly":
         return encode_seq_only(ds)
     if encoding == "SCap":
         return encode_scap(ds, cap)
     if encoding == "S2g":
-        return encode_s2g(ds, selection, columns)
-    return encode_s2gr(ds, selection, columns)  # validate() admits no other encoding
+        return encode_s2g(ds, selection)
+    return encode_s2gr(ds, selection)  # validate() admits no other encoding
 
 
 def run_experiment(log: EventLog, cfg: ExperimentConfig) -> list[ResultRecord]:
@@ -265,14 +264,12 @@ def run_experiment(log: EventLog, cfg: ExperimentConfig) -> list[ResultRecord]:
         prefixes = ds.prefixes.tolist()
         train_prefixes = [prefixes[i] for i in train_idx]
         leak = example_leakage(train_prefixes, [prefixes[i] for i in test_idx]).leaked_fraction
-        selection = columns = None
+        selection = None
         if needs_selection:
-            # one count matrix per length: its training columns select, its rows encode
-            columns = bigram_count_columns(ds.prefixes)
-            train = {bg: c for bg, col in columns.items() if (c := col[train_idx]).any()}
-            selection = select_top_k(train, ds.targets[train_idx].tolist(), cfg.mi_k)
+            columns = bigram_count_columns(train_prefixes)
+            selection = select_top_k(columns, ds.targets[train_idx].tolist(), cfg.mi_k)
         for encoding in cfg.encodings:
-            encoded = _encode(encoding, ds, cap, selection, columns)
+            encoded = _encode(encoding, ds, cap, selection)
             for model in cfg.models:
                 cells.append(
                     _Cell(

@@ -394,9 +394,3 @@ def reference_bigram_block(prefixes, bigrams) -> list[list[int]]:
     """Per prefix, the ``Counter`` count of each given bigram."""
     counts = [Counter(zip(p, p[1:])) for p in prefixes]
     return [[c.get(bg, 0) for bg in bigrams] for c in counts]
-
-
-def reference_run_features(prefix) -> tuple[int, float]:
-    """Maximal same-activity blocks of one prefix, and their average length."""
-    n_runs = 1 + sum(1 for a, b in zip(prefix, prefix[1:]) if a != b)
-    return n_runs, len(prefix) / n_runs
