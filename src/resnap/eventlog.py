@@ -195,9 +195,9 @@ def build_event_log(events: Iterable[Event] | EventColumns) -> EventLog:
         raise EmptyLogError("no events in source")
     keep = [bool(r) for r in raw.resources]
     kept = np.flatnonzero(keep)
-    resources, resource_codes = _coded(compress(raw.resources, keep))
-    activities, activity_codes = _coded(compress(raw.activities, keep))
-    cases, case_codes = _coded(compress(raw.cases, keep))
+    resources, resource_codes = _coded(list(compress(raw.resources, keep)))
+    activities, activity_codes = _coded(list(compress(raw.activities, keep)))
+    cases, case_codes = _coded(list(compress(raw.cases, keep)))
     return EventLog(
         activities=activities,
         resources=resources,
@@ -211,16 +211,12 @@ def build_event_log(events: Iterable[Event] | EventColumns) -> EventLog:
     )
 
 
-def _coded(values: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
+def _coded(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """Sorted alphabet of ``values`` and each value's index into it."""
-    first_seen: dict[str, int] = {}
-    codes = np.fromiter(
-        (first_seen.setdefault(v, len(first_seen)) for v in values), dtype=np.int64
-    )
-    alphabet = tuple(sorted(first_seen))
-    rank = np.empty(len(alphabet), dtype=np.int64)
-    rank[[first_seen[name] for name in alphabet]] = np.arange(len(alphabet))
-    return alphabet, rank[codes]
+    alphabet = tuple(sorted(set(values)))
+    index = {name: i for i, name in enumerate(alphabet)}
+    codes = np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
+    return alphabet, codes
 
 
 def _grouped_sequences(

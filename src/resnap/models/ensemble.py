@@ -6,7 +6,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..errors import ValidationError, check_deadline
+from ..errors import ValidationError
 from ..seeding import derive_seed
 from .tree import (
     DecisionTree,
@@ -14,7 +14,10 @@ from .tree import (
     check_estimators,
     check_features,
     check_max_features,
+    check_min_samples,
     check_training_data,
+    grow_trees,
+    row_groups,
 )
 
 
@@ -56,36 +59,53 @@ class RandomForest:
         return self.max_features
 
     def fit(self, X, y, deadline: float | None = None) -> "RandomForest":
-        """Fit the trees in index order.
+        """Grow every tree in one lock-step :func:`grow_trees` call.
 
-        Before each tree, raise :class:`CellTimeoutError` once
-        ``time.monotonic()`` has passed ``deadline``.
+        Tree ``i`` is the :class:`DecisionTree` fit on its bootstrap
+        sample, grown on the distinct rows of ``X`` with the sample's
+        class counts. Before each lock-step batch, raise
+        :class:`CellTimeoutError` once ``time.monotonic()`` has passed
+        ``deadline``.
         """
         check_estimators(self.n_estimators)
         check_max_features(self.max_features, sqrt=True)
-        check_bool("bootstrap", self.bootstrap)  # each tree's fit checks its own parameters
+        check_bool("bootstrap", self.bootstrap)
         X, y = check_training_data(X, y)
+        check_min_samples("min_samples_split", self.min_samples_split, 2)
+        check_min_samples("min_samples_leaf", self.min_samples_leaf, 1)
         self.n_features_in_ = X.shape[1]
-        self.classes_ = np.unique(y)
+        self.classes_, codes = np.unique(y, return_inverse=True)
+        k = len(self.classes_)
+        distinct, group = row_groups(X)
         n = X.shape[0]
-        per_node = self._features_per_node(X.shape[1])
-        self.trees_ = []
-        for i in range(self.n_estimators):
-            check_deadline(deadline)
+        seeds = [derive_seed(self.seed, "features", i) for i in range(self.n_estimators)]
+        samples, present = [], []
+        for i, seed in enumerate(seeds):
+            idx = np.arange(n)
             if self.bootstrap:
                 rng = np.random.default_rng(derive_seed(self.seed, "bootstrap", i))
                 idx = rng.integers(0, n, size=n)
-                Xi, yi = X[idx], y[idx]
-            else:
-                Xi, yi = X, y
-            tree = DecisionTree(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=per_node,
-                seed=derive_seed(self.seed, "features", i),
-            )
-            self.trees_.append(tree.fit(Xi, yi))
+            counts = np.bincount(group[idx] * k + codes[idx], minlength=distinct.shape[0] * k)
+            counts = counts.reshape(-1, k)
+            rows = counts.any(axis=1).nonzero()[0]
+            samples.append((rows, counts[rows], np.random.default_rng(seed)))
+            present.append(counts.any(axis=0).nonzero()[0])  # the sample's classes
+        per_node = self._features_per_node(X.shape[1])
+        params = dict(
+            max_depth=self.max_depth,
+            min_samples_split=self.min_samples_split,
+            min_samples_leaf=self.min_samples_leaf,
+            max_features=per_node,
+        )
+        grown = grow_trees(distinct, samples, deadline=deadline, **params)
+        self.trees_ = []
+        for seed, tree, classes in zip(seeds, grown, present):
+            model = DecisionTree(seed=seed, **params)
+            model.n_features_in_ = X.shape[1]
+            model.classes_ = self.classes_[classes]
+            tree.value = tree.value[:, classes]
+            model.tree_ = tree
+            self.trees_.append(model)
         return self
 
     def staged_predict(self, X) -> Iterator[np.ndarray]:

@@ -210,7 +210,8 @@ def grid_search_cv(
     its own number of trees or rounds, which is exactly the prediction of
     a model fitted with that number. ``deadline`` (time.monotonic value)
     aborts the search with :class:`CellTimeoutError` when exceeded; the
-    ensembles also check it before every tree or round.
+    ensembles also check it, a forest before every lock-step batch of
+    its trees and boosting before every round.
 
     A learner without grid parameters (``majority``) has one point to
     choose, so it is only refit: its outcome has no fold scores and a

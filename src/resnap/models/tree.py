@@ -1,14 +1,13 @@
 """Flat-array decision trees: the core shared by CART, forests and boosting.
 
-One grower and one split finder serve every tree learner. Each training
-row carries a vector of statistics: a one-hot class row for the CART
-classifier, the softmax gradient for a boosting tree. A split candidate
-is the midpoint of two consecutive distinct values of a feature, and the
-best candidate maximises, over the two children, the squared statistic
-sums divided by the child size,
-``sum(left)**2 / n_left + sum(right)**2 / n_right``. For class counts
-this is minimising the weighted Gini impurity; for gradients it is
-minimising the children's squared error.
+One split rule serves every tree learner. Each training row carries a
+vector of statistics: a one-hot class row for the CART classifier, the
+softmax gradient for a boosting tree. A split candidate is the midpoint
+of two consecutive distinct values of a feature, and the best candidate
+maximises, over the two children, the squared statistic sums divided by
+the child size, ``sum(left)**2 / n_left + sum(right)**2 / n_right``.
+For class counts this is minimising the weighted Gini impurity; for
+gradients it is minimising the children's squared error.
 
 Ties resolve to the lowest feature index, then the lowest threshold.
 Integer statistics make the score a small-integer rational, so
@@ -26,15 +25,21 @@ repeats most of its rows. Neither changes a tree: the cumulative sums
 read at the cuts are the ones the scan over every row computed.
 
 Forest trees are mostly small nodes, where numpy's per-call cost is the
-cost of a node. A node of one distinct row has no cut, and in a node of
-two distinct rows every cut has the same exact score, so neither runs
-the search (see :func:`grow`). Integer sums are exact, so a child's
-class counts come from its parent's search instead of a sum over its
-rows. A node's candidate features are the sorted draw of
-``rng.choice(d, m, replace=False)``; a tree makes its draws in batches
-from the same random words (:class:`_CandidateDraws`), which costs a
-node a few microseconds instead of numpy's per-call overhead, and
-leaves the generator exactly where the calls would have.
+cost of a node, so a forest grows all its trees at once
+(:func:`grow_trees`). At each step every unfinished tree walks its own
+preorder to its next node that needs a split search, and the nodes of
+all trees are searched in one batch: each numpy call serves a node of
+every tree. A node of one distinct row has no cut and is not searched.
+Integer sums are exact, so a child's class counts come from its
+parent's search instead of a sum over its rows, and one cumulative sum
+over a whole batch gives every node's cuts. A node's candidate features
+are the sorted draw of ``rng.choice(d, m, replace=False)``; a tree makes
+its draws in batches from the same random words
+(:class:`_CandidateDraws`), which costs a node a few microseconds
+instead of numpy's per-call overhead, and leaves the generator exactly
+where the calls would have. Trees that score every feature at every
+node (boosting, CART without ``max_features``) sort each column once
+instead and grow one at a time (:func:`grow`).
 """
 from __future__ import annotations
 
@@ -44,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, check_deadline
 
 # float pre-filter window; exact integer comparison decides inside it
 _NEAR_RTOL = 1e-7
@@ -188,14 +193,19 @@ def _top_cut(left, left_n, right_n, total, integer: bool) -> int:
     near = (score >= top - abs(top) * _NEAR_RTOL).nonzero()[0]
     if near.size == 1:
         return int(near[0])
+    return _exact_top(near, sq_left, sq_right, left_n, right_n)
+
+
+def _exact_top(near, sq_left, sq_right, left_n, right_n) -> int:
+    """The first of the ``near`` cuts with the highest exact score."""
     best = None
     best_num = best_den = 0  # exact python ints
-    for t in near:
+    for t in near.tolist():
         nl, nr = int(left_n[t]), int(right_n[t])
         num = int(sq_left[t]) * nr + int(sq_right[t]) * nl
         if best is None or num * best_den > best_num * nl * nr:
             best, best_num, best_den = t, num, nl * nr
-    return int(best)
+    return best
 
 
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -326,6 +336,289 @@ class _CandidateDraws:
         bit_generator.state = state
 
 
+def _column_ranks(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's rank among its column's distinct values, and those values.
+
+    Returns (columns x rows) ranks, numbered on from the previous
+    column's so that every (column, value) pair has its own rank, and
+    the distinct values of all columns in rank order. Equal values share
+    a rank, so ``X[r, f] <= X[s, f]`` exactly when the ranks compare so.
+    """
+    n, d = X.shape
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    rise = np.ones((n, d), dtype=bool)
+    rise[1:] = xs[1:] > xs[:-1]
+    rank = np.cumsum(rise.T.ravel()).reshape(d, n) - 1  # counts on across columns
+    ranks = np.empty((d, n), dtype=np.int64)
+    np.put_along_axis(ranks, order.T, rank, axis=1)
+    return ranks, xs.T[rise.T]
+
+
+# a lock-step batch holds at most this many (node, candidate, row) values,
+# unless one node alone has more
+_STEP_ELEMENTS = 1 << 14
+
+
+class _Grower:
+    """One tree of :func:`grow_trees`: its pending nodes and its node arrays."""
+
+    def __init__(self, entries: np.ndarray, total, several: bool, draws, reached):
+        self.draws, self.reached = draws, reached
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.value: list = []
+        # (entries, class sums, size, depth, parent whose right child this is
+        #  or -1, whether it holds two classes, whether it holds two rows)
+        mixed = np.count_nonzero(total) > 1
+        self.stack = [(entries, total, int(total.sum()), 0, -1, mixed, several)]
+
+
+def grow_trees(
+    X: np.ndarray,
+    samples: list[tuple[np.ndarray, np.ndarray, np.random.Generator | None]],
+    *,
+    max_depth: int | None = None,
+    min_samples_split: int = 2,
+    min_samples_leaf: int = 1,
+    max_features: int | None = None,
+    features: np.ndarray | None = None,
+    deadline: float | None = None,
+    reached: np.ndarray | None = None,
+    node_value: Callable[[np.ndarray], object] | None = None,
+) -> list[Tree]:
+    """Grow one tree of class counts per sample, all in lock-step.
+
+    A sample is ``(rows, counts, rng)``: ascending row ids into ``X``
+    and each row's integer class counts, which sum to at least one, with
+    the same number of classes in every sample. Each tree is
+    :func:`grow`'s tree on ``X[rows]`` and ``counts`` with ``rng``, and
+    leaves ``rng`` in the state :func:`grow` leaves it in. ``reached``
+    and ``node_value`` are those of :func:`grow` for a single sample
+    whose rows are every row of ``X``.
+
+    The trees advance together. At each step, every unfinished tree
+    walks its own preorder, making its candidate draws, past the nodes
+    that stay leaves without a search, up to its next node that needs
+    one; those nodes are searched together in one batch (see
+    :func:`_search`). Before each batch, :class:`CellTimeoutError` is
+    raised once ``time.monotonic()`` has passed ``deadline``.
+    """
+    if features is None:
+        features = np.arange(X.shape[1])
+    subsample = max_features is not None and max_features < features.size
+    ranks, values = _column_ranks(X)
+    n_classes = samples[0][1].shape[1]
+    # a tree's rows as entries, (row, class, count) for every nonzero count, in row order
+    parts = []
+    for rows, counts, _ in samples:
+        i, c = counts.nonzero()
+        parts.append((rows[i], c, counts[i, c]))
+    ent_row, ent_class, ent_count = (np.concatenate(column) for column in zip(*parts))
+    bounds = np.cumsum([0] + [part[0].size for part in parts])
+    trees = [
+        _Grower(
+            np.arange(bounds[t], bounds[t + 1]),
+            counts.sum(axis=0),
+            rows.size > 1,
+            _CandidateDraws(rng, features, max_features) if subsample else None,
+            reached,
+        )
+        for t, (rows, counts, rng) in enumerate(samples)
+    ]
+    shared = (ranks, values, ent_row, ent_class, ent_count, n_classes, min_samples_leaf)
+    live = list(trees)
+    while live:
+        batch = []  # (tree, node, entries, candidates, class sums, size, depth)
+        for tree in live:
+            node = _advance(tree, features, ent_row, max_depth, min_samples_split, node_value)
+            if node is not None:
+                batch.append(node)
+        live = [node[0] for node in batch]
+        elements = [node[2].size * node[3].size for node in batch]
+        start = 0
+        while start < len(batch):  # batches of at most _STEP_ELEMENTS values
+            stop, held = start + 1, elements[start]
+            while stop < len(batch) and held + elements[stop] <= _STEP_ELEMENTS:
+                held += elements[stop]
+                stop += 1
+            check_deadline(deadline)
+            _search(batch[start:stop], shared)
+            start = stop
+    for tree in trees:
+        if tree.draws is not None:
+            tree.draws.finish()
+    return [
+        Tree(
+            np.array(tree.feature, dtype=np.int64),
+            np.array(tree.threshold, dtype=float),
+            np.array(tree.left, dtype=np.int64),
+            np.array(tree.right, dtype=np.int64),
+            np.array(tree.value),
+        )
+        for tree in trees
+    ]
+
+
+def _advance(tree: _Grower, features, ent_row, max_depth, min_samples_split, node_value):
+    """Add ``tree``'s nodes in preorder up to the next one that needs a
+    split search, and return that node's search inputs, or None when the
+    tree is grown."""
+    while tree.stack:
+        entries, total, size, depth, parent, mixed, several = tree.stack.pop()
+        node = len(tree.feature)
+        if parent >= 0:
+            tree.right[parent] = node
+        tree.feature.append(-1)
+        tree.threshold.append(0.0)
+        tree.left.append(-1)
+        tree.right.append(-1)
+        tree.value.append(total if node_value is None else node_value(np.unique(ent_row[entries])))
+        stop = (max_depth is not None and depth >= max_depth) or size < min_samples_split
+        if mixed and not stop:
+            candidates = features if tree.draws is None else next(tree.draws)
+            if several and candidates.size:  # a node of one row has no cut
+                return tree, node, entries, candidates, total, size, depth
+        if tree.reached is not None:
+            tree.reached[ent_row[entries]] = node
+    return None
+
+
+def _search(batch: list, shared: tuple) -> None:
+    """Split search over the nodes of ``batch``, then their children.
+
+    The values of every (node, candidate, entry) are sorted by segment
+    (one node's candidate) and rank in one sort; equal ranks form a
+    block. Every block's class sums come from one ``bincount`` over the
+    entries' counts. Subtracting each segment's node total at the next
+    segment's first block makes one cumulative sum over all blocks the
+    left sums of every cut inside each segment; integer sums are exact,
+    so these are the sums of a scan over every sorted row. Each node's
+    best cut is the first of its highest exact score (:func:`_top_cut`'s
+    rule), and the children's entries come from one comparison over the
+    entries of every node.
+    """
+    ranks, values, ent_row, ent_class, ent_count, n_classes, min_samples_leaf = shared
+    n_rows = ranks.shape[1]
+    n_ranks = values.size
+    nodes = len(batch)
+    entries = np.concatenate([node[2] for node in batch])
+    width = np.array([node[2].size for node in batch])
+    candidates = np.concatenate([node[3] for node in batch])
+    total = np.array([node[4] for node in batch])
+    size = np.array([node[5] for node in batch])
+    rows = ent_row[entries]
+    # segments: one per (node, candidate), node by node, candidates in order;
+    # element e of segment s is entry first_entry[node] + e - seg_start[s]
+    seg_node = np.arange(nodes).repeat([node[3].size for node in batch])
+    seg_len = width[seg_node]
+    seg_start = seg_len.cumsum() - seg_len
+    first_entry = width.cumsum() - width
+    per_seg = np.empty((seg_node.size, 3), dtype=np.int64)
+    per_seg[:, 0] = first_entry[seg_node] - seg_start
+    per_seg[:, 1] = np.arange(seg_node.size) * n_ranks
+    per_seg[:, 2] = candidates * n_rows
+    shift, seg_key, column = per_seg.repeat(seg_len, axis=0).T
+    element = shift + np.arange(shift.size)
+    key = seg_key + ranks.ravel()[column + rows[element]]
+    key_order = key.argsort()
+    key = key[key_order]
+    element = entries[element[key_order]]
+    starts = np.empty(key.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    key = key[starts]
+    block_seg, block_rank = np.divmod(key, n_ranks)
+    sums = np.bincount(
+        (starts.cumsum() - 1) * n_classes + ent_class[element],
+        weights=ent_count[element],
+        minlength=key.size * n_classes,
+    ).astype(np.int64).reshape(key.size, n_classes)
+    seg_first = np.empty(key.size, dtype=bool)
+    seg_first[0] = True
+    np.not_equal(block_seg[1:], block_seg[:-1], out=seg_first[1:])
+    sums[seg_first.nonzero()[0][1:]] -= total[seg_node[:-1]]  # a segment sums to its node's total
+    cut = (~seg_first[1:]).nonzero()[0]  # a block followed by another of its segment
+    left = sums.cumsum(axis=0)[cut]
+    cut_node = seg_node[block_seg[cut]]
+    left_n = left.sum(axis=1)
+    right_n = size[cut_node] - left_n
+    if min_samples_leaf > 1:
+        valid = ((left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)).nonzero()[0]
+        cut, cut_node, left, left_n, right_n = (
+            a[valid] for a in (cut, cut_node, left, left_n, right_n)
+        )
+    right = total[cut_node] - left
+    sq_left = (left * left).sum(axis=1)
+    sq_right = (right * right).sum(axis=1)
+    score = sq_left / left_n + sq_right / right_n
+    per_node = np.bincount(cut_node, minlength=nodes)
+    has = per_node.nonzero()[0]  # the nodes that split
+    if batch[0][0].reached is not None:
+        for j in (per_node == 0).nonzero()[0].tolist():
+            tree, node, node_entries = batch[j][:3]
+            tree.reached[ent_row[node_entries]] = node
+    if not has.size:
+        return
+    top = np.maximum.reduceat(score, (per_node.cumsum() - per_node)[has]).repeat(per_node[has])
+    near = (score >= top - np.abs(top) * _NEAR_RTOL).nonzero()[0]
+    lead_flag = np.empty(near.size, dtype=bool)
+    lead_flag[0] = True
+    np.not_equal(cut_node[near[1:]], cut_node[near[:-1]], out=lead_flag[1:])
+    lead = near[lead_flag]
+    # a near cut of the same left sums' squares and size scores exactly the same
+    near_lead = lead_flag.cumsum() - 1
+    lead_of = lead[near_lead]
+    differ = (
+        (sq_left[near] != sq_left[lead_of])
+        | (sq_right[near] != sq_right[lead_of])
+        | (left_n[near] != left_n[lead_of])
+    )
+    for k in set(near_lead[differ].tolist()):
+        lead[k] = _exact_top(near[near_lead == k], sq_left, sq_right, left_n, right_n)
+    best = cut[lead]
+    cut_rank = np.full(nodes, -1)
+    cut_rank[has] = block_rank[best]
+    feature = np.zeros(nodes, dtype=np.int64)
+    feature[has] = candidates[block_seg[best]]
+    lo, hi = values[block_rank[best]], values[block_rank[best + 1]]
+    threshold = (lo + hi) / 2.0
+    threshold = np.where(threshold >= hi, lo, threshold)  # see _midpoint
+    # the children's entries: one rank comparison over every entry, and one
+    # stable sort that puts each split node's right child, then its left
+    # child, together (split node k's children are 2k and 2k + 1)
+    child_of = np.full(nodes, has.size)
+    child_of[has] = np.arange(has.size)
+    entry_node = np.arange(nodes).repeat(width)
+    goes_left = ranks.ravel()[feature[entry_node] * n_rows + rows] <= cut_rank[entry_node]
+    child = 2 * child_of[entry_node] + goes_left  # past the last child: not split
+    child_order = child.argsort(kind="stable")
+    count = np.bincount(child, minlength=2 * has.size)[:2 * has.size]
+    end = count.cumsum()
+    begin = end - count
+    child_rows = rows[child_order]
+    several = child_rows[begin] != child_rows[end - 1]  # entries are in row order
+    child_sums = np.empty((2 * has.size, n_classes), dtype=np.int64)
+    child_sums[1::2] = left[lead]
+    child_sums[::2] = total[has] - child_sums[1::2]
+    sizes = np.empty(2 * has.size, dtype=np.int64)
+    sizes[1::2] = left_n[lead]
+    sizes[::2] = right_n[lead]
+    mixed = (child_sums > 0).sum(axis=1) > 1
+    flags = list(zip(begin.tolist(), end.tolist(), sizes.tolist(), mixed.tolist(), several.tolist()))
+    child_entries = entries[child_order]
+    for k, (j, f, cut_at) in enumerate(zip(has.tolist(), feature[has].tolist(), threshold.tolist())):
+        tree, node, depth = batch[j][0], batch[j][1], batch[j][6] + 1
+        tree.feature[node], tree.threshold[node], tree.left[node] = f, cut_at, node + 1
+        for c, parent in ((2 * k, node), (2 * k + 1, -1)):
+            begin, end, n, mixed, several = flags[c]
+            tree.stack.append(
+                (child_entries[begin:end], child_sums[c], n, depth, parent, mixed, several)
+            )
+
+
 def grow(
     X: np.ndarray,
     stats: np.ndarray,
@@ -354,10 +647,12 @@ def grow(
     leaf each row of ``X`` ends in, which is ``tree.apply(X)``.
 
     A node that subsamples features draws the sorted result of
-    ``rng.choice(features.size, max_features, replace=False)``. The draws
-    come in batches from :class:`_CandidateDraws`, bit for bit the same
-    as those calls, and when the tree is grown ``rng`` is in the state
-    the calls would have left it in, buffered 32-bit word included.
+    ``rng.choice(features.size, max_features, replace=False)``. Such trees
+    need integer statistics and grow as the one tree of
+    :func:`grow_trees`, whose draws come in batches from
+    :class:`_CandidateDraws`, bit for bit the same as those calls; when
+    the tree is grown ``rng`` is in the state the calls would have left
+    it in, buffered 32-bit word included.
 
     A row of integer statistics counts as many rows as its counts sum
     to, in the row limits above and in the child sizes of the split
@@ -369,36 +664,40 @@ def grow(
     the right child's the parent's minus those. Float sums are summed
     over each node's rows.
 
-    The smallest nodes take closed forms, after their candidate draw, so
-    the random stream stays the same. A node of one row has no cut and
-    stays a leaf. Every cut of a node of two rows separates the same two
-    rows, so with integer statistics every cut has the same exact score,
-    and the tie rule picks the first candidate whose two values differ;
-    the split stands if both rows weigh at least ``min_samples_leaf``.
-
-    When every node scores every feature, the columns are sorted once:
-    ``order`` is :func:`presort` of ``X`` (computed when omitted), and a
-    child that may split gets its parent's sorted rows filtered by the
-    split. ``root`` may pass the root's :func:`sorted_cuts` when
-    ``features`` is every column. With ``max_features`` subsampling,
-    each node sorts its own candidates, which costs less than filtering
-    every feature's sorted rows for every child. Both give the same
-    sorted rows, so the same tree.
+    Without subsampling every node scores every feature, and the columns
+    are sorted once: ``order`` is :func:`presort` of ``X`` (computed when
+    omitted), and a child that may split gets its parent's sorted rows
+    filtered by the split. ``root`` may pass the root's
+    :func:`sorted_cuts` when ``features`` is every column. A node of one
+    row has no cut and stays a leaf. Every cut of a node of two rows
+    separates the same two rows, so with integer statistics every cut
+    has the same exact score, and the tie rule picks the first feature
+    whose two values differ; the split stands if both rows weigh at
+    least ``min_samples_leaf``.
     """
     if features is None:
         features = np.arange(X.shape[1])
     integer = np.issubdtype(stats.dtype, np.integer)
-    presorted = max_features is None or max_features >= features.size
+    if max_features is not None and max_features < features.size:
+        if not integer:
+            raise ValidationError("max_features subsampling needs integer statistics")
+        return grow_trees(
+            X,
+            [(np.arange(X.shape[0]), stats, rng)],
+            max_depth=max_depth,
+            min_samples_split=min_samples_split,
+            min_samples_leaf=min_samples_leaf,
+            max_features=max_features,
+            features=features,
+            reached=reached,
+            node_value=node_value,
+        )[0]
     columns = np.ascontiguousarray(X.T)  # X[r, f] is columns[f, r]
-    block = None
-    if presorted:
-        block = (presort(X) if order is None else order)[features]
-        # X[r, features[c]] is flat[r + offsets[c]]
-        flat = columns.ravel()
-        offsets = (features * X.shape[0])[:, None]
-        side = np.zeros(X.shape[0], dtype=bool)
-    else:
-        draws = _CandidateDraws(rng, features, max_features)
+    block = (presort(X) if order is None else order)[features]
+    # X[r, features[c]] is flat[r + offsets[c]]
+    flat = columns.ravel()
+    offsets = (features * X.shape[0])[:, None]
+    side = np.zeros(X.shape[0], dtype=bool)
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -424,9 +723,8 @@ def grow(
         value.append(total if node_value is None else node_value(rows))
         split = values = None
         if not stop and (not integer or np.count_nonzero(total) > 1):
-            candidates = features if presorted else next(draws)
             if rows.size == 2 and integer:
-                values = columns[candidates].take(rows, axis=1)
+                values = columns[features].take(rows, axis=1)
                 # a cut needs one value below the other, which no NaN is
                 rise = ((values[:, 0] < values[:, 1]) | (values[:, 1] < values[:, 0])).nonzero()[0]
                 if rise.size:
@@ -438,33 +736,25 @@ def grow(
                         cut = _midpoint(values[column, low], values[column, 1 - low])
                         split = column, cut, left_size, left_total
             elif rows.size > 1:
-                if presorted:  # global row ids into stats
-                    ids, pool = block, stats
-                    if node == 0 and root is not None:
-                        xs, cuts = root
-                    else:
-                        xs = flat.take(block + offsets)
-                        cuts = _cuts(xs)
-                else:  # row ids local to the node, into its rows of stats
-                    values = columns[candidates].take(rows, axis=1)
-                    ids, pool = values.argsort(axis=1, kind="stable"), stats.take(rows, axis=0)
-                    xs = values.copy()
-                    xs.sort(axis=1)
+                if node == 0 and root is not None:
+                    xs, cuts = root
+                else:
+                    xs = flat.take(block + offsets)
                     cuts = _cuts(xs)
-                split = _best_split(xs, cuts, ids, pool, total, size, min_samples_leaf, integer)
+                split = _best_split(xs, cuts, block, stats, total, size, min_samples_leaf, integer)
         if split is None:
             if reached is not None:
                 reached[rows] = node
             continue
         column, cut, left_size, left_total = split
-        f = int(candidates[column])
+        f = int(features[column])
         feature[node], threshold[node], left[node] = f, cut, node + 1
         mask = (columns[f, rows] if values is None else values[column]) <= cut
         left_rows, right_rows = rows[mask], rows[~mask]
         right_size = size - left_size
         left_total, right_total = (left_total, total - left_total) if integer else (None, None)
         left_block = right_block = None
-        if presorted and (max_depth is None or depth + 1 < max_depth):
+        if max_depth is None or depth + 1 < max_depth:
             side[rows] = mask
             goes_left = side[block].ravel()
             if left_size >= min_samples_split and left_rows.size > 1:
@@ -473,8 +763,6 @@ def grow(
                 right_block = block.compress(~goes_left).reshape(features.size, -1)
         stack.append((right_rows, right_total, right_size, depth + 1, node, right_block))
         stack.append((left_rows, left_total, left_size, depth + 1, -1, left_block))
-    if not presorted:
-        draws.finish()
     return Tree(
         np.array(feature, dtype=np.int64),
         np.array(threshold, dtype=float),
@@ -554,11 +842,10 @@ def check_features(X, n_features: int | None, trees) -> np.ndarray:
     return X
 
 
-def distinct_rows(X: np.ndarray, codes: np.ndarray, n_classes: int):
-    """The rows of ``X`` that differ bit for bit, and each one's class counts.
+def row_groups(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``X`` that differ bit for bit, and each row's index among them.
 
-    ``codes`` are the rows' class ids in ``range(n_classes)``. One
-    lexsort over the rows' bit patterns puts equal rows next to each
+    One lexsort over the rows' bit patterns puts equal rows next to each
     other; the distinct rows come out in that order.
     """
     bits = np.ascontiguousarray(X).view(np.uint64)
@@ -566,10 +853,18 @@ def distinct_rows(X: np.ndarray, codes: np.ndarray, n_classes: int):
     ranked = bits[order]
     first = np.ones(X.shape[0], dtype=bool)
     first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    group = np.cumsum(first) - 1
-    n_groups = int(group[-1]) + 1
-    counts = np.bincount(group * n_classes + codes[order], minlength=n_groups * n_classes)
-    return X[order[first]], counts.reshape(n_groups, n_classes)
+    group = np.empty(X.shape[0], dtype=np.int64)
+    group[order] = np.cumsum(first) - 1
+    return X[order[first]], group
+
+
+def distinct_rows(X: np.ndarray, codes: np.ndarray, n_classes: int):
+    """The rows of ``X`` that differ bit for bit (see :func:`row_groups`),
+    and each one's class counts; ``codes`` are the rows' class ids in
+    ``range(n_classes)``."""
+    distinct, group = row_groups(X)
+    counts = np.bincount(group * n_classes + codes, minlength=distinct.shape[0] * n_classes)
+    return distinct, counts.reshape(-1, n_classes)
 
 
 class DecisionTree:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ from resnap.models import (
     MajorityClassifier,
     RandomForest,
 )
+from resnap.models import tree as tree_core
 
 from oracles import brute_force_root_split
 
@@ -298,14 +300,39 @@ def test_boosting_single_class_stages_every_round():
     assert [p.tolist() for p in model.staged_predict(X)] == [[4] * 6] * 3
 
 
-def test_forest_fit_stops_within_one_tree_of_deadline(monkeypatch):
+def counted_batches(monkeypatch) -> list:
+    """Record the node count of every lock-step batch the tree core searches."""
+    batches: list[int] = []
+    search = tree_core._search
+
+    def counting(batch, shared):
+        batches.append(len(batch))
+        return search(batch, shared)
+
+    monkeypatch.setattr(tree_core, "_search", counting)
+    return batches
+
+
+def test_forest_fit_checks_the_deadline_before_every_batch(monkeypatch):
     X, y, _ = _staged_data(47)
     forest = RandomForest(n_estimators=50, seed=1)
-    # the clock reads the number of trees fitted so far
-    monkeypatch.setattr(errors, "time", SimpleNamespace(monotonic=lambda: len(forest.trees_)))
+    batches = counted_batches(monkeypatch)
+    # the clock reads the number of lock-step batches searched so far
+    monkeypatch.setattr(errors, "time", SimpleNamespace(monotonic=lambda: len(batches)))
     with pytest.raises(CellTimeoutError):
         forest.fit(X, y, deadline=2.5)
-    assert len(forest.trees_) == 3
+    assert len(batches) == 3
+    assert batches[0] > 1  # a batch holds nodes of many trees
+
+
+def test_forest_fit_past_its_deadline_raises_and_a_generous_one_changes_nothing():
+    X, y, _ = _staged_data(47)
+    with pytest.raises(CellTimeoutError):
+        RandomForest(n_estimators=5, seed=1).fit(X, y, deadline=time.monotonic() - 1.0)
+    free = RandomForest(n_estimators=12, seed=1).fit(X, y)
+    timed = RandomForest(n_estimators=12, seed=1).fit(X, y, deadline=time.monotonic() + 3600)
+    for a, b in zip(free.trees_, timed.trees_, strict=True):
+        assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
 
 def test_boosting_fit_stops_within_one_round_of_deadline(monkeypatch):

@@ -1,15 +1,16 @@
 """The presorted split search against a per-node-argsort reference grower.
 
 ``grow`` sorts each column once and hands every child its parent's
-sorted rows filtered by the split (or, with feature subsampling, sorts
-each node's candidates itself), and scores only the cuts where a sorted
-column's value rises. ``DecisionTree`` grows on the distinct rows of its
-data with class counts. The reference in ``oracles`` sorts every
-candidate at every node and scans every position of the uncollapsed
-rows. Both must give the same tree, array for array.
+sorted rows filtered by the split, and scores only the cuts where a
+sorted column's value rises. With feature subsampling, ``grow_trees``
+grows many trees of class counts in lock-step and searches one node of
+each tree per batch. ``DecisionTree`` and ``RandomForest`` grow on the
+distinct rows of their data with class counts. The reference in
+``oracles`` sorts every candidate at every node and scans every position
+of the uncollapsed rows. Both must give the same tree, array for array.
 
 The reference draws each node's candidates with ``Generator.choice``;
-``grow`` draws them in batches. The draws, and the generator state they
+the trees draw them in batches. The draws, and the generator state they
 leave, are also checked against the installed numpy directly.
 """
 from __future__ import annotations
@@ -21,12 +22,15 @@ import pytest
 
 from resnap import ValidationError
 from resnap.models import DecisionTree, GradientBoostedTrees, RandomForest
+from resnap.models import tree as tree_core
 from resnap.models.tree import (
     Tree,
     _CandidateDraws,
     distinct_rows,
     grow,
+    grow_trees,
     presort,
+    row_groups,
     sorted_cuts,
     subset_order,
 )
@@ -438,22 +442,15 @@ def test_one_distinct_row_nodes_deep_in_a_tree_keep_later_draws(seed):
     assert (tree.feature[mixed[0] + 1:] >= 0).any()  # later nodes still split
 
 
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("min_samples_leaf", [1, 2])
-def test_float_statistics_with_feature_subsampling(seed, min_samples_leaf):
-    """Gradients with ``max_features``: small nodes, two-row ones included,
-    score with the float formula like any other node."""
-    rng = np.random.default_rng(1000 + seed)
+@pytest.mark.parametrize("max_features", [1, 5])
+def test_float_statistics_with_feature_subsampling_are_rejected(max_features):
+    """Only class counts grow with per-node candidate draws; gradients with
+    ``max_features`` below the feature count have no grower."""
+    rng = np.random.default_rng(1000)
     X = tied_matrix(rng, 70, 6, levels=6)
-    grad = rng.normal(size=(70, 1))
-    got_rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    tree = grow(X, grad, max_features=3, min_samples_leaf=min_samples_leaf, rng=got_rng)
-    assert_same_tree(tree, reference_grow(
-        X, grad, max_features=3, min_samples_leaf=min_samples_leaf, rng=expected_rng
-    ))
-    assert got_rng.integers(1 << 30) == expected_rng.integers(1 << 30)
-    sizes = [rows.size for rows, _ in node_rows(tree, X)]
-    assert 2 in sizes and (1 in sizes or min_samples_leaf > 1)
+    with pytest.raises(ValidationError, match="integer statistics"):
+        grow(X, rng.normal(size=(70, 1)), max_features=max_features,
+             rng=np.random.default_rng(0))
 
 
 # --- batched candidate draws against numpy's Generator.choice -----------------
@@ -563,12 +560,10 @@ def test_candidate_draws_retry_a_rejected_word(position, start_buffered):
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("start_buffered", [False, True])
-@pytest.mark.parametrize("integer", [True, False])
-def test_grow_leaves_the_generator_where_numpy_choice_would(seed, start_buffered, integer):
+def test_grow_leaves_the_generator_where_numpy_choice_would(seed, start_buffered):
     rng = np.random.default_rng(1100 + seed)
     X = tied_matrix(rng, 90, 10, levels=5)
-    stats = (np.eye(3, dtype=np.int64)[rng.integers(0, 3, size=90)] if integer
-             else rng.normal(size=(90, 1)))
+    stats = np.eye(3, dtype=np.int64)[rng.integers(0, 3, size=90)]
     got_rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     if start_buffered:
         buffered(got_rng), buffered(expected_rng)
@@ -602,3 +597,127 @@ def test_grow_with_another_bit_generator_matches_reference():
     tree = grow(X, stats, max_features=3, rng=got_rng)
     assert_same_tree(tree, reference_grow(X, stats, max_features=3, rng=expected_rng))
     assert generator_state(got_rng) == generator_state(expected_rng)
+
+
+# --- trees grown in lock-step against the reference, tree by tree --------------
+
+MAKE_RNG = {
+    "pcg64": np.random.default_rng,
+    "mt19937": lambda seed: np.random.Generator(np.random.MT19937(seed)),  # choice fallback
+}
+
+
+def lockstep_sample(group, codes, n_classes, idx, rng):
+    """``grow_trees``' sample of the data rows ``idx``: the distinct rows they
+    hit (``group`` maps a data row to its distinct row) and their class counts."""
+    counts = np.bincount(group[idx] * n_classes + codes[idx],
+                         minlength=(group.max() + 1) * n_classes).reshape(-1, n_classes)
+    rows = counts.any(axis=1).nonzero()[0]
+    return rows, counts[rows], rng
+
+
+def assert_lockstep_matches_reference(X, codes, n_classes, samples_idx, make_rng, **params):
+    """Grow one tree per row sample in one call; each equals the reference on
+    the sample's uncollapsed one-hot rows and leaves its generator where the
+    reference leaves its own. Returns the trees."""
+    distinct, group = row_groups(X)
+    rngs = [make_rng(seed) for seed in range(len(samples_idx))]
+    samples = [lockstep_sample(group, codes, n_classes, idx, rng)
+               for idx, rng in zip(samples_idx, rngs)]
+    trees = grow_trees(distinct, samples, **params)
+    for seed, (idx, tree, rng) in enumerate(zip(samples_idx, trees, rngs)):
+        expected_rng = make_rng(seed)
+        assert_same_tree(tree, reference_grow(
+            X[idx], np.eye(n_classes, dtype=np.int64)[codes[idx]], rng=expected_rng, **params
+        ))
+        assert generator_state(rng) == generator_state(expected_rng)
+    return trees, distinct, samples
+
+
+LOCKSTEP_PARAMS = [
+    {"max_features": 2},
+    {"max_features": 2, "min_samples_leaf": 3},
+    {"max_features": 3, "max_depth": 3},
+    {"max_features": 2, "min_samples_split": 6},
+    {"max_features": None},
+]
+
+
+@pytest.mark.parametrize("make_rng", MAKE_RNG.values(), ids=MAKE_RNG.keys())
+@pytest.mark.parametrize("params", LOCKSTEP_PARAMS)
+@pytest.mark.parametrize("seed", range(3))
+def test_lockstep_trees_match_reference(seed, params, make_rng):
+    """Samples from 3 to 300 rows grow trees of very different sizes, which
+    finish at different steps; small skewed samples miss classes, and the
+    duplicate-heavy rows give nodes of one and of two distinct rows."""
+    rng = np.random.default_rng(1300 + seed)
+    X = duplicate_heavy(rng, 300, 6, n_distinct=70, levels=4)
+    codes = rng.choice(4, size=300, p=[0.55, 0.3, 0.1, 0.05])
+    sizes = [300, 12, 150, 3, 60, 200, 25]
+    samples_idx = [rng.integers(0, 300, size=size) for size in sizes]
+    trees, distinct, samples = assert_lockstep_matches_reference(
+        X, codes, 4, samples_idx, make_rng, **params
+    )
+    assert any(np.unique(codes[idx]).size < 4 for idx in samples_idx)
+    if "max_depth" not in params:
+        node_counts = [tree.feature.size for tree in trees]
+        assert max(node_counts) > 10 * min(node_counts)
+        sizes_seen = set()
+        for tree, (rows, counts, _) in zip(trees, samples):
+            for reach, _ in node_rows(tree, distinct[rows]):
+                if np.count_nonzero(counts[reach].sum(axis=0)) > 1:
+                    sizes_seen.add(min(reach.size, 3))
+        assert {1, 2} <= sizes_seen  # mixed nodes of one and of two distinct rows
+
+
+def test_lockstep_near_tie_is_decided_exactly_next_to_other_trees():
+    """The near-tie sample of ``test_near_tie_is_decided_exactly`` grown in
+    one call with random samples of the same rows."""
+    X = np.repeat(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]), [337, 514, 470], axis=0)
+    near = np.array([[82, 255], [122, 392], [109, 361]])
+    codes = np.concatenate([np.repeat([0, 1], pair) for pair in near])
+    rng = np.random.default_rng(1400)
+    samples_idx = [np.arange(X.shape[0])] + [rng.integers(0, X.shape[0], size=s)
+                                            for s in (40, 400, 900)]
+    trees, _, _ = assert_lockstep_matches_reference(
+        X, codes, 2, samples_idx, np.random.default_rng, max_features=1
+    )
+    assert trees[0].threshold[0] == 1.5
+
+
+def test_lockstep_batches_split_at_the_element_cap(monkeypatch):
+    """A step whose nodes hold more values than the cap is searched in
+    several batches, with the same trees."""
+    rng = np.random.default_rng(1500)
+    X = duplicate_heavy(rng, 200, 5, n_distinct=80, levels=5)
+    codes = rng.integers(0, 3, size=200)
+    samples_idx = [rng.integers(0, 200, size=200) for _ in range(6)]
+    expected, _, _ = assert_lockstep_matches_reference(
+        X, codes, 3, samples_idx, np.random.default_rng, max_features=2
+    )
+    batches = []
+    search = tree_core._search
+
+    def counting(batch, shared):
+        batches.append(len(batch))
+        return search(batch, shared)
+
+    monkeypatch.setattr(tree_core, "_search", counting)
+    monkeypatch.setattr(tree_core, "_STEP_ELEMENTS", 300)
+    trees, _, _ = assert_lockstep_matches_reference(
+        X, codes, 3, samples_idx, np.random.default_rng, max_features=2
+    )
+    assert batches[0] < len(samples_idx)  # the roots no longer fit one batch
+    for tree, reference in zip(trees, expected, strict=True):
+        assert_same_tree(tree, {name: getattr(reference, name) for name in
+                                ("feature", "threshold", "left", "right", "value")})
+
+
+def test_first_trees_of_a_larger_forest_are_the_smaller_forest():
+    rng = np.random.default_rng(1600)
+    X = duplicate_heavy(rng, 150, 9, n_distinct=60, levels=4)
+    y = rng.choice([2, 5, 7, 9], size=150)
+    large = RandomForest(n_estimators=20, seed=4).fit(X, y)
+    small = RandomForest(n_estimators=10, seed=4).fit(X, y)
+    for a, b in zip(large.trees_[:10], small.trees_, strict=True):
+        assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())

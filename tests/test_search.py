@@ -10,7 +10,6 @@ from resnap import CellTimeoutError, ConfigError, errors
 from resnap.models import (
     GRADIENT_BOOSTING_GRID,
     RANDOM_FOREST_GRID,
-    DecisionTree,
     MajorityClassifier,
     RandomForest,
     expand_grid,
@@ -19,6 +18,7 @@ from resnap.models import (
     normalize_depth,
     stratified_kfold,
 )
+from resnap.models import tree as tree_core
 from resnap.models.search import check_grid
 from resnap.seeding import derive_seed
 
@@ -220,19 +220,19 @@ def test_grid_search_deadline_reaches_inside_ensemble_fits(monkeypatch):
     rng = np.random.default_rng(5)
     X = rng.normal(size=(60, 4))
     y = rng.integers(0, 3, size=60)
-    fitted = []
-    tree_fit = DecisionTree.fit
+    batches = []
+    search = tree_core._search
 
-    def counting_fit(self, X, y):
-        fitted.append(1)
-        return tree_fit(self, X, y)
+    def counting(batch, shared):
+        batches.append(1)
+        return search(batch, shared)
 
-    monkeypatch.setattr(DecisionTree, "fit", counting_fit)
-    # the clock reads the number of trees fitted so far
-    monkeypatch.setattr(errors, "time", SimpleNamespace(monotonic=lambda: len(fitted)))
+    monkeypatch.setattr(tree_core, "_search", counting)
+    # the clock reads the number of lock-step batches searched so far
+    monkeypatch.setattr(errors, "time", SimpleNamespace(monotonic=lambda: len(batches)))
     with pytest.raises(CellTimeoutError):
         grid_search_cv("forest", X, y, {"n_estimators": [50]}, folds=3, seed=0, deadline=5.5)
-    assert len(fitted) == 6
+    assert len(batches) == 6
 
 
 @pytest.mark.parametrize(
