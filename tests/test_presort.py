@@ -78,21 +78,32 @@ def test_grow_matches_reference_on_class_counts(seed, params):
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("max_depth", [None, 3])
-def test_grow_matches_reference_on_gradients_with_row_and_feature_subsets(seed, max_depth):
+@pytest.mark.parametrize(
+    "params",
+    [
+        pytest.param({"max_depth": None}, id="None"),
+        pytest.param({"max_depth": 3}, id="3"),
+        pytest.param({"min_samples_split": 9}, id="split9"),
+        pytest.param({"min_samples_leaf": 3}, id="leaf3"),
+        pytest.param(
+            {"max_depth": 4, "min_samples_split": 9, "min_samples_leaf": 2}, id="4-split9-leaf2"
+        ),
+    ],
+)
+def test_grow_matches_reference_on_gradients_with_row_and_feature_subsets(seed, params):
     rng = np.random.default_rng(100 + seed)
     X = tied_matrix(rng, 120, 8, levels=5)
     grad = rng.normal(size=120)
     rows = np.sort(rng.choice(120, size=95, replace=False))
     features = np.sort(rng.choice(8, size=5, replace=False))
     stats = grad[rows, None]
-    expected = reference_grow(X[rows], stats, max_depth=max_depth, features=features)
+    expected = reference_grow(X[rows], stats, features=features, **params)
     order = subset_order(presort(X), rows)
-    tree = grow(X[rows], stats, max_depth=max_depth, features=features, order=order)
+    tree = grow(X[rows], stats, features=features, order=order, **params)
     assert tree.feature.size > 1
     assert_same_tree(tree, expected)
     # sorting inside grow instead of passing the order gives the same tree
-    assert_same_tree(grow(X[rows], stats, max_depth=max_depth, features=features), expected)
+    assert_same_tree(grow(X[rows], stats, features=features, **params), expected)
 
 
 @pytest.mark.parametrize("seed", range(3))
