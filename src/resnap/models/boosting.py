@@ -29,6 +29,7 @@ from .tree import (
     Tree,
     check_estimators,
     check_features,
+    check_max_depth,
     check_training_data,
     grow,
     presort,
@@ -95,6 +96,7 @@ class GradientBoostedTrees:
         ``time.monotonic()`` has passed ``deadline``.
         """
         check_estimators(self.n_estimators)
+        check_max_depth(self.max_depth)
         check_fraction("subsample", self.subsample)
         check_fraction("colsample", self.colsample)
         check_learning_rate(self.learning_rate)

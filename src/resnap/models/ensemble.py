@@ -13,6 +13,7 @@ from .tree import (
     check_bool,
     check_estimators,
     check_features,
+    check_max_depth,
     check_max_features,
     check_min_samples,
     check_training_data,
@@ -70,6 +71,7 @@ class RandomForest:
         check_estimators(self.n_estimators)
         check_max_features(self.max_features, sqrt=True)
         check_bool("bootstrap", self.bootstrap)
+        check_max_depth(self.max_depth)
         X, y = check_training_data(X, y)
         check_min_samples("min_samples_split", self.min_samples_split, 2)
         check_min_samples("min_samples_leaf", self.min_samples_leaf, 1)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -17,6 +18,7 @@ from .tree import (
     MajorityClassifier,
     check_bool,
     check_estimators,
+    check_max_depth,
     check_max_features,
     check_min_samples,
 )
@@ -55,14 +57,13 @@ _LEARNERS = {
 MODEL_KINDS = tuple(_LEARNERS)
 
 
-def normalize_depth(value) -> int | None:
-    """Map the unlimited-depth sentinels (None, -1, "None") to None."""
-    if value is None or value == -1 or value == "None":
-        return None
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"max_depth must be an integer or None, got {value!r}") from None
+def normalize_depth(value):
+    """Map the unlimited-depth sentinels (None, the integer -1, "None") to None;
+    keep any other value."""
+    unlimited = value is None or value == "None" or (
+        isinstance(value, numbers.Integral) and value == -1
+    )
+    return None if unlimited else value
 
 
 def _learner(kind: str):
@@ -90,7 +91,8 @@ def check_grid(kind: str, grid: Mapping[str, Sequence]) -> None:
 
     The grid must be a mapping. Every key must be a parameter of the
     learner's constructor and every value a non-empty list of
-    candidates. ``max_depth`` candidates must be depths and
+    candidates. ``max_depth`` candidates must be None, -1 or ``"None"``
+    (unlimited) or integers >= 0 that are not booleans, and
     ``n_estimators`` candidates positive integers, which staged scoring
     needs as stage numbers. ``max_features`` candidates must be None or
     positive integers, or ``"sqrt"`` for a forest; ``subsample`` and
@@ -113,9 +115,8 @@ def check_grid(kind: str, grid: Mapping[str, Sequence]) -> None:
             raise ConfigError(
                 f"{kind} grid parameter {key!r} must be a non-empty list, got {values!r}"
             )
-    for value in grid.get("max_depth", ()):
-        normalize_depth(value)
     checks = {
+        "max_depth": lambda value: check_max_depth(normalize_depth(value)),
         "n_estimators": check_estimators,
         "max_features": lambda value: check_max_features(value, sqrt=kind == "forest"),
         "subsample": lambda value: check_fraction("subsample", value),

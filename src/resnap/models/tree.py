@@ -37,9 +37,10 @@ are the sorted draw of ``rng.choice(d, m, replace=False)``; a tree makes
 its draws in batches from the same random words
 (:class:`_CandidateDraws`), which costs a node a few microseconds
 instead of numpy's per-call overhead, and leaves the generator exactly
-where the calls would have. Trees that score every feature at every
-node (boosting, CART without ``max_features``) sort each column once
-instead and grow one at a time (:func:`grow`).
+where the calls would have. Every tree of class counts grows there,
+a lone CART tree as a batch of one. Boosting's trees, of float
+gradients, score every feature at every node: they sort each column
+once instead and grow one at a time (:func:`grow`).
 """
 from __future__ import annotations
 
@@ -146,28 +147,24 @@ def _best_split(
     order: np.ndarray,
     stats: np.ndarray,
     total: np.ndarray,
-    size: int,
     min_samples_leaf: int,
-    integer: bool,
-) -> tuple[int, float, int, np.ndarray] | None:
-    """Best (candidate, threshold, left size, left sums) for one node, or None.
+) -> tuple[int, float] | None:
+    """Best (candidate, threshold) for one node of float statistics, or None.
 
     ``order`` (candidates x rows) holds the node's rows of ``stats`` in
     each candidate feature's ascending order, ``xs`` the matching feature
     values and ``cuts`` the positions where they rise (see
     :func:`sorted_cuts`). Only cuts can be thresholds, so only cuts are
     scored: the statistics are summed cumulatively along every sorted
-    order, as one pass over all rows, and read at the cuts. A node of
-    integer statistics weighs each row by its count sum and has ``size``
-    equal to its count total; otherwise ``size`` is its row count.
-    ``integer`` also selects the exact tie comparison.
+    order, as one pass over all rows, and read at the cuts. The best cut
+    is the first, in C order, of the highest float score.
     """
     column, position = cuts
     if not column.size:
         return None
     left = stats.take(order[:, :-1], axis=0).cumsum(axis=1)[column, position]
-    left_n = left.sum(axis=1) if integer else position + 1
-    right_n = size - left_n
+    left_n = position + 1
+    right_n = order.shape[1] - left_n
     if min_samples_leaf > 1:
         valid = ((left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)).nonzero()[0]
         if not valid.size:
@@ -175,25 +172,12 @@ def _best_split(
         column, position, left, left_n, right_n = (
             a[valid] for a in (column, position, left, left_n, right_n)
         )
-    best = 0 if column.size == 1 else _top_cut(left, left_n, right_n, total, integer)
-    j, i = column[best], position[best]
-    return int(j), _midpoint(xs[j, i], xs[j, i + 1]), int(left_n[best]), left[best]
-
-
-def _top_cut(left, left_n, right_n, total, integer: bool) -> int:
-    """Index of the best-scoring cut: the first one, in C order, of the
-    highest score, compared exactly for integer statistics."""
     right = total - left
     sq_left = np.einsum("ij,ij->i", left, left)
     sq_right = np.einsum("ij,ij->i", right, right)
-    score = sq_left / left_n + sq_right / right_n
-    if not integer:
-        return int(score.argmax())
-    top = score.max()
-    near = (score >= top - abs(top) * _NEAR_RTOL).nonzero()[0]
-    if near.size == 1:
-        return int(near[0])
-    return _exact_top(near, sq_left, sq_right, left_n, right_n)
+    best = (sq_left / left_n + sq_right / right_n).argmax()
+    j, i = column[best], position[best]
+    return int(j), _midpoint(xs[j, i], xs[j, i + 1])
 
 
 def _exact_top(near, sq_left, sq_right, left_n, right_n) -> int:
@@ -392,12 +376,14 @@ def grow_trees(
     """Grow one tree of class counts per sample, all in lock-step.
 
     A sample is ``(rows, counts, rng)``: ascending row ids into ``X``
-    and each row's integer class counts, which sum to at least one, with
-    the same number of classes in every sample. Each tree is
-    :func:`grow`'s tree on ``X[rows]`` and ``counts`` with ``rng``, and
-    leaves ``rng`` in the state :func:`grow` leaves it in. ``reached``
-    and ``node_value`` are those of :func:`grow` for a single sample
-    whose rows are every row of ``X``.
+    and each row's integer class counts, with the same number of classes
+    in every sample. A negative count, or a row whose counts sum to 0,
+    raises :class:`ValidationError`: no leaf would hold such a row. Each
+    tree, and the state it leaves ``rng`` in, is the one :func:`grow`
+    describes for ``X[rows]`` and ``counts``; :func:`grow` on class
+    counts is this function with one sample. ``reached`` and
+    ``node_value`` are those of :func:`grow` for a single sample whose
+    rows are every row of ``X``.
 
     The trees advance together. At each step, every unfinished tree
     walks its own preorder, making its candidate draws, past the nodes
@@ -414,6 +400,8 @@ def grow_trees(
     # a tree's rows as entries, (row, class, count) for every nonzero count, in row order
     parts = []
     for rows, counts, _ in samples:
+        if counts.min(initial=0) < 0 or not counts.sum(axis=1).all():
+            raise ValidationError("class counts must be >= 0 and sum to at least 1 per row")
         i, c = counts.nonzero()
         parts.append((rows[i], c, counts[i, c]))
     ent_row, ent_class, ent_count = (np.concatenate(column) for column in zip(*parts))
@@ -496,9 +484,9 @@ def _search(batch: list, shared: tuple) -> None:
     segment's first block makes one cumulative sum over all blocks the
     left sums of every cut inside each segment; integer sums are exact,
     so these are the sums of a scan over every sorted row. Each node's
-    best cut is the first of its highest exact score (:func:`_top_cut`'s
-    rule), and the children's entries come from one comparison over the
-    entries of every node.
+    best cut is the first, in C order, of its highest exact score, and
+    the children's entries come from one comparison over the entries of
+    every node.
     """
     ranks, values, ent_row, ent_class, ent_count, n_classes, min_samples_leaf = shared
     n_rows = ranks.shape[1]
@@ -646,41 +634,29 @@ def grow(
     the node's statistic sums. When given, ``reached`` is filled with the
     leaf each row of ``X`` ends in, which is ``tree.apply(X)``.
 
-    A node that subsamples features draws the sorted result of
-    ``rng.choice(features.size, max_features, replace=False)``. Such trees
-    need integer statistics and grow as the one tree of
-    :func:`grow_trees`, whose draws come in batches from
-    :class:`_CandidateDraws`, bit for bit the same as those calls; when
-    the tree is grown ``rng`` is in the state the calls would have left
-    it in, buffered 32-bit word included.
+    Integer statistics are class counts, and their tree is the one tree
+    of :func:`grow_trees`; ``order`` and ``root`` are not used. A row
+    counts as many rows as its counts sum to, in the row limits above
+    and in the child sizes of the split score, so a matrix of class
+    counts over the distinct rows of a data set grows the same tree as
+    the one-hot rows of the data set itself. A node that subsamples
+    features draws the sorted result of
+    ``rng.choice(features.size, max_features, replace=False)``, in
+    batches from :class:`_CandidateDraws`, bit for bit the same as those
+    calls; when the tree is grown ``rng`` is in the state the calls
+    would have left it in, buffered 32-bit word included.
 
-    A row of integer statistics counts as many rows as its counts sum
-    to, in the row limits above and in the child sizes of the split
-    score. A matrix of class counts over the distinct rows of a data set
-    therefore grows the same tree as the one-hot rows of the data set
-    itself: the cumulative sums at every cut are the same integers.
-    Integer sums are exact, so a child's sums are carried from its
-    parent: the left child's are the cumulative sums at the chosen cut,
-    the right child's the parent's minus those. Float sums are summed
-    over each node's rows.
-
-    Without subsampling every node scores every feature, and the columns
-    are sorted once: ``order`` is :func:`presort` of ``X`` (computed when
-    omitted), and a child that may split gets its parent's sorted rows
-    filtered by the split. ``root`` may pass the root's
-    :func:`sorted_cuts` when ``features`` is every column. A node of one
-    row has no cut and stays a leaf. Every cut of a node of two rows
-    separates the same two rows, so with integer statistics every cut
-    has the same exact score, and the tie rule picks the first feature
-    whose two values differ; the split stands if both rows weigh at
-    least ``min_samples_leaf``.
+    Float statistics (boosting's gradients) score every feature at every
+    node, and the columns are sorted once: ``order`` is :func:`presort`
+    of ``X`` (computed when omitted), and a child that may split gets
+    its parent's sorted rows filtered by the split. ``root`` may pass
+    the root's :func:`sorted_cuts` when ``features`` is every column. A
+    node's statistic sums are summed over its rows, and a node of one
+    row has no cut and stays a leaf.
     """
     if features is None:
         features = np.arange(X.shape[1])
-    integer = np.issubdtype(stats.dtype, np.integer)
-    if max_features is not None and max_features < features.size:
-        if not integer:
-            raise ValidationError("max_features subsampling needs integer statistics")
+    if np.issubdtype(stats.dtype, np.integer):
         return grow_trees(
             X,
             [(np.arange(X.shape[0]), stats, rng)],
@@ -692,6 +668,8 @@ def grow(
             reached=reached,
             node_value=node_value,
         )[0]
+    if max_features is not None and max_features < features.size:
+        raise ValidationError("max_features subsampling needs integer statistics")
     columns = np.ascontiguousarray(X.T)  # X[r, f] is columns[f, r]
     block = (presort(X) if order is None else order)[features]
     # X[r, features[c]] is flat[r + offsets[c]]
@@ -703,13 +681,10 @@ def grow(
     left: list[int] = []
     right: list[int] = []
     value: list = []
-    total = stats.sum(axis=0) if integer else None
-    size = int(total.sum()) if integer else X.shape[0]
-    # (rows, statistic sums if carried, size, depth, parent whose right child
-    #  this is or -1, sorted rows or None)
-    stack = [(np.arange(X.shape[0]), total, size, 0, -1, block)]
+    # (rows, depth, parent whose right child this is or -1, sorted rows or None)
+    stack = [(np.arange(X.shape[0]), 0, -1, block)]
     while stack:
-        rows, total, size, depth, parent, block = stack.pop()
+        rows, depth, parent, block = stack.pop()
         node = len(feature)
         if parent >= 0:
             right[parent] = node
@@ -717,52 +692,36 @@ def grow(
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        stop = (max_depth is not None and depth >= max_depth) or size < min_samples_split
-        if total is None and not (stop and node_value is not None):
-            total = stats[rows].sum(axis=0)
+        stop = (max_depth is not None and depth >= max_depth) or rows.size < min_samples_split
+        total = None if stop and node_value is not None else stats[rows].sum(axis=0)
         value.append(total if node_value is None else node_value(rows))
-        split = values = None
-        if not stop and (not integer or np.count_nonzero(total) > 1):
-            if rows.size == 2 and integer:
-                values = columns[features].take(rows, axis=1)
-                # a cut needs one value below the other, which no NaN is
-                rise = ((values[:, 0] < values[:, 1]) | (values[:, 1] < values[:, 0])).nonzero()[0]
-                if rise.size:
-                    column = rise[0]
-                    low = int(values[column, 1] < values[column, 0])
-                    left_total = stats[rows[low]]
-                    left_size = int(left_total.sum())
-                    if min(left_size, size - left_size) >= min_samples_leaf:
-                        cut = _midpoint(values[column, low], values[column, 1 - low])
-                        split = column, cut, left_size, left_total
-            elif rows.size > 1:
-                if node == 0 and root is not None:
-                    xs, cuts = root
-                else:
-                    xs = flat.take(block + offsets)
-                    cuts = _cuts(xs)
-                split = _best_split(xs, cuts, block, stats, total, size, min_samples_leaf, integer)
+        split = None
+        if not stop and rows.size > 1:
+            if node == 0 and root is not None:
+                xs, cuts = root
+            else:
+                xs = flat.take(block + offsets)
+                cuts = _cuts(xs)
+            split = _best_split(xs, cuts, block, stats, total, min_samples_leaf)
         if split is None:
             if reached is not None:
                 reached[rows] = node
             continue
-        column, cut, left_size, left_total = split
+        column, cut = split
         f = int(features[column])
         feature[node], threshold[node], left[node] = f, cut, node + 1
-        mask = (columns[f, rows] if values is None else values[column]) <= cut
+        mask = columns[f, rows] <= cut
         left_rows, right_rows = rows[mask], rows[~mask]
-        right_size = size - left_size
-        left_total, right_total = (left_total, total - left_total) if integer else (None, None)
         left_block = right_block = None
         if max_depth is None or depth + 1 < max_depth:
             side[rows] = mask
             goes_left = side[block].ravel()
-            if left_size >= min_samples_split and left_rows.size > 1:
+            if left_rows.size >= max(min_samples_split, 2):
                 left_block = block.compress(goes_left).reshape(features.size, -1)
-            if right_size >= min_samples_split and right_rows.size > 1:
+            if right_rows.size >= max(min_samples_split, 2):
                 right_block = block.compress(~goes_left).reshape(features.size, -1)
-        stack.append((right_rows, right_total, right_size, depth + 1, node, right_block))
-        stack.append((left_rows, left_total, left_size, depth + 1, -1, left_block))
+        stack.append((right_rows, depth + 1, node, right_block))
+        stack.append((left_rows, depth + 1, -1, left_block))
     return Tree(
         np.array(feature, dtype=np.int64),
         np.array(threshold, dtype=float),
@@ -797,6 +756,12 @@ def check_min_samples(name: str, value, least: int) -> None:
     """ValidationError unless ``value`` is an integer of at least ``least`` that is not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_max_depth(value) -> None:
+    """ValidationError unless ``value`` is None or an integer >= 0 that is not a bool."""
+    if value is not None:
+        check_min_samples("max_depth", value, 0)
 
 
 def check_bool(name: str, value) -> None:
@@ -894,6 +859,7 @@ class DecisionTree:
         tree is the one grown on the one-hot rows themselves.
         """
         check_max_features(self.max_features)
+        check_max_depth(self.max_depth)
         check_min_samples("min_samples_split", self.min_samples_split, 2)
         check_min_samples("min_samples_leaf", self.min_samples_leaf, 1)
         X, y = check_training_data(X, y)

@@ -378,6 +378,11 @@ def test_csv_mapping_without_columns_exits_two(fixture_env, capsys):
         ("min_resources", None),
         ("split_ratio", "most"),
         ("max_depth", ["deep"]),
+        ("max_depth", [True]),
+        ("max_depth", [False]),
+        ("max_depth", [2.7]),
+        ("max_depth", [-5]),
+        ("max_depth", ["3"]),
     ],
 )
 def test_run_non_numeric_value_exits_two_before_parsing(fixture_env, capsys, key, value):

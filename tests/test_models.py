@@ -470,6 +470,9 @@ def test_boosting_fit_rejects_a_fraction_outside_zero_to_one(key, value):
         (RandomForest, "bootstrap", 1), (RandomForest, "min_samples_leaf", 0),
         (RandomForest, "min_samples_split", -3), (RandomForest, "min_samples_split", 1),
         (DecisionTree, "min_samples_leaf", 1.5), (DecisionTree, "min_samples_split", True),
+        (DecisionTree, "max_depth", "x"), (DecisionTree, "max_depth", -1),
+        (RandomForest, "max_depth", "x"), (RandomForest, "max_depth", 2.7),
+        (GradientBoostedTrees, "max_depth", "x"), (GradientBoostedTrees, "max_depth", True),
     ],
 )
 def test_fit_rejects_a_parameter_outside_its_range(make, key, value):
@@ -484,6 +487,9 @@ def test_fit_rejects_a_parameter_outside_its_range(make, key, value):
         (GradientBoostedTrees, dict(learning_rate=np.float64(0.3))),
         (RandomForest, dict(bootstrap=np.bool_(False), min_samples_split=np.int64(2))),
         (DecisionTree, dict(min_samples_leaf=np.int64(2), min_samples_split=5)),
+        (DecisionTree, dict(max_depth=0)),
+        (RandomForest, dict(max_depth=np.int64(1))),
+        (GradientBoostedTrees, dict(max_depth=None)),
     ],
 )
 def test_fit_accepts_the_edges_of_each_parameter_range(make, params):

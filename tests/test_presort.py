@@ -1,13 +1,14 @@
 """The presorted split search against a per-node-argsort reference grower.
 
-``grow`` sorts each column once and hands every child its parent's
-sorted rows filtered by the split, and scores only the cuts where a
-sorted column's value rises. With feature subsampling, ``grow_trees``
-grows many trees of class counts in lock-step and searches one node of
-each tree per batch. ``DecisionTree`` and ``RandomForest`` grow on the
-distinct rows of their data with class counts. The reference in
-``oracles`` sorts every candidate at every node and scans every position
-of the uncollapsed rows. Both must give the same tree, array for array.
+On float statistics ``grow`` sorts each column once and hands every
+child its parent's sorted rows filtered by the split, and scores only
+the cuts where a sorted column's value rises. ``grow_trees`` grows
+trees of class counts in lock-step and searches one node of each tree
+per batch; ``grow`` on class counts grows its one tree there.
+``DecisionTree`` and ``RandomForest`` grow on the distinct rows of their
+data with class counts. The reference in ``oracles`` sorts every
+candidate at every node and scans every position of the uncollapsed
+rows. Both must give the same tree, array for array.
 
 The reference draws each node's candidates with ``Generator.choice``;
 the trees draw them in batches. The draws, and the generator state they
@@ -182,6 +183,16 @@ def test_grow_on_class_counts_matches_weighted_reference(seed, params):
     tree = grow(distinct, counts, **params)
     assert_same_tree(tree, reference_grow(distinct, counts, **params))
     assert_same_tree(tree, reference_grow(X, np.eye(3, dtype=np.int64)[codes], **params))
+
+
+@pytest.mark.parametrize(
+    "counts", [[[1, 0], [0, 0], [0, 0], [0, 1]], [[1, 0], [2, -1], [0, 1], [0, 1]]],
+    ids=["zero-weight row", "negative count"],
+)
+def test_grow_rejects_a_row_weighing_nothing_or_a_negative_count(counts):
+    X = np.arange(4.0)[:, None]
+    with pytest.raises(ValidationError, match="class counts"):
+        grow(X, np.array(counts))
 
 
 def test_distinct_rows_merges_bit_equal_rows_only():
