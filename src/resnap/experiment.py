@@ -289,8 +289,10 @@ def run_experiment(log: EventLog, cfg: ExperimentConfig) -> list[ResultRecord]:
                     )
                 )
 
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # a fork pool starts all its workers at once, so ask for no more than there are cells
+    workers = min(cfg.workers, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_cell, cells))
     else:
         records = [_run_cell(cell) for cell in cells]

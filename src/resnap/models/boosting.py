@@ -17,19 +17,16 @@ model fitted with ``n_estimators=n``.
 """
 from __future__ import annotations
 
-import math
-import numbers
 from typing import Iterator
 
 import numpy as np
 
 from ..errors import ValidationError, check_deadline
 from ..seeding import derive_seed
+from .params import FRACTION, LEARNING_RATE, MAX_DEPTH, N_ESTIMATORS, check_params, params_of
 from .tree import (
     Tree,
-    check_estimators,
     check_features,
-    check_max_depth,
     check_training_data,
     grow,
     presort,
@@ -53,20 +50,16 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def check_fraction(name: str, value) -> None:
-    """ValidationError unless ``value`` is a number in (0, 1] that is not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value <= 1:
-        raise ValidationError(f"{name} must be a number in (0, 1], got {value!r}")
-
-
-def check_learning_rate(value) -> None:
-    """ValidationError unless ``value`` is a finite number >= 0 that is not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
-        raise ValidationError(f"learning_rate must be a finite number >= 0, got {value!r}")
-
-
 class GradientBoostedTrees:
     """Multiclass softmax boosting over regression trees."""
+
+    PARAMETERS = {
+        "n_estimators": N_ESTIMATORS,
+        "max_depth": MAX_DEPTH,
+        "learning_rate": LEARNING_RATE,
+        "subsample": FRACTION,
+        "colsample": FRACTION,
+    }
 
     def __init__(
         self,
@@ -95,11 +88,7 @@ class GradientBoostedTrees:
         Before each round, raise :class:`CellTimeoutError` once
         ``time.monotonic()`` has passed ``deadline``.
         """
-        check_estimators(self.n_estimators)
-        check_max_depth(self.max_depth)
-        check_fraction("subsample", self.subsample)
-        check_fraction("colsample", self.colsample)
-        check_learning_rate(self.learning_rate)
+        check_params(self)
         X, y = check_training_data(X, y)
         self.n_features_in_ = X.shape[1]
         self.classes_ = np.unique(y)
@@ -211,13 +200,7 @@ class GradientBoostedTrees:
         return {
             "kind": "boosted",
             "seed": self.seed,
-            "params": {
-                "n_estimators": self.n_estimators,
-                "max_depth": self.max_depth,
-                "learning_rate": self.learning_rate,
-                "subsample": self.subsample,
-                "colsample": self.colsample,
-            },
+            "params": params_of(self),
             "classes": [int(c) for c in self.classes_],
             "init_scores": [float(v) for v in self.init_scores_],
             "rounds": [[tree.to_dict() for tree in trees] for trees in self.rounds_],

@@ -8,18 +8,17 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..seeding import derive_seed
-from .tree import (
-    DecisionTree,
-    check_bool,
-    check_estimators,
-    check_features,
-    check_max_depth,
-    check_max_features,
-    check_min_samples,
-    check_training_data,
-    grow_trees,
-    row_groups,
+from .params import (
+    BOOL,
+    MAX_DEPTH,
+    MAX_FEATURES_OR_SQRT,
+    MIN_SAMPLES_LEAF,
+    MIN_SAMPLES_SPLIT,
+    N_ESTIMATORS,
+    check_params,
+    params_of,
 )
+from .tree import DecisionTree, check_features, check_training_data, grow_trees, row_groups
 
 
 class RandomForest:
@@ -32,6 +31,15 @@ class RandomForest:
     derived from ``i`` alone, so the first ``n`` trees of a fitted forest
     are exactly the forest fitted with ``n_estimators=n``.
     """
+
+    PARAMETERS = {
+        "n_estimators": N_ESTIMATORS,
+        "max_depth": MAX_DEPTH,
+        "min_samples_split": MIN_SAMPLES_SPLIT,
+        "min_samples_leaf": MIN_SAMPLES_LEAF,
+        "bootstrap": BOOL,
+        "max_features": MAX_FEATURES_OR_SQRT,
+    }
 
     def __init__(
         self,
@@ -68,13 +76,8 @@ class RandomForest:
         :class:`CellTimeoutError` once ``time.monotonic()`` has passed
         ``deadline``.
         """
-        check_estimators(self.n_estimators)
-        check_max_features(self.max_features, sqrt=True)
-        check_bool("bootstrap", self.bootstrap)
-        check_max_depth(self.max_depth)
+        check_params(self)
         X, y = check_training_data(X, y)
-        check_min_samples("min_samples_split", self.min_samples_split, 2)
-        check_min_samples("min_samples_leaf", self.min_samples_leaf, 1)
         self.n_features_in_ = X.shape[1]
         self.classes_, codes = np.unique(y, return_inverse=True)
         k = len(self.classes_)
@@ -92,13 +95,8 @@ class RandomForest:
             rows = counts.any(axis=1).nonzero()[0]
             samples.append((rows, counts[rows], np.random.default_rng(seed)))
             present.append(counts.any(axis=0).nonzero()[0])  # the sample's classes
-        per_node = self._features_per_node(X.shape[1])
-        params = dict(
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=per_node,
-        )
+        params = {name: getattr(self, name) for name in DecisionTree.PARAMETERS}
+        params["max_features"] = self._features_per_node(X.shape[1])
         grown = grow_trees(distinct, samples, deadline=deadline, **params)
         self.trees_ = []
         for seed, tree, classes in zip(seeds, grown, present):
@@ -130,14 +128,7 @@ class RandomForest:
         return {
             "kind": "forest",
             "seed": self.seed,
-            "params": {
-                "n_estimators": self.n_estimators,
-                "max_depth": self.max_depth,
-                "min_samples_split": self.min_samples_split,
-                "min_samples_leaf": self.min_samples_leaf,
-                "bootstrap": self.bootstrap,
-                "max_features": self.max_features,
-            },
+            "params": params_of(self),
             "classes": [int(c) for c in self.classes_],
             "trees": [tree.to_dict() for tree in self.trees_],
         }

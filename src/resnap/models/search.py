@@ -1,7 +1,6 @@
 """Hyperparameter grids and cross-validated exhaustive grid search."""
 from __future__ import annotations
 
-import inspect
 import itertools
 import numbers
 from dataclasses import dataclass, field
@@ -11,17 +10,10 @@ import numpy as np
 
 from ..errors import ConfigError, ValidationError, check_deadline
 from ..seeding import derive_seed
-from .boosting import GradientBoostedTrees, check_fraction, check_learning_rate
+from .boosting import GradientBoostedTrees
 from .ensemble import RandomForest
-from .tree import (
-    DecisionTree,
-    MajorityClassifier,
-    check_bool,
-    check_estimators,
-    check_max_depth,
-    check_max_features,
-    check_min_samples,
-)
+from .params import check_value
+from .tree import DecisionTree, MajorityClassifier
 
 # "None" and -1 both mean unlimited depth
 RANDOM_FOREST_GRID: dict[str, list] = {
@@ -73,11 +65,6 @@ def _learner(kind: str):
         raise ConfigError(f"unknown model kind {kind!r}") from None
 
 
-def _parameters(kind: str) -> list[str]:
-    """The learner's grid parameters: its constructor's, less ``seed``."""
-    return [p for p in inspect.signature(_learner(kind)).parameters if p != "seed"]
-
-
 def make_classifier(kind: str, params: Mapping, seed: int):
     """Instantiate a classifier of the given kind with grid-point params."""
     params = dict(params)
@@ -89,47 +76,31 @@ def make_classifier(kind: str, params: Mapping, seed: int):
 def check_grid(kind: str, grid: Mapping[str, Sequence]) -> None:
     """Raise ConfigError for a grid the learner cannot be built from.
 
-    The grid must be a mapping. Every key must be a parameter of the
-    learner's constructor and every value a non-empty list of
-    candidates. ``max_depth`` candidates must be None, -1 or ``"None"``
-    (unlimited) or integers >= 0 that are not booleans, and
-    ``n_estimators`` candidates positive integers, which staged scoring
-    needs as stage numbers. ``max_features`` candidates must be None or
-    positive integers, or ``"sqrt"`` for a forest; ``subsample`` and
-    ``colsample`` candidates numbers in (0, 1]; ``learning_rate``
-    candidates finite numbers >= 0; ``bootstrap`` candidates booleans;
-    ``min_samples_leaf`` candidates integers >= 1 and ``min_samples_split``
-    candidates integers >= 2. The learners' ``fit`` checks the same.
+    The grid must map parameters of the learner to non-empty lists of
+    candidates, and every candidate must pass its parameter's rule in the
+    learner's ``PARAMETERS`` table (:mod:`resnap.models.params`), the rule
+    ``fit`` checks. ``max_depth`` candidates go through
+    :func:`normalize_depth` first.
     """
     if not isinstance(grid, Mapping):
         raise ConfigError(f"{kind} grid must be an object, got {grid!r}")
-    accepted = _parameters(kind)
-    unknown = [key for key in grid if key not in accepted]
+    table = _learner(kind).PARAMETERS
+    unknown = [key for key in grid if key not in table]
     if unknown:
         raise ConfigError(
             f"unknown {kind} grid parameter(s) {', '.join(map(repr, unknown))}; "
-            f"accepted: {', '.join(accepted) or 'none'}"
+            f"accepted: {', '.join(table) or 'none'}"
         )
     for key, values in grid.items():
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigError(
                 f"{kind} grid parameter {key!r} must be a non-empty list, got {values!r}"
             )
-    checks = {
-        "max_depth": lambda value: check_max_depth(normalize_depth(value)),
-        "n_estimators": check_estimators,
-        "max_features": lambda value: check_max_features(value, sqrt=kind == "forest"),
-        "subsample": lambda value: check_fraction("subsample", value),
-        "colsample": lambda value: check_fraction("colsample", value),
-        "learning_rate": check_learning_rate,
-        "bootstrap": lambda value: check_bool("bootstrap", value),
-        "min_samples_leaf": lambda value: check_min_samples("min_samples_leaf", value, 1),
-        "min_samples_split": lambda value: check_min_samples("min_samples_split", value, 2),
-    }
-    for key, check in checks.items():
-        for value in grid.get(key, ()):
+        for value in values:
+            if key == "max_depth":
+                value = normalize_depth(value)
             try:
-                check(value)
+                check_value(key, value, table[key])
             except ValidationError as exc:
                 raise ConfigError(f"{kind} grid: {exc}") from None
 
@@ -231,7 +202,7 @@ def grid_search_cv(
     groups = _staged_groups(points) if staged else [[i] for i in range(len(points))]
     fit_args = {"deadline": deadline} if staged else {}
     fold_idx = stratified_kfold(y, folds, seed)
-    if not _parameters(kind):  # one point to choose: refit only
+    if not _learner(kind).PARAMETERS:  # one point to choose: refit only
         fold_idx = []
     all_idx = np.arange(len(y))
     per_fold: list[list[float]] = [[] for _ in points]

@@ -44,13 +44,20 @@ once instead and grow one at a time (:func:`grow`).
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from ..errors import ValidationError, check_deadline
+from .params import (
+    MAX_DEPTH,
+    MAX_FEATURES,
+    MIN_SAMPLES_LEAF,
+    MIN_SAMPLES_SPLIT,
+    check_params,
+    params_of,
+)
 
 # float pre-filter window; exact integer comparison decides inside it
 _NEAR_RTOL = 1e-7
@@ -746,40 +753,6 @@ def check_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def check_estimators(n) -> None:
-    """ValidationError unless the tree or round count ``n`` is a positive integer."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ValidationError(f"n_estimators must be a positive integer, got {n!r}")
-
-
-def check_min_samples(name: str, value, least: int) -> None:
-    """ValidationError unless ``value`` is an integer of at least ``least`` that is not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def check_max_depth(value) -> None:
-    """ValidationError unless ``value`` is None or an integer >= 0 that is not a bool."""
-    if value is not None:
-        check_min_samples("max_depth", value, 0)
-
-
-def check_bool(name: str, value) -> None:
-    """ValidationError unless ``value`` is a bool."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise ValidationError(f"{name} must be true or false, got {value!r}")
-
-
-def check_max_features(value, sqrt: bool = False) -> None:
-    """ValidationError unless ``value`` is None, a positive integer that is
-    not a bool, or, where ``sqrt`` allows it, ``"sqrt"``."""
-    if value is None or (sqrt and value == "sqrt"):
-        return
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        accepted = "None, 'sqrt' or a positive integer" if sqrt else "None or a positive integer"
-        raise ValidationError(f"max_features must be {accepted}, got {value!r}")
-
-
 def check_features(X, n_features: int | None, trees) -> np.ndarray:
     """``X`` as a float matrix the fitted ``trees`` can descend, or ValidationError.
 
@@ -835,6 +808,13 @@ def distinct_rows(X: np.ndarray, codes: np.ndarray, n_classes: int):
 class DecisionTree:
     """CART classifier with optional per-node feature subsampling."""
 
+    PARAMETERS = {
+        "max_depth": MAX_DEPTH,
+        "min_samples_split": MIN_SAMPLES_SPLIT,
+        "min_samples_leaf": MIN_SAMPLES_LEAF,
+        "max_features": MAX_FEATURES,
+    }
+
     def __init__(
         self,
         max_depth: int | None = None,
@@ -858,23 +838,12 @@ class DecisionTree:
         Repeated rows (a bootstrap sample has many) are merged first; the
         tree is the one grown on the one-hot rows themselves.
         """
-        check_max_features(self.max_features)
-        check_max_depth(self.max_depth)
-        check_min_samples("min_samples_split", self.min_samples_split, 2)
-        check_min_samples("min_samples_leaf", self.min_samples_leaf, 1)
+        check_params(self)
         X, y = check_training_data(X, y)
         self.n_features_in_ = X.shape[1]
         self.classes_, codes = np.unique(y, return_inverse=True)
         X, counts = distinct_rows(X, codes, len(self.classes_))
-        self.tree_ = grow(
-            X,
-            counts,
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=self.max_features,
-            rng=np.random.default_rng(self.seed),
-        )
+        self.tree_ = grow(X, counts, **params_of(self), rng=np.random.default_rng(self.seed))
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -896,12 +865,7 @@ class DecisionTree:
         return {
             "kind": "tree",
             "seed": self.seed,
-            "params": {
-                "max_depth": self.max_depth,
-                "min_samples_split": self.min_samples_split,
-                "min_samples_leaf": self.min_samples_leaf,
-                "max_features": self.max_features,
-            },
+            "params": params_of(self),
             "classes": [int(c) for c in self.classes_],
             "tree": self.tree_.to_dict(),
         }
@@ -921,6 +885,8 @@ class MajorityClassifier:
     lexicographically smallest decoded activity because the label
     encoder assigns ids in lexicographic order.
     """
+
+    PARAMETERS: dict = {}
 
     def __init__(self, seed: int = 0):
         self.seed = seed

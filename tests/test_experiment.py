@@ -14,6 +14,7 @@ from resnap import (
     run_experiment,
     stratified_split,
 )
+from resnap import experiment
 from resnap.experiment import RARE_LABEL
 
 from synth import run_structured_log
@@ -245,3 +246,31 @@ def test_majority_cell_accuracy_is_test_frequency_of_train_majority(small_log):
     expected = float(np.mean(targets[test] == majority))
     for r in records:
         assert r.accuracy == pytest.approx(expected)
+
+
+def test_run_experiment_asks_for_no_more_workers_than_cells(small_log, monkeypatch):
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    serial = run_experiment(small_log, small_config())  # 2 encodings x 2 models
+    pooled = run_experiment(small_log, small_config(workers=500))
+    one_cell = run_experiment(small_log, small_config(workers=500, encodings=("SeqOnly",),
+                                                      models=("majority",)))
+    assert asked == [4]  # the one-cell run stays serial
+    assert [(r.encoding, r.model, r.accuracy) for r in pooled] == [
+        (r.encoding, r.model, r.accuracy) for r in serial
+    ]
+    assert len(one_cell) == 1

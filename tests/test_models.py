@@ -460,21 +460,22 @@ def test_boosting_fit_rejects_a_fraction_outside_zero_to_one(key, value):
         GradientBoostedTrees(n_estimators=2, **{key: value}).fit(np.eye(3), [0, 1, 2])
 
 
-@pytest.mark.parametrize(
-    "make, key, value",
-    [
-        (GradientBoostedTrees, "learning_rate", "fast"),
-        (GradientBoostedTrees, "learning_rate", -0.1), (GradientBoostedTrees, "learning_rate", True),
-        (GradientBoostedTrees, "learning_rate", float("nan")),
-        (GradientBoostedTrees, "learning_rate", float("inf")), (RandomForest, "bootstrap", "no"),
-        (RandomForest, "bootstrap", 1), (RandomForest, "min_samples_leaf", 0),
-        (RandomForest, "min_samples_split", -3), (RandomForest, "min_samples_split", 1),
-        (DecisionTree, "min_samples_leaf", 1.5), (DecisionTree, "min_samples_split", True),
-        (DecisionTree, "max_depth", "x"), (DecisionTree, "max_depth", -1),
-        (RandomForest, "max_depth", "x"), (RandomForest, "max_depth", 2.7),
-        (GradientBoostedTrees, "max_depth", "x"), (GradientBoostedTrees, "max_depth", True),
-    ],
-)
+# (learner, parameter, value) that fit rejects; search.check_grid rejects them too
+OUT_OF_RANGE = [
+    (GradientBoostedTrees, "learning_rate", "fast"),
+    (GradientBoostedTrees, "learning_rate", -0.1), (GradientBoostedTrees, "learning_rate", True),
+    (GradientBoostedTrees, "learning_rate", float("nan")),
+    (GradientBoostedTrees, "learning_rate", float("inf")), (RandomForest, "bootstrap", "no"),
+    (RandomForest, "bootstrap", 1), (RandomForest, "min_samples_leaf", 0),
+    (RandomForest, "min_samples_split", -3), (RandomForest, "min_samples_split", 1),
+    (DecisionTree, "min_samples_leaf", 1.5), (DecisionTree, "min_samples_split", True),
+    (DecisionTree, "max_depth", "x"), (DecisionTree, "max_depth", -1),
+    (RandomForest, "max_depth", "x"), (RandomForest, "max_depth", 2.7),
+    (GradientBoostedTrees, "max_depth", "x"), (GradientBoostedTrees, "max_depth", True),
+]
+
+
+@pytest.mark.parametrize("make, key, value", OUT_OF_RANGE)
 def test_fit_rejects_a_parameter_outside_its_range(make, key, value):
     with pytest.raises(ValidationError, match=f"{key} must be .*, got {value!r}"):
         make(**{key: value}).fit(np.eye(3), [0, 1, 2])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import time
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ import pytest
 from resnap import CellTimeoutError, ConfigError, errors
 from resnap.models import (
     GRADIENT_BOOSTING_GRID,
+    MODEL_KINDS,
     RANDOM_FOREST_GRID,
     MajorityClassifier,
     RandomForest,
@@ -19,8 +21,10 @@ from resnap.models import (
     stratified_kfold,
 )
 from resnap.models import tree as tree_core
-from resnap.models.search import check_grid
+from resnap.models.search import _LEARNERS, check_grid
 from resnap.seeding import derive_seed
+
+from test_models import OUT_OF_RANGE
 
 
 def test_published_grid_shapes():
@@ -248,3 +252,29 @@ def test_grid_search_deadline_reaches_inside_ensemble_fits(monkeypatch):
 def test_check_grid_rejects_bad_values(grid, key):
     with pytest.raises(ConfigError, match=key):
         check_grid("forest", grid)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_parameter_table_lists_the_constructor_parameters_in_order(kind):
+    cls = _LEARNERS[kind]
+    accepted = [p for p in inspect.signature(cls).parameters if p != "seed"]
+    assert list(cls.PARAMETERS) == accepted
+    if accepted:  # the tree learners save their parameters in table order
+        model = cls(seed=3).fit(np.eye(3), [0, 1, 2])
+        assert list(model.to_dict()["params"]) == accepted
+
+
+KINDS = {learner: kind for kind, learner in _LEARNERS.items()}
+
+
+@pytest.mark.parametrize(
+    "make, key, value",
+    [
+        (make, key, value)
+        for make, key, value in OUT_OF_RANGE
+        if not (key == "max_depth" and normalize_depth(value) is None)  # a grid's "unlimited"
+    ],
+)
+def test_check_grid_rejects_what_fit_rejects(make, key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be"):
+        check_grid(KINDS[make], {key: [value]})
