@@ -26,6 +26,7 @@ from ..seeding import derive_seed
 from .params import FRACTION, LEARNING_RATE, MAX_DEPTH, N_ESTIMATORS, check_params, params_of
 from .tree import (
     Tree,
+    apply_trees,
     check_features,
     check_training_data,
     grow,
@@ -167,18 +168,22 @@ class GradientBoostedTrees:
         """Raw scores before the first round, then after each round.
 
         Every stage is the same array, updated in place; within a round the
-        classes are added in order. A single-class fit grows no trees, so
-        its scores stay at the prior through all ``n_estimators`` rounds.
+        classes are added in order. The trees descend together
+        (:func:`apply_trees`), which gives each the leaves of its own
+        descent. A single-class fit grows no trees, so its scores stay at
+        the prior through all ``n_estimators`` rounds.
         """
         if self.classes_ is None:
             raise ValidationError("model is not fitted")
-        X = check_features(X, self.n_features_in_, [t for trees in self.rounds_ for t in trees])
+        trees = [tree for round_trees in self.rounds_ for tree in round_trees]
+        X = check_features(X, self.n_features_in_, trees)
         scores = np.tile(self.init_scores_, (X.shape[0], 1))
         yield scores
         rounds = self.rounds_ if len(self.classes_) > 1 else [[]] * self.n_estimators
+        leaves = apply_trees(trees, X)
         for round_trees in rounds:
             for k, tree in enumerate(round_trees):
-                scores[:, k] += self.learning_rate * tree.value[tree.apply(X)]
+                scores[:, k] += self.learning_rate * tree.value[next(leaves)]
             yield scores
 
     def staged_predict(self, X) -> Iterator[np.ndarray]:

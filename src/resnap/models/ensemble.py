@@ -18,7 +18,14 @@ from .params import (
     check_params,
     params_of,
 )
-from .tree import DecisionTree, check_features, check_training_data, grow_trees, row_groups
+from .tree import (
+    DecisionTree,
+    apply_trees,
+    check_features,
+    check_training_data,
+    grow_trees,
+    row_groups,
+)
 
 
 class RandomForest:
@@ -62,61 +69,89 @@ class RandomForest:
         self.trees_: list[DecisionTree] = []
         self.n_features_in_: int | None = None  # None once loaded by from_dict
 
+    def fit(self, X, y, deadline: float | None = None) -> "RandomForest":
+        """Fit on all of ``X`` and ``y``: :meth:`fit_many` of this forest alone."""
+        RandomForest.fit_many([self], X, y, [np.arange(np.size(y))], deadline)
+        return self
+
+    @staticmethod
+    def fit_many(forests, X, y, row_sets, deadline: float | None = None) -> None:
+        """Fit ``forests[i]`` on the rows ``row_sets[i]`` of ``X`` and ``y``,
+        growing every tree of every forest in one lock-step :func:`grow_trees` call.
+
+        Each forest ends exactly as ``fit(X[rows], y[rows])`` leaves it.
+        Tree ``i`` of a forest is the :class:`DecisionTree` fit on its
+        bootstrap sample ``rows[rng.integers(0, n, n)]``, grown on the
+        distinct rows of ``X`` with the sample's class counts, coded over
+        the classes of ``y``: a class the sample lacks is a zero column,
+        which no split score or stopping rule sees, and is cut from the
+        tree's ``value``. The forests may differ in ``seed``,
+        ``n_estimators`` and ``bootstrap`` only. Before each lock-step
+        batch, raise :class:`CellTimeoutError` once ``time.monotonic()``
+        has passed ``deadline``.
+        """
+        for forest in forests:
+            check_params(forest)
+        X, y = check_training_data(X, y)
+        params = [forest._tree_params(X.shape[1]) for forest in forests]
+        if any(p != params[0] for p in params):
+            raise ValidationError("forests fitted together must share their tree parameters")
+        classes, codes = np.unique(y, return_inverse=True)
+        k = len(classes)
+        distinct, group = row_groups(X)
+        samples, trees = [], []  # trees: (forest, tree model, the sample's classes)
+        for forest, rows in zip(forests, row_sets):
+            rows = np.asarray(rows, dtype=np.int64)
+            n = rows.size
+            if n == 0:
+                raise ValidationError("training data must be a non-empty 2-D matrix")
+            forest.n_features_in_ = X.shape[1]
+            forest.classes_ = classes[np.unique(codes[rows])]
+            forest.trees_ = []
+            for i in range(forest.n_estimators):
+                idx = rows
+                if forest.bootstrap:
+                    draw = np.random.default_rng(derive_seed(forest.seed, "bootstrap", i))
+                    idx = rows[draw.integers(0, n, size=n)]
+                counts = np.bincount(group[idx] * k + codes[idx], minlength=distinct.shape[0] * k)
+                counts = counts.reshape(-1, k)
+                kept = counts.any(axis=1).nonzero()[0]
+                seed = derive_seed(forest.seed, "features", i)
+                samples.append((kept, counts[kept], np.random.default_rng(seed)))
+                model = DecisionTree(seed=seed, **params[0])
+                trees.append((forest, model, counts.any(axis=0).nonzero()[0]))
+        grown = grow_trees(distinct, samples, deadline=deadline, **params[0])
+        for (forest, model, present), tree in zip(trees, grown):
+            model.n_features_in_ = X.shape[1]
+            model.classes_ = classes[present]
+            tree.value = tree.value[:, present]
+            model.tree_ = tree
+            forest.trees_.append(model)
+
     def _features_per_node(self, n_features: int) -> int | None:
         if self.max_features == "sqrt":
             return max(1, round(math.sqrt(n_features)))
         return self.max_features
 
-    def fit(self, X, y, deadline: float | None = None) -> "RandomForest":
-        """Grow every tree in one lock-step :func:`grow_trees` call.
-
-        Tree ``i`` is the :class:`DecisionTree` fit on its bootstrap
-        sample, grown on the distinct rows of ``X`` with the sample's
-        class counts. Before each lock-step batch, raise
-        :class:`CellTimeoutError` once ``time.monotonic()`` has passed
-        ``deadline``.
-        """
-        check_params(self)
-        X, y = check_training_data(X, y)
-        self.n_features_in_ = X.shape[1]
-        self.classes_, codes = np.unique(y, return_inverse=True)
-        k = len(self.classes_)
-        distinct, group = row_groups(X)
-        n = X.shape[0]
-        seeds = [derive_seed(self.seed, "features", i) for i in range(self.n_estimators)]
-        samples, present = [], []
-        for i, seed in enumerate(seeds):
-            idx = np.arange(n)
-            if self.bootstrap:
-                rng = np.random.default_rng(derive_seed(self.seed, "bootstrap", i))
-                idx = rng.integers(0, n, size=n)
-            counts = np.bincount(group[idx] * k + codes[idx], minlength=distinct.shape[0] * k)
-            counts = counts.reshape(-1, k)
-            rows = counts.any(axis=1).nonzero()[0]
-            samples.append((rows, counts[rows], np.random.default_rng(seed)))
-            present.append(counts.any(axis=0).nonzero()[0])  # the sample's classes
+    def _tree_params(self, n_features: int) -> dict:
+        """The parameters of each of the forest's trees on ``n_features`` columns."""
         params = {name: getattr(self, name) for name in DecisionTree.PARAMETERS}
-        params["max_features"] = self._features_per_node(X.shape[1])
-        grown = grow_trees(distinct, samples, deadline=deadline, **params)
-        self.trees_ = []
-        for seed, tree, classes in zip(seeds, grown, present):
-            model = DecisionTree(seed=seed, **params)
-            model.n_features_in_ = X.shape[1]
-            model.classes_ = self.classes_[classes]
-            tree.value = tree.value[:, classes]
-            model.tree_ = tree
-            self.trees_.append(model)
-        return self
+        params["max_features"] = self._features_per_node(n_features)
+        return params
 
     def staged_predict(self, X) -> Iterator[np.ndarray]:
         """Yield the plurality vote of the first 1, 2, ..., n_estimators trees."""
         if not self.trees_:
             raise ValidationError("model is not fitted")
-        X = check_features(X, self.n_features_in_, [tree.tree_ for tree in self.trees_])
+        trees = [tree.tree_ for tree in self.trees_]
+        X = check_features(X, self.n_features_in_, trees)
         rows = np.arange(X.shape[0])
         votes = np.zeros((X.shape[0], len(self.classes_)), dtype=np.int64)
-        for tree in self.trees_:
-            votes[rows, np.searchsorted(self.classes_, tree.predict(X))] += 1
+        for tree, leaf in zip(self.trees_, apply_trees(trees, X)):
+            # each node's vote, a tree's class of most counts (the lowest id
+            # of a tie), as an index into the forest's classes
+            vote = np.searchsorted(self.classes_, tree.classes_)[tree.tree_.value.argmax(axis=1)]
+            votes[rows, vote[leaf]] += 1
             yield self.classes_[np.argmax(votes, axis=1)]
 
     def predict(self, X) -> np.ndarray:

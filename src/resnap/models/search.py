@@ -180,10 +180,12 @@ def grid_search_cv(
     ``n_estimators`` share one fit per fold at their largest
     ``n_estimators``, and each point is scored from the prediction after
     its own number of trees or rounds, which is exactly the prediction of
-    a model fitted with that number. ``deadline`` (time.monotonic value)
-    aborts the search with :class:`CellTimeoutError` when exceeded; the
-    ensembles also check it, a forest before every lock-step batch of
-    its trees and boosting before every round.
+    a model fitted with that number. A forest group grows the trees of
+    all its fold forests in one :meth:`RandomForest.fit_many` call.
+    ``deadline`` (time.monotonic value) aborts the search with
+    :class:`CellTimeoutError` when exceeded; the ensembles also check it,
+    a forest before every lock-step batch of its trees and boosting
+    before every round.
 
     A learner without grid parameters (``majority``) has one point to
     choose, so it is only refit: its outcome has no fold scores and a
@@ -205,16 +207,22 @@ def grid_search_cv(
     if not _learner(kind).PARAMETERS:  # one point to choose: refit only
         fold_idx = []
     all_idx = np.arange(len(y))
+    train_idx = [np.setdiff1d(all_idx, test_idx, assume_unique=True) for test_idx in fold_idx]
     per_fold: list[list[float]] = [[] for _ in points]
-    for f, test_idx in enumerate(fold_idx):
-        train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=True)
-        X_train, y_train = X[train_idx], y[train_idx]
-        X_test, y_test = X[test_idx], y[test_idx]
-        for members in groups:
-            check_deadline(deadline)
-            top = max(members, key=lambda i: points[i].get("n_estimators", 0))
-            model = make_classifier(kind, points[top], derive_seed(seed, "fold", f))
-            model.fit(X_train, y_train, **fit_args)
+    for members in groups:
+        check_deadline(deadline)
+        top = max(members, key=lambda i: points[i].get("n_estimators", 0))
+        models = [
+            make_classifier(kind, points[top], derive_seed(seed, "fold", f))
+            for f in range(len(fold_idx))
+        ]
+        if kind == "forest":  # every fold's trees in one lock-step call
+            RandomForest.fit_many(models, X, y, train_idx, deadline)
+        for model, train, test in zip(models, train_idx, fold_idx):
+            if kind != "forest":
+                check_deadline(deadline)
+                model.fit(X[train], y[train], **fit_args)
+            X_test, y_test = X[test], y[test]
             if staged:
                 # hits[n - 1]: fold accuracy after n trees or rounds
                 hits = [float(np.mean(p == y_test)) for p in model.staged_predict(X_test)]

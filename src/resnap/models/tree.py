@@ -26,7 +26,8 @@ read at the cuts are the ones the scan over every row computed.
 
 Forest trees are mostly small nodes, where numpy's per-call cost is the
 cost of a node, so a forest grows all its trees at once
-(:func:`grow_trees`). At each step every unfinished tree walks its own
+(:func:`grow_trees`), and a grid search grows the forests of all its
+CV folds in one call. At each step every unfinished tree walks its own
 preorder to its next node that needs a split search, and the nodes of
 all trees are searched in one batch: each numpy call serves a node of
 every tree. A node of one distinct row has no cut and is not searched.
@@ -40,12 +41,13 @@ instead of numpy's per-call overhead, and leaves the generator exactly
 where the calls would have. Every tree of class counts grows there,
 a lone CART tree as a batch of one. Boosting's trees, of float
 gradients, score every feature at every node: they sort each column
-once instead and grow one at a time (:func:`grow`).
+once instead and grow one at a time (:func:`grow`). The trees of a
+fitted forest or boosting model descend together (:func:`apply_trees`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -82,15 +84,8 @@ class Tree:
     value: np.ndarray
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index of every row, descending all rows one level at a time."""
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        active = np.flatnonzero(self.feature[node] >= 0)
-        while active.size:
-            at = node[active]
-            go_left = X[active, self.feature[at]] <= self.threshold[at]
-            node[active] = np.where(go_left, self.left[at], self.right[at])
-            active = active[self.feature[node[active]] >= 0]
-        return node
+        """Leaf index of every row: :func:`apply_trees` of this tree alone."""
+        return next(apply_trees([self], X))
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
@@ -98,6 +93,42 @@ class Tree:
     @classmethod
     def from_dict(cls, payload: dict) -> "Tree":
         return cls(**{f.name: np.asarray(payload[f.name]) for f in fields(cls)})
+
+
+# a block of apply_trees descends at most this many (tree, row) pairs,
+# unless one tree alone has more rows
+_APPLY_ELEMENTS = 1 << 14
+
+
+def apply_trees(trees: Sequence[Tree], X: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield each tree's leaf index of every row of ``X``, tree by tree.
+
+    The trees descend in blocks: a block's node arrays are stacked, its
+    children renumbered past the nodes of the trees before, and every
+    (tree, row) pair of the block goes down one level per step, so a
+    step's numpy calls serve every tree of the block. A pair follows the
+    comparison ``X[row, feature] <= threshold`` of a lone descent, so it
+    ends in the same leaf.
+    """
+    n = X.shape[0]
+    per_block = max(1, _APPLY_ELEMENTS // max(n, 1))
+    for start in range(0, len(trees), per_block):
+        block = trees[start:start + per_block]
+        sizes = np.array([tree.feature.size for tree in block])
+        offset = sizes.cumsum() - sizes
+        feature = np.concatenate([tree.feature for tree in block])
+        threshold = np.concatenate([tree.threshold for tree in block])
+        left = np.concatenate([tree.left for tree in block]) + offset.repeat(sizes)
+        right = np.concatenate([tree.right for tree in block]) + offset.repeat(sizes)
+        node = offset.repeat(n)
+        row = np.tile(np.arange(n), len(block))
+        active = np.flatnonzero(feature[node] >= 0)
+        while active.size:
+            at = node[active]
+            go_left = X[row[active], feature[at]] <= threshold[at]
+            node[active] = np.where(go_left, left[at], right[at])
+            active = active[feature[node[active]] >= 0]
+        yield from node.reshape(len(block), n) - offset[:, None]
 
 
 def presort(X: np.ndarray) -> np.ndarray:

@@ -19,12 +19,15 @@ attributes, plus the trace-level ``concept:name`` as the case id.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import gzip
 import io
 import re
 import xml.etree.ElementTree as ET
+import zlib
 from contextlib import ExitStack, contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -32,7 +35,7 @@ from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyLogError, ParseError, ValidationError
+from .errors import ConfigError, EmptyLogError, ParseError, ResnapError, ValidationError
 from .eventlog import _MAX_US, _MIN_US, EventColumns, EventLog, build_event_log, epoch_us
 
 _GZIP_MAGIC = b"\x1f\x8b"
@@ -40,6 +43,31 @@ _CHUNK = 64 * 1024
 _BATCH = 8192  # timestamp texts decoded at once
 _LONG_FRACTION = re.compile(r"(\.\d{6})\d+")
 _XES_ATTRIBUTES = frozenset(("string", "date", "int", "float", "boolean"))
+# what a truncated or corrupt gzip stream raises while it is read
+_GZIP_ERRORS = (EOFError, zlib.error, gzip.BadGzipFile)
+# stands in for bytes that are not UTF-8; valid UTF-8 never decodes to a lone surrogate
+_UNDECODABLE = "\udcff"
+# the running parse_csv call's notes, one per run of bytes that is not UTF-8
+_undecodable: ContextVar[list[int] | None] = ContextVar("_undecodable", default=None)
+
+
+def _note_undecodable(exc: UnicodeDecodeError) -> tuple[str, int]:
+    """The CSV reader's ``errors`` handler: note the run of bytes that is
+    not UTF-8 and read it as :data:`_UNDECODABLE`. Clean text never calls it."""
+    noted = _undecodable.get()
+    if noted is not None:
+        noted.append(exc.start)
+    return _UNDECODABLE, exc.end
+
+
+codecs.register_error("resnap.undecodable", _note_undecodable)
+
+
+def _name(source) -> str:
+    """The source as an error message names it."""
+    if isinstance(source, (str, Path)):
+        return str(source)
+    return str(getattr(source, "name", "input"))
 
 
 @dataclass(frozen=True)
@@ -350,6 +378,8 @@ def parse_xes(source: bytes | str | Path | BinaryIO) -> EventLog:
     except ET.ParseError as exc:
         line, column = exc.position
         raise ParseError(f"malformed XML at line {line}, column {column}: {exc.msg}") from exc
+    except _GZIP_ERRORS as exc:
+        raise ParseError(f"{_name(source)}: truncated or corrupt gzip data ({exc})") from exc
     if target.n_traces == 0:
         raise EmptyLogError("XES document contains no traces")
     if not target.columns.cases:
@@ -362,29 +392,85 @@ def parse_csv(source: bytes | str | Path | BinaryIO, mapping: CsvMapping) -> Eve
 
     The first row must be a header containing every mapped column. Blank
     lines are skipped; data rows are numbered from 1 in error messages.
-    Raises :class:`ConfigError` when a mapped column is missing and
+    Raises :class:`ConfigError` when a mapped column is missing,
     :class:`ValidationError` with the row number on bad cell values (a
-    short row's missing cells read as empty).
+    short row's missing cells read as empty), and :class:`ParseError`
+    naming the source and the row on bytes that are not UTF-8 text, a
+    field over ``csv.field_size_limit()`` or truncated or corrupt gzip
+    data.
+
+    Bytes that are not UTF-8 are noted as they are decoded, which is
+    ahead of the rows. When there were any, a path or bytes source is
+    read again with every row checked, so the first error in file order
+    is the one raised; a stream cannot be read again, and its error
+    names no row.
     """
-    cols = EventColumns()
-    with _open_binary(source) as stream:
-        text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
-        try:
-            reader = csv.reader(text, delimiter=mapping.delimiter)
-            header = next(reader, None)
-            if not header:
-                raise ConfigError("CSV input has no header row")
-            index = {name: i for i, name in enumerate(header)}  # a repeated name: last wins
-            wanted = (mapping.case, mapping.activity, mapping.resource, mapping.timestamp)
-            missing = [col for col in wanted if col not in index]
-            if missing:
-                raise ConfigError(f"CSV header is missing mapped columns: {', '.join(missing)}")
-            _read_csv_rows(reader, [index[col] for col in wanted], mapping.timestamp_format, cols)
-        finally:
-            text.detach()  # leave the underlying stream to its owner
+    noted: list[int] = []
+    token = _undecodable.set(noted)
+    try:
+        cols = _read_csv(source, mapping, check_text=False)
+    except ResnapError:
+        if not noted:
+            raise
+    finally:
+        _undecodable.reset(token)
+    if noted:
+        if not isinstance(source, (str, Path, bytes, bytearray)):
+            raise ParseError(f"{_name(source)} is not UTF-8 text")
+        cols = _read_csv(source, mapping, check_text=True)
     if not cols.cases:
         raise EmptyLogError("CSV input contains no data rows")
     return build_event_log(cols)
+
+
+def _read_csv(source, mapping: CsvMapping, check_text: bool) -> EventColumns:
+    """The columns of every data row. With ``check_text``, a row holding
+    bytes that are not UTF-8 raises ParseError when it is reached."""
+    cols = EventColumns()
+    header = None
+    try:
+        with _open_binary(source) as stream:
+            text = io.TextIOWrapper(
+                stream, encoding="utf-8-sig", errors="resnap.undecodable", newline=""
+            )
+            try:
+                reader = csv.reader(text, delimiter=mapping.delimiter)
+                header = next(reader, None)
+                if not header:
+                    raise ConfigError("CSV input has no header row")
+                if check_text:
+                    if any(_UNDECODABLE in name for name in header):
+                        raise ParseError(f"{_name(source)}: the header row is not UTF-8 text")
+                    reader = _utf8_rows(reader, _name(source))
+                index = {name: i for i, name in enumerate(header)}  # a repeated name: last wins
+                wanted = (mapping.case, mapping.activity, mapping.resource, mapping.timestamp)
+                missing = [col for col in wanted if col not in index]
+                if missing:
+                    raise ConfigError(
+                        f"CSV header is missing mapped columns: {', '.join(missing)}"
+                    )
+                positions = [index[col] for col in wanted]
+                _read_csv_rows(reader, positions, mapping.timestamp_format, cols)
+            finally:
+                text.detach()  # leave the underlying stream to its owner
+    except (csv.Error, *_GZIP_ERRORS) as exc:
+        # every data row read before the error added one event
+        place = "the header row" if header is None else f"row {len(cols.cases) + 1}"
+        what = "unreadable CSV" if isinstance(exc, csv.Error) else "truncated or corrupt gzip data"
+        raise ParseError(f"{_name(source)}: {what} in {place} ({exc})") from exc
+    return cols
+
+
+def _utf8_rows(reader, name: str):
+    """The rows of ``reader``; ParseError at the first data row that holds
+    bytes that are not UTF-8. Data rows count as in :func:`_read_csv_rows`."""
+    row_no = 0
+    for row in reader:
+        if row:
+            row_no += 1
+            if any(_UNDECODABLE in field for field in row):
+                raise ParseError(f"{name}: row {row_no} is not UTF-8 text")
+        yield row
 
 
 def _read_csv_rows(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gzip
 import json
 import re
 import sys
@@ -609,3 +610,27 @@ def test_every_shipped_or_documented_config_passes_the_schema(tmp_path, name):
     path.write_text(json.dumps(config))
     loaded = _load_config(build_parser().parse_args(["run", "--config", str(path)]))
     assert sorted(loaded.datasets) == sorted(d["id"] for d in config["datasets"])
+
+
+def _gzip_head(data: Path) -> None:
+    data.write_bytes(gzip.compress(data.read_bytes())[:200])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda data: data.write_bytes(data.read_bytes().replace(b"c0,", b"c0\xff,", 1)),
+         "row 1 is not UTF-8 text"),
+        (_gzip_head, "truncated or corrupt gzip data"),
+        (lambda data: data.write_text(data.read_text().replace(",A,", f",{'A' * 140_000},", 1)),
+         "(field larger than field limit"),
+    ],
+    ids=["not UTF-8", "truncated gzip", "field over the limit"],
+)
+def test_profile_unreadable_csv_exits_two_naming_the_file(fixture_env, capsys, edit, message):
+    tmp_path, data = fixture_env
+    config = write_config(tmp_path, data)
+    edit(data)
+    assert main(["profile", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {data}: " in err and message in err

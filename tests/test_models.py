@@ -15,6 +15,7 @@ from resnap.models import (
     RandomForest,
 )
 from resnap.models import tree as tree_core
+from resnap.seeding import derive_seed
 
 from oracles import brute_force_root_split
 
@@ -495,3 +496,121 @@ def test_fit_rejects_a_parameter_outside_its_range(make, key, value):
 )
 def test_fit_accepts_the_edges_of_each_parameter_range(make, params):
     assert make(**params).fit(np.eye(3), [0, 1, 2]).predict(np.eye(3)).shape == (3,)
+
+
+# --- several forests grown together, and trees descending together -----------
+
+
+def _fold_data():
+    """Repeated rows over four classes; class 9 has one row, so a fold lacks it."""
+    rng = np.random.default_rng(71)
+    X = rng.integers(0, 3, size=(45, 5)).astype(float)
+    y = (X[:, 0].astype(int) + (rng.random(45) < 0.3)) % 3
+    y[7] = 9
+    folds = [np.setdiff1d(np.arange(45), np.arange(f, 45, 3)) for f in range(3)]
+    assert 9 not in y[folds[1]]
+    return X, y, folds
+
+
+def assert_same_forest(many: RandomForest, alone: RandomForest):
+    assert many.classes_.tolist() == alone.classes_.tolist()
+    assert many.n_features_in_ == alone.n_features_in_
+    assert len(many.trees_) == len(alone.trees_)
+    for a, b in zip(many.trees_, alone.trees_):
+        assert (a.seed, a.max_features, a.n_features_in_) == (b.seed, b.max_features, b.n_features_in_)
+        assert a.classes_.tolist() == b.classes_.tolist()
+        for name in ("feature", "threshold", "left", "right", "value"):
+            x, z = getattr(a.tree_, name), getattr(b.tree_, name)
+            assert x.dtype == z.dtype and np.array_equal(x, z), name
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {},
+        {"bootstrap": False},
+        {"max_depth": 3},
+        {"min_samples_split": 6, "min_samples_leaf": 3},
+        {"max_features": None, "bootstrap": False, "max_depth": 2},
+    ],
+    ids=["default", "no bootstrap", "max_depth", "min_samples", "all features"],
+)
+def test_fit_many_equals_one_fit_per_row_set(params):
+    X, y, folds = _fold_data()
+    seeds = [derive_seed(2, "fold", f) for f in range(3)]
+    forests = [RandomForest(n_estimators=n, seed=s, **params) for s, n in zip(seeds, (7, 4, 6))]
+    RandomForest.fit_many(forests, X, y, folds)
+    for forest, seed, rows in zip(forests, seeds, folds):
+        alone = RandomForest(n_estimators=forest.n_estimators, seed=seed, **params)
+        assert_same_forest(forest, alone.fit(X[rows], y[rows]))
+    assert 9 not in forests[1].classes_ and 9 in forests[0].classes_
+
+
+def test_fit_many_raises_once_its_deadline_has_passed():
+    X, y, folds = _fold_data()
+    forests = [RandomForest(n_estimators=5, seed=f) for f in range(3)]
+    with pytest.raises(CellTimeoutError):
+        RandomForest.fit_many(forests, X, y, folds, deadline=time.monotonic() - 1.0)
+
+
+def test_fit_many_needs_shared_tree_parameters_and_rows_in_every_set():
+    X, y, folds = _fold_data()
+    with pytest.raises(ValidationError, match="share their tree parameters"):
+        RandomForest.fit_many([RandomForest(max_depth=2), RandomForest(max_depth=3)], X, y, folds[:2])
+    with pytest.raises(ValidationError, match="non-empty"):
+        RandomForest.fit_many([RandomForest(n_estimators=2)], X, y, [np.array([], dtype=int)])
+
+
+def _descend(tree, x) -> int:
+    """Reference descent of one row."""
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = x[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return int(node)
+
+
+def _fitted_and_loaded(model):
+    yield model
+    yield type(model).from_dict(json.loads(json.dumps(model.to_dict())))
+
+
+@pytest.mark.parametrize("elements", [1, 100, 1 << 16], ids=["a tree a block", "small blocks", "one block"])
+def test_apply_trees_equals_each_trees_own_descent(monkeypatch, elements):
+    monkeypatch.setattr(tree_core, "_APPLY_ELEMENTS", elements)
+    X, y, probe = _staged_data(73)
+    forest = RandomForest(n_estimators=9, seed=2).fit(X, y)
+    boosted = GradientBoostedTrees(n_estimators=3, max_depth=3, seed=2).fit(X, y)
+    for model in (*_fitted_and_loaded(forest), *_fitted_and_loaded(boosted)):
+        trees = _trees(model)
+        leaves = list(tree_core.apply_trees(trees, probe))
+        assert len(leaves) == len(trees)
+        for tree, leaf in zip(trees, leaves):
+            assert leaf.tolist() == [_descend(tree, x) for x in probe]
+            assert np.array_equal(tree.apply(probe), leaf)
+    assert list(tree_core.apply_trees(_trees(forest), probe[:0]))[0].shape == (0,)
+
+
+@pytest.mark.parametrize("elements", [100, 1 << 16], ids=["small blocks", "one block"])
+def test_staged_votes_and_scores_equal_the_per_tree_loop(monkeypatch, elements):
+    monkeypatch.setattr(tree_core, "_APPLY_ELEMENTS", elements)
+    X, y, probe = _staged_data(79)
+    forest = RandomForest(n_estimators=8, max_depth=4, seed=5).fit(X, y)
+    for model in _fitted_and_loaded(forest):
+        votes = np.zeros((len(probe), len(model.classes_)), dtype=np.int64)
+        for tree, staged in zip(model.trees_, model.staged_predict(probe), strict=True):
+            votes[np.arange(len(probe)), np.searchsorted(model.classes_, tree.predict(probe))] += 1
+            assert staged.tolist() == model.classes_[votes.argmax(axis=1)].tolist()
+    boosted = GradientBoostedTrees(n_estimators=4, max_depth=3, subsample=0.8, seed=5).fit(X, y)
+    for model in _fitted_and_loaded(boosted):
+        scores = np.tile(model.init_scores_, (len(probe), 1))
+        stages = model._staged_scores(probe)
+        assert np.array_equal(next(stages), scores)
+        for round_trees, staged in zip(model.rounds_, stages, strict=True):
+            for k, tree in enumerate(round_trees):
+                scores[:, k] += model.learning_rate * tree.value[_apply_alone(tree, probe)]
+            assert np.array_equal(staged, scores)  # bit for bit
+
+
+def _apply_alone(tree, X):
+    return np.array([_descend(tree, x) for x in X], dtype=np.int64)

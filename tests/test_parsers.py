@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import gzip
+import io
+import re
 
 import pytest
 
@@ -220,3 +222,83 @@ def test_parse_csv_gzip_detected_by_magic_bytes():
     data = gzip.compress(csv_bytes(["c1,A,r1,2024-03-01 10:00:00"]))
     log = parse_csv(data, MAPPING)
     assert len(log.events) == 1
+
+
+# --- unreadable bytes ----------------------------------------------------------
+
+GOOD_ROW = "c1,A,r1,2024-03-01 10:00:00"
+
+
+def latin1(data: bytes) -> bytes:
+    """``data`` with every character below 256 as one byte: "\xff" becomes 0xff."""
+    return data.decode("utf-8").encode("latin-1")
+
+
+def test_parse_csv_bytes_that_are_not_utf8_name_the_file_and_row(tmp_path):
+    data = csv_bytes([GOOD_ROW, GOOD_ROW]).replace(b"c1,A", b"c1,A\xff", 1)
+    with pytest.raises(ParseError, match=r"^input: row 1 is not UTF-8 text$"):
+        parse_csv(data, MAPPING)
+    path = tmp_path / "log.csv"
+    path.write_bytes(gzip.compress(data))
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: row 1 is not UTF-8"):
+        parse_csv(path, MAPPING)
+
+
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        ([GOOD_ROW, "c1,B,r1,01/03/2024", "c1,\xff,r1,2024-03-01 10:00:02"], ValidationError, "row 2"),
+        ([GOOD_ROW, "c1,\xff,r1,01/03/2024", GOOD_ROW], ParseError, "row 2 is not UTF-8"),
+        ([GOOD_ROW, "c1,B\xff,r1,2024-03-01 10:00:01", "c1,,r1,2024-03-01 10:00:02"], ParseError, "row 2"),
+        (["c1,,r1,2024-03-01 10:00:01", "c1,B\xff,r1,2024-03-01 10:00:02"], ValidationError, "row 1"),
+        (["", "c1,A,r1,x,\xff", GOOD_ROW], ParseError, "row 1 is not UTF-8"),
+    ],
+    ids=["timestamp first", "same row", "byte first", "empty activity first", "unmapped column"],
+)
+def test_parse_csv_first_error_in_file_order_wins_over_undecodable_bytes(rows, error, message):
+    data = latin1(csv_bytes(rows))
+    with pytest.raises(error, match=message):
+        parse_csv(data, MAPPING)
+
+
+def test_parse_csv_undecodable_header_and_stream():
+    data = latin1(csv_bytes([GOOD_ROW], header="case,activity,resource,when\xff"))
+    with pytest.raises(ParseError, match="^input: the header row is not UTF-8 text$"):
+        parse_csv(data, MAPPING)
+    # a stream cannot be read again to find the row
+    data = latin1(csv_bytes([GOOD_ROW, "c1,\xff,r1,2024-03-01 10:00:01"]))
+    with pytest.raises(ParseError, match="^input is not UTF-8 text$"):
+        parse_csv(io.BytesIO(data), MAPPING)
+
+
+def test_parse_csv_field_over_the_size_limit_names_its_row():
+    data = csv_bytes([GOOD_ROW, f"c1,{'A' * 140_000},r1,2024-03-01 10:00:01"])
+    with pytest.raises(ParseError, match=r"unreadable CSV in row 2 \(field larger than field limit"):
+        parse_csv(data, MAPPING)
+
+
+def _truncated_and_corrupt(body: bytes):
+    packed = gzip.compress(body)
+    yield packed[:200]  # ends before the end-of-stream marker
+    flipped = bytearray(packed)
+    flipped[len(packed) // 2] ^= 0xFF
+    yield bytes(flipped)  # a bad deflate block or a CRC that does not match
+    yield packed[:-4] + b"\x00\x00\x00\x00"  # a wrong length in the trailer
+
+
+def test_parse_csv_truncated_or_corrupt_gzip_is_a_parse_error(tmp_path):
+    body = csv_bytes([f"c{i},A,r1,2024-03-01 10:00:{i % 60:02d}" for i in range(400)])
+    for data in _truncated_and_corrupt(body):
+        path = tmp_path / "log.csv.gz"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: truncated or corrupt gzip"):
+            parse_csv(path, MAPPING)
+
+
+def test_parse_xes_truncated_or_corrupt_gzip_is_a_parse_error(tmp_path):
+    body = xes_bytes([(f"case{i}", [xes_event("A", "r1"), xes_event("B", "r2")]) for i in range(60)])
+    for data in _truncated_and_corrupt(body):
+        path = tmp_path / "log.xes.gz"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: truncated or corrupt gzip"):
+            parse_xes(path)

@@ -197,18 +197,28 @@ def test_grid_search_fits_each_group_once_per_fold_at_its_largest_size(monkeypat
     rng = np.random.default_rng(67)
     X = rng.normal(size=(30, 3))
     y = rng.integers(0, 2, size=30)
-    sizes = []
-    forest_fit = RandomForest.fit
+    calls = []
+    fit_many = RandomForest.fit_many
 
-    def recording_fit(self, X, y, deadline=None):
-        sizes.append((self.n_estimators, self.max_depth))
-        return forest_fit(self, X, y, deadline)
+    def recording_fit_many(forests, X, y, row_sets, deadline=None):
+        calls.append(
+            ([(f.n_estimators, f.max_depth, f.seed) for f in forests], [r.tolist() for r in row_sets])
+        )
+        return fit_many(forests, X, y, row_sets, deadline)
 
-    monkeypatch.setattr(RandomForest, "fit", recording_fit)
+    monkeypatch.setattr(RandomForest, "fit_many", staticmethod(recording_fit_many))
     grid = {"n_estimators": [2, 4, 3], "max_depth": [2, 3]}
     outcome = grid_search_cv("forest", X, y, grid, folds=3, seed=1)
+    train = [
+        np.setdiff1d(np.arange(30), test).tolist() for test in stratified_kfold(y, 3, seed=1)
+    ]
+    seeds = [derive_seed(1, "fold", f) for f in range(3)]
     refit = (outcome.best_params["n_estimators"], outcome.best_params["max_depth"])
-    assert sizes == [(4, 2), (4, 3)] * 3 + [refit]
+    assert calls == [
+        ([(4, 2, s) for s in seeds], train),  # one call per group, all three folds
+        ([(4, 3, s) for s in seeds], train),
+        ([(*refit, derive_seed(1, "refit"))], [list(range(30))]),
+    ]
 
 
 @pytest.mark.parametrize("kind", ["forest", "boosted"])
