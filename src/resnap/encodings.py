@@ -17,11 +17,9 @@ capability bits, selected-bigram counts and run statistics.
 """
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -200,11 +198,3 @@ def encode_s2gr(ds: PrefixDataset, selection: SelectedBigrams) -> EncodedDataset
     runs = ["n_runs", "avg_run_len"], np.column_stack([n_runs, ds.prefix_length / n_runs])
     return _encoded(ds, "S2gR", _bigram_block(ds, selection), runs)
 
-
-def encoded_to_csv(encoded: EncodedDataset, path: str | Path) -> None:
-    """Write the feature matrix as CSV with a trailing target column."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(list(encoded.feature_names) + ["target"])
-        for row, target in zip(encoded.rows, encoded.targets):
-            writer.writerow([repr(float(v)) for v in row] + [int(target)])

@@ -38,11 +38,11 @@ from .tree import (
 _EPS = 1e-12
 
 
-def _newton_step(grad: np.ndarray, hess: np.ndarray, factor: float) -> float:
+def _newton_step(grad_sum: float, hess: np.ndarray, factor: float) -> float:
     denom = hess.sum()
     if denom < _EPS:
         return 0.0
-    return factor * grad.sum() / denom
+    return factor * grad_sum / denom
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -141,12 +141,12 @@ class GradientBoostedTrees:
                 reached = leaf if rest is None else np.empty(rows.size, dtype=np.int64)
                 tree = grow(
                     X_rows,
-                    grad[:, None],
+                    grad,
                     max_depth=self.max_depth,
                     features=feats,
                     order=order_rows,
                     root=root,
-                    node_value=lambda r: _newton_step(grad[r], hess[r], factor),
+                    node_value=lambda r, total: _newton_step(total, hess[r], factor),
                     reached=reached,
                 )
                 if rest is not None:

@@ -179,45 +179,6 @@ def _midpoint(lo: float, hi: float) -> float:
     return float(threshold)
 
 
-def _best_split(
-    xs: np.ndarray,
-    cuts: tuple,
-    order: np.ndarray,
-    stats: np.ndarray,
-    total: np.ndarray,
-    min_samples_leaf: int,
-) -> tuple[int, float] | None:
-    """Best (candidate, threshold) for one node of float statistics, or None.
-
-    ``order`` (candidates x rows) holds the node's rows of ``stats`` in
-    each candidate feature's ascending order, ``xs`` the matching feature
-    values and ``cuts`` the positions where they rise (see
-    :func:`sorted_cuts`). Only cuts can be thresholds, so only cuts are
-    scored: the statistics are summed cumulatively along every sorted
-    order, as one pass over all rows, and read at the cuts. The best cut
-    is the first, in C order, of the highest float score.
-    """
-    column, position = cuts
-    if not column.size:
-        return None
-    left = stats.take(order[:, :-1], axis=0).cumsum(axis=1)[column, position]
-    left_n = position + 1
-    right_n = order.shape[1] - left_n
-    if min_samples_leaf > 1:
-        valid = ((left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)).nonzero()[0]
-        if not valid.size:
-            return None
-        column, position, left, left_n, right_n = (
-            a[valid] for a in (column, position, left, left_n, right_n)
-        )
-    right = total - left
-    sq_left = np.einsum("ij,ij->i", left, left)
-    sq_right = np.einsum("ij,ij->i", right, right)
-    best = (sq_left / left_n + sq_right / right_n).argmax()
-    j, i = column[best], position[best]
-    return int(j), _midpoint(xs[j, i], xs[j, i + 1])
-
-
 def _exact_top(near, sq_left, sq_right, left_n, right_n) -> int:
     """The first of the ``near`` cuts with the highest exact score."""
     best = None
@@ -263,9 +224,8 @@ class _CandidateDraws:
 
     _MAX_WORDS = 1 << 15  # words per batch, which bounds a batch's memory
 
-    def __init__(self, rng: np.random.Generator, features: np.ndarray, m: int):
-        d = features.size
-        self.rng, self.features, self.m = rng, features, m
+    def __init__(self, rng: np.random.Generator, d: int, m: int):
+        self.rng, self.d, self.m = rng, d, m
         self.rows, self.next, self.batch = (), 0, 64
         pcg = isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
         tail_shuffle = d > 10_000 and m > d // 50  # numpy's choice without Floyd
@@ -284,12 +244,12 @@ class _CandidateDraws:
 
     def __next__(self) -> np.ndarray:
         if self.next == len(self.rows):
-            self.rows, self.next = self.features[self._batch()], 0
+            self.rows, self.next = self._batch(), 0
         self.next += 1
         return self.rows[self.next - 1]
 
     def _batch(self) -> np.ndarray:
-        d, m = self.features.size, self.m
+        d, m = self.d, self.m
         if not self.exact:
             return np.sort(self.rng.choice(d, m, replace=False))[None]
         k = 2 * m - 1
@@ -332,7 +292,7 @@ class _CandidateDraws:
                 return product >> 32
 
     def _one_by_one(self) -> list[int]:
-        d, m = self.features.size, self.m
+        d, m = self.d, self.m
         picks: list[int] = []
         for j in range(d - m, d):
             pick = self._bounded(j)
@@ -382,16 +342,44 @@ def _column_ranks(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _STEP_ELEMENTS = 1 << 14
 
 
-class _Grower:
-    """One tree of :func:`grow_trees`: its pending nodes and its node arrays."""
+class _Nodes:
+    """A growing tree's node arrays as lists, nodes added in preorder."""
 
-    def __init__(self, entries: np.ndarray, total, several: bool, draws, reached):
-        self.draws, self.reached = draws, reached
+    def __init__(self):
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
         self.right: list[int] = []
         self.value: list = []
+
+    def add(self, parent: int, value) -> int:
+        """Add a leaf of ``value``, the right child of ``parent`` unless -1."""
+        node = len(self.feature)
+        if parent >= 0:
+            self.right[parent] = node
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(value)
+        return node
+
+    def tree(self) -> Tree:
+        return Tree(
+            np.array(self.feature, dtype=np.int64),
+            np.array(self.threshold, dtype=float),
+            np.array(self.left, dtype=np.int64),
+            np.array(self.right, dtype=np.int64),
+            np.array(self.value),
+        )
+
+
+class _Grower(_Nodes):
+    """One tree of :func:`grow_trees`: its pending nodes and its node arrays."""
+
+    def __init__(self, entries: np.ndarray, total, several: bool, draws):
+        super().__init__()
+        self.draws = draws
         # (entries, class sums, size, depth, parent whose right child this is
         #  or -1, whether it holds two classes, whether it holds two rows)
         mixed = np.count_nonzero(total) > 1
@@ -406,22 +394,25 @@ def grow_trees(
     min_samples_split: int = 2,
     min_samples_leaf: int = 1,
     max_features: int | None = None,
-    features: np.ndarray | None = None,
     deadline: float | None = None,
-    reached: np.ndarray | None = None,
-    node_value: Callable[[np.ndarray], object] | None = None,
 ) -> list[Tree]:
     """Grow one tree of class counts per sample, all in lock-step.
 
     A sample is ``(rows, counts, rng)``: ascending row ids into ``X``
     and each row's integer class counts, with the same number of classes
     in every sample. A negative count, or a row whose counts sum to 0,
-    raises :class:`ValidationError`: no leaf would hold such a row. Each
-    tree, and the state it leaves ``rng`` in, is the one :func:`grow`
-    describes for ``X[rows]`` and ``counts``; :func:`grow` on class
-    counts is this function with one sample. ``reached`` and
-    ``node_value`` are those of :func:`grow` for a single sample whose
-    rows are every row of ``X``.
+    raises :class:`ValidationError`: no leaf would hold such a row.
+
+    Node ids are preorder (depth-first, left child first), and a node's
+    value is its class sums. A node stays a leaf at ``max_depth``, below
+    ``min_samples_split`` rows, when it holds one class, or when no split
+    leaves ``min_samples_leaf`` rows on each side. A row counts as many
+    rows as its counts sum to, in these limits and in the split score,
+    so class counts over the distinct rows of a data set grow the tree of
+    its one-hot rows. Before its descendants, a node draws the sorted
+    ``rng.choice(X.shape[1], max_features, replace=False)``, in batches
+    from :class:`_CandidateDraws`; the draws, and the state each ``rng``
+    is left in, buffered 32-bit word included, are those of the calls.
 
     The trees advance together. At each step, every unfinished tree
     walks its own preorder, making its candidate draws, past the nodes
@@ -430,8 +421,7 @@ def grow_trees(
     :func:`_search`). Before each batch, :class:`CellTimeoutError` is
     raised once ``time.monotonic()`` has passed ``deadline``.
     """
-    if features is None:
-        features = np.arange(X.shape[1])
+    features = np.arange(X.shape[1])
     subsample = max_features is not None and max_features < features.size
     ranks, values = _column_ranks(X)
     n_classes = samples[0][1].shape[1]
@@ -449,8 +439,7 @@ def grow_trees(
             np.arange(bounds[t], bounds[t + 1]),
             counts.sum(axis=0),
             rows.size > 1,
-            _CandidateDraws(rng, features, max_features) if subsample else None,
-            reached,
+            _CandidateDraws(rng, features.size, max_features) if subsample else None,
         )
         for t, (rows, counts, rng) in enumerate(samples)
     ]
@@ -459,7 +448,7 @@ def grow_trees(
     while live:
         batch = []  # (tree, node, entries, candidates, class sums, size, depth)
         for tree in live:
-            node = _advance(tree, features, ent_row, max_depth, min_samples_split, node_value)
+            node = _advance(tree, features, max_depth, min_samples_split)
             if node is not None:
                 batch.append(node)
         live = [node[0] for node in batch]
@@ -476,39 +465,21 @@ def grow_trees(
     for tree in trees:
         if tree.draws is not None:
             tree.draws.finish()
-    return [
-        Tree(
-            np.array(tree.feature, dtype=np.int64),
-            np.array(tree.threshold, dtype=float),
-            np.array(tree.left, dtype=np.int64),
-            np.array(tree.right, dtype=np.int64),
-            np.array(tree.value),
-        )
-        for tree in trees
-    ]
+    return [tree.tree() for tree in trees]
 
 
-def _advance(tree: _Grower, features, ent_row, max_depth, min_samples_split, node_value):
+def _advance(tree: _Grower, features, max_depth, min_samples_split):
     """Add ``tree``'s nodes in preorder up to the next one that needs a
     split search, and return that node's search inputs, or None when the
     tree is grown."""
     while tree.stack:
         entries, total, size, depth, parent, mixed, several = tree.stack.pop()
-        node = len(tree.feature)
-        if parent >= 0:
-            tree.right[parent] = node
-        tree.feature.append(-1)
-        tree.threshold.append(0.0)
-        tree.left.append(-1)
-        tree.right.append(-1)
-        tree.value.append(total if node_value is None else node_value(np.unique(ent_row[entries])))
+        node = tree.add(parent, total)
         stop = (max_depth is not None and depth >= max_depth) or size < min_samples_split
         if mixed and not stop:
             candidates = features if tree.draws is None else next(tree.draws)
             if several and candidates.size:  # a node of one row has no cut
                 return tree, node, entries, candidates, total, size, depth
-        if tree.reached is not None:
-            tree.reached[ent_row[entries]] = node
     return None
 
 
@@ -582,10 +553,6 @@ def _search(batch: list, shared: tuple) -> None:
     score = sq_left / left_n + sq_right / right_n
     per_node = np.bincount(cut_node, minlength=nodes)
     has = per_node.nonzero()[0]  # the nodes that split
-    if batch[0][0].reached is not None:
-        for j in (per_node == 0).nonzero()[0].tolist():
-            tree, node, node_entries = batch[j][:3]
-            tree.reached[ent_row[node_entries]] = node
     if not has.size:
         return
     top = np.maximum.reduceat(score, (per_node.cumsum() - per_node)[has]).repeat(per_node[has])
@@ -647,126 +614,91 @@ def _search(batch: list, shared: tuple) -> None:
 
 def grow(
     X: np.ndarray,
-    stats: np.ndarray,
+    grad: np.ndarray,
     *,
     max_depth: int | None = None,
     min_samples_split: int = 2,
     min_samples_leaf: int = 1,
-    max_features: int | None = None,
     features: np.ndarray | None = None,
     order: np.ndarray | None = None,
     root: tuple[np.ndarray, tuple] | None = None,
-    rng: np.random.Generator | None = None,
-    node_value: Callable[[np.ndarray], object] | None = None,
+    node_value: Callable[[np.ndarray, float], float] | None = None,
     reached: np.ndarray | None = None,
 ) -> Tree:
-    """Grow a tree on ``X`` with per-row ``stats`` (rows x k).
+    """Grow a regression tree on ``X`` with one float gradient per row.
 
-    Nodes grow depth-first, left child first, so node ids are preorder
-    and a node draws its ``max_features`` candidates from ``rng`` before
-    any of its descendants. Split candidates come from ``features``
-    (default: every column). A node stays a leaf at ``max_depth``, below
-    ``min_samples_split`` rows, when integer statistics hold one class
-    only, or when no split leaves ``min_samples_leaf`` rows on each
-    side. ``node_value(rows)`` gives each node's value; by default it is
-    the node's statistic sums. When given, ``reached`` is filled with the
-    leaf each row of ``X`` ends in, which is ``tree.apply(X)``.
+    Node ids are preorder, and every node scores every column of
+    ``features`` (default: all). A node stays a leaf at ``max_depth``,
+    below ``min_samples_split`` rows, when it holds one row, or when no
+    split leaves ``min_samples_leaf`` rows on each side. Its gradients
+    are summed once; its value is that ``total``, or
+    ``node_value(rows, total)``. When given, ``reached`` is filled with
+    the leaf each row of ``X`` ends in, which is ``tree.apply(X)``.
 
-    Integer statistics are class counts, and their tree is the one tree
-    of :func:`grow_trees`; ``order`` and ``root`` are not used. A row
-    counts as many rows as its counts sum to, in the row limits above
-    and in the child sizes of the split score, so a matrix of class
-    counts over the distinct rows of a data set grows the same tree as
-    the one-hot rows of the data set itself. A node that subsamples
-    features draws the sorted result of
-    ``rng.choice(features.size, max_features, replace=False)``, in
-    batches from :class:`_CandidateDraws`, bit for bit the same as those
-    calls; when the tree is grown ``rng`` is in the state the calls
-    would have left it in, buffered 32-bit word included.
-
-    Float statistics (boosting's gradients) score every feature at every
-    node, and the columns are sorted once: ``order`` is :func:`presort`
-    of ``X`` (computed when omitted), and a child that may split gets
-    its parent's sorted rows filtered by the split. ``root`` may pass
-    the root's :func:`sorted_cuts` when ``features`` is every column. A
-    node's statistic sums are summed over its rows, and a node of one
-    row has no cut and stays a leaf.
+    The columns are sorted once: ``order`` is :func:`presort` of ``X``
+    (computed when omitted), and a child gets its parent's sorted rows
+    filtered by the split. ``root`` may pass the root's
+    :func:`sorted_cuts` when ``features`` is every column. Only cuts are
+    scored, from cumulative gradient sums along every sorted order; the
+    best is the first, in C order, of the highest float score.
     """
+    block = presort(X) if order is None else order
     if features is None:
         features = np.arange(X.shape[1])
-    if np.issubdtype(stats.dtype, np.integer):
-        return grow_trees(
-            X,
-            [(np.arange(X.shape[0]), stats, rng)],
-            max_depth=max_depth,
-            min_samples_split=min_samples_split,
-            min_samples_leaf=min_samples_leaf,
-            max_features=max_features,
-            features=features,
-            reached=reached,
-            node_value=node_value,
-        )[0]
-    if max_features is not None and max_features < features.size:
-        raise ValidationError("max_features subsampling needs integer statistics")
+    elif features.size < X.shape[1]:
+        block = block[features]
     columns = np.ascontiguousarray(X.T)  # X[r, f] is columns[f, r]
-    block = (presort(X) if order is None else order)[features]
     # X[r, features[c]] is flat[r + offsets[c]]
     flat = columns.ravel()
     offsets = (features * X.shape[0])[:, None]
     side = np.zeros(X.shape[0], dtype=bool)
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list = []
+    min_rows = max(min_samples_split, 2)  # a node of one row has no cut
+    nodes = _Nodes()
     # (rows, depth, parent whose right child this is or -1, sorted rows or None)
     stack = [(np.arange(X.shape[0]), 0, -1, block)]
     while stack:
         rows, depth, parent, block = stack.pop()
-        node = len(feature)
-        if parent >= 0:
-            right[parent] = node
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        stop = (max_depth is not None and depth >= max_depth) or rows.size < min_samples_split
-        total = None if stop and node_value is not None else stats[rows].sum(axis=0)
-        value.append(total if node_value is None else node_value(rows))
-        split = None
-        if not stop and rows.size > 1:
+        total = grad[rows].sum()
+        node = nodes.add(parent, total if node_value is None else node_value(rows, total))
+        stop = (max_depth is not None and depth >= max_depth) or rows.size < min_rows
+        if not stop:
             if node == 0 and root is not None:
-                xs, cuts = root
+                xs, (column, position) = root
             else:
                 xs = flat.take(block + offsets)
-                cuts = _cuts(xs)
-            split = _best_split(xs, cuts, block, stats, total, min_samples_leaf)
-        if split is None:
+                column, position = _cuts(xs)
+            left_n = position + 1
+            right_n = rows.size - left_n
+            if min_samples_leaf > 1:
+                valid = (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
+                column, position, left_n, right_n = (
+                    a[valid] for a in (column, position, left_n, right_n)
+                )
+            stop = not column.size
+        if stop:
             if reached is not None:
                 reached[rows] = node
             continue
-        column, cut = split
-        f = int(features[column])
-        feature[node], threshold[node], left[node] = f, cut, node + 1
+        left_sum = grad.take(block[:, :-1]).cumsum(axis=1)[column, position]
+        right_sum = total - left_sum
+        best = (left_sum * left_sum / left_n + right_sum * right_sum / right_n).argmax()
+        j, i = column[best], position[best]
+        f = int(features[j])
+        cut = _midpoint(xs[j, i], xs[j, i + 1])
+        nodes.feature[node], nodes.threshold[node], nodes.left[node] = f, cut, node + 1
         mask = columns[f, rows] <= cut
         left_rows, right_rows = rows[mask], rows[~mask]
         left_block = right_block = None
         if max_depth is None or depth + 1 < max_depth:
             side[rows] = mask
             goes_left = side[block].ravel()
-            if left_rows.size >= max(min_samples_split, 2):
+            if left_rows.size >= min_rows:
                 left_block = block.compress(goes_left).reshape(features.size, -1)
-            if right_rows.size >= max(min_samples_split, 2):
+            if right_rows.size >= min_rows:
                 right_block = block.compress(~goes_left).reshape(features.size, -1)
         stack.append((right_rows, depth + 1, node, right_block))
         stack.append((left_rows, depth + 1, -1, left_block))
-    return Tree(
-        np.array(feature, dtype=np.int64),
-        np.array(threshold, dtype=float),
-        np.array(left, dtype=np.int64),
-        np.array(right, dtype=np.int64),
-        np.array(value),
-    )
+    return nodes.tree()
 
 
 def check_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -874,7 +806,8 @@ class DecisionTree:
         self.n_features_in_ = X.shape[1]
         self.classes_, codes = np.unique(y, return_inverse=True)
         X, counts = distinct_rows(X, codes, len(self.classes_))
-        self.tree_ = grow(X, counts, **params_of(self), rng=np.random.default_rng(self.seed))
+        sample = (np.arange(X.shape[0]), counts, np.random.default_rng(self.seed))
+        self.tree_ = grow_trees(X, [sample], **params_of(self))[0]
         return self
 
     def predict(self, X) -> np.ndarray:

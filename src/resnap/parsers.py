@@ -45,6 +45,8 @@ _LONG_FRACTION = re.compile(r"(\.\d{6})\d+")
 _XES_ATTRIBUTES = frozenset(("string", "date", "int", "float", "boolean"))
 # what a truncated or corrupt gzip stream raises while it is read
 _GZIP_ERRORS = (EOFError, zlib.error, gzip.BadGzipFile)
+# what expat raises for a declared encoding it cannot decode: unknown, or multi-byte
+_ENCODING_ERRORS = (LookupError, ValueError)
 # stands in for bytes that are not UTF-8; valid UTF-8 never decodes to a lone surrogate
 _UNDECODABLE = "\udcff"
 # the running parse_csv call's notes, one per run of bytes that is not UTF-8
@@ -363,10 +365,10 @@ class _XesTarget:
 def parse_xes(source: bytes | str | Path | BinaryIO) -> EventLog:
     """Parse an XES document into an :class:`EventLog`.
 
-    Raises :class:`ParseError` with line/column on malformed XML,
-    :class:`ValidationError` naming the trace when an event lacks an
-    activity or timestamp, and :class:`EmptyLogError` when the document
-    has no traces.
+    Raises :class:`ParseError` on malformed XML (with line and column)
+    or a declared encoding it cannot decode, :class:`ValidationError`
+    naming the trace when an event lacks an activity or timestamp, and
+    :class:`EmptyLogError` when the document has no traces.
     """
     target = _XesTarget(EventColumns())
     parser = ET.XMLParser(target=target)
@@ -380,6 +382,8 @@ def parse_xes(source: bytes | str | Path | BinaryIO) -> EventLog:
         raise ParseError(f"malformed XML at line {line}, column {column}: {exc.msg}") from exc
     except _GZIP_ERRORS as exc:
         raise ParseError(f"{_name(source)}: truncated or corrupt gzip data ({exc})") from exc
+    except _ENCODING_ERRORS as exc:
+        raise ParseError(f"{_name(source)}: unreadable XML encoding ({exc})") from exc
     if target.n_traces == 0:
         raise EmptyLogError("XES document contains no traces")
     if not target.columns.cases:

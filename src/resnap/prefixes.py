@@ -8,10 +8,8 @@ always exists.
 """
 from __future__ import annotations
 
-import csv
 import numbers
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -159,15 +157,3 @@ def prefix_grid(
         kept.append(length)
     return kept
 
-
-def prefix_dataset_to_csv(ds: PrefixDataset, path: str | Path) -> None:
-    """Write a columnar CSV: resource_id, a_1..a_L, target (decoded labels)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["resource_id"]
-            + [f"a_{i}" for i in range(1, ds.prefix_length + 1)]
-            + ["target"]
-        )
-        for rid, row in zip(ds.resource_ids, ds.samples.tolist()):
-            writer.writerow([rid] + [ds.encoder.decode(a) for a in row])

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -25,7 +24,7 @@ from resnap import (
     run_features,
     select_top_k,
 )
-from resnap.encodings import _mutual_informations, encoded_to_csv
+from resnap.encodings import _mutual_informations
 
 from conftest import make_log
 from oracles import (
@@ -312,20 +311,6 @@ def test_encode_s2gr_width():
     ds = dataset(([A, B, A], C))
     enc = encode_s2gr(ds, SelectedBigrams(((A, B),)))
     assert enc.rows.shape[1] == 3 + 1 + 2
-
-
-# --- CSV export --------------------------------------------------------------------
-
-
-def test_encoded_to_csv_headers_and_target(tmp_path):
-    ds = dataset(([A, B], C))
-    enc = encode_seq_only(ds)
-    path = tmp_path / "encoded.csv"
-    encoded_to_csv(enc, path)
-    with open(path) as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["pos_1", "pos_2", "target"]
-    assert rows[1] == ["0.0", "1.0", "2"]
 
 
 # --- array encodings against the Counter references ------------------------------

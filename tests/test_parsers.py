@@ -302,3 +302,15 @@ def test_parse_xes_truncated_or_corrupt_gzip_is_a_parse_error(tmp_path):
         path.write_bytes(data)
         with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: truncated or corrupt gzip"):
             parse_xes(path)
+
+
+@pytest.mark.parametrize(
+    "encoding, reason",
+    [("TF-8", "unknown encoding: TF-8"), ("utf-32", "multi-byte encodings are not supported")],
+)
+def test_parse_xes_declared_encoding_it_cannot_decode_is_a_parse_error(tmp_path, encoding, reason):
+    body = xes_bytes([("case1", [xes_event("A", "r1")])])
+    path = tmp_path / "log.xes"
+    path.write_bytes(body.replace(b"encoding='UTF-8'", f"encoding='{encoding}'".encode(), 1))
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: unreadable XML encoding \({reason}\)$"):
+        parse_xes(path)

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +15,6 @@ from resnap import (
     fit_label_encoder,
     prefix_grid,
 )
-from resnap.prefixes import prefix_dataset_to_csv
 
 from conftest import make_log
 
@@ -183,17 +180,3 @@ def test_prefix_grid_rejects_non_ascending():
     with pytest.raises(ConfigError):
         prefix_grid(v, [0, 10], min_resources=1)
 
-
-# --- serialization -----------------------------------------------------------
-
-
-def test_prefix_dataset_csv_round_trips_labels(tmp_path):
-    v = seq_view(r1="ABAC", r2="BBCA")
-    ds = build_prefix_dataset(v, 2, encoder_for("A", "B", "C"))
-    path = tmp_path / "prefixes.csv"
-    prefix_dataset_to_csv(ds, path)
-    with open(path) as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["resource_id", "a_1", "a_2", "target"]
-    assert rows[1] == ["r1", "A", "B", "A"]
-    assert rows[2] == ["r2", "B", "B", "C"]

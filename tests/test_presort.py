@@ -1,14 +1,14 @@
 """The presorted split search against a per-node-argsort reference grower.
 
-On float statistics ``grow`` sorts each column once and hands every
-child its parent's sorted rows filtered by the split, and scores only
-the cuts where a sorted column's value rises. ``grow_trees`` grows
-trees of class counts in lock-step and searches one node of each tree
-per batch; ``grow`` on class counts grows its one tree there.
-``DecisionTree`` and ``RandomForest`` grow on the distinct rows of their
-data with class counts. The reference in ``oracles`` sorts every
-candidate at every node and scans every position of the uncollapsed
-rows. Both must give the same tree, array for array.
+``grow`` grows boosting's trees of float gradients: it sorts each
+column once, hands every child its parent's sorted rows filtered by the
+split, and scores only the cuts where a sorted column's value rises.
+``grow_trees`` grows trees of class counts in lock-step and searches
+one node of each tree per batch; a lone tree is a batch of one sample
+(``grow_counts``). ``DecisionTree`` and ``RandomForest`` grow on the
+distinct rows of their data with class counts. The reference in
+``oracles`` sorts every candidate at every node and scans every position
+of the uncollapsed rows. Both must give the same tree, array for array.
 
 The reference draws each node's candidates with ``Generator.choice``;
 the trees draw them in batches. The draws, and the generator state they
@@ -59,6 +59,18 @@ def assert_same_tree(tree: Tree, reference: dict) -> None:
         assert np.array_equal(got, reference[name]), name
 
 
+def grow_counts(X, counts, rng=None, **params) -> Tree:
+    """The one tree of class ``counts`` over every row of ``X``."""
+    return grow_trees(X, [(np.arange(X.shape[0]), counts, rng)], **params)[0]
+
+
+def reference_on_gradients(X, grad, **params) -> dict:
+    """``reference_grow`` on the one-column statistic ``grad[:, None]``,
+    whose node sums are the values of ``grow`` on ``grad``."""
+    reference = reference_grow(X, grad[:, None], **params)
+    return {**reference, "value": reference["value"][:, 0]}
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize(
     "params",
@@ -73,7 +85,7 @@ def test_grow_matches_reference_on_class_counts(seed, params):
     rng = np.random.default_rng(seed)
     X = tied_matrix(rng, 90, 6)
     stats = np.eye(4, dtype=np.int64)[rng.integers(0, 4, size=90)]
-    tree = grow(X, stats, **params)
+    tree = grow_counts(X, stats, **params)
     assert tree.feature.size > 1
     assert_same_tree(tree, reference_grow(X, stats, **params))
 
@@ -89,6 +101,7 @@ def test_grow_matches_reference_on_class_counts(seed, params):
         pytest.param(
             {"max_depth": 4, "min_samples_split": 9, "min_samples_leaf": 2}, id="4-split9-leaf2"
         ),
+        pytest.param({"min_samples_leaf": 20}, id="leaf20"),  # LightGBM's default leaf floor
     ],
 )
 def test_grow_matches_reference_on_gradients_with_row_and_feature_subsets(seed, params):
@@ -97,14 +110,13 @@ def test_grow_matches_reference_on_gradients_with_row_and_feature_subsets(seed, 
     grad = rng.normal(size=120)
     rows = np.sort(rng.choice(120, size=95, replace=False))
     features = np.sort(rng.choice(8, size=5, replace=False))
-    stats = grad[rows, None]
-    expected = reference_grow(X[rows], stats, features=features, **params)
+    expected = reference_on_gradients(X[rows], grad[rows], features=features, **params)
     order = subset_order(presort(X), rows)
-    tree = grow(X[rows], stats, features=features, order=order, **params)
+    tree = grow(X[rows], grad[rows], features=features, order=order, **params)
     assert tree.feature.size > 1
     assert_same_tree(tree, expected)
     # sorting inside grow instead of passing the order gives the same tree
-    assert_same_tree(grow(X[rows], stats, features=features, **params), expected)
+    assert_same_tree(grow(X[rows], grad[rows], features=features, **params), expected)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -112,7 +124,7 @@ def test_grow_with_feature_subsampling_matches_reference(seed):
     rng = np.random.default_rng(200 + seed)
     X = tied_matrix(rng, 80, 9)
     stats = np.eye(3, dtype=np.int64)[rng.integers(0, 3, size=80)]
-    tree = grow(X, stats, max_features=3, rng=np.random.default_rng(seed))
+    tree = grow_counts(X, stats, max_features=3, rng=np.random.default_rng(seed))
     expected = reference_grow(X, stats, max_features=3, rng=np.random.default_rng(seed))
     assert_same_tree(tree, expected)
 
@@ -180,7 +192,7 @@ def test_grow_on_class_counts_matches_weighted_reference(seed, params):
     codes = rng.integers(0, 3, size=100)
     distinct, counts = distinct_rows(X, codes, 3)
     assert counts.sum() == 100 and distinct.shape[0] == len(np.unique(X, axis=0))
-    tree = grow(distinct, counts, **params)
+    tree = grow_counts(distinct, counts, **params)
     assert_same_tree(tree, reference_grow(distinct, counts, **params))
     assert_same_tree(tree, reference_grow(X, np.eye(3, dtype=np.int64)[codes], **params))
 
@@ -192,7 +204,7 @@ def test_grow_on_class_counts_matches_weighted_reference(seed, params):
 def test_grow_rejects_a_row_weighing_nothing_or_a_negative_count(counts):
     X = np.arange(4.0)[:, None]
     with pytest.raises(ValidationError, match="class counts"):
-        grow(X, np.array(counts))
+        grow_counts(X, np.array(counts))
 
 
 def test_distinct_rows_merges_bit_equal_rows_only():
@@ -214,16 +226,18 @@ def test_distinct_rows_merges_bit_equal_rows_only():
 def test_every_position_a_cut(seed, integer, min_samples_leaf):
     rng = np.random.default_rng(600 + seed)
     X = np.column_stack([rng.permutation(50) for _ in range(4)]).astype(float)
-    stats = (
-        np.eye(3, dtype=np.int64)[rng.integers(0, 3, size=50)]
-        if integer
-        else rng.normal(size=(50, 1))
-    )
     xs, (column, position) = sorted_cuts(X, presort(X))
     assert column.size == 4 * 49
-    tree = grow(X, stats, min_samples_leaf=min_samples_leaf)
+    if integer:
+        stats = np.eye(3, dtype=np.int64)[rng.integers(0, 3, size=50)]
+        tree = grow_counts(X, stats, min_samples_leaf=min_samples_leaf)
+        expected = reference_grow(X, stats, min_samples_leaf=min_samples_leaf)
+    else:
+        grad = rng.normal(size=50)
+        tree = grow(X, grad, min_samples_leaf=min_samples_leaf)
+        expected = reference_on_gradients(X, grad, min_samples_leaf=min_samples_leaf)
     assert tree.feature.size > 1
-    assert_same_tree(tree, reference_grow(X, stats, min_samples_leaf=min_samples_leaf))
+    assert_same_tree(tree, expected)
 
 
 @pytest.mark.parametrize("max_features", [None, 2])
@@ -232,7 +246,7 @@ def test_no_position_a_cut(max_features):
     stats = np.eye(3, dtype=np.int64)[np.arange(30) % 3]
     assert sorted_cuts(X, presort(X))[1][0].size == 0
     rng = np.random.default_rng(7)
-    tree = grow(X, stats, max_features=max_features, rng=rng)
+    tree = grow_counts(X, stats, max_features=max_features, rng=rng)
     assert tree.feature.tolist() == [-1] and tree.value.tolist() == [[10, 10, 10]]
     expected_rng = np.random.default_rng(7)
     assert_same_tree(
@@ -260,18 +274,14 @@ def test_one_distinct_row_still_draws_its_candidates():
 def test_grown_leaf_of_every_row_equals_apply(seed, max_depth):
     rng = np.random.default_rng(700 + seed)
     X = tied_matrix(rng, 110, 6, levels=5)
-    grad = rng.normal(size=(110, 1))
+    grad = rng.normal(size=110)
     order = presort(X)
     reached = np.full(110, -1)
     tree = grow(X, grad, max_depth=max_depth, order=order, root=sorted_cuts(X, order),
                 reached=reached)
     assert tree.feature.size > 1
     assert np.array_equal(reached, tree.apply(X))
-    assert_same_tree(tree, reference_grow(X, grad, max_depth=max_depth))
-    counts = np.eye(3, dtype=np.int64)[rng.integers(0, 3, size=110)]
-    reached = np.full(110, -1)
-    tree = grow(X, counts, max_features=2, rng=np.random.default_rng(seed), reached=reached)
-    assert np.array_equal(reached, tree.apply(X))
+    assert_same_tree(tree, reference_on_gradients(X, grad, max_depth=max_depth))
 
 
 @pytest.mark.parametrize("sample", [1.0, 0.8])
@@ -343,8 +353,8 @@ def test_two_distinct_rows_with_unequal_weights(min_samples_leaf, swap):
     if swap:  # the heavier row holds the larger value
         X, counts = X[::-1].copy(), counts[::-1].copy()
     for seed in range(4):
-        tree = grow(X, counts, min_samples_leaf=min_samples_leaf, max_features=2,
-                    rng=np.random.default_rng(seed))
+        tree = grow_counts(X, counts, min_samples_leaf=min_samples_leaf, max_features=2,
+                           rng=np.random.default_rng(seed))
         assert_same_tree(tree, reference_grow(
             X, counts, min_samples_leaf=min_samples_leaf, max_features=2,
             rng=np.random.default_rng(seed),
@@ -371,7 +381,7 @@ def test_two_row_node_splits_on_the_first_candidate_whose_values_differ(seed):
     counts = np.array([[1, 0, 2], [0, 1, 0]], dtype=np.int64)
     draw = np.sort(np.random.default_rng(seed).choice(5, size=3, replace=False))
     differing = [int(f) for f in draw if f in (1, 3, 4)]
-    tree = grow(X, counts, max_features=3, rng=np.random.default_rng(seed))
+    tree = grow_counts(X, counts, max_features=3, rng=np.random.default_rng(seed))
     assert_same_tree(tree, reference_grow(X, counts, max_features=3,
                                           rng=np.random.default_rng(seed)))
     if differing:
@@ -398,7 +408,7 @@ def test_two_row_threshold_is_the_guarded_midpoint():
     X = np.array([[hi, hi], [lo, lo]])
     counts = np.array([[1, 0], [0, 1]], dtype=np.int64)
     for seed in range(3):
-        tree = grow(X, counts, max_features=1, rng=np.random.default_rng(seed))
+        tree = grow_counts(X, counts, max_features=1, rng=np.random.default_rng(seed))
         expected = reference_grow(X, counts, max_features=1, rng=np.random.default_rng(seed))
         assert_same_tree(tree, expected)
         assert tree.threshold[0] == lo and tree.value[1].tolist() == [0, 1]
@@ -410,7 +420,7 @@ def test_near_tie_is_decided_exactly(max_features):
     is better in exact arithmetic, so the first in C order must not win."""
     X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     counts = np.array([[82, 255], [122, 392], [109, 361]], dtype=np.int64)
-    tree = grow(X, counts, max_features=max_features, rng=np.random.default_rng(0))
+    tree = grow_counts(X, counts, max_features=max_features, rng=np.random.default_rng(0))
     assert_same_tree(tree, reference_grow(X, counts, max_features=max_features,
                                           rng=np.random.default_rng(0)))
     assert tree.threshold[0] == 1.5
@@ -427,8 +437,8 @@ def test_two_distinct_row_nodes_in_grown_trees(seed, min_samples_leaf):
     y = rng.choice([0, 1, 2], size=240, p=[0.5, 0.3, 0.2])
     _, codes = np.unique(y, return_inverse=True)
     distinct, counts = distinct_rows(X, codes, 3)
-    tree = grow(distinct, counts, min_samples_leaf=min_samples_leaf, max_features=2,
-                rng=np.random.default_rng(seed))
+    tree = grow_counts(distinct, counts, min_samples_leaf=min_samples_leaf, max_features=2,
+                       rng=np.random.default_rng(seed))
     assert_same_tree(tree, reference_grow(
         X, np.eye(3, dtype=np.int64)[codes], min_samples_leaf=min_samples_leaf,
         max_features=2, rng=np.random.default_rng(seed),
@@ -453,7 +463,7 @@ def test_one_distinct_row_nodes_deep_in_a_tree_keep_later_draws(seed):
     y = rng.choice([0, 1, 2], size=200)
     distinct, counts = distinct_rows(X, y, 3)
     got_rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    tree = grow(distinct, counts, max_features=2, rng=got_rng)
+    tree = grow_counts(distinct, counts, max_features=2, rng=got_rng)
     assert_same_tree(tree, reference_grow(X, np.eye(3, dtype=np.int64)[y], max_features=2,
                                           rng=expected_rng))
     assert got_rng.integers(1 << 30) == expected_rng.integers(1 << 30)
@@ -462,17 +472,6 @@ def test_one_distinct_row_nodes_deep_in_a_tree_keep_later_draws(seed):
              if rows.size == 1 and depth >= 2 and np.count_nonzero(counts[rows[0]]) > 1]
     assert mixed
     assert (tree.feature[mixed[0] + 1:] >= 0).any()  # later nodes still split
-
-
-@pytest.mark.parametrize("max_features", [1, 5])
-def test_float_statistics_with_feature_subsampling_are_rejected(max_features):
-    """Only class counts grow with per-node candidate draws; gradients with
-    ``max_features`` below the feature count have no grower."""
-    rng = np.random.default_rng(1000)
-    X = tied_matrix(rng, 70, 6, levels=6)
-    with pytest.raises(ValidationError, match="integer statistics"):
-        grow(X, rng.normal(size=(70, 1)), max_features=max_features,
-             rng=np.random.default_rng(0))
 
 
 # --- batched candidate draws against numpy's Generator.choice -----------------
@@ -496,7 +495,7 @@ def assert_draws_match_numpy(make_rng, d, m, n):
     """``n`` sampler draws equal ``n`` sorted ``rng.choice(d, m, replace=False)``
     calls, and leave the generator in the same state, buffered word included."""
     got_rng, expected_rng = make_rng(), make_rng()
-    draws = _CandidateDraws(got_rng, np.arange(d), m)
+    draws = _CandidateDraws(got_rng, d, m)
     got = [next(draws) for _ in range(n)]
     draws.finish()
     for row in got:
@@ -589,7 +588,7 @@ def test_grow_leaves_the_generator_where_numpy_choice_would(seed, start_buffered
     got_rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     if start_buffered:
         buffered(got_rng), buffered(expected_rng)
-    tree = grow(X, stats, max_features=3, rng=got_rng)
+    tree = grow_counts(X, stats, max_features=3, rng=got_rng)
     assert_same_tree(tree, reference_grow(X, stats, max_features=3, rng=expected_rng))
     assert generator_state(got_rng) == generator_state(expected_rng)
 
@@ -616,7 +615,7 @@ def test_grow_with_another_bit_generator_matches_reference():
     stats = np.eye(3, dtype=np.int64)[rng.integers(0, 3, size=80)]
     got_rng = np.random.Generator(np.random.MT19937(3))
     expected_rng = np.random.Generator(np.random.MT19937(3))
-    tree = grow(X, stats, max_features=3, rng=got_rng)
+    tree = grow_counts(X, stats, max_features=3, rng=got_rng)
     assert_same_tree(tree, reference_grow(X, stats, max_features=3, rng=expected_rng))
     assert generator_state(got_rng) == generator_state(expected_rng)
 
