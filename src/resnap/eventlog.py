@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
-from itertools import compress
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -76,6 +75,32 @@ class EventColumns:
     activities: list[str] = field(default_factory=list)
     resources: list[str | None] = field(default_factory=list)
     timestamps_us: list[np.ndarray] = field(default_factory=list)
+
+    def coded(self) -> CodedColumns:
+        """The same events as codes into sorted names; a missing resource reads as ""."""
+        resources = [r or "" for r in self.resources]
+        names, codes = zip(*map(_coded, (self.cases, self.activities, resources)))
+        stamps = np.concatenate(self.timestamps_us or [np.zeros(0, dtype=np.int64)])
+        return CodedColumns(*names, *codes, stamps)
+
+
+@dataclass
+class CodedColumns:
+    """Per-event integer codes a reader made, in file order, before validation.
+
+    ``cases[case_codes[i]]`` is event ``i``'s case id, and likewise for
+    activities and resources; the resource name "" means none. Each
+    sequence of names holds distinct names in any order, and may hold
+    names no event uses. Event ``i`` has file order ``i``.
+    """
+
+    cases: Sequence[str]
+    activities: Sequence[str]
+    resources: Sequence[str]
+    case_codes: np.ndarray
+    activity_codes: np.ndarray
+    resource_codes: np.ndarray
+    timestamps_us: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +186,7 @@ class CaseView:
     sequences: Mapping[str, tuple[str, ...]]
 
 
-def build_event_log(events: Iterable[Event] | EventColumns) -> EventLog:
+def build_event_log(events: Iterable[Event] | EventColumns | CodedColumns) -> EventLog:
     """Assemble an EventLog from :class:`Event` objects or a reader's columns.
 
     Events whose resource is missing (None or empty) are dropped and
@@ -169,10 +194,10 @@ def build_event_log(events: Iterable[Event] | EventColumns) -> EventLog:
     timestamp outside the years 1 to 9999 in UTC, and
     :class:`EmptyLogError` when no events are supplied at all.
     """
+    file_order = None
     if isinstance(events, EventColumns):
-        raw = events
-        file_order = np.arange(len(raw.cases), dtype=np.int64)
-    else:
+        events = events.coded()
+    elif not isinstance(events, CodedColumns):
         raw = EventColumns()
         orders: list[int] = []
         stamps: list[int] = []
@@ -190,14 +215,18 @@ def build_event_log(events: Iterable[Event] | EventColumns) -> EventLog:
             except ValueError as exc:
                 raise ValidationError(f"event {ev.file_order}: {exc}") from exc
         raw.timestamps_us.append(np.array(stamps, dtype=np.int64))
+        events = raw.coded()
         file_order = np.array(orders, dtype=np.int64)
-    if not raw.cases:
+    n = len(events.case_codes)
+    if not n:
         raise EmptyLogError("no events in source")
-    keep = [bool(r) for r in raw.resources]
-    kept = np.flatnonzero(keep)
-    resources, resource_codes = _coded(list(compress(raw.resources, keep)))
-    activities, activity_codes = _coded(list(compress(raw.activities, keep)))
-    cases, case_codes = _coded(list(compress(raw.cases, keep)))
+    if file_order is None:
+        file_order = np.arange(n, dtype=np.int64)
+    named = np.array([bool(name) for name in events.resources], dtype=bool)
+    kept = np.flatnonzero(named[events.resource_codes])
+    resources, resource_codes = _recoded(events.resources, events.resource_codes[kept])
+    activities, activity_codes = _recoded(events.activities, events.activity_codes[kept])
+    cases, case_codes = _recoded(events.cases, events.case_codes[kept])
     return EventLog(
         activities=activities,
         resources=resources,
@@ -205,9 +234,9 @@ def build_event_log(events: Iterable[Event] | EventColumns) -> EventLog:
         activity_codes=activity_codes,
         resource_codes=resource_codes,
         case_codes=case_codes,
-        timestamps_us=np.concatenate(raw.timestamps_us)[kept],
+        timestamps_us=events.timestamps_us[kept],
         file_order=file_order[kept],
-        dropped_event_count=len(keep) - len(kept),
+        dropped_event_count=n - len(kept),
     )
 
 
@@ -217,6 +246,16 @@ def _coded(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
     index = {name: i for i, name in enumerate(alphabet)}
     codes = np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
     return alphabet, codes
+
+
+def _recoded(names: Sequence[str], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sorted alphabet of the names ``codes`` use, and each code's index into it."""
+    used = np.flatnonzero(np.bincount(codes, minlength=len(names)))
+    alphabet = tuple(sorted(names[u] for u in used.tolist()))
+    index = {name: i for i, name in enumerate(alphabet)}
+    recode = np.zeros(len(names), dtype=np.int64)
+    recode[used] = [index[names[u]] for u in used.tolist()]
+    return alphabet, recode[codes]
 
 
 def _grouped_sequences(

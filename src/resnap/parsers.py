@@ -10,12 +10,26 @@ of validated :class:`EventLog`:
   text one at a time, so every value and error message is the one a
   per-value read would give,
 * gzip-compressed input is detected by its magic bytes and decompressed
-  transparently; files and streams are read in chunks, never whole,
+  transparently,
 * equal timestamps keep their source-file order.
 
 Only the XES subset actually used here is read: per event the
 ``concept:name`` (activity), ``org:resource`` and ``time:timestamp``
 attributes, plus the trace-level ``concept:name`` as the case id.
+
+XES is fed to expat in chunks of ``_CHUNK`` bytes. CSV has two paths
+that give the same log. A path or bytes source read as ISO timestamps
+goes the columnar way: the decompressed bytes are read in blocks of
+whole lines, each about ``_BLOCK`` (1 MiB) bytes plus the rest of one
+line, and numpy finds each block's lines and delimiters, codes the
+case, activity and resource fields (each distinct field is decoded
+and stripped once) and decodes strict-layout timestamps as byte
+matrices. That path holds only clean input: UTF-8 text without a
+quote character, a lone ``\\r`` or NUL, no line over
+``csv.field_size_limit()``, and no row the csv-module path rejects.
+Any other input, a ``timestamp_format`` mapping and a caller's stream
+(which cannot be read twice) go through the csv module from the
+start, in chunks, so every error message is the csv-module path's.
 """
 from __future__ import annotations
 
@@ -34,9 +48,18 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, EmptyLogError, ParseError, ResnapError, ValidationError
-from .eventlog import _MAX_US, _MIN_US, EventColumns, EventLog, build_event_log, epoch_us
+from .eventlog import (
+    _MAX_US,
+    _MIN_US,
+    CodedColumns,
+    EventColumns,
+    EventLog,
+    build_event_log,
+    epoch_us,
+)
 
 _GZIP_MAGIC = b"\x1f\x8b"
 _CHUNK = 64 * 1024
@@ -170,24 +193,48 @@ def decode_timestamps(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     text read, the value equals ``epoch_us(_iso(text))``; every other
     text has ``ok`` False and value 0.
     """
-    us = np.zeros(len(texts), dtype=np.int64)
-    ok = np.zeros(len(texts), dtype=bool)
     lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+
+    def matrix(rows: np.ndarray, length: int) -> np.ndarray:
+        texts_of = [texts[i] for i in rows.tolist()]
+        return np.array(texts_of, dtype=f"U{length}").view(np.uint32).reshape(-1, length)
+
+    return _decode_by_length(lengths, matrix)
+
+
+def decode_timestamp_fields(
+    data: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`decode_timestamps` of UTF-8 byte fields: text ``i`` is
+    ``data[starts[i] : starts[i] + lengths[i]]`` of a uint8 array."""
+    return _decode_by_length(
+        lengths, lambda rows, length: sliding_window_view(data, length)[starts[rows]]
+    )
+
+
+def _decode_by_length(lengths: np.ndarray, matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Decode the texts of each layout's length from ``matrix(rows, length)``,
+    their character codes one text per row."""
+    us = np.zeros(len(lengths), dtype=np.int64)
+    ok = np.zeros(len(lengths), dtype=bool)
     for length, (fraction, table) in _LAYOUTS.items():
         rows = np.flatnonzero(lengths == length)
         if rows.size:
-            us[rows], ok[rows] = _decode_layout([texts[i] for i in rows.tolist()], fraction, table)
+            us[rows], ok[rows] = _decode_layout(matrix(rows, length), fraction, table)
     return us, ok
 
 
-def _decode_layout(texts: list[str], fraction: int, table: np.ndarray):
+def _decode_layout(codes: np.ndarray, fraction: int, table: np.ndarray):
+    """Read each row of ``codes`` (texts x positions) in one layout, column by column."""
     length = table.shape[0]
-    codes = np.array(texts, dtype=f"U{length}").view(np.uint32).reshape(len(texts), length)
-    ok = table[np.arange(length), np.minimum(codes, 127)].all(axis=1)
+    ok = np.take(table, np.minimum(codes, 127) + 128 * np.arange(length)).all(axis=1)
     digits = codes.astype(np.int64) - ord("0")
 
     def number(start: int, width: int) -> np.ndarray:
-        return digits[:, start : start + width] @ 10 ** np.arange(width - 1, -1, -1)
+        value = digits[:, start]
+        for pos in range(start + 1, start + width):
+            value = value * 10 + digits[:, pos]
+        return value
 
     year, month, day = number(0, 4), number(5, 2), number(8, 2)
     hour, minute, second = number(11, 2), number(14, 2), number(17, 2)
@@ -222,8 +269,8 @@ class _Timestamps:
     strict layout are decoded as arrays and every other text by ``_iso``;
     with it, every text by ``datetime.strptime``. The first text that
     cannot be read, or whose instant :func:`epoch_us` rejects, raises
-    ValidationError naming ``place(event index)``. Each decoded batch is
-    appended to ``out``.
+    ValidationError that starts with ``prefix`` and names ``place(event
+    index)``. Each decoded batch is appended to ``out``.
     """
 
     def __init__(
@@ -232,11 +279,13 @@ class _Timestamps:
         place: Callable[[int], str],
         unreadable: str,
         timestamp_format: str | None = None,
+        prefix: str = "",
     ):
         self.out = out
         self.place = place
         self.unreadable = unreadable  # message with {text} and {place} fields
         self.timestamp_format = timestamp_format
+        self.prefix = prefix  # what every message starts with
         self.texts: list[str] = []
         self.decoded = 0  # events whose texts were decoded before the queued ones
 
@@ -262,12 +311,14 @@ class _Timestamps:
                     ts = datetime.strptime(stripped[i], self.timestamp_format)
             except ValueError as exc:
                 raise ValidationError(
-                    self.unreadable.format(text=texts[i], place=where)
+                    self.prefix + self.unreadable.format(text=texts[i], place=where)
                 ) from exc
             try:
                 us[i] = epoch_us(ts)
             except ValueError as exc:
-                raise ValidationError(f"timestamp {texts[i]!r} {where}: {exc}") from exc
+                raise ValidationError(
+                    f"{self.prefix}timestamp {texts[i]!r} {where}: {exc}"
+                ) from exc
         self.out.append(us)
 
     @contextmanager
@@ -396,12 +447,28 @@ def parse_csv(source: bytes | str | Path | BinaryIO, mapping: CsvMapping) -> Eve
 
     The first row must be a header containing every mapped column. Blank
     lines are skipped; data rows are numbered from 1 in error messages.
-    Raises :class:`ConfigError` when a mapped column is missing,
-    :class:`ValidationError` with the row number on bad cell values (a
-    short row's missing cells read as empty), and :class:`ParseError`
-    naming the source and the row on bytes that are not UTF-8 text, a
-    field over ``csv.field_size_limit()`` or truncated or corrupt gzip
-    data.
+    Raises :class:`ConfigError` when there is no header row or a mapped
+    column is missing, :class:`ValidationError` with the row number on
+    bad cell values (a short row's missing cells read as empty),
+    :class:`ParseError` naming the row on bytes that are not UTF-8 text,
+    a field over ``csv.field_size_limit()`` or truncated or corrupt gzip
+    data, and :class:`EmptyLogError` when there is no data row. Every
+    message but the first and the last starts with the source's name.
+
+    A path or bytes source read as ISO timestamps takes the columnar
+    path (:func:`_columnar_csv`); when that declines the input, and for
+    every other input, the rows go through the csv module
+    (:func:`_parse_csv_rows`). Both give the same log.
+    """
+    if mapping.timestamp_format is None and isinstance(source, (str, Path, bytes, bytearray)):
+        columns = _columnar_csv(source, mapping)
+        if columns is not None:
+            return build_event_log(columns)
+    return _parse_csv_rows(source, mapping)
+
+
+def _parse_csv_rows(source, mapping: CsvMapping) -> EventLog:
+    """:func:`parse_csv` through the csv module, one row at a time.
 
     Bytes that are not UTF-8 are noted as they are decoded, which is
     ahead of the rows. When there were any, a path or bytes source is
@@ -451,10 +518,11 @@ def _read_csv(source, mapping: CsvMapping, check_text: bool) -> EventColumns:
                 missing = [col for col in wanted if col not in index]
                 if missing:
                     raise ConfigError(
-                        f"CSV header is missing mapped columns: {', '.join(missing)}"
+                        f"{_name(source)}: CSV header is missing mapped columns: "
+                        + ", ".join(missing)
                     )
                 positions = [index[col] for col in wanted]
-                _read_csv_rows(reader, positions, mapping.timestamp_format, cols)
+                _read_csv_rows(reader, positions, mapping.timestamp_format, cols, _name(source))
             finally:
                 text.detach()  # leave the underlying stream to its owner
     except (csv.Error, *_GZIP_ERRORS) as exc:
@@ -478,7 +546,7 @@ def _utf8_rows(reader, name: str):
 
 
 def _read_csv_rows(
-    reader, positions: list[int], timestamp_format: str | None, cols: EventColumns
+    reader, positions: list[int], timestamp_format: str | None, cols: EventColumns, name: str
 ) -> None:
     i_case, i_activity, i_resource, i_ts = positions
     width = max(positions) + 1
@@ -487,6 +555,7 @@ def _read_csv_rows(
         lambda event: f"in row {event + 1}",  # data rows count from 1, one event each
         "timestamp {text!r} does not match the expected format {place}",
         timestamp_format,
+        prefix=f"{name}: ",
     )
     row_no = 0
     with stamps.in_file_order():
@@ -499,10 +568,188 @@ def _read_csv_rows(
             case_id = row[i_case].strip()
             activity = row[i_activity].strip()
             if not case_id:
-                raise ValidationError(f"empty case id in row {row_no}")
+                raise ValidationError(f"{name}: empty case id in row {row_no}")
             if not activity:
-                raise ValidationError(f"empty activity in row {row_no}")
+                raise ValidationError(f"{name}: empty activity in row {row_no}")
             cols.cases.append(case_id)
             cols.activities.append(activity)
             cols.resources.append(row[i_resource].strip())
             stamps.add(row[i_ts].strip())
+
+
+# --- the columnar CSV path ------------------------------------------------
+
+_BLOCK = 1 << 20  # bytes of whole lines the columnar path reads at once
+_WIDE = 64  # longest field, in bytes, the columnar path codes as an array row
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier of the field hash
+
+
+def _columnar_csv(source, mapping: CsvMapping) -> CodedColumns | None:
+    """The coded columns of a clean CSV source, or None when it is not clean.
+
+    The decompressed source is read in blocks of whole lines
+    (:func:`_line_blocks`), and each block's lines, fields and columns
+    are found with array operations (:func:`_block_rows`). A source is
+    clean when its header names every mapped column, it has a data row,
+    every block is UTF-8 text without a quote character, a lone ``\\r``
+    or NUL, no line is longer than ``csv.field_size_limit()`` bytes,
+    every case id and activity is non-empty once stripped, every
+    timestamp reads as ISO-8601 in the years 1 to 9999, and no two
+    distinct fields of a block share a hash. On a clean source the csv
+    module would split every line at each delimiter, as here.
+    """
+    delimiter = mapping.delimiter
+    if len(delimiter) != 1 or not delimiter.isascii() or delimiter in '"\r\n\0':
+        return None
+    limit = csv.field_size_limit()
+    names: tuple[dict[str, int], ...] = ({}, {}, {})  # stripped text -> code, per column
+    outs: tuple[list[np.ndarray], ...] = ([], [], [], [])  # three code columns, timestamps
+    positions = None
+    try:
+        with _open_binary(source) as stream:
+            for block in _line_blocks(stream):
+                if positions is None:
+                    block = block.removeprefix(codecs.BOM_UTF8)
+                rows = _block_rows(block, ord(delimiter), limit)
+                if rows is None:
+                    return None
+                data, starts, stops, delimiters = rows
+                if positions is None:
+                    positions = _positions(block, starts, stops, delimiter, mapping)
+                    if positions is None:
+                        return None
+                    starts, stops = starts[1:], stops[1:]
+                fields = _fields(starts, stops, delimiters, positions, stops > starts)
+                columns = [_code(block, data, *field, known) for field, known in zip(fields, names)]
+                columns.append(_stamps(block, data, *fields[3]))
+                if any(column is None for column in columns) or "" in names[0] or "" in names[1]:
+                    return None
+                for column, out in zip(columns, outs):
+                    out.append(column)
+    except _GZIP_ERRORS:
+        return None
+    if not sum(map(len, outs[3])):
+        return None
+    return CodedColumns(*(list(known) for known in names), *map(np.concatenate, outs))
+
+
+def _line_blocks(stream: BinaryIO) -> Iterator[bytes]:
+    """The stream's bytes in blocks of whole lines: each read of ``_BLOCK``
+    bytes up to its last newline, after the rest of the reads before it.
+    Only the last block may lack a final newline."""
+    rest: list[bytes] = []
+    while chunk := stream.read(_BLOCK):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*rest, chunk[:cut]])
+            rest = []
+        rest.append(chunk[cut:])
+    if last := b"".join(rest):
+        yield last
+
+
+def _block_rows(block: bytes, delimiter: int, limit: int):
+    """A clean block's bytes (zero-padded by ``_WIDE``), the start and
+    stop of every line (before its ``\\r\\n`` or ``\\n``) and the positions
+    of every delimiter, ending with the block's length; None if not clean."""
+    if b'"' in block or b"\0" in block:
+        return None
+    if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
+        return None
+    if not block.isascii():
+        try:
+            block.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    data = np.frombuffer(block + bytes(_WIDE), dtype=np.uint8)
+    body = data[: len(block)]
+    ends = np.flatnonzero(body == 10)
+    if not block.endswith(b"\n"):
+        ends = np.append(ends, len(block))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    stops = ends - ((ends > starts) & (data[ends - 1] == 13))
+    if (stops - starts).max() > limit:
+        return None
+    delimiters = np.append(np.flatnonzero(body == delimiter), len(block))
+    return data, starts, stops, delimiters
+
+
+def _positions(block: bytes, starts, stops, delimiter: str, mapping: CsvMapping):
+    """The header's column index of each mapped column (a repeated name:
+    the last wins), or None when the first line lacks one."""
+    header = block[starts[0] : stops[0]].decode().split(delimiter)
+    index = {name: i for i, name in enumerate(header)}
+    wanted = (mapping.case, mapping.activity, mapping.resource, mapping.timestamp)
+    if stops[0] == starts[0] or any(col not in index for col in wanted):
+        return None
+    return [index[col] for col in wanted]
+
+
+def _fields(starts, stops, delimiters, positions: list[int], filled):
+    """Byte ranges ``(lo, hi)`` of each mapped field of the non-blank lines;
+    a field past the end of a short line is empty."""
+    starts, stops = starts[filled], stops[filled]
+    first = np.searchsorted(delimiters, starts)
+    count = np.searchsorted(delimiters, stops) - first  # the line's delimiters
+    last = len(delimiters) - 1
+    fields = []
+    for k in positions:
+        lo = starts if k == 0 else delimiters[np.minimum(first + k - 1, last)] + 1
+        hi = np.where(count > k, delimiters[np.minimum(first + k, last)], stops)
+        present = count >= k
+        fields.append((np.where(present, lo, 0), np.where(present, hi, 0)))
+    return fields
+
+
+def _code(block: bytes, data, lo, hi, known: dict[str, int]) -> np.ndarray:
+    """Each field's code in ``known``, keyed by its stripped text; new
+    texts are added. A field of at most ``_WIDE`` bytes is decoded once
+    per distinct value in the block, a wider one once per row."""
+    lengths = hi - lo
+    codes = np.empty(len(lo), dtype=np.int64)
+    narrow = np.flatnonzero(lengths <= _WIDE)
+    if narrow.size:
+        width = max(8, -(-int(lengths[narrow].max()) // 8) * 8)
+        matrix = sliding_window_view(data, width)[lo[narrow]]
+        matrix *= np.arange(width) < lengths[narrow, None]
+        distinct = _distinct(matrix)
+        if distinct is None:
+            return None
+        first, inverse = distinct
+        texts = (block[a:b] for a, b in zip(lo[narrow][first].tolist(), hi[narrow][first].tolist()))
+        lut = np.array([known.setdefault(t.decode().strip(), len(known)) for t in texts])
+        codes[narrow] = lut[inverse]
+    for i in np.flatnonzero(lengths > _WIDE).tolist():
+        codes[i] = known.setdefault(block[lo[i] : hi[i]].decode().strip(), len(known))
+    return codes
+
+
+def _distinct(matrix: np.ndarray):
+    """One row index per distinct row of a zero-padded byte matrix, and
+    each row's index into those; None when two distinct rows share a hash."""
+    words = matrix.view(np.uint64)
+    key = np.zeros(len(words), dtype=np.uint64)
+    for column in words.T:
+        key ^= column
+        key *= _MIX
+        key ^= key >> np.uint64(29)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    if not np.array_equal(words[first[inverse]], words):
+        return None
+    return first, inverse
+
+
+def _stamps(block: bytes, data, lo, hi) -> np.ndarray | None:
+    """UTC epoch microseconds of each timestamp field, or None when one
+    does not read as ISO-8601 in the years 1 to 9999."""
+    us, ok = decode_timestamp_fields(data, lo, hi - lo)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        texts = [block[a:b].decode().strip() for a, b in zip(lo[rest].tolist(), hi[rest].tolist())]
+        us[rest], ok = decode_timestamps(texts)
+        try:
+            for i in np.flatnonzero(~ok).tolist():
+                us[rest[i]] = epoch_us(_iso(texts[i]))
+        except ValueError:
+            return None
+    return us

@@ -133,6 +133,8 @@ def _field(where: str, key: str, value, text: bool):
 
 
 def _record(where: str, row, text: bool) -> ResultRecord:
+    if isinstance(row, dict) and None in row:  # DictReader's key for fields past the header
+        raise ValidationError(f"{where}: {len(row[None])} more field(s) than the header")
     keys = list(row) if isinstance(row, dict) else []
     missing = [key for key in _FIELDS if key not in keys]
     unknown = [key for key in keys if key not in _FIELDS]
@@ -145,7 +147,8 @@ def load_records(path: str | Path) -> list[ResultRecord]:
     """Read records back; wall_time is not stored and loads as zero.
 
     A record with a missing or unknown key, or a value of the wrong type,
-    raises ValidationError naming the file, the record and the key.
+    raises ValidationError naming the file, the record and the key; a CSV
+    row with more fields than the header raises it naming the row.
     """
     path = Path(path)
     if path.suffix == ".json":

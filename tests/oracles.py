@@ -277,7 +277,9 @@ def reference_parse_xes(source) -> ReferenceLog:
 
 
 def reference_parse_csv(source, mapping) -> ReferenceLog:
-    """``DictReader`` CSV reader: one ``Event`` per retained row."""
+    """``DictReader`` CSV reader: one ``Event`` per retained row. Data
+    errors start with the source's name, a path as given or "input"."""
+    name = str(source) if isinstance(source, (str, Path)) else "input"
     text = io.TextIOWrapper(_reference_open(source), encoding="utf-8-sig", newline="")
     reader = csv.DictReader(text, delimiter=mapping.delimiter)
     if not reader.fieldnames:
@@ -285,7 +287,7 @@ def reference_parse_csv(source, mapping) -> ReferenceLog:
     columns = (mapping.case, mapping.activity, mapping.resource, mapping.timestamp)
     missing = [col for col in columns if col not in reader.fieldnames]
     if missing:
-        raise ConfigError(f"CSV header is missing mapped columns: {', '.join(missing)}")
+        raise ConfigError(f"{name}: CSV header is missing mapped columns: {', '.join(missing)}")
     raw: list[Event] = []
     for row_no, row in enumerate(reader, start=1):
         case_id = (row.get(mapping.case) or "").strip()
@@ -293,9 +295,9 @@ def reference_parse_csv(source, mapping) -> ReferenceLog:
         resource = (row.get(mapping.resource) or "").strip() or None
         ts_text = (row.get(mapping.timestamp) or "").strip()
         if not case_id:
-            raise ValidationError(f"empty case id in row {row_no}")
+            raise ValidationError(f"{name}: empty case id in row {row_no}")
         if not activity:
-            raise ValidationError(f"empty activity in row {row_no}")
+            raise ValidationError(f"{name}: empty activity in row {row_no}")
         try:
             if mapping.timestamp_format is None:
                 ts = reference_timestamp(ts_text)
@@ -303,7 +305,7 @@ def reference_parse_csv(source, mapping) -> ReferenceLog:
                 ts = _reference_utc(datetime.strptime(ts_text, mapping.timestamp_format))
         except ValueError as exc:
             raise ValidationError(
-                f"timestamp {ts_text!r} does not match the expected format in row {row_no}"
+                f"{name}: timestamp {ts_text!r} does not match the expected format in row {row_no}"
             ) from exc
         raw.append(Event(case_id, activity, resource, ts, row_no - 1))
     if not raw:

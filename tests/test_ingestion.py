@@ -21,6 +21,7 @@ import sys
 from datetime import timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -35,7 +36,7 @@ from resnap import (
     resource_view,
 )
 from resnap.eventlog import epoch_us
-from resnap.parsers import _BATCH, _LAYOUTS, _iso, decode_timestamps
+from resnap.parsers import _BATCH, _LAYOUTS, _iso, decode_timestamp_fields, decode_timestamps
 
 from conftest import xes_bytes, xes_event
 from oracles import (
@@ -419,13 +420,19 @@ def timestamp_texts(draw) -> str:
 @example(EDGES)
 def test_decoder_reads_the_strict_layout_as_the_per_value_read_does(texts):
     """One batch of mixed layouts: each text the decoder reads has the
-    per-value value, and it reads every strict-layout text that has one."""
+    per-value value, and it reads every strict-layout text that has one.
+    The same texts as UTF-8 byte fields of one buffer read the same."""
     us, ok = decode_timestamps(texts)
     for text, value, read in zip(texts, us.tolist(), ok.tolist()):
         expected = _per_value(text)
         assert read == (expected is not None and STRICT.fullmatch(text) is not None), text
         if read:
             assert value == expected, text
+    fields = [text.encode() for text in texts]
+    lengths = np.array([len(field) for field in fields])
+    data = np.frombuffer(b"".join(fields), dtype=np.uint8)
+    byte_us, byte_ok = decode_timestamp_fields(data, np.cumsum(lengths) - lengths, lengths)
+    assert byte_ok.tolist() == ok.tolist() and byte_us.tolist() == us.tolist()
 
 
 def test_fromisoformat_reads_every_layout_the_decoder_reads():

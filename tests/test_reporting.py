@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import pytest
 
-from resnap import ResultRecord, aggregate
+from resnap import ResultRecord, ValidationError, aggregate
 from resnap.reporting import export_records, export_results, load_records
 
 
@@ -162,3 +163,12 @@ def test_best_params_survive_round_trip(tmp_path):
     loaded = load_records(path)
     assert loaded[0].best_params == {"n_estimators": 50, "max_depth": None}
     assert loaded[1].best_params == {"max_depth": 10}
+
+
+def test_csv_row_with_more_fields_than_the_header_says_so(tmp_path):
+    path = export_records(SAMPLE, tmp_path / "records.csv")
+    lines = path.read_text().splitlines()
+    lines[2] += ",extra,more"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}: record 2: 2 more field"):
+        load_records(path)
