@@ -17,19 +17,24 @@ Only the XES subset actually used here is read: per event the
 ``concept:name`` (activity), ``org:resource`` and ``time:timestamp``
 attributes, plus the trace-level ``concept:name`` as the case id.
 
-XES is fed to expat in chunks of ``_CHUNK`` bytes. CSV has two paths
-that give the same log. A path or bytes source read as ISO timestamps
-goes the columnar way: the decompressed bytes are read in blocks of
-whole lines, each about ``_BLOCK`` (1 MiB) bytes plus the rest of one
-line, and numpy finds each block's lines and delimiters, codes the
-case, activity and resource fields (each distinct field is decoded
-and stripped once) and decodes strict-layout timestamps as byte
-matrices. That path holds only clean input: UTF-8 text without a
-quote character, a lone ``\\r`` or NUL, no line over
-``csv.field_size_limit()``, and no row the csv-module path rejects.
-Any other input, a ``timestamp_format`` mapping and a caller's stream
-(which cannot be read twice) go through the csv module from the
-start, in chunks, so every error message is the csv-module path's.
+Each reader has two paths that give the same log. A path or bytes
+source goes the columnar way first: the decompressed bytes are read in
+blocks of about ``_BLOCK`` (1 MiB) bytes that end with a whole line
+(CSV) or a whole trace (XES), and numpy finds each block's fields, codes
+the case, activity and resource values (each distinct value is decoded
+once per block) and decodes strict-layout timestamps as byte matrices.
+That path holds only clean input. For CSV: UTF-8 text without a quote
+character, a lone ``\\r`` or NUL, no line over ``csv.field_size_limit()``,
+and no row the csv-module path rejects. For XES: UTF-8 XML with a
+``<log>`` root, ``<trace>`` children and ``<event>`` grandchildren,
+attribute elements written as ``key="K" value="V"``, no comment past the
+prologue, no CDATA, DOCTYPE, processing instruction, reference other
+than the five predefined entities or namespace prefix, and no event the
+expat path rejects (see :mod:`.xes_columnar`, imported on the first
+columnar read, so a run that reads only CSV never compiles it). Any other
+input, a ``timestamp_format`` mapping and a caller's stream (which
+cannot be read twice) go through the csv module or expat (fed in chunks
+of ``_CHUNK`` bytes) from the start, so every error message is theirs.
 """
 from __future__ import annotations
 
@@ -340,15 +345,17 @@ class _XesTarget:
     pairs of its direct attribute children (the first of a duplicate key
     wins); nested attributes, lists and everything else are skipped, and
     no ``Element`` is ever built. A trace's events become columns when
-    the trace closes.
+    the trace closes. Every data error starts with ``prefix``.
     """
 
-    def __init__(self, columns: EventColumns):
+    def __init__(self, columns: EventColumns, prefix: str):
         self.columns = columns
+        self.prefix = prefix
         self.stamps = _Timestamps(
             columns.timestamps_us,
             lambda event: f"in trace '{columns.cases[event]}'",
             "unreadable timestamp {text!r} {place}",
+            prefix=prefix,
         )
         self.frames: list[dict[str, str] | None] = [None]  # one per open element
         self.kinds: dict[str, str] = {}  # tag -> "attribute", "event", "trace" or ""
@@ -402,10 +409,14 @@ class _XesTarget:
         for attrs in self.pending:
             activity = attrs.get("concept:name", "")
             if not activity:
-                raise ValidationError(f"event without concept:name in trace '{case_id}'")
+                raise ValidationError(
+                    f"{self.prefix}event without concept:name in trace '{case_id}'"
+                )
             ts_text = attrs.get("time:timestamp")
             if ts_text is None:
-                raise ValidationError(f"event without time:timestamp in trace '{case_id}'")
+                raise ValidationError(
+                    f"{self.prefix}event without time:timestamp in trace '{case_id}'"
+                )
             cols.cases.append(case_id)
             cols.activities.append(activity)
             cols.resources.append(attrs.get("org:resource"))
@@ -416,12 +427,31 @@ class _XesTarget:
 def parse_xes(source: bytes | str | Path | BinaryIO) -> EventLog:
     """Parse an XES document into an :class:`EventLog`.
 
-    Raises :class:`ParseError` on malformed XML (with line and column)
-    or a declared encoding it cannot decode, :class:`ValidationError`
-    naming the trace when an event lacks an activity or timestamp, and
-    :class:`EmptyLogError` when the document has no traces.
+    Raises :class:`ParseError` on malformed XML (with line and column),
+    truncated or corrupt gzip data or a declared encoding it cannot
+    decode, :class:`ValidationError` naming the trace when an event
+    lacks an activity or has an unreadable timestamp, and
+    :class:`EmptyLogError` when the document has no traces or no events.
+    Every message but the last two starts with the source's name.
+
+    A path or bytes source takes the columnar path (:mod:`.xes_columnar`)
+    first; when that declines the document, and for a caller's stream,
+    which cannot be read twice, expat reads it from the start
+    (:func:`_parse_xes_expat`). Both give the same log.
     """
-    target = _XesTarget(EventColumns())
+    if isinstance(source, (str, Path, bytes, bytearray)):
+        from .xes_columnar import columnar_xes  # compiled on first use, not by CSV-only runs
+
+        columns = columnar_xes(source)
+        if columns is not None:
+            return build_event_log(columns)
+    return _parse_xes_expat(source)
+
+
+def _parse_xes_expat(source) -> EventLog:
+    """:func:`parse_xes` through expat, fed in chunks of ``_CHUNK`` bytes."""
+    name = _name(source)
+    target = _XesTarget(EventColumns(), f"{name}: ")
     parser = ET.XMLParser(target=target)
     try:
         with target.stamps.in_file_order(), _open_binary(source) as stream:
@@ -430,11 +460,13 @@ def parse_xes(source: bytes | str | Path | BinaryIO) -> EventLog:
             parser.close()
     except ET.ParseError as exc:
         line, column = exc.position
-        raise ParseError(f"malformed XML at line {line}, column {column}: {exc.msg}") from exc
+        raise ParseError(
+            f"{name}: malformed XML at line {line}, column {column}: {exc.msg}"
+        ) from exc
     except _GZIP_ERRORS as exc:
-        raise ParseError(f"{_name(source)}: truncated or corrupt gzip data ({exc})") from exc
+        raise ParseError(f"{name}: truncated or corrupt gzip data ({exc})") from exc
     except _ENCODING_ERRORS as exc:
-        raise ParseError(f"{_name(source)}: unreadable XML encoding ({exc})") from exc
+        raise ParseError(f"{name}: unreadable XML encoding ({exc})") from exc
     if target.n_traces == 0:
         raise EmptyLogError("XES document contains no traces")
     if not target.columns.cases:
@@ -588,7 +620,7 @@ def _columnar_csv(source, mapping: CsvMapping) -> CodedColumns | None:
     """The coded columns of a clean CSV source, or None when it is not clean.
 
     The decompressed source is read in blocks of whole lines
-    (:func:`_line_blocks`), and each block's lines, fields and columns
+    (:func:`_blocks`), and each block's lines, fields and columns
     are found with array operations (:func:`_block_rows`). A source is
     clean when its header names every mapped column, it has a data row,
     every block is UTF-8 text without a quote character, a lone ``\\r``
@@ -607,7 +639,7 @@ def _columnar_csv(source, mapping: CsvMapping) -> CodedColumns | None:
     positions = None
     try:
         with _open_binary(source) as stream:
-            for block in _line_blocks(stream):
+            for block in _blocks(stream, b"\n"):
                 if positions is None:
                     block = block.removeprefix(codecs.BOM_UTF8)
                 rows = _block_rows(block, ord(delimiter), limit)
@@ -633,17 +665,21 @@ def _columnar_csv(source, mapping: CsvMapping) -> CodedColumns | None:
     return CodedColumns(*(list(known) for known in names), *map(np.concatenate, outs))
 
 
-def _line_blocks(stream: BinaryIO) -> Iterator[bytes]:
-    """The stream's bytes in blocks of whole lines: each read of ``_BLOCK``
-    bytes up to its last newline, after the rest of the reads before it.
-    Only the last block may lack a final newline."""
+def _blocks(stream: BinaryIO, end: bytes) -> Iterator[bytes]:
+    """The stream's bytes in blocks that end with ``end``: each read of
+    ``_BLOCK`` bytes up to its last ``end``, after the rest of the reads
+    before it. Only the last block may lack a final ``end``."""
     rest: list[bytes] = []
+    tail = b""  # the last bytes before this read, where an ``end`` may begin
     while chunk := stream.read(_BLOCK):
-        cut = chunk.rfind(b"\n") + 1
-        if cut:
+        joined = tail + chunk
+        cut = joined.rfind(end)
+        if cut >= 0:
+            cut += len(end) - len(tail)
             yield b"".join([*rest, chunk[:cut]])
             rest = []
-        rest.append(chunk[cut:])
+        rest.append(chunk[max(cut, 0) :])
+        tail = joined[len(joined) + 1 - len(end) :]
     if last := b"".join(rest):
         yield last
 
@@ -701,10 +737,16 @@ def _fields(starts, stops, delimiters, positions: list[int], filled):
     return fields
 
 
-def _code(block: bytes, data, lo, hi, known: dict[str, int]) -> np.ndarray:
-    """Each field's code in ``known``, keyed by its stripped text; new
-    texts are added. A field of at most ``_WIDE`` bytes is decoded once
-    per distinct value in the block, a wider one once per row."""
+def _stripped(field: bytes) -> str:
+    """A CSV field's text: decoded and stripped."""
+    return field.decode().strip()
+
+
+def _code(block: bytes, data, lo, hi, known: dict[str, int], text=_stripped) -> np.ndarray:
+    """Each field's code in ``known``, keyed by ``text(field bytes)``; new
+    texts are added. A field of at most ``_WIDE`` bytes is read once per
+    distinct value in the block, a wider one once per row. None when two
+    distinct fields share a hash."""
     lengths = hi - lo
     codes = np.empty(len(lo), dtype=np.int64)
     narrow = np.flatnonzero(lengths <= _WIDE)
@@ -717,10 +759,10 @@ def _code(block: bytes, data, lo, hi, known: dict[str, int]) -> np.ndarray:
             return None
         first, inverse = distinct
         texts = (block[a:b] for a, b in zip(lo[narrow][first].tolist(), hi[narrow][first].tolist()))
-        lut = np.array([known.setdefault(t.decode().strip(), len(known)) for t in texts])
+        lut = np.array([known.setdefault(text(t), len(known)) for t in texts])
         codes[narrow] = lut[inverse]
     for i in np.flatnonzero(lengths > _WIDE).tolist():
-        codes[i] = known.setdefault(block[lo[i] : hi[i]].decode().strip(), len(known))
+        codes[i] = known.setdefault(text(block[lo[i] : hi[i]]), len(known))
     return codes
 
 
@@ -739,13 +781,14 @@ def _distinct(matrix: np.ndarray):
     return first, inverse
 
 
-def _stamps(block: bytes, data, lo, hi) -> np.ndarray | None:
+def _stamps(block: bytes, data, lo, hi, text=_stripped) -> np.ndarray | None:
     """UTC epoch microseconds of each timestamp field, or None when one
-    does not read as ISO-8601 in the years 1 to 9999."""
+    does not read as ISO-8601 in the years 1 to 9999. A field outside the
+    strict layout is read from ``text(field bytes)``."""
     us, ok = decode_timestamp_fields(data, lo, hi - lo)
     rest = np.flatnonzero(~ok)
     if rest.size:
-        texts = [block[a:b].decode().strip() for a, b in zip(lo[rest].tolist(), hi[rest].tolist())]
+        texts = [text(block[a:b]) for a, b in zip(lo[rest].tolist(), hi[rest].tolist())]
         us[rest], ok = decode_timestamps(texts)
         try:
             for i in np.flatnonzero(~ok).tolist():

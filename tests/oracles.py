@@ -200,6 +200,9 @@ def _reference_open(source) -> io.BytesIO:
 
 
 def reference_timestamp(value: str) -> datetime:
+    """The UTC instant of an ISO-8601 text. Raises ValueError when the text
+    does not read and OverflowError when the instant falls outside the
+    years 1 to 9999."""
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
@@ -213,7 +216,15 @@ def reference_timestamp(value: str) -> datetime:
 def _reference_utc(ts: datetime) -> datetime:
     if ts.tzinfo is None:
         return ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError as exc:
+        raise OverflowError(f"{ts.isoformat()} falls outside the years 1 to 9999 in UTC") from exc
+
+
+def _reference_name(source) -> str:
+    """The source as the readers' messages name it: a path as given, else "input"."""
+    return str(source) if isinstance(source, (str, Path)) else "input"
 
 
 def _xes_attributes(elem) -> dict[str, str]:
@@ -228,7 +239,9 @@ def _xes_attributes(elem) -> dict[str, str]:
 
 
 def reference_parse_xes(source) -> ReferenceLog:
-    """``iterparse`` XES reader: one ``Event`` per retained event."""
+    """``iterparse`` XES reader: one ``Event`` per retained event. Data
+    errors start with the source's name, a path as given or "input"."""
+    name = _reference_name(source)
     raw: list[Event] = []
     pending: list[dict[str, str]] = []
     n_traces = 0
@@ -250,17 +263,23 @@ def reference_parse_xes(source) -> ReferenceLog:
                 for attrs in pending:
                     activity = attrs.get("concept:name", "")
                     if not activity:
-                        raise ValidationError(f"event without concept:name in trace '{case_id}'")
+                        raise ValidationError(
+                            f"{name}: event without concept:name in trace '{case_id}'"
+                        )
                     ts_text = attrs.get("time:timestamp")
                     if ts_text is None:
                         raise ValidationError(
-                            f"event without time:timestamp in trace '{case_id}'"
+                            f"{name}: event without time:timestamp in trace '{case_id}'"
                         )
                     try:
                         ts = reference_timestamp(ts_text)
                     except ValueError as exc:
                         raise ValidationError(
-                            f"unreadable timestamp {ts_text!r} in trace '{case_id}'"
+                            f"{name}: unreadable timestamp {ts_text!r} in trace '{case_id}'"
+                        ) from exc
+                    except OverflowError as exc:
+                        raise ValidationError(
+                            f"{name}: timestamp {ts_text!r} in trace '{case_id}': {exc}"
                         ) from exc
                     resource = attrs.get("org:resource") or None
                     raw.append(Event(case_id, activity, resource, ts, len(raw)))
@@ -268,7 +287,9 @@ def reference_parse_xes(source) -> ReferenceLog:
                 elem.clear()
     except ET.ParseError as exc:
         line, column = exc.position
-        raise ParseError(f"malformed XML at line {line}, column {column}: {exc.msg}") from exc
+        raise ParseError(
+            f"{name}: malformed XML at line {line}, column {column}: {exc.msg}"
+        ) from exc
     if n_traces == 0:
         raise EmptyLogError("XES document contains no traces")
     if not raw:
@@ -279,7 +300,7 @@ def reference_parse_xes(source) -> ReferenceLog:
 def reference_parse_csv(source, mapping) -> ReferenceLog:
     """``DictReader`` CSV reader: one ``Event`` per retained row. Data
     errors start with the source's name, a path as given or "input"."""
-    name = str(source) if isinstance(source, (str, Path)) else "input"
+    name = _reference_name(source)
     text = io.TextIOWrapper(_reference_open(source), encoding="utf-8-sig", newline="")
     reader = csv.DictReader(text, delimiter=mapping.delimiter)
     if not reader.fieldnames:
@@ -307,6 +328,8 @@ def reference_parse_csv(source, mapping) -> ReferenceLog:
             raise ValidationError(
                 f"{name}: timestamp {ts_text!r} does not match the expected format in row {row_no}"
             ) from exc
+        except OverflowError as exc:
+            raise ValidationError(f"{name}: timestamp {ts_text!r} in row {row_no}: {exc}") from exc
         raw.append(Event(case_id, activity, resource, ts, row_no - 1))
     if not raw:
         raise EmptyLogError("CSV input contains no data rows")

@@ -82,7 +82,8 @@ def test_cases_run_grid_and_profile_every_seed_and_the_example(tmp_path, monkeyp
     for name, workload in WORKLOADS.items():
         expected += [f"{name} seed 7 run", f"{name} seed 7 grid"]
         if name == first:
-            expected += ["seed 7 profile bpic13s", "seed 7 profile bpic13s_xes"]
+            expected += [f"{name} seed 7 run bpic13s_xes", "seed 7 profile bpic13s",
+                         "seed 7 profile bpic13s_xes"]
     assert list(runs) == expected + ["example run", "example profile", "example grid"]
     for name, workload in WORKLOADS.items():
         run = runs[f"{name} seed 7 run"]
@@ -90,6 +91,9 @@ def test_cases_run_grid_and_profile_every_seed_and_the_example(tmp_path, monkeyp
         config = json.loads(Path(run[run.index("--config") + 1]).read_text())
         assert config == workload.config(tmp_path / "log7" / "c.csv", tmp_path / "log7" / "x.xes.gz", 7)
     assert runs["seed 7 profile bpic13s_xes"][-2:] == ["--dataset", "bpic13s_xes"]
+    xes_run = runs[f"{first} seed 7 run bpic13s_xes"]
+    assert xes_run[:2] == ["run", "--config"] and xes_run[3:5] == ["--dataset", "bpic13s_xes"]
+    assert xes_run[2] == runs[f"{first} seed 7 run"][2]  # the first workload's config
     assert runs["example grid"] == ["grid", "--config", str(ROOT / "configs" / "example.json"),
                                     "--dataset", "demo"]
 

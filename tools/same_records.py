@@ -8,14 +8,16 @@ For every seed it writes the benchmark's seeded BPIC13-shaped log once.
 On each workload config of ``perfbench/workloads.py`` it then runs
 ``resnap run --dataset bpic13s`` at that workload's worker count and
 ``resnap grid --dataset bpic13s``; on the first workload config it also
-runs ``resnap profile`` for both of its datasets. Both checkouts also run
-``configs/example.json --dataset demo`` through ``run``, ``profile`` and
-``grid``. Every run has an export directory of its own on each side;
-``grid`` has no export files, so its ``--quiet`` output is saved there
-as ``grid.json``. The two sides' directories are compared file by file.
-For every file that differs the tool prints the first differing record
-of a JSON records file, or the first differing line of any other file;
-records files come first.
+runs ``resnap run --dataset bpic13s_xes``, so events read from the XES
+rendering reach compared records, and ``resnap profile`` for both of its
+datasets. Both checkouts also run ``configs/example.json --dataset
+demo`` through ``run``, ``profile`` and ``grid``. Every run has an
+export directory of its own on each side; ``grid`` has no export files,
+so its ``--quiet`` output is saved there as ``grid.json``. The two
+sides' directories are compared file by file. For every file that
+differs the tool prints the first differing record of a JSON records
+file, or the first differing line of any other file; records files come
+first.
 
 The workload configs come from the change checkout's ``perfbench/``;
 each side imports its own ``src/``. Exit status: 0 when every export is
@@ -103,7 +105,10 @@ def cases(change: Path, seeds: list[int], work: Path):
             yield f"{label} run", ["run", "--config", config, "--dataset", "bpic13s",
                                    "--seed", str(seed), "--workers", str(workload.workers)]
             yield f"{label} grid", ["grid", "--config", config, "--dataset", "bpic13s"]
-            if i == 0:  # the workloads share the log, so one config serves every profile
+            if i == 0:  # the workloads share the log, so one config serves the XES run and profiles
+                yield f"{label} run bpic13s_xes", ["run", "--config", config, "--dataset",
+                                                   "bpic13s_xes", "--seed", str(seed),
+                                                   "--workers", str(workload.workers)]
                 for dataset in ("bpic13s", "bpic13s_xes"):
                     yield f"seed {seed} profile {dataset}", ["profile", "--config", config,
                                                              "--dataset", dataset]
