@@ -9,6 +9,7 @@ filtered set of events and their statistics stay comparable.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
@@ -66,21 +67,20 @@ class EventColumns:
     """Per-event lists a reader fills in file order, before validation.
 
     ``resources`` holds None (or "") for events without a resource;
-    ``timestamps_us`` holds int64 arrays of UTC epoch microseconds, one
-    per decoded batch, whose concatenation has one entry per event. Event
-    ``i`` has file order ``i``.
+    ``timestamps_us`` holds each event's UTC epoch microseconds, 8 bytes
+    apiece. Event ``i`` has file order ``i``.
     """
 
     cases: list[str] = field(default_factory=list)
     activities: list[str] = field(default_factory=list)
     resources: list[str | None] = field(default_factory=list)
-    timestamps_us: list[np.ndarray] = field(default_factory=list)
+    timestamps_us: array = field(default_factory=lambda: array("q"))
 
     def coded(self) -> CodedColumns:
         """The same events as codes into sorted names; a missing resource reads as ""."""
         resources = [r or "" for r in self.resources]
         names, codes = zip(*map(_coded, (self.cases, self.activities, resources)))
-        stamps = np.concatenate(self.timestamps_us or [np.zeros(0, dtype=np.int64)])
+        stamps = np.array(self.timestamps_us, dtype=np.int64)
         return CodedColumns(*names, *codes, stamps)
 
 
@@ -200,7 +200,6 @@ def build_event_log(events: Iterable[Event] | EventColumns | CodedColumns) -> Ev
     elif not isinstance(events, CodedColumns):
         raw = EventColumns()
         orders: list[int] = []
-        stamps: list[int] = []
         seen_orders: set[int] = set()
         for ev in events:
             if ev.file_order in seen_orders:
@@ -211,10 +210,9 @@ def build_event_log(events: Iterable[Event] | EventColumns | CodedColumns) -> Ev
             raw.activities.append(ev.activity)
             raw.resources.append(ev.resource)
             try:
-                stamps.append(epoch_us(ev.timestamp))
+                raw.timestamps_us.append(epoch_us(ev.timestamp))
             except ValueError as exc:
                 raise ValidationError(f"event {ev.file_order}: {exc}") from exc
-        raw.timestamps_us.append(np.array(stamps, dtype=np.int64))
         events = raw.coded()
         file_order = np.array(orders, dtype=np.int64)
     n = len(events.case_codes)

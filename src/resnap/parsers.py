@@ -5,10 +5,8 @@ of validated :class:`EventLog`:
 
 * events lacking a resource are dropped and counted,
 * timestamps are normalised to UTC epoch microseconds (naive values are
-  taken as UTC); they are decoded in batches of up to ``_BATCH`` texts,
-  the strict layout of :func:`decode_timestamps` as arrays and any other
-  text one at a time, so every value and error message is the one a
-  per-value read would give,
+  taken as UTC); the csv-module and expat readers decode each event's
+  text as they read it, so the first error in file order is raised,
 * gzip-compressed input is detected by its magic bytes and decompressed
   transparently,
 * equal timestamps keep their source-file order.
@@ -50,7 +48,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -68,7 +66,6 @@ from .eventlog import (
 
 _GZIP_MAGIC = b"\x1f\x8b"
 _CHUNK = 64 * 1024
-_BATCH = 8192  # timestamp texts decoded at once
 _LONG_FRACTION = re.compile(r"(\.\d{6})\d+")
 _XES_ATTRIBUTES = frozenset(("string", "date", "int", "float", "boolean"))
 # what a truncated or corrupt gzip stream raises while it is read
@@ -266,76 +263,29 @@ def _decode_layout(codes: np.ndarray, fraction: int, table: np.ndarray):
     return np.where(ok, us, 0), ok
 
 
-class _Timestamps:
-    """A reader's timestamp texts, one per event, decoded in batches in file order.
+def _timestamp_reader(timestamp_format: str | None, prefix: str, unreadable: str, place: str):
+    """``read(text, at)``: UTC epoch microseconds of an event's timestamp
+    text, read by :func:`_iso` or, stripped, by ``strptime`` with
+    ``timestamp_format``. The text's place is ``place.format(at)``, built
+    only for an error: ValidationError ``prefix + unreadable`` (fields
+    ``text`` and ``place``) when the text does not read, and one naming
+    the text and its place when :func:`epoch_us` rejects its instant."""
 
-    ``add`` queues the next event's text and decodes the queue once it
-    holds ``_BATCH`` texts. Without ``timestamp_format``, texts in the
-    strict layout are decoded as arrays and every other text by ``_iso``;
-    with it, every text by ``datetime.strptime``. The first text that
-    cannot be read, or whose instant :func:`epoch_us` rejects, raises
-    ValidationError that starts with ``prefix`` and names ``place(event
-    index)``. Each decoded batch is appended to ``out``.
-    """
-
-    def __init__(
-        self,
-        out: list[np.ndarray],
-        place: Callable[[int], str],
-        unreadable: str,
-        timestamp_format: str | None = None,
-        prefix: str = "",
-    ):
-        self.out = out
-        self.place = place
-        self.unreadable = unreadable  # message with {text} and {place} fields
-        self.timestamp_format = timestamp_format
-        self.prefix = prefix  # what every message starts with
-        self.texts: list[str] = []
-        self.decoded = 0  # events whose texts were decoded before the queued ones
-
-    def add(self, text: str) -> None:
-        self.texts.append(text)
-        if len(self.texts) >= _BATCH:
-            self.flush()
-
-    def flush(self) -> None:
-        texts, start = self.texts, self.decoded
-        self.texts, self.decoded = [], start + len(texts)
-        stripped = [t.strip() for t in texts]
-        if self.timestamp_format is None:
-            us, ok = decode_timestamps(stripped)
-        else:
-            us, ok = np.zeros(len(texts), dtype=np.int64), np.zeros(len(texts), dtype=bool)
-        for i in np.flatnonzero(~ok).tolist():
-            where = self.place(start + i)
-            try:
-                if self.timestamp_format is None:
-                    ts = _iso(stripped[i])
-                else:
-                    ts = datetime.strptime(stripped[i], self.timestamp_format)
-            except ValueError as exc:
-                raise ValidationError(
-                    self.prefix + self.unreadable.format(text=texts[i], place=where)
-                ) from exc
-            try:
-                us[i] = epoch_us(ts)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{self.prefix}timestamp {texts[i]!r} {where}: {exc}"
-                ) from exc
-        self.out.append(us)
-
-    @contextmanager
-    def in_file_order(self) -> Iterator[None]:
-        """Decode what is queued when the block ends, also when it raises:
-        an unreadable timestamp earlier in the file is the first error."""
+    def read(text: str, at) -> int:
         try:
-            yield
-        except Exception:
-            self.flush()
-            raise
-        self.flush()
+            if timestamp_format is None:
+                ts = _iso(text)
+            else:
+                ts = datetime.strptime(text.strip(), timestamp_format)
+        except ValueError as exc:
+            where = place.format(at)
+            raise ValidationError(prefix + unreadable.format(text=text, place=where)) from exc
+        try:
+            return epoch_us(ts)
+        except ValueError as exc:
+            raise ValidationError(f"{prefix}timestamp {text!r} {place.format(at)}: {exc}") from exc
+
+    return read
 
 
 class _XesTarget:
@@ -351,12 +301,8 @@ class _XesTarget:
     def __init__(self, columns: EventColumns, prefix: str):
         self.columns = columns
         self.prefix = prefix
-        self.stamps = _Timestamps(
-            columns.timestamps_us,
-            lambda event: f"in trace '{columns.cases[event]}'",
-            "unreadable timestamp {text!r} {place}",
-            prefix=prefix,
-        )
+        unreadable = "unreadable timestamp {text!r} {place}"
+        self.timestamp_us = _timestamp_reader(None, prefix, unreadable, "in trace '{}'")
         self.frames: list[dict[str, str] | None] = [None]  # one per open element
         self.kinds: dict[str, str] = {}  # tag -> "attribute", "event", "trace" or ""
         self.pending: list[dict[str, str]] = []
@@ -420,7 +366,7 @@ class _XesTarget:
             cols.cases.append(case_id)
             cols.activities.append(activity)
             cols.resources.append(attrs.get("org:resource"))
-            self.stamps.add(ts_text)
+            cols.timestamps_us.append(self.timestamp_us(ts_text, case_id))
         self.pending.clear()
 
 
@@ -454,7 +400,7 @@ def _parse_xes_expat(source) -> EventLog:
     target = _XesTarget(EventColumns(), f"{name}: ")
     parser = ET.XMLParser(target=target)
     try:
-        with target.stamps.in_file_order(), _open_binary(source) as stream:
+        with _open_binary(source) as stream:
             while chunk := stream.read(_CHUNK):
                 parser.feed(chunk)
             parser.close()
@@ -582,31 +528,25 @@ def _read_csv_rows(
 ) -> None:
     i_case, i_activity, i_resource, i_ts = positions
     width = max(positions) + 1
-    stamps = _Timestamps(
-        cols.timestamps_us,
-        lambda event: f"in row {event + 1}",  # data rows count from 1, one event each
-        "timestamp {text!r} does not match the expected format {place}",
-        timestamp_format,
-        prefix=f"{name}: ",
-    )
-    row_no = 0
-    with stamps.in_file_order():
-        for row in reader:
-            if not row:
-                continue
-            row_no += 1
-            if len(row) < width:
-                row = row + [""] * (width - len(row))
-            case_id = row[i_case].strip()
-            activity = row[i_activity].strip()
-            if not case_id:
-                raise ValidationError(f"{name}: empty case id in row {row_no}")
-            if not activity:
-                raise ValidationError(f"{name}: empty activity in row {row_no}")
-            cols.cases.append(case_id)
-            cols.activities.append(activity)
-            cols.resources.append(row[i_resource].strip())
-            stamps.add(row[i_ts].strip())
+    unreadable = "timestamp {text!r} does not match the expected format {place}"
+    timestamp_us = _timestamp_reader(timestamp_format, f"{name}: ", unreadable, "in row {}")
+    row_no = 0  # data rows count from 1
+    for row in reader:
+        if not row:
+            continue
+        row_no += 1
+        if len(row) < width:
+            row = row + [""] * (width - len(row))
+        case_id = row[i_case].strip()
+        activity = row[i_activity].strip()
+        if not case_id:
+            raise ValidationError(f"{name}: empty case id in row {row_no}")
+        if not activity:
+            raise ValidationError(f"{name}: empty activity in row {row_no}")
+        cols.cases.append(case_id)
+        cols.activities.append(activity)
+        cols.resources.append(row[i_resource].strip())
+        cols.timestamps_us.append(timestamp_us(row[i_ts].strip(), row_no))
 
 
 # --- the columnar CSV path ------------------------------------------------

@@ -5,10 +5,10 @@ XES, ``DictReader`` for CSV) that built one ``Event`` per row and grouped
 and sorted them per key. Seeded generated documents go through both; the
 materialised events, alphabets, dropped counts, both views and the
 profile must be equal, and failures must raise the same exception class
-with the same message. Timestamps are decoded in batches, so the error
-cases include an unreadable timestamp before a later error of another
-kind and near a batch boundary; the batch decoder itself is checked
-against the per-value read, ``epoch_us(_iso(text))``.
+with the same message. The error cases include an unreadable timestamp
+before a later error of another kind, and the array decoder of the
+columnar paths is checked against the per-value read,
+``epoch_us(_iso(text))``.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from resnap import (
     resource_view,
 )
 from resnap.eventlog import epoch_us
-from resnap.parsers import _BATCH, _LAYOUTS, _iso, decode_timestamp_fields, decode_timestamps
+from resnap.parsers import _LAYOUTS, _iso, decode_timestamp_fields, decode_timestamps
 
 from conftest import xes_bytes, xes_event
 from oracles import (
@@ -361,9 +361,9 @@ def test_event_input_matches_reference(seed):
     _assert_same(events, events, build_event_log, reference_build)
 
 
-# --- batched timestamp decoding -----------------------------------------
+# --- timestamps decoded as arrays ----------------------------------------
 
-# the texts the batch decoder must read: everything else goes to _iso one by one
+# the texts the array decoder must read: everything else goes to _iso one by one
 STRICT = re.compile(
     r"\d{4}-\d\d-\d\d[T ]\d\d:\d\d:\d\d(\.\d{3}|\.\d{6})?([Zz]|[+-]\d\d:[0-5]\d)?", re.ASCII
 )
@@ -419,7 +419,7 @@ def timestamp_texts(draw) -> str:
 @given(st.lists(timestamp_texts(), min_size=1, max_size=12))
 @example(EDGES)
 def test_decoder_reads_the_strict_layout_as_the_per_value_read_does(texts):
-    """One batch of mixed layouts: each text the decoder reads has the
+    """Mixed layouts in one call: each text the decoder reads has the
     per-value value, and it reads every strict-layout text that has one.
     The same texts as UTF-8 byte fields of one buffer read the same."""
     us, ok = decode_timestamps(texts)
@@ -437,7 +437,7 @@ def test_decoder_reads_the_strict_layout_as_the_per_value_read_does(texts):
 
 def test_fromisoformat_reads_every_layout_the_decoder_reads():
     """``tools/check_iso_layouts.py`` under this interpreter: its samples
-    cover every batch-decoded length, and both reads agree on each."""
+    cover every length decoded as arrays, and both reads agree on each."""
     assert check_iso_layouts.failures() == []
     samples = check_iso_layouts.layouts()
     assert {len(text) for text, _ in samples} == set(_LAYOUTS)
@@ -461,9 +461,20 @@ def _csv_rows(n: int) -> list[str]:
             for i in range(n)]
 
 
-def test_mixed_layouts_across_batches_match_reference():
-    doc = "\n".join(["case,act,who,when"] + _csv_rows(2 * _BATCH + 3)) + "\n"
-    _assert_same_csv(doc.encode(), ISO)
+@pytest.mark.parametrize("quoted", [False, True])
+def test_mixed_layouts_match_reference(quoted):
+    """Every layout in one long log, read by the columnar path and, with
+    one field quoted, by the csv module."""
+    rows = _csv_rows(16_387)
+    if quoted:
+        rows[0] = '"c0"' + rows[0][2:]
+    _assert_same_csv(("\n".join(["case,act,who,when"] + rows) + "\n").encode(), ISO)
+
+
+# Row 8192 is where the earlier batched timestamp decoder cut its queue. The
+# readers now decode each event's timestamp as they read it; these cases keep
+# the first error in file order checked deep into a long file, on both sides.
+_BATCH = 8192
 
 
 @pytest.mark.parametrize("bad", [_BATCH - 1, _BATCH, _BATCH + 1])
@@ -477,6 +488,8 @@ def test_bad_timestamp_at_a_batch_boundary_matches_reference(bad):
 
 
 def test_bad_xes_timestamp_after_a_batch_boundary_matches_reference():
+    """Event ``_BATCH + 1`` of a trace has an hour of 25 and the document is
+    malformed after it; the timestamp error comes first on both sides."""
     events = [xes_event("A", "r1") for _ in range(_BATCH + 2)]
     events[_BATCH] = xes_event("A", "r1", stamp="2024-03-01T25:00:00Z")
     doc = xes_bytes([("c1", events)])

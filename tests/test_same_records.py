@@ -11,7 +11,16 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import bpic13  # noqa: E402
 import same_records  # noqa: E402
-from same_records import cases, compare_dirs, first_difference, run_resnap  # noqa: E402
+from resnap import CsvMapping, build_event_log, parse_csv, parse_xes  # noqa: E402
+from resnap.parsers import _columnar_csv  # noqa: E402
+from resnap.xes_columnar import columnar_xes  # noqa: E402
+from same_records import (  # noqa: E402
+    cases,
+    compare_dirs,
+    fallback_copies,
+    first_difference,
+    run_resnap,
+)
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -76,6 +85,8 @@ def test_compare_dirs_reports_missing_and_differing_files(tmp_path):
 
 def test_cases_run_grid_and_profile_every_seed_and_the_example(tmp_path, monkeypatch):
     monkeypatch.setattr(bpic13, "generate", lambda seed, out: (out / "x.xes.gz", out / "c.csv", None))
+    monkeypatch.setattr(same_records, "fallback_copies",
+                        lambda csv, xes: (csv.with_name("q.csv"), xes.with_name("q.xes.gz")))
     runs = dict(cases(ROOT, [7], tmp_path))
     first = next(iter(WORKLOADS))
     expected = []
@@ -83,7 +94,9 @@ def test_cases_run_grid_and_profile_every_seed_and_the_example(tmp_path, monkeyp
         expected += [f"{name} seed 7 run", f"{name} seed 7 grid"]
         if name == first:
             expected += [f"{name} seed 7 run bpic13s_xes", "seed 7 profile bpic13s",
-                         "seed 7 profile bpic13s_xes"]
+                         "seed 7 profile bpic13s_xes", f"{name} seed 7 run quoted csv",
+                         "seed 7 profile quoted csv", f"{name} seed 7 run commented xes",
+                         "seed 7 profile commented xes"]
     assert list(runs) == expected + ["example run", "example profile", "example grid"]
     for name, workload in WORKLOADS.items():
         run = runs[f"{name} seed 7 run"]
@@ -94,8 +107,31 @@ def test_cases_run_grid_and_profile_every_seed_and_the_example(tmp_path, monkeyp
     xes_run = runs[f"{first} seed 7 run bpic13s_xes"]
     assert xes_run[:2] == ["run", "--config"] and xes_run[3:5] == ["--dataset", "bpic13s_xes"]
     assert xes_run[2] == runs[f"{first} seed 7 run"][2]  # the first workload's config
+    fallback = runs[f"{first} seed 7 run quoted csv"][2]
+    config = json.loads(Path(fallback).read_text())
+    assert config == WORKLOADS[first].config(tmp_path / "log7" / "q.csv",
+                                              tmp_path / "log7" / "q.xes.gz", 7)
+    for copy, dataset in (("quoted csv", "bpic13s"), ("commented xes", "bpic13s_xes")):
+        assert runs[f"{first} seed 7 run {copy}"] == [
+            "run", "--config", fallback, "--dataset", dataset, "--seed", "7",
+            "--workers", str(WORKLOADS[first].workers)]
+        assert runs[f"seed 7 profile {copy}"] == ["profile", "--config", fallback,
+                                                  "--dataset", dataset]
     assert runs["example grid"] == ["grid", "--config", str(ROOT / "configs" / "example.json"),
                                     "--dataset", "demo"]
+
+
+def test_fallback_copies_reach_the_csv_module_and_expat(tmp_path):
+    """The columnar readers decline the edited copies of a seeded log, so
+    their runs exercise the other readers, which read the same events."""
+    xes, csv, _ = bpic13.generate(1, tmp_path)
+    quoted, commented = fallback_copies(csv, xes)
+    mapping = CsvMapping(**bpic13.CSV_MAPPING)
+    csv_columns, xes_columns = _columnar_csv(csv, mapping), columnar_xes(xes)
+    assert csv_columns is not None and _columnar_csv(quoted, mapping) is None
+    assert xes_columns is not None and columnar_xes(commented) is None
+    assert parse_csv(quoted, mapping) == build_event_log(csv_columns)
+    assert parse_xes(commented) == build_event_log(xes_columns)
 
 
 def test_grid_output_is_saved_as_an_export(tmp_path):

@@ -10,7 +10,10 @@ On each workload config of ``perfbench/workloads.py`` it then runs
 ``resnap grid --dataset bpic13s``; on the first workload config it also
 runs ``resnap run --dataset bpic13s_xes``, so events read from the XES
 rendering reach compared records, and ``resnap profile`` for both of its
-datasets. Both checkouts also run ``configs/example.json --dataset
+datasets. It runs ``run`` and ``profile`` on both datasets once more
+with that config pointed at copies of the log that the columnar readers
+decline (:func:`fallback_copies`), so the csv-module and expat readers
+reach compared records too. Both checkouts also run ``configs/example.json --dataset
 demo`` through ``run``, ``profile`` and ``grid``. Every run has an
 export directory of its own on each side; ``grid`` has no export files,
 so its ``--quiet`` output is saved there as ``grid.json``. The two
@@ -26,6 +29,7 @@ identical, 1 on any difference, 2 when a run fails.
 from __future__ import annotations
 
 import argparse
+import gzip
 import json
 import os
 import subprocess
@@ -91,6 +95,23 @@ def run_resnap(checkout: Path, argv: list[str], out: Path) -> None:
         (out / "grid.json").write_text(done.stdout)
 
 
+def fallback_copies(csv: Path, xes: Path) -> tuple[Path, Path]:
+    """Copies of a seeded log, next to it, that hold the same events but
+    that the columnar readers decline: the CSV with its first data row's
+    first field quoted, which the csv module reads, and the XES.gz with a
+    comment right after the ``<log ...>`` open tag, which expat reads."""
+    text = csv.read_bytes()
+    row = text.index(b"\n") + 1
+    field = text.index(b",", row)
+    quoted = csv.with_name("quoted.csv")
+    quoted.write_bytes(text[:row] + b'"' + text[row:field] + b'"' + text[field:])
+    doc = gzip.decompress(xes.read_bytes())
+    root = doc.index(b">", doc.index(b"<log")) + 1
+    commented = xes.with_name("commented.xes.gz")
+    commented.write_bytes(gzip.compress(doc[:root] + b"<!-- -->" + doc[root:], mtime=0))
+    return quoted, commented
+
+
 def cases(change: Path, seeds: list[int], work: Path):
     """(label, resnap argv without ``--quiet`` and ``--out``) of every run."""
     sys.path.insert(0, str(change / "perfbench"))
@@ -112,6 +133,14 @@ def cases(change: Path, seeds: list[int], work: Path):
                 for dataset in ("bpic13s", "bpic13s_xes"):
                     yield f"seed {seed} profile {dataset}", ["profile", "--config", config,
                                                              "--dataset", dataset]
+                fallback = str(workload.write_config(work / f"{name}-{seed}-fallback.json",
+                                                     *fallback_copies(csv, xes), seed))
+                for dataset, copy in (("bpic13s", "quoted csv"), ("bpic13s_xes", "commented xes")):
+                    yield f"{label} run {copy}", ["run", "--config", fallback, "--dataset",
+                                                  dataset, "--seed", str(seed),
+                                                  "--workers", str(workload.workers)]
+                    yield f"seed {seed} profile {copy}", ["profile", "--config", fallback,
+                                                          "--dataset", dataset]
     example = str(change / EXAMPLE_CONFIG)
     for command in ("run", "profile", "grid"):
         yield f"example {command}", [command, "--config", example, "--dataset", "demo"]
