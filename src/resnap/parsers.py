@@ -44,16 +44,16 @@ import re
 import xml.etree.ElementTree as ET
 import zlib
 from contextlib import ExitStack, contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, EmptyLogError, ParseError, ResnapError, ValidationError
+from .errors import ConfigError, EmptyLogError, ParseError, ValidationError
 from .eventlog import (
     _MAX_US,
     _MIN_US,
@@ -72,22 +72,6 @@ _XES_ATTRIBUTES = frozenset(("string", "date", "int", "float", "boolean"))
 _GZIP_ERRORS = (EOFError, zlib.error, gzip.BadGzipFile)
 # what expat raises for a declared encoding it cannot decode: unknown, or multi-byte
 _ENCODING_ERRORS = (LookupError, ValueError)
-# stands in for bytes that are not UTF-8; valid UTF-8 never decodes to a lone surrogate
-_UNDECODABLE = "\udcff"
-# the running parse_csv call's notes, one per run of bytes that is not UTF-8
-_undecodable: ContextVar[list[int] | None] = ContextVar("_undecodable", default=None)
-
-
-def _note_undecodable(exc: UnicodeDecodeError) -> tuple[str, int]:
-    """The CSV reader's ``errors`` handler: note the run of bytes that is
-    not UTF-8 and read it as :data:`_UNDECODABLE`. Clean text never calls it."""
-    noted = _undecodable.get()
-    if noted is not None:
-        noted.append(exc.start)
-    return _UNDECODABLE, exc.end
-
-
-codecs.register_error("resnap.undecodable", _note_undecodable)
 
 
 def _name(source) -> str:
@@ -123,9 +107,16 @@ class _RawReader(io.RawIOBase):
         return True
 
     def readinto(self, buffer) -> int:
-        data = self._source.read(len(buffer))
-        buffer[: len(data)] = data
-        return len(data)
+        """Fill ``buffer`` unless the source ends first, so a source whose
+        reads come back short still shows the whole gzip magic to ``peek``."""
+        filled = 0
+        while filled < len(buffer):
+            data = self._source.read(len(buffer) - filled)
+            if not data:
+                break
+            buffer[filled : filled + len(data)] = data
+            filled += len(data)
+        return filled
 
 
 @contextmanager
@@ -142,8 +133,6 @@ def _open_binary(source: bytes | str | Path | BinaryIO) -> Iterator[BinaryIO]:
             stream = owned.enter_context(open(source, "rb"))
         elif isinstance(source, (bytes, bytearray)):
             stream = io.BufferedReader(io.BytesIO(source))
-        elif hasattr(source, "peek"):
-            stream = source
         else:
             stream = io.BufferedReader(_RawReader(source))
         if stream.peek(2)[:2] == _GZIP_MAGIC:
@@ -195,34 +184,26 @@ def decode_timestamps(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     text read, the value equals ``epoch_us(_iso(text))``; every other
     text has ``ok`` False and value 0.
     """
-    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-
-    def matrix(rows: np.ndarray, length: int) -> np.ndarray:
-        texts_of = [texts[i] for i in rows.tolist()]
-        return np.array(texts_of, dtype=f"U{length}").view(np.uint32).reshape(-1, length)
-
-    return _decode_by_length(lengths, matrix)
+    fields = [text.encode("utf-8", "surrogatepass") for text in texts]
+    lengths = np.fromiter(map(len, fields), dtype=np.int64, count=len(fields))
+    data = np.frombuffer(b"".join(fields), dtype=np.uint8)
+    return decode_timestamp_fields(data, np.cumsum(lengths) - lengths, lengths)
 
 
 def decode_timestamp_fields(
     data: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`decode_timestamps` of UTF-8 byte fields: text ``i`` is
-    ``data[starts[i] : starts[i] + lengths[i]]`` of a uint8 array."""
-    return _decode_by_length(
-        lengths, lambda rows, length: sliding_window_view(data, length)[starts[rows]]
-    )
-
-
-def _decode_by_length(lengths: np.ndarray, matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Decode the texts of each layout's length from ``matrix(rows, length)``,
-    their character codes one text per row."""
+    ``data[starts[i] : starts[i] + lengths[i]]`` of a uint8 array. Only
+    ASCII fields pass a layout's table, and their byte and character
+    lengths are equal."""
     us = np.zeros(len(lengths), dtype=np.int64)
     ok = np.zeros(len(lengths), dtype=bool)
     for length, (fraction, table) in _LAYOUTS.items():
         rows = np.flatnonzero(lengths == length)
         if rows.size:
-            us[rows], ok[rows] = _decode_layout(matrix(rows, length), fraction, table)
+            codes = sliding_window_view(data, length)[starts[rows]]
+            us[rows], ok[rows] = _decode_layout(codes, fraction, table)
     return us, ok
 
 
@@ -432,6 +413,8 @@ def parse_csv(source: bytes | str | Path | BinaryIO, mapping: CsvMapping) -> Eve
     a field over ``csv.field_size_limit()`` or truncated or corrupt gzip
     data, and :class:`EmptyLogError` when there is no data row. Every
     message but the first and the last starts with the source's name.
+    For every source, a stream too, the first error in file order is
+    the one raised, and its row is named.
 
     A path or bytes source read as ISO timestamps takes the columnar
     path (:func:`_columnar_csv`); when that declines the input, and for
@@ -446,51 +429,35 @@ def parse_csv(source: bytes | str | Path | BinaryIO, mapping: CsvMapping) -> Eve
 
 
 def _parse_csv_rows(source, mapping: CsvMapping) -> EventLog:
-    """:func:`parse_csv` through the csv module, one row at a time.
-
-    Bytes that are not UTF-8 are noted as they are decoded, which is
-    ahead of the rows. When there were any, a path or bytes source is
-    read again with every row checked, so the first error in file order
-    is the one raised; a stream cannot be read again, and its error
-    names no row.
-    """
-    noted: list[int] = []
-    token = _undecodable.set(noted)
-    try:
-        cols = _read_csv(source, mapping, check_text=False)
-    except ResnapError:
-        if not noted:
-            raise
-    finally:
-        _undecodable.reset(token)
-    if noted:
-        if not isinstance(source, (str, Path, bytes, bytearray)):
-            raise ParseError(f"{_name(source)} is not UTF-8 text")
-        cols = _read_csv(source, mapping, check_text=True)
+    """:func:`parse_csv` through the csv module, one row at a time, in one
+    pass over the source: each line is decoded when the csv module reads
+    it, so the first error in file order is the one raised, and a row of
+    bytes that are not UTF-8 is named as any other row is."""
+    cols = _read_csv(source, mapping)
     if not cols.cases:
         raise EmptyLogError("CSV input contains no data rows")
     return build_event_log(cols)
 
 
-def _read_csv(source, mapping: CsvMapping, check_text: bool) -> EventColumns:
-    """The columns of every data row. With ``check_text``, a row holding
-    bytes that are not UTF-8 raises ParseError when it is reached."""
+def _read_csv(source, mapping: CsvMapping) -> EventColumns:
+    """The columns of every data row. The lines are split as
+    ``TextIOWrapper(newline="")`` splits them, at ``\\r\\n``, ``\\r`` and
+    ``\\n`` (bytes that no UTF-8 character holds), by reading the source
+    as latin-1, one character per byte; each line is then decoded as UTF-8,
+    the first as ``utf-8-sig``, so a BOM at the start is dropped."""
     cols = EventColumns()
     header = None
     try:
         with _open_binary(source) as stream:
-            text = io.TextIOWrapper(
-                stream, encoding="utf-8-sig", errors="resnap.undecodable", newline=""
-            )
+            text = io.TextIOWrapper(stream, encoding="latin-1", newline="")
             try:
-                reader = csv.reader(text, delimiter=mapping.delimiter)
+                lines = map(str.encode, text, repeat("latin-1"))
+                first = map(bytes.decode, islice(lines, 1), repeat("utf-8-sig"))
+                utf8 = chain(first, map(bytes.decode, lines))
+                reader = csv.reader(utf8, delimiter=mapping.delimiter)
                 header = next(reader, None)
                 if not header:
                     raise ConfigError("CSV input has no header row")
-                if check_text:
-                    if any(_UNDECODABLE in name for name in header):
-                        raise ParseError(f"{_name(source)}: the header row is not UTF-8 text")
-                    reader = _utf8_rows(reader, _name(source))
                 index = {name: i for i, name in enumerate(header)}  # a repeated name: last wins
                 wanted = (mapping.case, mapping.activity, mapping.resource, mapping.timestamp)
                 missing = [col for col in wanted if col not in index]
@@ -503,24 +470,14 @@ def _read_csv(source, mapping: CsvMapping, check_text: bool) -> EventColumns:
                 _read_csv_rows(reader, positions, mapping.timestamp_format, cols, _name(source))
             finally:
                 text.detach()  # leave the underlying stream to its owner
-    except (csv.Error, *_GZIP_ERRORS) as exc:
+    except (csv.Error, UnicodeDecodeError, *_GZIP_ERRORS) as exc:
         # every data row read before the error added one event
         place = "the header row" if header is None else f"row {len(cols.cases) + 1}"
+        if isinstance(exc, UnicodeDecodeError):
+            raise ParseError(f"{_name(source)}: {place} is not UTF-8 text") from exc
         what = "unreadable CSV" if isinstance(exc, csv.Error) else "truncated or corrupt gzip data"
         raise ParseError(f"{_name(source)}: {what} in {place} ({exc})") from exc
     return cols
-
-
-def _utf8_rows(reader, name: str):
-    """The rows of ``reader``; ParseError at the first data row that holds
-    bytes that are not UTF-8. Data rows count as in :func:`_read_csv_rows`."""
-    row_no = 0
-    for row in reader:
-        if row:
-            row_no += 1
-            if any(_UNDECODABLE in field for field in row):
-                raise ParseError(f"{name}: row {row_no} is not UTF-8 text")
-        yield row
 
 
 def _read_csv_rows(

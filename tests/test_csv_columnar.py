@@ -39,9 +39,9 @@ def reader_calls(monkeypatch) -> list:
     calls = []
     read_csv = parsers._read_csv
 
-    def spy(source, mapping, check_text):
+    def spy(source, mapping):
         calls.append((source, mapping))
-        return read_csv(source, mapping, check_text)
+        return read_csv(source, mapping)
 
     monkeypatch.setattr(parsers, "_read_csv", spy)
     return calls
@@ -113,6 +113,28 @@ def test_bytes_that_are_not_utf8_reach_the_csv_module(reader_calls):
     with pytest.raises(ParseError, match=r"^input: row 2 is not UTF-8 text$"):
         parse_csv(doc, ISO)
     assert reader_calls
+
+
+def test_a_path_with_bytes_that_are_not_utf8_is_read_once_by_the_csv_module(
+    reader_calls, monkeypatch, tmp_path
+):
+    """The columnar path opens the file and declines it; the csv module
+    then opens it once more and names the row, with no second pass."""
+    rows = [GOOD] * 5 + ["c2,B\xff,r2,2024-03-01T12:00:01Z"] + [GOOD] * 5
+    path = tmp_path / "log.csv"
+    path.write_bytes(_doc(*rows).decode().encode("latin-1"))
+    opened = []
+    open_binary = parsers._open_binary
+
+    def spy(source):
+        opened.append(source)
+        return open_binary(source)
+
+    monkeypatch.setattr(parsers, "_open_binary", spy)
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: row 6 is not UTF-8 text$"):
+        parse_csv(path, ISO)
+    assert reader_calls == [(path, ISO)]
+    assert opened == [path, path]
 
 
 def test_a_line_over_the_field_size_limit_reaches_the_csv_module(reader_calls):

@@ -265,6 +265,7 @@ def csv_document(seed: int) -> tuple[bytes, CsvMapping]:
 def test_csv_matches_reference(seed):
     doc, mapping = csv_document(seed)
     _assert_same_csv(doc, mapping)
+    _assert_same_csv(doc.replace(b"\r\n", b"\n").replace(b"\n", b"\r"), mapping)  # lone CRs
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -327,6 +328,21 @@ def test_non_seekable_xes_stream_is_read_in_chunks(compress):
     assert parse_xes(stream) == parse_xes(body)
     assert len(stream.requests) > 1
     assert all(0 < size <= 64 * 1024 for size in stream.requests)
+
+
+class ByteAtATimeStream(OneWayStream):
+    """A source whose every read returns at most one byte."""
+
+    def read(self, size=-1):
+        return super().read(1)
+
+
+def test_gzip_stream_with_short_reads_is_detected():
+    csv_doc, mapping = csv_document(5)
+    xes_doc = xes_bytes([("c1", [xes_event("A", "r1"), xes_event("B", "r2")])])
+    packed_csv, packed_xes = gzip.compress(csv_doc), gzip.compress(xes_doc)
+    assert parse_csv(ByteAtATimeStream(packed_csv), mapping) == parse_csv(packed_csv, mapping)
+    assert parse_xes(ByteAtATimeStream(packed_xes)) == parse_xes(packed_xes)
 
 
 def test_non_seekable_csv_stream_is_read_in_chunks():

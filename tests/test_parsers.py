@@ -252,8 +252,11 @@ def test_parse_csv_bytes_that_are_not_utf8_name_the_file_and_row(tmp_path):
         ([GOOD_ROW, "c1,B\xff,r1,2024-03-01 10:00:01", "c1,,r1,2024-03-01 10:00:02"], ParseError, "row 2"),
         (["c1,,r1,2024-03-01 10:00:01", "c1,B\xff,r1,2024-03-01 10:00:02"], ValidationError, "row 1"),
         (["", "c1,A,r1,x,\xff", GOOD_ROW], ParseError, "row 1 is not UTF-8"),
+        ([GOOD_ROW, 'c1,"B\nB\xff",r1,2024-03-01 10:00:01', GOOD_ROW], ParseError,
+         "^input: row 2 is not UTF-8 text$"),
     ],
-    ids=["timestamp first", "same row", "byte first", "empty activity first", "unmapped column"],
+    ids=["timestamp first", "same row", "byte first", "empty activity first", "unmapped column",
+         "second line of a row"],
 )
 def test_parse_csv_first_error_in_file_order_wins_over_undecodable_bytes(rows, error, message):
     data = latin1(csv_bytes(rows))
@@ -265,9 +268,9 @@ def test_parse_csv_undecodable_header_and_stream():
     data = latin1(csv_bytes([GOOD_ROW], header="case,activity,resource,when\xff"))
     with pytest.raises(ParseError, match="^input: the header row is not UTF-8 text$"):
         parse_csv(data, MAPPING)
-    # a stream cannot be read again to find the row
+    # a stream's error names its row, as a path's does
     data = latin1(csv_bytes([GOOD_ROW, "c1,\xff,r1,2024-03-01 10:00:01"]))
-    with pytest.raises(ParseError, match="^input is not UTF-8 text$"):
+    with pytest.raises(ParseError, match="^input: row 2 is not UTF-8 text$"):
         parse_csv(io.BytesIO(data), MAPPING)
 
 
