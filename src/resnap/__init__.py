@@ -44,11 +44,9 @@ from .experiment import (
 from .parsers import CsvMapping, parse_csv, parse_xes
 from .prefixes import (
     DEFAULT_PREFIX_CANDIDATES,
-    LabelEncoder,
     PrefixDataset,
     build_prefix_dataset,
     eligible_resources,
-    fit_label_encoder,
     prefix_grid,
 )
 from .profiling import (

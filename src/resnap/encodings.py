@@ -175,7 +175,7 @@ def select_top_k(
 def _bigram_block(ds: PrefixDataset, selection: SelectedBigrams):
     columns = bigram_count_columns(ds.prefixes)
     absent = np.zeros(len(ds.samples), dtype=np.int64)
-    names = [f"2g_{ds.encoder.decode(a)}->{ds.encoder.decode(b)}" for a, b in selection.bigrams]
+    names = [f"2g_{ds.activities[a]}->{ds.activities[b]}" for a, b in selection.bigrams]
     return names, np.array([columns.get(bg, absent) for bg in selection.bigrams]).T
 
 

@@ -174,16 +174,22 @@ _COLUMNS = ("activity_codes", "resource_codes", "case_codes", "timestamps_us", "
 
 @dataclass(frozen=True)
 class ResourceView:
-    """Chronologically ordered activity sequence per resource."""
+    """Chronologically ordered activity codes per resource.
 
-    sequences: Mapping[str, tuple[str, ...]]
+    ``activities[code]`` names an activity; ``activities`` is the log's
+    sorted alphabet, so code order is string order.
+    """
+
+    activities: tuple[str, ...]
+    sequences: Mapping[str, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
 class CaseView:
-    """Chronologically ordered activity sequence per case."""
+    """Chronologically ordered activity codes per case, as in :class:`ResourceView`."""
 
-    sequences: Mapping[str, tuple[str, ...]]
+    activities: tuple[str, ...]
+    sequences: Mapping[str, tuple[int, ...]]
 
 
 def build_event_log(events: Iterable[Event] | EventColumns | CodedColumns) -> EventLog:
@@ -258,27 +264,27 @@ def _recoded(names: Sequence[str], codes: np.ndarray) -> tuple[tuple[str, ...], 
 
 def _grouped_sequences(
     log: EventLog, codes: np.ndarray, names: tuple[str, ...]
-) -> dict[str, tuple[str, ...]]:
-    """Activities grouped by ``codes``, keys in code order, each group
+) -> dict[str, tuple[int, ...]]:
+    """Activity codes grouped by ``codes``, keys in code order, each group
     ordered by (timestamp, file_order)."""
     if not log.n_events:
         raise EmptyLogError("event log has no events")
     order = np.lexsort((log.file_order, log.timestamps_us, codes))
-    activities = np.array(log.activities, dtype=object)[log.activity_codes[order]].tolist()
+    activity_codes = log.activity_codes[order].tolist()
     # the alphabets hold only names of retained events, so no group is empty
     ends = np.cumsum(np.bincount(codes, minlength=len(names))).tolist()
-    return {name: tuple(activities[lo:hi]) for name, lo, hi in zip(names, [0, *ends], ends)}
+    return {name: tuple(activity_codes[lo:hi]) for name, lo, hi in zip(names, [0, *ends], ends)}
 
 
 def resource_view(log: EventLog) -> ResourceView:
-    """Group activities by resource, ordered by (timestamp, file_order)."""
-    return ResourceView(_grouped_sequences(log, log.resource_codes, log.resources))
+    """Group activity codes by resource, ordered by (timestamp, file_order)."""
+    return ResourceView(log.activities, _grouped_sequences(log, log.resource_codes, log.resources))
 
 
 def case_view(log: EventLog) -> CaseView:
-    """Group activities by case, ordered by (timestamp, file_order).
+    """Group activity codes by case, ordered by (timestamp, file_order).
 
     Events dropped at ingestion for missing resources are not restored,
     so case statistics describe the same filtered log as the resource view.
     """
-    return CaseView(_grouped_sequences(log, log.case_codes, log.cases))
+    return CaseView(log.activities, _grouped_sequences(log, log.case_codes, log.cases))

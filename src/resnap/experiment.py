@@ -35,7 +35,6 @@ from .prefixes import (
     PrefixDataset,
     build_prefix_dataset,
     check_candidates,
-    fit_label_encoder,
     prefix_grid,
 )
 from .profiling import example_leakage
@@ -129,8 +128,10 @@ def handle_rare_classes(ds: PrefixDataset) -> PrefixDataset:
 
     With exactly one target class of count 1, its sample is appended a
     second time (the resource then contributes two identical samples).
-    With several, those targets are relabelled to a reserved placeholder
-    id appended to the encoder. Afterwards every class has count >= 2.
+    With several, those targets are relabelled to a placeholder appended
+    to ``activities``, whose fresh code ``len(activities)`` no activity of
+    the log holds, even one named like it. Afterwards every class has
+    count >= 2.
     """
     classes, counts = np.unique(ds.targets, return_counts=True)
     rare = classes[counts == 1]
@@ -140,10 +141,9 @@ def handle_rare_classes(ds: PrefixDataset) -> PrefixDataset:
         (row,) = np.flatnonzero(ds.targets == rare[0])
         return replace(ds, resource_ids=ds.resource_ids + (ds.resource_ids[row],),
                        samples=np.vstack([ds.samples, ds.samples[row]]))
-    encoder = ds.encoder.with_extra(RARE_LABEL)
     samples = ds.samples.copy()
-    samples[np.isin(ds.targets, rare), -1] = encoder.encode(RARE_LABEL)
-    return replace(ds, samples=samples, encoder=encoder)
+    samples[np.isin(ds.targets, rare), -1] = len(ds.activities)
+    return replace(ds, samples=samples, activities=ds.activities + (RARE_LABEL,))
 
 
 def stratified_split(
@@ -246,7 +246,6 @@ def run_experiment(log: EventLog, cfg: ExperimentConfig) -> list[ResultRecord]:
     """Sweep prefix lengths x encodings x models over one log."""
     cfg.validate()
     view = resource_view(log)
-    encoder = fit_label_encoder(log)
     lengths = prefix_grid(view, cfg.prefix_candidates, cfg.min_resources)
     if not lengths:
         raise ConfigError(
@@ -258,7 +257,7 @@ def run_experiment(log: EventLog, cfg: ExperimentConfig) -> list[ResultRecord]:
 
     cells: list[_Cell] = []
     for length in lengths:
-        ds = handle_rare_classes(build_prefix_dataset(view, length, encoder))
+        ds = handle_rare_classes(build_prefix_dataset(view, length))
         split_seed = derive_seed(cfg.seed, cfg.dataset_id, length, "split")
         train_idx, test_idx = stratified_split(ds, cfg.split_ratio, split_seed)
         prefixes = ds.prefixes.tolist()

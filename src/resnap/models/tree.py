@@ -846,8 +846,8 @@ class MajorityClassifier:
     """Always predicts the most frequent training label.
 
     Frequency ties resolve to the lowest label id, which is the
-    lexicographically smallest decoded activity because the label
-    encoder assigns ids in lexicographic order.
+    lexicographically smallest activity because the log's activity codes
+    follow its sorted alphabet.
     """
 
     PARAMETERS: dict = {}

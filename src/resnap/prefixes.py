@@ -9,72 +9,30 @@ always exists.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .eventlog import EventLog, ResourceView
+from .eventlog import ResourceView
 
 DEFAULT_PREFIX_CANDIDATES = (5, 10, 20, 50, 100, 200, 500, 1000, 1500, 2000, 3000)
-
-
-@dataclass(frozen=True)
-class LabelEncoder:
-    """Bijection between activity strings and dense integer ids.
-
-    Ids follow lexicographic activity order, so the lowest id always
-    belongs to the lexicographically smallest label. Labels appended
-    later via :meth:`with_extra` receive the next free id.
-    """
-
-    classes: tuple[str, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        index = {label: i for i, label in enumerate(self.classes)}
-        if len(index) != len(self.classes):
-            raise ValidationError("encoder labels must be unique")
-        object.__setattr__(self, "_index", index)
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._index
-
-    def encode(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ValidationError(f"unknown activity label {label!r}") from None
-
-    def decode(self, label_id: int) -> str:
-        try:
-            return self.classes[label_id]
-        except IndexError:
-            raise ValidationError(f"unknown activity id {label_id}") from None
-
-    def with_extra(self, label: str) -> "LabelEncoder":
-        """Return a copy with ``label`` appended under the next free id."""
-        if label in self._index:
-            return self
-        return LabelEncoder(self.classes + (label,))
 
 
 @dataclass(frozen=True, eq=False)
 class PrefixDataset:
     """One sample per resource, as one row of an int64 code matrix.
 
-    Row i of ``samples`` holds the first L activity ids of
-    ``resource_ids[i]``, then the id of its target.
+    Row i of ``samples`` holds the first L activity codes of
+    ``resource_ids[i]``, then the code of its target; ``activities[code]``
+    names an activity.
     """
 
     prefix_length: int
     resource_ids: tuple[str, ...]
     samples: np.ndarray
-    encoder: LabelEncoder
+    activities: tuple[str, ...]
 
     def __post_init__(self) -> None:
         shape = (len(self.resource_ids), self.prefix_length + 1)
@@ -90,11 +48,6 @@ class PrefixDataset:
         return self.samples[:, -1]
 
 
-def fit_label_encoder(log: EventLog) -> LabelEncoder:
-    """Fit one encoder over the full log alphabet so every split shares it."""
-    return LabelEncoder(log.activities)
-
-
 def eligible_resources(view: ResourceView, prefix_length: int) -> list[str]:
     """Resources with at least prefix_length + 1 activities, in sorted order."""
     if prefix_length < 1:
@@ -106,21 +59,16 @@ def eligible_resources(view: ResourceView, prefix_length: int) -> list[str]:
     ]
 
 
-def build_prefix_dataset(
-    view: ResourceView, prefix_length: int, encoder: LabelEncoder
-) -> PrefixDataset:
-    """One sample per eligible resource: first L activities plus the next one."""
+def build_prefix_dataset(view: ResourceView, prefix_length: int) -> PrefixDataset:
+    """One sample per eligible resource: first L activity codes plus the next one."""
     resources = eligible_resources(view, prefix_length)
     if not resources:
         raise ValidationError(
             f"no resource has {prefix_length + 1} or more activities; "
             "shorten the prefix grid"
         )
-    samples = np.array(
-        [[encoder.encode(a) for a in view.sequences[r][: prefix_length + 1]] for r in resources],
-        dtype=np.int64,
-    )
-    return PrefixDataset(prefix_length, tuple(resources), samples, encoder)
+    samples = np.array([view.sequences[r][: prefix_length + 1] for r in resources], dtype=np.int64)
+    return PrefixDataset(prefix_length, tuple(resources), samples, view.activities)
 
 
 def check_candidates(lengths) -> None:

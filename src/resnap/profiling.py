@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .errors import ValidationError
 from .eventlog import CaseView, EventLog, ResourceView, case_view, resource_view
@@ -59,8 +59,8 @@ def avg_sequence_length(view: ResourceView) -> float:
     return total / len(view.sequences)
 
 
-def specialization(sequence: Sequence[str], log_alphabet_size: int) -> float:
-    """How narrowly a sequence focuses on few activities, in [0, 1].
+def specialization(sequence: Sequence[Hashable], log_alphabet_size: int) -> float:
+    """How narrowly a sequence focuses on few activities (codes or names), in [0, 1].
 
     Computed as 1 minus the Shannon entropy (natural log) of the activity
     distribution, normalised by ln of the log-wide alphabet size. A
@@ -95,8 +95,9 @@ def avg_specialization(view: ResourceView, log_alphabet_size: int) -> float:
     return sum(scores) / len(scores)
 
 
-def repetition(sequence: Sequence[str]) -> float:
-    """Occurrences beyond each activity's first, per distinct activity."""
+def repetition(sequence: Sequence[Hashable]) -> float:
+    """Occurrences beyond each activity's first, per distinct activity;
+    activities may be codes or names."""
     if not sequence:
         raise ValidationError("cannot compute repetition of an empty sequence")
     distinct = len(set(sequence))

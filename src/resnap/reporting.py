@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence, get_type_hints
 
 from .encodings import ENCODINGS
 from .errors import ConfigError, ValidationError
-from .experiment import ResultRecord
+from .experiment import EXPERIMENT_MODELS, ResultRecord
 
 # the exported fields of a record, in column order, and their types
 _FIELDS = tuple(f.name for f in fields(ResultRecord) if f.name != "wall_time")
@@ -38,6 +38,8 @@ _TYPES = get_type_hints(ResultRecord)
 # a field's type -> how CSV text is read as one, and the types a value of it may have
 _PARSE = {int: int, float: float, float | None: float, Mapping: json.loads}
 _ACCEPT = {float: numbers.Real, float | None: (numbers.Real, type(None)), Mapping: dict}
+# the names a record's model, encoding and status may take
+_NAMES = {"model": EXPERIMENT_MODELS, "encoding": ENCODINGS, "status": ("ok", "failed")}
 
 
 @dataclass(frozen=True)
@@ -122,13 +124,16 @@ def export_records(records: Sequence[ResultRecord], path: str | Path) -> Path:
 
 def _field(where: str, key: str, value, text: bool):
     """Field ``key`` of a loaded record, parsed first if it is CSV text;
-    ValidationError unless it has the field's type."""
+    ValidationError unless it has the field's type and, for a name, a
+    value resnap knows."""
     kind, raw = _TYPES[key], value
     with contextlib.suppress(ValueError, TypeError):  # unparsed text fails the check below
         if text and kind is not str:  # CSV writes an accuracy of None as ""
             value = None if kind == float | None and value == "" else _PARSE[kind](value)
     if isinstance(value, bool) or not isinstance(value, _ACCEPT.get(kind, kind)):
         raise ValidationError(f"{where}: {key} has the wrong type: {raw!r}")
+    if key in _NAMES and value not in _NAMES[key]:
+        raise ValidationError(f"{where}: unknown {key} {raw!r}; accepted: {', '.join(_NAMES[key])}")
     return value
 
 
@@ -146,8 +151,9 @@ def _record(where: str, row, text: bool) -> ResultRecord:
 def load_records(path: str | Path) -> list[ResultRecord]:
     """Read records back; wall_time is not stored and loads as zero.
 
-    A record with a missing or unknown key, or a value of the wrong type,
-    raises ValidationError naming the file, the record and the key; a CSV
+    A record with a missing or unknown key, a value of the wrong type, or
+    a model, encoding or status resnap does not know raises
+    ValidationError naming the file, the record and the key; a CSV
     row with more fields than the header raises it naming the row.
     """
     path = Path(path)

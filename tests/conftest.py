@@ -4,13 +4,19 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from resnap import Event, build_event_log
+from resnap import Event, ResourceView, build_event_log
 
 BASE_TS = datetime(2024, 3, 1, 12, 0, 0, tzinfo=timezone.utc)
 
 
 def ts(seconds: float) -> datetime:
     return BASE_TS + timedelta(seconds=seconds)
+
+
+def seq_view(**sequences):
+    """A view of letter sequences, coded into the sorted letters they use."""
+    alphabet = tuple(sorted(set("".join(sequences.values()))))
+    return ResourceView(alphabet, {k: tuple(map(alphabet.index, v)) for k, v in sequences.items()})
 
 
 def make_log(rows, start_order: int = 0):

@@ -36,7 +36,6 @@ from resnap.profiling import (
     avg_specialization,
     variant_ratio,
 )
-from resnap.eventlog import CaseView, ResourceView
 
 
 def brute_force_root_split(X, y) -> tuple[int, float] | None:
@@ -362,12 +361,19 @@ def _reference_grouped(log: ReferenceLog, key_of) -> dict[str, tuple[str, ...]]:
     }
 
 
-def reference_resource_view(log: ReferenceLog) -> ResourceView:
-    return ResourceView(_reference_grouped(log, lambda ev: ev.resource))
+@dataclass(frozen=True)
+class ReferenceView:
+    """Chronologically ordered activity names per resource or case."""
+
+    sequences: dict[str, tuple[str, ...]]
 
 
-def reference_case_view(log: ReferenceLog) -> CaseView:
-    return CaseView(_reference_grouped(log, lambda ev: ev.case_id))
+def reference_resource_view(log: ReferenceLog) -> ReferenceView:
+    return ReferenceView(_reference_grouped(log, lambda ev: ev.resource))
+
+
+def reference_case_view(log: ReferenceLog) -> ReferenceView:
+    return ReferenceView(_reference_grouped(log, lambda ev: ev.case_id))
 
 
 def reference_profile(log: ReferenceLog) -> DatasetProfile:

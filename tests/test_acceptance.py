@@ -18,7 +18,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from resnap import (
     ExperimentConfig,
-    LabelEncoder,
     PrefixDataset,
     ResourceView,
     accuracy,
@@ -27,7 +26,6 @@ from resnap import (
     count_2grams,
     encode_s2gr,
     encode_seq_only,
-    fit_label_encoder,
     handle_rare_classes,
     mutual_information,
     parse_xes,
@@ -51,7 +49,6 @@ from synth import run_structured_log
 from test_cli import write_config, write_fixture_csv
 
 TOL = 1e-9
-ENC = LabelEncoder(("A", "B", "C"))
 
 PROPERTY_CASES = settings(
     max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -105,8 +102,9 @@ def test_criterion_1_metric_oracles():
     assert abs(mutual_information(balanced, balanced) - math.log(2)) < TOL
     assert abs(mutual_information([1, 1, 1, 1], [0, 1, 0, 1])) < TOL
     # variant ratio
-    assert abs(variant_ratio(ResourceView({"r1": ("A", "B", "C"), "r2": ("A", "B", "C")})) - 0.5) < TOL
-    assert abs(variant_ratio(ResourceView({"r1": ("A",), "r2": ("B",), "r3": ("C",)})) - 1.0) < TOL
+    abc = ("A", "B", "C")
+    assert abs(variant_ratio(ResourceView(abc, {"r1": (0, 1, 2), "r2": (0, 1, 2)})) - 0.5) < TOL
+    assert abs(variant_ratio(ResourceView(abc, {"r1": (0,), "r2": (1,), "r3": (2,)})) - 1.0) < TOL
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"metric oracle suite took {elapsed:.2f}s"
     report(1, "metric oracle suite")
@@ -143,7 +141,7 @@ def test_criterion_2_tree_oracle_sweep():
 
 def _dataset_from_targets(targets):
     samples = np.array([[0, t] for t in targets], dtype=np.int64)
-    return PrefixDataset(1, tuple(f"r{i}" for i in range(len(targets))), samples, ENC)
+    return PrefixDataset(1, tuple(f"r{i}" for i in range(len(targets))), samples, ("A", "B", "C"))
 
 
 def test_criterion_3_split_partition_and_proportions():
@@ -182,7 +180,8 @@ def test_criterion_3_rare_class_rules():
             assert len(after) == len(targets) + 1
             assert after.count(singles[0]) == 2
         else:
-            rare_id = out.encoder.encode(RARE_LABEL)
+            rare_id = len(ds.activities)
+            assert out.activities[rare_id] == RARE_LABEL
             assert after.count(rare_id) == len(singles)
         counts = {t: after.count(t) for t in set(after)}
         assert min(counts.values()) >= 2
@@ -308,7 +307,7 @@ def test_criterion_4_synthetic_directional_check():
     # independent reference-stack confirmation on the identical split/features
     sklearn_rf = pytest.importorskip("sklearn.ensemble")
     view = resource_view(log)
-    ds = handle_rare_classes(build_prefix_dataset(view, 20, fit_label_encoder(log)))
+    ds = handle_rare_classes(build_prefix_dataset(view, 20))
     train, test = stratified_split(ds, 0.8, derive_seed(17, "synthetic", 20, "split"))
     prefixes = ds.prefixes.tolist()
     targets = ds.targets.tolist()

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from resnap import (
-    LabelEncoder,
     PrefixDataset,
     ResourceView,
     SelectedBigrams,
@@ -34,14 +33,13 @@ from oracles import (
     reference_select_top_k,
 )
 
-ENC = LabelEncoder(("A", "B", "C"))
 A, B, C = 0, 1, 2
 
 
-def dataset(*prefix_target_pairs, encoder=ENC):
+def dataset(*prefix_target_pairs):
     samples = np.array([list(p) + [t] for p, t in prefix_target_pairs], dtype=np.int64)
     resource_ids = tuple(f"r{i}" for i in range(len(samples)))
-    return PrefixDataset(samples.shape[1] - 1, resource_ids, samples, encoder)
+    return PrefixDataset(samples.shape[1] - 1, resource_ids, samples, ("A", "B", "C"))
 
 
 # --- SeqOnly ---------------------------------------------------------------
@@ -130,10 +128,8 @@ def test_encode_scap_distinguishes_resources_with_same_prefix():
 
 
 def test_encode_scap_columns_are_binary(tiny_log):
-    view = ResourceView(
-        {"r1": ("A", "C", "B"), "r2": ("B", "A")}
-    )
-    ds = build_prefix_dataset(view, 1, LabelEncoder(("A", "B", "C")))
+    view = ResourceView(("A", "B", "C"), {"r1": (A, C, B), "r2": (B, A)})
+    ds = build_prefix_dataset(view, 1)
     enc = encode_scap(ds, capability_map(tiny_log))
     cap_cols = enc.rows[:, ds.prefix_length :]
     assert set(np.unique(cap_cols)) <= {0.0, 1.0}
@@ -378,7 +374,7 @@ def test_bigram_and_run_blocks_match_the_counter_reference(seed):
     prefixes, targets = seeded_prefixes(seed)
     ds = PrefixDataset(
         prefixes.shape[1], tuple(f"r{i}" for i in range(len(prefixes))),
-        np.column_stack([prefixes, targets]), LabelEncoder(tuple("ABCDEFG")),
+        np.column_stack([prefixes, targets]), tuple("ABCDEFG"),
     )
     train = list(range(0, len(prefixes), 2))
     selection = select_top_k(bigram_count_columns(prefixes[train]), [targets[i] for i in train], 4)

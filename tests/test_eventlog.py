@@ -60,36 +60,51 @@ def test_build_event_log_rejects_empty_input():
         build_event_log([])
 
 
+def decoded(view):
+    """A view's sequences with each activity code replaced by its name."""
+    return {key: tuple(view.activities[a] for a in seq) for key, seq in view.sequences.items()}
+
+
+def test_view_codes_follow_lexicographic_order():
+    # the majority baseline's tie rule relies on the lowest code naming the smallest activity
+    log = make_log([("c1", "B", "r1", 1), ("c1", "A", "r1", 2), ("c2", "C", "r2", 3)])
+    for view in (resource_view(log), case_view(log)):
+        assert view.activities == log.activities == ("A", "B", "C")
+    assert resource_view(log).sequences == {"r1": (1, 0), "r2": (2,)}
+    assert case_view(log).sequences == {"c1": (1, 0), "c2": (2,)}
+
+
 def test_resource_view_groups_and_sorts():
     log = make_log([("c1", "A", "r1", 1), ("c2", "B", "r2", 1), ("c3", "C", "r1", 2)])
     view = resource_view(log)
-    assert view.sequences == {"r1": ("A", "C"), "r2": ("B",)}
+    assert decoded(view) == {"r1": ("A", "C"), "r2": ("B",)}
 
 
 def test_resource_view_equal_timestamps_keep_file_order():
     log = make_log([("c1", "A", "r1", 5), ("c2", "B", "r1", 5)])
-    assert resource_view(log).sequences["r1"] == ("A", "B")
+    assert decoded(resource_view(log))["r1"] == ("A", "B")
 
 
 def test_resource_view_single_event():
     log = make_log([("c1", "A", "r1", 1)])
-    assert resource_view(log).sequences == {"r1": ("A",)}
+    assert resource_view(log).sequences == {"r1": (0,)}
+    assert decoded(resource_view(log)) == {"r1": ("A",)}
 
 
 def test_case_view_groups_by_case():
     log = make_log([("c1", "A", "r1", 1), ("c1", "B", "r2", 2), ("c2", "A", "r1", 1)])
     view = case_view(log)
-    assert view.sequences == {"c1": ("A", "B"), "c2": ("A",)}
+    assert decoded(view) == {"c1": ("A", "B"), "c2": ("A",)}
 
 
 def test_case_view_single_case():
     log = make_log([("c1", "A", "r1", 1), ("c1", "B", "r1", 2)])
-    assert case_view(log).sequences == {"c1": ("A", "B")}
+    assert decoded(case_view(log)) == {"c1": ("A", "B")}
 
 
 def test_case_view_equal_timestamps_tiebreak():
     log = make_log([("c1", "B", "r1", 3), ("c1", "A", "r2", 3)])
-    assert case_view(log).sequences["c1"] == ("B", "A")
+    assert decoded(case_view(log))["c1"] == ("B", "A")
 
 
 def test_views_conserve_event_counts(tiny_log):
@@ -101,7 +116,7 @@ def test_views_conserve_event_counts(tiny_log):
 
 def test_view_alphabet_closure(tiny_log):
     rv = resource_view(tiny_log)
-    seen = {a for seq in rv.sequences.values() for a in seq}
+    seen = {a for seq in decoded(rv).values() for a in seq}
     assert seen <= tiny_log.activity_alphabet
 
 
@@ -132,5 +147,5 @@ def test_views_match_independent_chronological_sort(rows):
     for ev in ordered:
         expected_by_resource.setdefault(ev.resource, []).append(ev.activity)
         expected_by_case.setdefault(ev.case_id, []).append(ev.activity)
-    assert {k: list(v) for k, v in resource_view(log).sequences.items()} == expected_by_resource
-    assert {k: list(v) for k, v in case_view(log).sequences.items()} == expected_by_case
+    assert {k: list(v) for k, v in decoded(resource_view(log)).items()} == expected_by_resource
+    assert {k: list(v) for k, v in decoded(case_view(log)).items()} == expected_by_case

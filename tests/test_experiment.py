@@ -6,7 +6,6 @@ import pytest
 from resnap import (
     ConfigError,
     ExperimentConfig,
-    LabelEncoder,
     PrefixDataset,
     ValidationError,
     accuracy,
@@ -19,13 +18,10 @@ from resnap.experiment import RARE_LABEL
 
 from synth import run_structured_log
 
-ENC = LabelEncoder(("A", "B", "C"))
-
-
-def dataset_with_targets(targets, prefix=(0,)):
+def dataset_with_targets(targets, prefix=(0,), activities=("A", "B", "C")):
     samples = np.array([list(prefix) + [t] for t in targets], dtype=np.int64)
     resource_ids = tuple(f"r{i}" for i in range(len(targets)))
-    return PrefixDataset(len(prefix), resource_ids, samples, ENC)
+    return PrefixDataset(len(prefix), resource_ids, samples, activities)
 
 
 # --- rare classes -----------------------------------------------------------
@@ -40,9 +36,16 @@ def test_single_rare_class_is_duplicated():
 
 def test_multiple_rare_classes_merge_into_placeholder():
     ds = handle_rare_classes(dataset_with_targets([0, 0, 1, 2]))
-    rare_id = ds.encoder.encode(RARE_LABEL)
-    assert ds.targets.tolist() == [0, 0, rare_id, rare_id]
-    assert ds.encoder.decode(rare_id) == RARE_LABEL
+    assert ds.targets.tolist() == [0, 0, 3, 3]
+    assert ds.activities == ("A", "B", "C", RARE_LABEL)
+
+
+def test_placeholder_never_takes_the_code_of_an_activity_of_its_name():
+    # a log may hold an activity named like the placeholder; its samples keep their own class
+    alphabet = ("A", "B", "C", RARE_LABEL)
+    ds = handle_rare_classes(dataset_with_targets([0, 0, 1, 2, 3, 3], activities=alphabet))
+    assert ds.targets.tolist() == [0, 0, 4, 4, 3, 3]
+    assert ds.activities == ("A", "B", "C", RARE_LABEL, RARE_LABEL)
 
 
 def test_no_rare_classes_is_identity():
@@ -226,17 +229,10 @@ def test_config_requires_encodings_and_models(small_log):
 
 
 def test_majority_cell_accuracy_is_test_frequency_of_train_majority(small_log):
-    from resnap import (
-        build_prefix_dataset,
-        fit_label_encoder,
-        handle_rare_classes,
-        resource_view,
-    )
+    from resnap import build_prefix_dataset, handle_rare_classes, resource_view
 
     records = run_experiment(small_log, small_config(models=("majority",)))
-    ds = handle_rare_classes(
-        build_prefix_dataset(resource_view(small_log), 5, fit_label_encoder(small_log))
-    )
+    ds = handle_rare_classes(build_prefix_dataset(resource_view(small_log), 5))
     from resnap.seeding import derive_seed
 
     train, test = stratified_split(ds, 0.8, derive_seed(11, "synthetic", 5, "split"))

@@ -37,7 +37,6 @@ from resnap import (  # noqa: E402
     encode_s2gr,
     encode_scap,
     encode_seq_only,
-    fit_label_encoder,
     handle_rare_classes,
     resource_view,
     run_experiment,
@@ -238,7 +237,7 @@ def _encoding_logs() -> dict[str, tuple]:
 def _encoded_datasets(name: str, log, length: int) -> dict:
     """Each encoding of ``log`` at ``length`` as ``run_experiment`` builds it:
     after rare-class handling, with bigrams selected on the training split."""
-    ds = handle_rare_classes(build_prefix_dataset(resource_view(log), length, fit_label_encoder(log)))
+    ds = handle_rare_classes(build_prefix_dataset(resource_view(log), length))
     train, _ = stratified_split(ds, 0.8, derive_seed(23, name, length, "split"))
     seq = encode_seq_only(ds)
     train_prefixes = [tuple(int(v) for v in row) for row in seq.rows[train]]

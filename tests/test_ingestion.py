@@ -88,7 +88,9 @@ def _assert_same(new_src, ref_src, parse, reference):
     for view, reference_view in views:
         a, b = _outcome(view, new), _outcome(reference_view, ref)
         if a[0] == "ok" and b[0] == "ok":
-            assert list(a[1].sequences.items()) == list(b[1].sequences.items())
+            names = a[1].activities
+            decoded = [(k, tuple(names[c] for c in seq)) for k, seq in a[1].sequences.items()]
+            assert decoded == list(b[1].sequences.items())
         else:
             assert a == b
     assert _outcome(profile, new) == _outcome(reference_profile, ref)

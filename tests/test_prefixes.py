@@ -6,62 +6,15 @@ from hypothesis import given, strategies as st
 
 from resnap import (
     ConfigError,
-    LabelEncoder,
     PrefixDataset,
     ResourceView,
     ValidationError,
     build_prefix_dataset,
     eligible_resources,
-    fit_label_encoder,
     prefix_grid,
 )
 
-from conftest import make_log
-
-
-def seq_view(**sequences):
-    return ResourceView({k: tuple(v) for k, v in sequences.items()})
-
-
-def encoder_for(*labels):
-    return LabelEncoder(tuple(sorted(labels)))
-
-
-# --- label encoder --------------------------------------------------------
-
-
-def test_encoder_ids_are_lexicographic():
-    log = make_log([("c1", "B", "r1", 1), ("c1", "A", "r1", 2)])
-    enc = fit_label_encoder(log)
-    assert enc.encode("A") == 0
-    assert enc.encode("B") == 1
-
-
-def test_encoder_singleton_alphabet():
-    log = make_log([("c1", "X", "r1", 1)])
-    enc = fit_label_encoder(log)
-    assert enc.encode("X") == 0
-    assert len(enc) == 1
-
-
-def test_encoder_round_trip(tiny_log):
-    enc = fit_label_encoder(tiny_log)
-    for activity in tiny_log.activity_alphabet:
-        assert enc.decode(enc.encode(activity)) == activity
-
-
-def test_encoder_unknown_label_raises():
-    enc = encoder_for("A")
-    with pytest.raises(ValidationError):
-        enc.encode("Z")
-    with pytest.raises(ValidationError):
-        enc.decode(5)
-
-
-def test_encoder_with_extra_appends_id():
-    enc = encoder_for("A", "B").with_extra("__RARE__")
-    assert enc.encode("__RARE__") == 2
-    assert enc.with_extra("__RARE__") is enc
+from conftest import seq_view
 
 
 # --- eligibility ----------------------------------------------------------
@@ -93,7 +46,7 @@ def test_eligible_count_non_increasing_in_length(length):
 
 def test_build_prefix_dataset_takes_first_l_and_next():
     v = seq_view(r1="ABAC")
-    ds = build_prefix_dataset(v, 2, encoder_for("A", "B", "C"))
+    ds = build_prefix_dataset(v, 2)
     assert ds.samples.tolist() == [[0, 1, 0]]  # A, B, then A
     assert ds.prefixes.tolist() == [[0, 1]]
     assert ds.targets.tolist() == [0]
@@ -101,37 +54,36 @@ def test_build_prefix_dataset_takes_first_l_and_next():
 
 def test_build_prefix_dataset_excludes_targetless_resource():
     v = seq_view(r1="AB", r2="ABC")
-    ds = build_prefix_dataset(v, 2, encoder_for("A", "B", "C"))
+    ds = build_prefix_dataset(v, 2)
     assert ds.resource_ids == ("r2",)
 
 
 def test_build_prefix_dataset_one_sample_per_eligible_resource():
     v = seq_view(r1="ABC", r2="BCA")
-    ds = build_prefix_dataset(v, 2, encoder_for("A", "B", "C"))
+    ds = build_prefix_dataset(v, 2)
     assert len(ds.samples) == 2
 
 
 def test_build_prefix_dataset_errors_when_nothing_eligible():
     v = seq_view(r1="AB")
     with pytest.raises(ValidationError, match="grid"):
-        build_prefix_dataset(v, 5, encoder_for("A", "B"))
+        build_prefix_dataset(v, 5)
 
 
 @given(st.integers(min_value=1, max_value=6))
 def test_prefix_plus_target_reproduces_sequence_head(length):
     v = seq_view(r1="ABCABCA", r2="BCABCAB")
-    enc = encoder_for("A", "B", "C")
-    ds = build_prefix_dataset(v, length, enc)
+    ds = build_prefix_dataset(v, length)
+    assert ds.activities == ("A", "B", "C")
     for rid, prefix, target in zip(ds.resource_ids, ds.prefixes.tolist(), ds.targets.tolist()):
-        decoded = tuple(enc.decode(i) for i in prefix) + (enc.decode(target),)
-        assert decoded == v.sequences[rid][: length + 1]
+        decoded = "".join(ds.activities[i] for i in [*prefix, target])
+        assert decoded == {"r1": "ABCABCA", "r2": "BCABCAB"}[rid][: length + 1]
 
 
 def test_build_prefix_dataset_deterministic_order():
     v = seq_view(r2="ABC", r1="BCA")
-    enc = encoder_for("A", "B", "C")
-    first = build_prefix_dataset(v, 1, enc)
-    second = build_prefix_dataset(v, 1, enc)
+    first = build_prefix_dataset(v, 1)
+    second = build_prefix_dataset(v, 1)
     assert first.resource_ids == second.resource_ids
     assert np.array_equal(first.samples, second.samples)
     assert first.resource_ids == ("r1", "r2")
@@ -140,7 +92,7 @@ def test_build_prefix_dataset_deterministic_order():
 @pytest.mark.parametrize("shape", [(2,), (2, 2), (3, 3), (2, 3, 1)])
 def test_prefix_dataset_rejects_a_matrix_of_the_wrong_shape(shape):
     with pytest.raises(ValidationError, match="must be 2 x 3"):
-        PrefixDataset(2, ("r1", "r2"), np.zeros(shape, dtype=np.int64), encoder_for("A"))
+        PrefixDataset(2, ("r1", "r2"), np.zeros(shape, dtype=np.int64), ("A",))
 
 
 # --- prefix grid ------------------------------------------------------------
@@ -151,8 +103,8 @@ def grid_view(counts: dict[int, int]):
     sequences = {}
     for length, count in counts.items():
         for i in range(count):
-            sequences[f"r{length}_{i}"] = tuple("A" * length)
-    return ResourceView(sequences)
+            sequences[f"r{length}_{i}"] = (0,) * length
+    return ResourceView(("A",), sequences)
 
 
 def test_prefix_grid_stops_at_first_failure():

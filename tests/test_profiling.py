@@ -19,46 +19,41 @@ from resnap import (
     variant_ratio,
 )
 
-from conftest import make_log
+from conftest import make_log, seq_view
 
 ACTIVITIES = st.sampled_from(["A", "B", "C", "D"])
-
-
-def view(**sequences):
-    return ResourceView({k: tuple(v) for k, v in sequences.items()})
 
 
 # --- variant ratio -------------------------------------------------------
 
 
 def test_variant_ratio_all_distinct():
-    assert variant_ratio(view(r1="ABC", r2="ACB", r3="BAC")) == 1.0
+    assert variant_ratio(seq_view(r1="ABC", r2="ACB", r3="BAC")) == 1.0
 
 
 def test_variant_ratio_shared_variant():
-    assert variant_ratio(view(r1="ABC", r2="ABC")) == 0.5
+    assert variant_ratio(seq_view(r1="ABC", r2="ABC")) == 0.5
 
 
 def test_variant_ratio_empty_view_raises():
     with pytest.raises(ValidationError):
-        variant_ratio(ResourceView({}))
+        variant_ratio(ResourceView((), {}))
 
 
 @given(st.integers(min_value=1, max_value=8))
 def test_variant_ratio_all_equal_is_one_over_n(n):
-    sequences = {f"r{i}": ("A", "B") for i in range(n)}
-    assert variant_ratio(ResourceView(sequences)) == pytest.approx(1 / n)
+    assert variant_ratio(seq_view(**{f"r{i}": "AB" for i in range(n)})) == pytest.approx(1 / n)
 
 
 # --- sequence length -----------------------------------------------------
 
 
 def test_avg_sequence_length():
-    assert avg_sequence_length(view(r1="AB", r2="CDEF")) == 3.0
+    assert avg_sequence_length(seq_view(r1="AB", r2="CDEF")) == 3.0
 
 
 def test_avg_sequence_length_single_resource():
-    assert avg_sequence_length(view(r1="AAAAA")) == 5.0
+    assert avg_sequence_length(seq_view(r1="AAAAA")) == 5.0
 
 
 # --- specialization ------------------------------------------------------
@@ -98,12 +93,12 @@ def test_specialization_invariant_under_renaming(seq):
 
 
 def test_avg_specialization_is_mean():
-    v = view(r1="AAA", r2="ABCD")
+    v = seq_view(r1="AAA", r2="ABCD")
     assert avg_specialization(v, 4) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_avg_specialization_single_repeating_resource():
-    assert avg_specialization(view(r1="AA"), 2) == 1.0
+    assert avg_specialization(seq_view(r1="AA"), 2) == 1.0
 
 
 # --- repetition ----------------------------------------------------------
@@ -127,11 +122,11 @@ def test_repetition_grows_under_self_concatenation(seq):
 
 
 def test_avg_repetition():
-    assert avg_repetition(view(r1="ABC", r2="AAA")) == pytest.approx(1.0, abs=1e-9)
+    assert avg_repetition(seq_view(r1="ABC", r2="AAA")) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_avg_repetition_all_singletons():
-    assert avg_repetition(view(r1="A", r2="B")) == 0.0
+    assert avg_repetition(seq_view(r1="A", r2="B")) == 0.0
 
 
 # --- majority baseline ---------------------------------------------------

@@ -172,3 +172,20 @@ def test_csv_row_with_more_fields_than_the_header_says_so(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}: record 2: 2 more field"):
         load_records(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, accepted",
+    [
+        ("encoding", "S2G", "SeqOnly, SCap, S2g, S2gR"),
+        ("model", "tree", "majority, forest, boosted"),
+        ("status", "timeout", "ok, failed"),
+    ],
+)
+def test_record_with_an_unknown_name_says_so(tmp_path, key, value, accepted):
+    records = [record(), record(**{key: value})]
+    for fmt in ("csv", "json"):
+        path = export_records(records, tmp_path / f"records.{fmt}")
+        message = f"{path}: record 2: unknown {key} '{value}'; accepted: {accepted}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_records(path)
