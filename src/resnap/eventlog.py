@@ -64,43 +64,34 @@ class Event:
 
 @dataclass
 class EventColumns:
-    """Per-event lists a reader fills in file order, before validation.
+    """The events a reader read, in file order, before validation.
 
-    ``resources`` holds None (or "") for events without a resource;
-    ``timestamps_us`` holds each event's UTC epoch microseconds, 8 bytes
-    apiece. Event ``i`` has file order ``i``.
+    ``names`` codes each case id, activity and resource in first-read
+    order; the resource name "" means none. ``codes`` holds each event's
+    case, activity and resource code and its UTC epoch microseconds, 8
+    bytes apiece. Event ``i`` has file order ``i``.
     """
 
-    cases: list[str] = field(default_factory=list)
-    activities: list[str] = field(default_factory=list)
-    resources: list[str | None] = field(default_factory=list)
-    timestamps_us: array = field(default_factory=lambda: array("q"))
+    names: tuple[dict[str, int], ...] = field(default_factory=lambda: ({}, {}, {}))
+    codes: tuple[array, ...] = field(default_factory=lambda: tuple(array("q") for _ in range(4)))
 
-    def coded(self) -> CodedColumns:
-        """The same events as codes into sorted names; a missing resource reads as ""."""
-        resources = [r or "" for r in self.resources]
-        names, codes = zip(*map(_coded, (self.cases, self.activities, resources)))
-        stamps = np.array(self.timestamps_us, dtype=np.int64)
-        return CodedColumns(*names, *codes, stamps)
+    def __len__(self) -> int:
+        return len(self.codes[3])
 
+    def add(self, case: str, activity: str, resource: str | None, timestamp_us: int) -> None:
+        """Append one event; a resource of None reads as ""."""
+        cases, activities, resources = self.names
+        case_codes, activity_codes, resource_codes, stamps = self.codes
+        case_codes.append(cases.setdefault(case, len(cases)))
+        activity_codes.append(activities.setdefault(activity, len(activities)))
+        resource_codes.append(resources.setdefault(resource or "", len(resources)))
+        stamps.append(timestamp_us)
 
-@dataclass
-class CodedColumns:
-    """Per-event integer codes a reader made, in file order, before validation.
-
-    ``cases[case_codes[i]]`` is event ``i``'s case id, and likewise for
-    activities and resources; the resource name "" means none. Each
-    sequence of names holds distinct names in any order, and may hold
-    names no event uses. Event ``i`` has file order ``i``.
-    """
-
-    cases: Sequence[str]
-    activities: Sequence[str]
-    resources: Sequence[str]
-    case_codes: np.ndarray
-    activity_codes: np.ndarray
-    resource_codes: np.ndarray
-    timestamps_us: np.ndarray
+    def extend(self, case_codes, activity_codes, resource_codes, timestamps_us) -> None:
+        """Append a block of events: arrays of codes into ``names``, and timestamps."""
+        block = (case_codes, activity_codes, resource_codes, timestamps_us)
+        for codes, column in zip(self.codes, block):
+            codes.frombytes(memoryview(np.ascontiguousarray(column, dtype=np.int64)).cast("B"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +183,7 @@ class CaseView:
     sequences: Mapping[str, tuple[int, ...]]
 
 
-def build_event_log(events: Iterable[Event] | EventColumns | CodedColumns) -> EventLog:
+def build_event_log(events: Iterable[Event] | EventColumns) -> EventLog:
     """Assemble an EventLog from :class:`Event` objects or a reader's columns.
 
     Events whose resource is missing (None or empty) are dropped and
@@ -201,10 +192,8 @@ def build_event_log(events: Iterable[Event] | EventColumns | CodedColumns) -> Ev
     :class:`EmptyLogError` when no events are supplied at all.
     """
     file_order = None
-    if isinstance(events, EventColumns):
-        events = events.coded()
-    elif not isinstance(events, CodedColumns):
-        raw = EventColumns()
+    if not isinstance(events, EventColumns):
+        columns = EventColumns()
         orders: list[int] = []
         seen_orders: set[int] = set()
         for ev in events:
@@ -212,25 +201,24 @@ def build_event_log(events: Iterable[Event] | EventColumns | CodedColumns) -> Ev
                 raise ValidationError(f"duplicate file_order {ev.file_order}")
             seen_orders.add(ev.file_order)
             orders.append(ev.file_order)
-            raw.cases.append(ev.case_id)
-            raw.activities.append(ev.activity)
-            raw.resources.append(ev.resource)
             try:
-                raw.timestamps_us.append(epoch_us(ev.timestamp))
+                timestamp_us = epoch_us(ev.timestamp)
             except ValueError as exc:
                 raise ValidationError(f"event {ev.file_order}: {exc}") from exc
-        events = raw.coded()
+            columns.add(ev.case_id, ev.activity, ev.resource, timestamp_us)
+        events = columns
         file_order = np.array(orders, dtype=np.int64)
-    n = len(events.case_codes)
+    n = len(events)
     if not n:
         raise EmptyLogError("no events in source")
     if file_order is None:
         file_order = np.arange(n, dtype=np.int64)
-    named = np.array([bool(name) for name in events.resources], dtype=bool)
-    kept = np.flatnonzero(named[events.resource_codes])
-    resources, resource_codes = _recoded(events.resources, events.resource_codes[kept])
-    activities, activity_codes = _recoded(events.activities, events.activity_codes[kept])
-    cases, case_codes = _recoded(events.cases, events.case_codes[kept])
+    case_codes, activity_codes, resource_codes, timestamps_us = map(np.asarray, events.codes)
+    kept = np.flatnonzero(resource_codes != events.names[2].get("", -1))
+    cases, activities, resources = map(list, events.names)
+    resources, resource_codes = _recoded(resources, resource_codes[kept])
+    activities, activity_codes = _recoded(activities, activity_codes[kept])
+    cases, case_codes = _recoded(cases, case_codes[kept])
     return EventLog(
         activities=activities,
         resources=resources,
@@ -238,18 +226,10 @@ def build_event_log(events: Iterable[Event] | EventColumns | CodedColumns) -> Ev
         activity_codes=activity_codes,
         resource_codes=resource_codes,
         case_codes=case_codes,
-        timestamps_us=events.timestamps_us[kept],
+        timestamps_us=timestamps_us[kept],
         file_order=file_order[kept],
         dropped_event_count=n - len(kept),
     )
-
-
-def _coded(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Sorted alphabet of ``values`` and each value's index into it."""
-    alphabet = tuple(sorted(set(values)))
-    index = {name: i for i, name in enumerate(alphabet)}
-    codes = np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
-    return alphabet, codes
 
 
 def _recoded(names: Sequence[str], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:

@@ -1,7 +1,8 @@
 """Readers for XES (XML) and delimited-text event logs.
 
-Both readers fill the same per-event columns and produce the same kind
-of validated :class:`EventLog`:
+Every path of both readers fills one :class:`EventColumns`, coding each
+case id, activity and resource as it reads it, and
+:func:`build_event_log` makes the same kind of validated :class:`EventLog`:
 
 * events lacking a resource are dropped and counted,
 * timestamps are normalised to UTC epoch microseconds (naive values are
@@ -57,7 +58,6 @@ from .errors import ConfigError, EmptyLogError, ParseError, ValidationError
 from .eventlog import (
     _MAX_US,
     _MIN_US,
-    CodedColumns,
     EventColumns,
     EventLog,
     build_event_log,
@@ -344,10 +344,8 @@ class _XesTarget:
                 raise ValidationError(
                     f"{self.prefix}event without time:timestamp in trace '{case_id}'"
                 )
-            cols.cases.append(case_id)
-            cols.activities.append(activity)
-            cols.resources.append(attrs.get("org:resource"))
-            cols.timestamps_us.append(self.timestamp_us(ts_text, case_id))
+            timestamp_us = self.timestamp_us(ts_text, case_id)
+            cols.add(case_id, activity, attrs.get("org:resource"), timestamp_us)
         self.pending.clear()
 
 
@@ -396,7 +394,7 @@ def _parse_xes_expat(source) -> EventLog:
         raise ParseError(f"{name}: unreadable XML encoding ({exc})") from exc
     if target.n_traces == 0:
         raise EmptyLogError("XES document contains no traces")
-    if not target.columns.cases:
+    if not target.columns:
         raise EmptyLogError("XES document contains no events")
     return build_event_log(target.columns)
 
@@ -434,7 +432,7 @@ def _parse_csv_rows(source, mapping: CsvMapping) -> EventLog:
     it, so the first error in file order is the one raised, and a row of
     bytes that are not UTF-8 is named as any other row is."""
     cols = _read_csv(source, mapping)
-    if not cols.cases:
+    if not cols:
         raise EmptyLogError("CSV input contains no data rows")
     return build_event_log(cols)
 
@@ -472,7 +470,7 @@ def _read_csv(source, mapping: CsvMapping) -> EventColumns:
                 text.detach()  # leave the underlying stream to its owner
     except (csv.Error, UnicodeDecodeError, *_GZIP_ERRORS) as exc:
         # every data row read before the error added one event
-        place = "the header row" if header is None else f"row {len(cols.cases) + 1}"
+        place = "the header row" if header is None else f"row {len(cols) + 1}"
         if isinstance(exc, UnicodeDecodeError):
             raise ParseError(f"{_name(source)}: {place} is not UTF-8 text") from exc
         what = "unreadable CSV" if isinstance(exc, csv.Error) else "truncated or corrupt gzip data"
@@ -500,10 +498,8 @@ def _read_csv_rows(
             raise ValidationError(f"{name}: empty case id in row {row_no}")
         if not activity:
             raise ValidationError(f"{name}: empty activity in row {row_no}")
-        cols.cases.append(case_id)
-        cols.activities.append(activity)
-        cols.resources.append(row[i_resource].strip())
-        cols.timestamps_us.append(timestamp_us(row[i_ts].strip(), row_no))
+        stamp = timestamp_us(row[i_ts].strip(), row_no)
+        cols.add(case_id, activity, row[i_resource].strip(), stamp)
 
 
 # --- the columnar CSV path ------------------------------------------------
@@ -513,8 +509,8 @@ _WIDE = 64  # longest field, in bytes, the columnar path codes as an array row
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier of the field hash
 
 
-def _columnar_csv(source, mapping: CsvMapping) -> CodedColumns | None:
-    """The coded columns of a clean CSV source, or None when it is not clean.
+def _columnar_csv(source, mapping: CsvMapping) -> EventColumns | None:
+    """The events of a clean CSV source, or None when it is not clean.
 
     The decompressed source is read in blocks of whole lines
     (:func:`_blocks`), and each block's lines, fields and columns
@@ -531,8 +527,8 @@ def _columnar_csv(source, mapping: CsvMapping) -> CodedColumns | None:
     if len(delimiter) != 1 or not delimiter.isascii() or delimiter in '"\r\n\0':
         return None
     limit = csv.field_size_limit()
-    names: tuple[dict[str, int], ...] = ({}, {}, {})  # stripped text -> code, per column
-    outs: tuple[list[np.ndarray], ...] = ([], [], [], [])  # three code columns, timestamps
+    events = EventColumns()
+    names = events.names  # stripped text -> code, per column
     positions = None
     try:
         with _open_binary(source) as stream:
@@ -553,13 +549,10 @@ def _columnar_csv(source, mapping: CsvMapping) -> CodedColumns | None:
                 columns.append(_stamps(block, data, *fields[3]))
                 if any(column is None for column in columns) or "" in names[0] or "" in names[1]:
                     return None
-                for column, out in zip(columns, outs):
-                    out.append(column)
+                events.extend(*columns)
     except _GZIP_ERRORS:
         return None
-    if not sum(map(len, outs[3])):
-        return None
-    return CodedColumns(*(list(known) for known in names), *map(np.concatenate, outs))
+    return events or None
 
 
 def _blocks(stream: BinaryIO, end: bytes) -> Iterator[bytes]:

@@ -118,7 +118,7 @@ def export_records(records: Sequence[ResultRecord], path: str | Path) -> Path:
                 row["best_params"] = json.dumps(row["best_params"], sort_keys=True)
                 writer.writerow([_fmt(row[f]) for f in _FIELDS])
     else:
-        raise ConfigError(f"unsupported records format {path.suffix!r}")
+        raise ConfigError(f"{path}: unsupported records format {path.suffix!r}")
     return path
 
 
@@ -145,16 +145,23 @@ def _record(where: str, row, text: bool) -> ResultRecord:
     unknown = [key for key in keys if key not in _FIELDS]
     if missing or unknown:
         raise ValidationError(f"{where}: missing key(s) {missing}, unknown key(s) {unknown}")
-    return ResultRecord(wall_time=0.0, **{key: _field(where, key, row[key], text) for key in _FIELDS})
+    values = {key: _field(where, key, row[key], text) for key in _FIELDS}
+    status, accuracy = values["status"], values["accuracy"]
+    if (status == "ok") == (accuracy is None):  # _run_cell gives an accuracy exactly when ok
+        expected = "a number" if status == "ok" else "empty"
+        raise ValidationError(f"{where}: accuracy must be {expected} when the status is "
+                              f"{status!r}, got {accuracy!r}")
+    return ResultRecord(wall_time=0.0, **values)
 
 
 def load_records(path: str | Path) -> list[ResultRecord]:
     """Read records back; wall_time is not stored and loads as zero.
 
-    A record with a missing or unknown key, a value of the wrong type, or
-    a model, encoding or status resnap does not know raises
-    ValidationError naming the file, the record and the key; a CSV
-    row with more fields than the header raises it naming the row.
+    A record with a missing or unknown key, a value of the wrong type, a
+    model, encoding or status resnap does not know, or an accuracy where
+    the status is not ``ok`` (or none where it is) raises ValidationError
+    naming the file, the record and the key; a CSV row with more fields
+    than the header raises it naming the row.
     """
     path = Path(path)
     if path.suffix == ".json":
@@ -173,7 +180,7 @@ def load_records(path: str | Path) -> list[ResultRecord]:
         except UnicodeDecodeError:
             raise ValidationError(f"{path} is not a records file (not UTF-8 text)") from None
     else:
-        raise ConfigError(f"unsupported records format {path.suffix!r}")
+        raise ConfigError(f"{path}: unsupported records format {path.suffix!r}")
     text = path.suffix == ".csv"
     return [_record(f"{path}: record {i}", row, text) for i, row in enumerate(rows, start=1)]
 

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .eventlog import CodedColumns
+from .eventlog import EventColumns
 from .parsers import _GZIP_ERRORS, _WIDE, _blocks, _code, _open_binary, _stamps
 
 _TRACE_END = b"</trace>"
@@ -70,8 +70,8 @@ class _WordTable:
 _NAMES, _KEYS = _WordTable(_XES_NAMES), _WordTable(_XES_KEYS)
 
 
-def columnar_xes(source) -> CodedColumns | None:
-    """The coded columns of a clean XES document, or None when it is not clean.
+def columnar_xes(source) -> EventColumns | None:
+    """The events of a clean XES document, or None when it is not clean.
 
     The decompressed source is read in pieces that end with ``</trace>``
     (:func:`~resnap.parsers._blocks`), so each holds whole traces, and
@@ -102,7 +102,7 @@ def columnar_xes(source) -> CodedColumns | None:
                     return None
     except _GZIP_ERRORS:
         return None
-    return scan.columns()
+    return scan.events if scan.root == 2 and scan.events else None
 
 
 def _utf8(text: bytes) -> bool:
@@ -241,22 +241,15 @@ class _XesScan:
 
     Between pieces it keeps the codes of the names of the elements still
     open (a piece ends with ``</trace>``, so at most the root), where the
-    root stands, the number of traces read, and the names and codes made.
+    root stands, the number of traces read, and the events read.
     """
 
     def __init__(self):
-        self.names: tuple[dict[str, int], ...] = ({}, {}, {})  # case, activity, resource
-        self.outs: tuple[list[np.ndarray], ...] = ([], [], [], [])  # their codes, timestamps
+        self.events = EventColumns()
         self.stack: list[int] = []  # name codes of the open elements, the root first
         self.root = 0  # 0 before <log>, 1 inside it, 2 after </log>
         self.n_traces = 0
         self.started = False
-
-    def columns(self) -> CodedColumns | None:
-        """The columns read; None unless the root closed and there was an event."""
-        if self.root != 2 or not sum(map(len, self.outs[3])):
-            return None
-        return CodedColumns(*(list(known) for known in self.names), *map(np.concatenate, self.outs))
 
     def read(self, block: bytes) -> bool:
         """Add the events of the next piece; False when it is not clean."""
@@ -389,10 +382,11 @@ class _XesScan:
         trace = np.searchsorted(traces, owner[rows])
         named = _first_per_owner(trace) & (hi[rows] > lo[rows])  # an empty case id reads as none
         rows, trace = rows[named], trace[named]
+        case_names, activity_names, resource_names = self.events.names
         codes = [
-            _code(block, data, lo[rows], hi[rows], self.names[0], _value),
-            _code(block, data, act_lo, act_hi, self.names[1], _value),
-            _code(block, data, *resource, self.names[2], _value),
+            _code(block, data, lo[rows], hi[rows], case_names, _value),
+            _code(block, data, act_lo, act_hi, activity_names, _value),
+            _code(block, data, *resource, resource_names, _value),
             _stamps(block, data, *stamp, _stamp),
         ]
         if any(column is None for column in codes):
@@ -401,9 +395,8 @@ class _XesScan:
         cases[trace] = codes[0]
         for t in np.setdiff1d(np.arange(len(traces)), trace).tolist():
             case_id = f"trace-{self.n_traces + t + 1}"
-            cases[t] = self.names[0].setdefault(case_id, len(self.names[0]))
+            cases[t] = case_names.setdefault(case_id, len(case_names))
         self.n_traces += len(traces)
         codes[0] = cases[np.searchsorted(traces, event_trace)]
-        for column, out in zip(codes, self.outs):
-            out.append(column)
+        self.events.extend(*codes)
         return True

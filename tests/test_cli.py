@@ -239,9 +239,10 @@ def _json_records(**change) -> str:
         ("latin-1.json",
          _json_records(dataset="caf\xe9").encode("latin-1").replace(b"\\u00e9", b"\xe9"),
          "is not a records file"),
+        ("records.txt", f"{CSV_HEADER}\n{CSV_GOOD}\n", ": unsupported records format '.txt'"),
     ],
     ids=["no-column", "bad-length", "no-key", "extra-key", "string-accuracy", "latin-1-csv",
-         "latin-1-json"],
+         "latin-1-json", "text-suffix"],
 )
 def test_report_malformed_records_file_exits_two(fixture_env, capsys, name, content, named):
     tmp_path, data = fixture_env
@@ -402,12 +403,13 @@ def test_run_non_numeric_value_exits_two_before_parsing(fixture_env, capsys, key
 
 
 def _edited_config(tmp_path, data, edit) -> Path:
-    """The fixture config after ``edit(config)``, with the log file removed,
-    so a parse attempt would fail with "dataset file not found"."""
+    """The fixture config after ``edit(config)`` (text it returns is written
+    as it is), with the log file removed, so a parse attempt would fail
+    with "dataset file not found"."""
     config_path = write_config(tmp_path, data)
     config = json.loads(config_path.read_text())
     config = edit(config) or config
-    config_path.write_text(json.dumps(config))
+    config_path.write_text(config if isinstance(config, str) else json.dumps(config))
     data.unlink()
     return config_path
 
@@ -534,6 +536,8 @@ def _repeat_dataset(config):
         (_put(EXPERIMENT, "min_resources", False), "min_resources must be an integer"),
         (_put(EXPERIMENT, "min_resources", -5), "min_resources must be at least 1"),
         (_repeat_dataset, "id 'fixture' is already declared"),
+        (_put(DATASET, "format", "parquet"), "format must be 'xes' or 'csv', got 'parquet'"),
+        (lambda config: json.dumps(config)[:-1], "config file is not valid JSON"),
         (_put(EXPERIMENT, "encodings", ["SeqOnly", "SeqOnly"]), "encodings must not repeat"),
         (_put(EXPERIMENT, "grids", {"tree": {"max_depth": [3]}}), "a grid for 'tree'"),
         *(
@@ -564,7 +568,8 @@ def _repeat_dataset(config):
         "timestamp_format-number", "case-number", "candidates-descending", "candidates-empty",
         "ouput_dir", "prefix_candidate", "delimeter", "mi_K", "mi_k-true", "workers-fraction",
         "seed-string", "cv_folds-fraction", "split_ratio-string", "min_resources-false",
-        "min_resources-negative", "repeated-dataset-id", "repeated-encoding", "tree-grid",
+        "min_resources-negative", "repeated-dataset-id", "format-parquet", "not-json",
+        "repeated-encoding", "tree-grid",
         "max_features-log2", "max_features-negative", "max_features-fraction",
         "max_features-true", "max_features-zero", "subsample-above-one", "subsample-zero",
         "colsample-negative", "colsample-string", "learning_rate-string",
@@ -583,6 +588,22 @@ def test_every_command_rejects_a_config_off_the_schema_before_parsing(
         err = capsys.readouterr().err
         assert named in err, (command, err)
         assert "parsing" not in err and "not found" not in err
+
+
+def _second_dataset(config):
+    config["datasets"].append({**config["datasets"][0], "id": "other"})
+
+
+@pytest.mark.parametrize("command", ["profile", "grid", "run"])
+def test_no_dataset_flag_with_several_datasets_exits_two_before_parsing(
+    fixture_env, capsys, command
+):
+    tmp_path, data = fixture_env
+    config_path = _edited_config(tmp_path, data, _second_dataset)
+    assert main([command, "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "--dataset is required when the config lists several datasets" in err
+    assert "parsing" not in err and "not found" not in err
 
 
 def _readme_config() -> dict:

@@ -78,21 +78,28 @@ FALLBACKS = {
     "truncated gzip": gzip.compress(_doc(*[GOOD] * 50))[:60],
 }
 NUL = pytest.param(
-    _doc(GOOD, "c2,B\0,r2,2024-03-01T12:00:01Z"),
+    _doc(GOOD, "c2,B\0,r2,2024-03-01T12:00:01Z"), ISO,
     marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="csv reads NUL from 3.11"),
     id="NUL",
+)
+# a delimiter the columnar path does not split at: the csv module reads it
+SECTION = pytest.param(
+    _doc(GOOD, "c2,B,r2,2024-03-01T12:00:01Z").decode().replace(",", "\u00a7").encode(),
+    CsvMapping(**{**vars(ISO), "delimiter": "\u00a7"}),
+    id="delimiter outside ASCII",
 )
 
 
 @pytest.mark.parametrize(
-    "doc", [*(pytest.param(doc, id=name) for name, doc in FALLBACKS.items()), NUL]
+    "doc, mapping",
+    [*(pytest.param(doc, ISO, id=name) for name, doc in FALLBACKS.items()), NUL, SECTION],
 )
-def test_each_fallback_reaches_the_csv_module_and_matches_reference(reader_calls, doc):
+def test_each_fallback_reaches_the_csv_module_and_matches_reference(reader_calls, doc, mapping):
     if doc.startswith(b"\x1f\x8b"):  # the reference reader does not name gzip errors
         with pytest.raises(ParseError, match=r"^input: truncated or corrupt gzip data in "):
-            parse_csv(doc, ISO)
+            parse_csv(doc, mapping)
     else:
-        _assert_same_csv(doc, ISO)
+        _assert_same_csv(doc, mapping)
     assert len(reader_calls) >= 1
 
 

@@ -189,3 +189,26 @@ def test_record_with_an_unknown_name_says_so(tmp_path, key, value, accepted):
         message = f"{path}: record 2: unknown {key} '{value}'; accepted: {accepted}"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_records(path)
+
+
+@pytest.mark.parametrize(
+    "status, accuracy, message",
+    [
+        ("ok", None, "accuracy must be a number when the status is 'ok', got None"),
+        ("failed", 0.5, "accuracy must be empty when the status is 'failed', got 0.5"),
+    ],
+    ids=["ok-without-accuracy", "failed-with-accuracy"],
+)
+def test_record_whose_status_and_accuracy_disagree_says_so(tmp_path, status, accuracy, message):
+    records = [record(), record(status=status, accuracy=accuracy)]
+    for fmt in ("csv", "json"):
+        path = export_records(records, tmp_path / f"records.{fmt}")
+        expected = f"{path}: record 2: {message}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
+            load_records(path)
+
+
+def test_aggregate_without_a_baseline_has_no_improvement_rows():
+    table = aggregate([record(encoding="S2g"), record(encoding="SCap", accuracy=0.75)])
+    assert [(c.encoding, c.mean) for c in table.accuracy] == [("S2g", 0.5), ("SCap", 0.75)]
+    assert table.improvement == ()

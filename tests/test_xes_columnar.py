@@ -159,6 +159,9 @@ FALLBACKS = {
     "event under an event": _xes(_trace("c1", GOOD.replace("</event>", GOOD + "</event>"))),
     "root other than log": _xes(_trace("c1", GOOD), head="<trace>", tail="</trace>"),
     "two roots": _xes(_trace("c1", GOOD), tail="</log><log/>"),
+    "close before the root": _xes(_trace("c1", GOOD), head="</log><log>"),
+    "event under a log attribute": _xes(_trace("c1", GOOD),
+                                        head='<log><string key="a" value="b">' + GOOD + "</string>"),
     "bad nesting": _xes(_trace("c1", GOOD).replace("</event>", "</trace>", 1)),
     "unclosed root": _xes(_trace("c1", GOOD), tail=""),
     "truncated": _xes(_trace("c1", GOOD))[:-20],
