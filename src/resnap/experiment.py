@@ -260,6 +260,11 @@ def run_experiment(log: EventLog, cfg: ExperimentConfig) -> list[ResultRecord]:
         ds = handle_rare_classes(build_prefix_dataset(view, length))
         split_seed = derive_seed(cfg.seed, cfg.dataset_id, length, "split")
         train_idx, test_idx = stratified_split(ds, cfg.split_ratio, split_seed)
+        if len(train_idx) < cfg.cv_folds:  # checked before any cell runs
+            raise ConfigError(
+                f"prefix length {length}: {len(train_idx)} training sample(s) cannot make "
+                f"{cfg.cv_folds} folds; raise min_resources or drop the length"
+            )
         prefixes = ds.prefixes.tolist()
         train_prefixes = [prefixes[i] for i in train_idx]
         leak = example_leakage(train_prefixes, [prefixes[i] for i in test_idx]).leaked_fraction

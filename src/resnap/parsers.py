@@ -30,10 +30,12 @@ attribute elements written as ``key="K" value="V"``, no comment past the
 prologue, no CDATA, DOCTYPE, processing instruction, reference other
 than the five predefined entities or namespace prefix, and no event the
 expat path rejects (see :mod:`.xes_columnar`, imported on the first
-columnar read, so a run that reads only CSV never compiles it). Any other
-input, a ``timestamp_format`` mapping and a caller's stream (which
-cannot be read twice) go through the csv module or expat (fed in chunks
-of ``_CHUNK`` bytes) from the start, so every error message is theirs.
+columnar read, so a run that reads only CSV never compiles it). A helper
+that finds other input raises :class:`_Declined`, and the columnar reader
+catches it and declines the input. Declined input, a ``timestamp_format``
+mapping and a caller's stream (which cannot be read twice) go through
+the csv module or expat (fed in chunks of ``_CHUNK`` bytes) from the
+start, so every error message is theirs.
 """
 from __future__ import annotations
 
@@ -509,8 +511,12 @@ _WIDE = 64  # longest field, in bytes, the columnar path codes as an array row
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier of the field hash
 
 
+class _Declined(Exception):
+    """A columnar reader's input is not clean: the plain reader takes it."""
+
+
 def _columnar_csv(source, mapping: CsvMapping) -> EventColumns | None:
-    """The events of a clean CSV source, or None when it is not clean.
+    """The events of a clean CSV source; None when it is declined as not clean.
 
     The decompressed source is read in blocks of whole lines
     (:func:`_blocks`), and each block's lines, fields and columns
@@ -535,22 +541,16 @@ def _columnar_csv(source, mapping: CsvMapping) -> EventColumns | None:
             for block in _blocks(stream, b"\n"):
                 if positions is None:
                     block = block.removeprefix(codecs.BOM_UTF8)
-                rows = _block_rows(block, ord(delimiter), limit)
-                if rows is None:
-                    return None
-                data, starts, stops, delimiters = rows
+                data, starts, stops, delimiters = _block_rows(block, ord(delimiter), limit)
                 if positions is None:
                     positions = _positions(block, starts, stops, delimiter, mapping)
-                    if positions is None:
-                        return None
                     starts, stops = starts[1:], stops[1:]
                 fields = _fields(starts, stops, delimiters, positions, stops > starts)
                 columns = [_code(block, data, *field, known) for field, known in zip(fields, names)]
-                columns.append(_stamps(block, data, *fields[3]))
-                if any(column is None for column in columns) or "" in names[0] or "" in names[1]:
-                    return None
-                events.extend(*columns)
-    except _GZIP_ERRORS:
+                if "" in names[0] or "" in names[1]:
+                    raise _Declined
+                events.extend(*columns, _stamps(block, data, *fields[3]))
+    except (_Declined, *_GZIP_ERRORS):
         return None
     return events or None
 
@@ -577,16 +577,15 @@ def _blocks(stream: BinaryIO, end: bytes) -> Iterator[bytes]:
 def _block_rows(block: bytes, delimiter: int, limit: int):
     """A clean block's bytes (zero-padded by ``_WIDE``), the start and
     stop of every line (before its ``\\r\\n`` or ``\\n``) and the positions
-    of every delimiter, ending with the block's length; None if not clean."""
-    if b'"' in block or b"\0" in block:
-        return None
-    if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
-        return None
+    of every delimiter, ending with the block's length; declined when not clean."""
+    lone_cr = b"\r" in block and block.count(b"\r") != block.count(b"\r\n")
+    if b'"' in block or b"\0" in block or lone_cr:
+        raise _Declined
     if not block.isascii():
         try:
             block.decode("utf-8")
         except UnicodeDecodeError:
-            return None
+            raise _Declined from None
     data = np.frombuffer(block + bytes(_WIDE), dtype=np.uint8)
     body = data[: len(block)]
     ends = np.flatnonzero(body == 10)
@@ -595,19 +594,19 @@ def _block_rows(block: bytes, delimiter: int, limit: int):
     starts = np.concatenate(([0], ends[:-1] + 1))
     stops = ends - ((ends > starts) & (data[ends - 1] == 13))
     if (stops - starts).max() > limit:
-        return None
+        raise _Declined
     delimiters = np.append(np.flatnonzero(body == delimiter), len(block))
     return data, starts, stops, delimiters
 
 
 def _positions(block: bytes, starts, stops, delimiter: str, mapping: CsvMapping):
     """The header's column index of each mapped column (a repeated name:
-    the last wins), or None when the first line lacks one."""
+    the last wins); declined when the first line lacks one."""
     header = block[starts[0] : stops[0]].decode().split(delimiter)
     index = {name: i for i, name in enumerate(header)}
     wanted = (mapping.case, mapping.activity, mapping.resource, mapping.timestamp)
     if stops[0] == starts[0] or any(col not in index for col in wanted):
-        return None
+        raise _Declined
     return [index[col] for col in wanted]
 
 
@@ -635,8 +634,8 @@ def _stripped(field: bytes) -> str:
 def _code(block: bytes, data, lo, hi, known: dict[str, int], text=_stripped) -> np.ndarray:
     """Each field's code in ``known``, keyed by ``text(field bytes)``; new
     texts are added. A field of at most ``_WIDE`` bytes is read once per
-    distinct value in the block, a wider one once per row. None when two
-    distinct fields share a hash."""
+    distinct value in the block, a wider one once per row. Declined when
+    two distinct fields share a hash."""
     lengths = hi - lo
     codes = np.empty(len(lo), dtype=np.int64)
     narrow = np.flatnonzero(lengths <= _WIDE)
@@ -644,10 +643,7 @@ def _code(block: bytes, data, lo, hi, known: dict[str, int], text=_stripped) -> 
         width = max(8, -(-int(lengths[narrow].max()) // 8) * 8)
         matrix = sliding_window_view(data, width)[lo[narrow]]
         matrix *= np.arange(width) < lengths[narrow, None]
-        distinct = _distinct(matrix)
-        if distinct is None:
-            return None
-        first, inverse = distinct
+        first, inverse = _distinct(matrix)
         texts = (block[a:b] for a, b in zip(lo[narrow][first].tolist(), hi[narrow][first].tolist()))
         lut = np.array([known.setdefault(text(t), len(known)) for t in texts])
         codes[narrow] = lut[inverse]
@@ -658,7 +654,7 @@ def _code(block: bytes, data, lo, hi, known: dict[str, int], text=_stripped) -> 
 
 def _distinct(matrix: np.ndarray):
     """One row index per distinct row of a zero-padded byte matrix, and
-    each row's index into those; None when two distinct rows share a hash."""
+    each row's index into those; declined when two distinct rows share a hash."""
     words = matrix.view(np.uint64)
     key = np.zeros(len(words), dtype=np.uint64)
     for column in words.T:
@@ -667,12 +663,12 @@ def _distinct(matrix: np.ndarray):
         key ^= key >> np.uint64(29)
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     if not np.array_equal(words[first[inverse]], words):
-        return None
+        raise _Declined
     return first, inverse
 
 
-def _stamps(block: bytes, data, lo, hi, text=_stripped) -> np.ndarray | None:
-    """UTC epoch microseconds of each timestamp field, or None when one
+def _stamps(block: bytes, data, lo, hi, text=_stripped) -> np.ndarray:
+    """UTC epoch microseconds of each timestamp field; declined when one
     does not read as ISO-8601 in the years 1 to 9999. A field outside the
     strict layout is read from ``text(field bytes)``."""
     us, ok = decode_timestamp_fields(data, lo, hi - lo)
@@ -684,5 +680,5 @@ def _stamps(block: bytes, data, lo, hi, text=_stripped) -> np.ndarray | None:
             for i in np.flatnonzero(~ok).tolist():
                 us[rest[i]] = epoch_us(_iso(texts[i]))
         except ValueError:
-            return None
+            raise _Declined from None
     return us

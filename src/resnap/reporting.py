@@ -40,6 +40,8 @@ _PARSE = {int: int, float: float, float | None: float, Mapping: json.loads}
 _ACCEPT = {float: numbers.Real, float | None: (numbers.Real, type(None)), Mapping: dict}
 # the names a record's model, encoding and status may take
 _NAMES = {"model": EXPERIMENT_MODELS, "encoding": ENCODINGS, "status": ("ok", "failed")}
+# the fractions a record holds, in [0, 1], and its counts, at least 1
+_FRACTIONS, _COUNTS = ("accuracy", "leakage_fraction"), ("prefix_length", "n_train", "n_test")
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,8 @@ def export_records(records: Sequence[ResultRecord], path: str | Path) -> Path:
 def _field(where: str, key: str, value, text: bool):
     """Field ``key`` of a loaded record, parsed first if it is CSV text;
     ValidationError unless it has the field's type and, for a name, a
-    value resnap knows."""
+    value resnap knows, for a fraction one in [0, 1] (not NaN) and for a
+    count one of at least 1."""
     kind, raw = _TYPES[key], value
     with contextlib.suppress(ValueError, TypeError):  # unparsed text fails the check below
         if text and kind is not str:  # CSV writes an accuracy of None as ""
@@ -134,6 +137,10 @@ def _field(where: str, key: str, value, text: bool):
         raise ValidationError(f"{where}: {key} has the wrong type: {raw!r}")
     if key in _NAMES and value not in _NAMES[key]:
         raise ValidationError(f"{where}: unknown {key} {raw!r}; accepted: {', '.join(_NAMES[key])}")
+    if key in _FRACTIONS and value is not None and not 0 <= value <= 1:
+        raise ValidationError(f"{where}: {key} must be in [0, 1], got {value!r}")
+    if key in _COUNTS and value < 1:
+        raise ValidationError(f"{where}: {key} must be at least 1, got {value!r}")
     return value
 
 
@@ -158,10 +165,12 @@ def load_records(path: str | Path) -> list[ResultRecord]:
     """Read records back; wall_time is not stored and loads as zero.
 
     A record with a missing or unknown key, a value of the wrong type, a
-    model, encoding or status resnap does not know, or an accuracy where
-    the status is not ``ok`` (or none where it is) raises ValidationError
-    naming the file, the record and the key; a CSV row with more fields
-    than the header raises it naming the row.
+    model, encoding or status resnap does not know, an accuracy or
+    leakage fraction outside [0, 1], a prefix length, ``n_train`` or
+    ``n_test`` below 1, or an accuracy where the status is not ``ok`` (or
+    none where it is) raises ValidationError naming the file, the record
+    and the key; a CSV row with more fields than the header raises it
+    naming the row.
     """
     path = Path(path)
     if path.suffix == ".json":

@@ -1,8 +1,9 @@
 """The columnar path of :func:`resnap.parsers.parse_xes`.
 
 :func:`columnar_xes` reads a clean XES document with bytes checks and
-numpy instead of one expat callback per element, and returns None for
-any document it cannot prove clean, which ``parse_xes`` then reads
+numpy instead of one expat callback per element. A helper that cannot
+prove a piece clean raises :class:`~resnap.parsers._Declined`; then
+``columnar_xes`` returns None and ``parse_xes`` reads the document
 through expat from the start. ``parse_xes`` imports this module on its
 first call, so a run that reads only CSV never compiles it.
 
@@ -23,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .eventlog import EventColumns
-from .parsers import _GZIP_ERRORS, _WIDE, _blocks, _code, _open_binary, _stamps
+from .parsers import _GZIP_ERRORS, _WIDE, _blocks, _code, _Declined, _open_binary, _stamps
 
 _TRACE_END = b"</trace>"
 # the element names the columnar path reads, by code; any other name is not clean
@@ -71,7 +72,7 @@ _NAMES, _KEYS = _WordTable(_XES_NAMES), _WordTable(_XES_KEYS)
 
 
 def columnar_xes(source) -> EventColumns | None:
-    """The events of a clean XES document, or None when it is not clean.
+    """The events of a clean XES document; None when it is declined as not clean.
 
     The decompressed source is read in pieces that end with ``</trace>``
     (:func:`~resnap.parsers._blocks`), so each holds whole traces, and
@@ -98,9 +99,8 @@ def columnar_xes(source) -> EventColumns | None:
     try:
         with _open_binary(source) as stream:
             for block in _blocks(stream, _TRACE_END):
-                if not scan.read(block):
-                    return None
-    except _GZIP_ERRORS:
+                scan.read(block)
+    except (_Declined, *_GZIP_ERRORS):
         return None
     return scan.events if scan.root == 2 and scan.events else None
 
@@ -116,13 +116,13 @@ def _utf8(text: bytes) -> bool:
     return b"\xef\xbf\xbe" not in text and b"\xef\xbf\xbf" not in text
 
 
-def _xml_text(block: bytes) -> bytes | None:
+def _xml_text(block: bytes) -> bytes:
     """The piece as expat reads its attribute values: every tab and line
-    end (``\\r\\n``, ``\\r`` or ``\\n``) reads as one space. None when the
-    piece is not UTF-8, or holds U+FFFE, U+FFFF or a reference other than
-    the five predefined entities."""
+    end (``\\r\\n``, ``\\r`` or ``\\n``) reads as one space. Declined when
+    the piece is not UTF-8, or holds U+FFFE, U+FFFF or a reference other
+    than the five predefined entities."""
     if not _utf8(block) or b"&" in block and _OTHER_REFERENCE.search(block):
-        return None
+        raise _Declined
     if b"\r" in block:
         block = block.replace(b"\r\n", b"\n")
     return block.translate(_SPACES)
@@ -144,25 +144,24 @@ def _stamp(field: bytes) -> str:
 
 def _tag_bounds(data: np.ndarray, size: int):
     """The positions of the ``<`` and the ``>`` of every tag in the first
-    ``size`` bytes (zeros follow them); None when one is a control byte,
-    ``<`` and ``>`` do not alternate, or a byte outside the tags is not a
-    space."""
+    ``size`` bytes (zeros follow them); declined when one is a control
+    byte, ``<`` and ``>`` do not alternate, or a byte outside the tags is
+    not a space."""
     body = data[:size]
-    if (body < ord(" ")).any():
-        return None
     lt, gt = np.flatnonzero(body == ord("<")), np.flatnonzero(body == ord(">"))
-    if len(lt) != len(gt) or (lt > gt).any() or (gt[:-1] > lt[1:]).any():
-        return None
-    text = data > ord(" ")
+    alternate = len(lt) == len(gt) and (lt < gt).all() and (gt[:-1] < lt[1:]).all()
+    if (body < ord(" ")).any() or not alternate or not len(lt) and (body > ord(" ")).any():
+        raise _Declined
     if not len(lt):
-        return None if text.any() else (lt, gt)
+        return lt, gt
+    text = data > ord(" ")
     # each tag, then the gap after it up to the next tag (or the end)
     bounds = np.empty(2 * len(lt), dtype=np.int64)
     bounds[0::2], bounds[1::2] = lt, gt + 1
     gaps = np.logical_or.reduceat(text, bounds)[1::2]
     gaps &= np.append(lt[1:], len(data)) > gt + 1  # an empty gap reads as the next '<'
     if text[: lt[0]].any() or gaps.any():
-        return None
+        raise _Declined
     return lt, gt
 
 
@@ -194,9 +193,9 @@ def _field_words(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
 
 def _tag_names(data: np.ndarray, words: np.ndarray, lt: np.ndarray, gt: np.ndarray):
     """Each tag's name code, whether it closes, whether it is empty, its
-    name's length, and whether a space follows the name. None unless every
-    tag is ``<name>``, ``<name/>``, ``</name>`` or ``<`` and a name and a
-    space, with a name of ``_XES_NAMES``."""
+    name's length, and whether a space follows the name. Declined unless
+    every tag is ``<name>``, ``<name/>``, ``</name>`` or ``<`` and a name
+    and a space, with a name of ``_XES_NAMES``."""
     close = data[lt + 1] == ord("/")
     empty = data[gt - 1] == ord("/")
     start = lt + 1 + close
@@ -205,15 +204,15 @@ def _tag_names(data: np.ndarray, words: np.ndarray, lt: np.ndarray, gt: np.ndarr
     bare = gt - start == name_len + empty
     spaced = (data[start + name_len] == ord(" ")) & ~close
     if (name < 0).any() or not (bare | spaced).all() or (close & empty).any():
-        return None
+        raise _Declined
     return name, close, empty, name_len, ~bare
 
 
 def _key_values(data: np.ndarray, words: np.ndarray, quotes: np.ndarray, lt, gt, empty, name_len):
     """The key code (-1 for a key not in ``_XES_KEYS``) and the value's byte
     range of each attribute element ``<name key="K" value="V"/>`` (or
-    ending ``">``, and one space may come before the end); None when one
-    has another layout. ``quotes`` ends with five positions past the piece."""
+    ending ``">``, and one space may come before the end); declined for
+    another layout. ``quotes`` ends with five positions past the piece."""
     first = np.searchsorted(quotes, lt)
     key_open, key_close, value_open, value_close, after = (quotes[first + k] for k in range(5))
     tail = gt - empty - value_close - 1
@@ -224,7 +223,7 @@ def _key_values(data: np.ndarray, words: np.ndarray, quotes: np.ndarray, lt, gt,
         or (words[key_close + 1] != _VALUE_EQ).any()  # which puts value_open after it
         or not ((tail == 0) | (tail == 1) & (data[value_close + 1] == ord(" "))).all()
     ):
-        return None
+        raise _Declined
     key = _KEYS.find(*_field_words(words, key_open + 1, key_close - key_open - 1))
     return key, value_open + 1, value_close
 
@@ -251,69 +250,56 @@ class _XesScan:
         self.n_traces = 0
         self.started = False
 
-    def read(self, block: bytes) -> bool:
-        """Add the events of the next piece; False when it is not clean."""
+    def read(self, block: bytes) -> None:
+        """Add the events of the next piece; declined when it is not clean."""
         if not self.started:
             self.started = True
             block = block.removeprefix(codecs.BOM_UTF8)
             if block.startswith(b"<?xml"):
                 declaration = _XML_DECLARATION.match(block)
                 if declaration is None:
-                    return False
+                    raise _Declined
                 block = block[declaration.end() :]
             prologue = _PROLOGUE.match(block).end()
             if prologue:
                 comments = block[:prologue]
                 if not _utf8(comments) or min(comments.translate(_SPACES)) < ord(" "):
-                    return False  # a comment holds bytes XML does not allow
+                    raise _Declined  # a comment holds bytes XML does not allow
                 block = block[prologue:]
         block = _xml_text(block)
-        if block is None:
-            return False
         data = np.frombuffer(block + bytes(_WIDE), dtype=np.uint8)
-        bounds = _tag_bounds(data, len(block))
-        if bounds is None:
-            return False
-        lt, gt = bounds
+        lt, gt = _tag_bounds(data, len(block))
         if not len(lt):
-            return True
+            return
         words = _byte_words(data)
-        tags = _tag_names(data, words, lt, gt)
-        if tags is None:
-            return False
-        name, close, empty, name_len, spaced = tags
-        nesting = self._nest(name, close, empty)
-        if nesting is None:
-            return False
-        level, parent = nesting
+        name, close, empty, name_len, spaced = _tag_names(data, words, lt, gt)
+        level, parent = self._nest(name, close, empty)
         attributes = np.flatnonzero((name >= 3) & (name <= 7) & ~close)
         quotes = np.append(np.flatnonzero(data[: len(block)] == ord('"')), [len(block)] * 5)
         pairs = _key_values(data, words, quotes, lt[attributes], gt[attributes],
                             empty[attributes], name_len[attributes])
-        if pairs is None:
-            return False
         for i in np.flatnonzero(spaced & ((name < 3) | (name > 7))).tolist():
             if not _plain_attributes(block[lt[i] + 1 + name_len[i] : gt[i] - empty[i]]):
-                return False
-        return self._add_events(block, data, name, close, level, parent, attributes, *pairs)
+                raise _Declined
+        self._add_events(block, data, name, close, level, parent, attributes, *pairs)
 
     def _nest(self, name, close, empty):
         """Each tag's level (the root's is 0), and a function giving the tag
         index of the parent of tags of level 1 or more (-1 for one opened in
-        an earlier piece). None unless the tags nest, one ``<log>`` root
+        an earlier piece). Declined unless the tags nest, one ``<log>`` root
         opens and closes, and at most the root is open after the piece."""
         opens = ~close & ~empty
         depth = len(self.stack) + np.cumsum(opens.astype(np.int64) - close)  # after each tag
         level = depth - opens
         if level.min() < 0:
-            return None
+            raise _Declined
         for i in np.flatnonzero(level == 0).tolist():
             if self.root == 0 and opens[i] and name[i] == _LOG:
                 self.root = 1
             elif self.root == 1 and close[i]:
                 self.root = 2
             else:
-                return None
+                raise _Declined
         # per level, in document order, opens and closes alternate and a close matches its open
         carried = len(self.stack)
         marks = np.flatnonzero(~empty)
@@ -330,10 +316,10 @@ class _XesScan:
             or (same & (shut[1:] == shut[:-1])).any()
             or (same & shut[1:] & (names[1:] != names[:-1])).any()
         ):
-            return None
+            raise _Declined
         self.stack = names[np.append(~same, True) & ~shut].tolist()
         if len(self.stack) > 1:
-            return None
+            raise _Declined
         # a tag's parent is the last open tag one level up before it
         span = len(name) + carried
         opened = np.flatnonzero(~shut)
@@ -344,18 +330,18 @@ class _XesScan:
 
         return level, parent
 
-    def _add_events(self, block, data, name, close, level, parent, attributes, key, lo, hi) -> bool:
-        """Append the piece's events; False when a trace is not a child of
-        the root, an event not a child of a trace, or an event lacks an
+    def _add_events(self, block, data, name, close, level, parent, attributes, key, lo, hi) -> None:
+        """Append the piece's events; declined when a trace is not a child
+        of the root, an event not a child of a trace, or an event lacks an
         activity or a timestamp, or when a timestamp is unreadable or two
         distinct values share a hash."""
         traces = np.flatnonzero((name == _TRACE) & ~close)
         events = np.flatnonzero((name == _EVENT) & ~close)
         if (level[traces] != 1).any() or (level[events] != 2).any():
-            return False
+            raise _Declined
         event_trace = parent(events)
         if (name[event_trace] != _TRACE).any():
-            return False
+            raise _Declined
         # each event's and each trace's first value of each key among its attribute children
         keyed = np.flatnonzero(key >= 0)
         at, key, lo, hi = attributes[keyed], key[keyed], lo[keyed], hi[keyed]
@@ -371,13 +357,13 @@ class _XesScan:
             first = _first_per_owner(event)
             rows, event = rows[first], event[first]
             if k != 1 and len(rows) != len(events):  # an event lacks an activity or timestamp
-                return False
+                raise _Declined
             field_lo, field_hi = np.zeros(len(events), np.int64), np.zeros(len(events), np.int64)
             field_lo[event], field_hi[event] = lo[rows], hi[rows]
             fields.append((field_lo, field_hi))
         (act_lo, act_hi), resource, stamp = fields
         if (act_hi == act_lo).any():
-            return False
+            raise _Declined
         rows = np.flatnonzero((key == 0) & (level[at] == 2) & (owner >= 0))
         trace = np.searchsorted(traces, owner[rows])
         named = _first_per_owner(trace) & (hi[rows] > lo[rows])  # an empty case id reads as none
@@ -389,8 +375,6 @@ class _XesScan:
             _code(block, data, *resource, resource_names, _value),
             _stamps(block, data, *stamp, _stamp),
         ]
-        if any(column is None for column in codes):
-            return False
         cases = np.empty(len(traces), dtype=np.int64)
         cases[trace] = codes[0]
         for t in np.setdiff1d(np.arange(len(traces)), trace).tolist():
@@ -399,4 +383,3 @@ class _XesScan:
         self.n_traces += len(traces)
         codes[0] = cases[np.searchsorted(traces, event_trace)]
         self.events.extend(*codes)
-        return True

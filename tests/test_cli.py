@@ -9,10 +9,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from resnap import experiment
 from resnap.cli import _load_config, build_parser, main
 from resnap.reporting import load_records
 
 ROOT = Path(__file__).resolve().parent.parent
+# every file run and report write
+EXPORTS = (
+    "records.csv",
+    "records.json",
+    "accuracy_by_model.csv",
+    "accuracy_by_model.json",
+    "improvement_over_baseline.csv",
+    "improvement_over_baseline.json",
+)
 
 
 def write_fixture_csv(path: Path, n_resources: int = 12, events_each: int = 6) -> None:
@@ -143,15 +153,27 @@ def test_run_repeated_seed_is_byte_identical(fixture_env):
     out_b = tmp_path / "b"
     assert main(["run", "--config", str(config), "--quiet", "--out", str(out_a), "--seed", "3"]) == 0
     assert main(["run", "--config", str(config), "--quiet", "--out", str(out_b), "--seed", "3"]) == 0
-    for name in (
-        "records.csv",
-        "records.json",
-        "accuracy_by_model.csv",
-        "accuracy_by_model.json",
-        "improvement_over_baseline.csv",
-        "improvement_over_baseline.json",
-    ):
+    for name in EXPORTS:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_run_length_with_fewer_training_samples_than_folds_exits_two_before_any_cell(
+    tmp_path, capsys, monkeypatch
+):
+    # resources r0 and r1 alone reach L = 9, and their two samples split into 1 train + 1 test
+    data = tmp_path / "short.csv"
+    lines = ["case,activity,resource,when"]
+    for r, n_events in enumerate((10, 10, 4, 4, 4, 4)):
+        lines += [f"c{r},{'ABC'[j % 3]},r{r},2024-03-01 10:{r:02d}:{j:02d}" for j in range(n_events)]
+    data.write_text("\n".join(lines) + "\n")
+    config = write_config(tmp_path, data, prefix_candidates=[3, 9], min_resources=1, cv_folds=3)
+    calls = []
+    search = experiment.grid_search_cv
+    monkeypatch.setattr(experiment, "grid_search_cv", lambda *a, **k: calls.append(a) or search(*a, **k))
+    assert main(["run", "--config", str(config), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "prefix length 9: 1 training sample(s) cannot make 3 folds" in err, err
+    assert calls == []
 
 
 def test_run_unknown_encoding_exits_two(fixture_env, capsys):
@@ -199,6 +221,19 @@ def test_report_reaggregates_records(fixture_env):
     (out / "accuracy_by_model.csv").unlink()
     assert main(["report", "--config", str(config), "--quiet"]) == 0
     assert (out / "accuracy_by_model.csv").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_reproduces_the_run_exports_byte_for_byte(fixture_env, fmt):
+    tmp_path, data = fixture_env
+    config = write_config(tmp_path, data)
+    assert main(["run", "--config", str(config), "--quiet"]) == 0
+    run_out, report_out = tmp_path / "out", tmp_path / f"report-{fmt}"
+    records = run_out / f"records.{fmt}"
+    argv = ["report", "--config", str(config), "--quiet", "--records", str(records)]
+    assert main([*argv, "--out", str(report_out)]) == 0
+    for name in EXPORTS:
+        assert (report_out / name).read_bytes() == (run_out / name).read_bytes(), name
 
 
 def test_report_missing_records_exits_two(fixture_env, capsys):

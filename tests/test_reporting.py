@@ -208,6 +208,28 @@ def test_record_whose_status_and_accuracy_disagree_says_so(tmp_path, status, acc
             load_records(path)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("accuracy", float("nan"), "accuracy must be in [0, 1], got nan"),
+        ("accuracy", 1.5, "accuracy must be in [0, 1], got 1.5"),
+        ("leakage_fraction", -0.25, "leakage_fraction must be in [0, 1], got -0.25"),
+        ("prefix_length", 0, "prefix_length must be at least 1, got 0"),
+        ("n_train", -4, "n_train must be at least 1, got -4"),
+        ("n_test", 0, "n_test must be at least 1, got 0"),
+    ],
+    ids=["accuracy-nan", "accuracy-above-one", "leakage_fraction", "prefix_length", "n_train",
+         "n_test"],
+)
+def test_record_with_a_number_out_of_range_says_so(tmp_path, key, value, message):
+    records = [record(), record(**{key: value})]
+    for fmt in ("csv", "json"):
+        path = export_records(records, tmp_path / f"records.{fmt}")
+        expected = f"{path}: record 2: {message}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
+            load_records(path)
+
+
 def test_aggregate_without_a_baseline_has_no_improvement_rows():
     table = aggregate([record(encoding="S2g"), record(encoding="SCap", accuracy=0.75)])
     assert [(c.encoding, c.mean) for c in table.accuracy] == [("S2g", 0.5), ("SCap", 0.75)]
