@@ -107,8 +107,6 @@ def check_grid(kind: str, grid: Mapping[str, Sequence]) -> None:
 
 def expand_grid(grid: Mapping[str, Sequence]) -> list[dict]:
     """Cartesian product of the grid in key insertion order."""
-    if not grid:
-        return [{}]
     keys = list(grid)
     for key in keys:
         if not grid[key]:
@@ -149,18 +147,59 @@ class CVOutcome:
     model: object = field(repr=False, default=None)
 
 
-def _staged_groups(points: list[dict]) -> list[list[int]]:
-    """Indices of the grid points that differ only in ``n_estimators``.
-
-    Points are compared by the ``repr`` of their other parameters, so
-    values that compare equal but differ in type (``1`` and ``True``)
-    stay apart.
-    """
+def plan(kind: str, points: list[dict], folds: int, seed: int) -> list[dict]:
+    """The fit units of a search: one per group of ``points`` that differ
+    only in ``n_estimators`` (by the ``repr`` of their other parameters,
+    so ``1`` and ``True`` stay apart), none for a learner without
+    parameters. A unit is plain JSON: its ``members`` (indices into
+    ``points``), their ``stages`` (``n_estimators``, or None when unset),
+    the ``params`` of its first member of most trees or rounds, and the
+    ``seeds`` of its ``folds`` fold models."""
     groups: dict[str, list[int]] = {}
-    for i, point in enumerate(points):
+    for i, point in enumerate(points if _learner(kind).PARAMETERS else []):
         rest = [(key, value) for key, value in point.items() if key != "n_estimators"]
         groups.setdefault(repr(rest), []).append(i)
-    return list(groups.values())
+    seeds = [derive_seed(seed, "fold", f) for f in range(folds)]
+    units = []
+    for members in groups.values():
+        top = max(members, key=lambda i: points[i].get("n_estimators", 0))
+        stages = [points[i].get("n_estimators") for i in members]
+        units.append({"members": members, "stages": stages, "params": points[top], "seeds": seeds})
+    return units
+
+
+def fit_unit(kind: str, unit: Mapping, X, y, fold_idx, deadline: float | None = None):
+    """Fit ``unit`` on every fold (tested on ``fold_idx[f]``, trained on the
+    other rows); each member's fold accuracies as floats. A member scores
+    the stage of its own number of trees or rounds, exactly the prediction
+    of a model fitted with that number; a learner without
+    ``staged_predict`` scores its one ``predict`` as its only stage."""
+    models = [make_classifier(kind, unit["params"], seed) for seed in unit["seeds"]]
+    train_idx = [np.setdiff1d(np.arange(len(y)), test, assume_unique=True) for test in fold_idx]
+    if hasattr(models[0], "fit_many"):  # every fold's trees in one lock-step call
+        type(models[0]).fit_many(models, X, y, train_idx, deadline)
+    else:
+        for model, train in zip(models, train_idx):
+            model.fit(X[train], y[train], deadline=deadline)
+    hits = []  # hits[f][n - 1]: fold f's accuracy after n trees or rounds
+    for model, test in zip(models, fold_idx):
+        staged = getattr(model, "staged_predict", lambda rows: [model.predict(rows)])
+        hits.append([float(np.mean(p == y[test])) for p in staged(X[test])])
+    return [[fold[(n or len(fold)) - 1] for fold in hits] for n in unit["stages"]]
+
+
+def select(points: list[dict], units: list[Mapping], results: list) -> CVOutcome:
+    """The point of highest mean fold accuracy in the units' :func:`fit_unit`
+    results, the earlier point on a tie; a point of no unit has no fold
+    scores and a NaN mean."""
+    per_fold = {i: hits for u, r in zip(units, results) for i, hits in zip(u["members"], r)}
+    best: CVOutcome | None = None
+    for i, point in enumerate(points):
+        scores = per_fold.get(i, [])
+        mean_acc = float(np.mean(scores)) if scores else float("nan")
+        if best is None or mean_acc > best.mean_fold_accuracy:
+            best = CVOutcome(best_params=point, mean_fold_accuracy=mean_acc, per_fold=scores)
+    return best
 
 
 def grid_search_cv(
@@ -174,23 +213,12 @@ def grid_search_cv(
 ) -> CVOutcome:
     """Exhaustive stratified-CV search; refits the winner on all data.
 
-    The best point is the highest mean fold accuracy; ties keep the
-    earlier grid-enumeration point. For a learner with
-    ``staged_predict`` (the ensembles), the points that differ only in
-    ``n_estimators`` share one fit per fold at their largest
-    ``n_estimators``, and each point is scored from the prediction after
-    its own number of trees or rounds, which is exactly the prediction of
-    a model fitted with that number. A forest group grows the trees of
-    all its fold forests in one :meth:`RandomForest.fit_many` call.
-    ``deadline`` (time.monotonic value) aborts the search with
-    :class:`CellTimeoutError` when exceeded; the ensembles also check it,
-    a forest before every lock-step batch of its trees and boosting
-    before every round.
-
-    A learner without grid parameters (``majority``) has one point to
-    choose, so it is only refit: its outcome has no fold scores and a
-    NaN mean. The folds are still made, so too few samples for ``folds``
-    raise ConfigError as for every other learner.
+    :func:`select` picks the winner from the :func:`fit_unit` results of
+    the units of :func:`plan`. ``deadline`` (time.monotonic value) aborts
+    the search with :class:`CellTimeoutError` once passed; every learner's
+    ``fit`` checks it too. ``majority`` has no units and is only refit,
+    with no fold scores and a NaN mean, but its folds are still made: too
+    few samples for ``folds`` raise ConfigError as for every other learner.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -200,43 +228,10 @@ def grid_search_cv(
         grid = DEFAULT_GRIDS.get(kind, {})
     check_grid(kind, grid)
     points = expand_grid(grid)
-    staged = hasattr(_learner(kind), "staged_predict")
-    groups = _staged_groups(points) if staged else [[i] for i in range(len(points))]
-    fit_args = {"deadline": deadline} if staged else {}
     fold_idx = stratified_kfold(y, folds, seed)
-    if not _learner(kind).PARAMETERS:  # one point to choose: refit only
-        fold_idx = []
-    all_idx = np.arange(len(y))
-    train_idx = [np.setdiff1d(all_idx, test_idx, assume_unique=True) for test_idx in fold_idx]
-    per_fold: list[list[float]] = [[] for _ in points]
-    for members in groups:
-        check_deadline(deadline)
-        top = max(members, key=lambda i: points[i].get("n_estimators", 0))
-        models = [
-            make_classifier(kind, points[top], derive_seed(seed, "fold", f))
-            for f in range(len(fold_idx))
-        ]
-        if kind == "forest":  # every fold's trees in one lock-step call
-            RandomForest.fit_many(models, X, y, train_idx, deadline)
-        for model, train, test in zip(models, train_idx, fold_idx):
-            if kind != "forest":
-                check_deadline(deadline)
-                model.fit(X[train], y[train], **fit_args)
-            X_test, y_test = X[test], y[test]
-            if staged:
-                # hits[n - 1]: fold accuracy after n trees or rounds
-                hits = [float(np.mean(p == y_test)) for p in model.staged_predict(X_test)]
-                for i in members:
-                    n = points[i].get("n_estimators", model.n_estimators)
-                    per_fold[i].append(hits[n - 1])
-            else:
-                per_fold[top].append(float(np.mean(model.predict(X_test) == y_test)))
-    best: CVOutcome | None = None
-    for point, scores in zip(points, per_fold):
-        mean_acc = float(np.mean(scores)) if scores else float("nan")
-        if best is None or mean_acc > best.mean_fold_accuracy:
-            best = CVOutcome(best_params=point, mean_fold_accuracy=mean_acc, per_fold=scores)
+    units = plan(kind, points, folds, seed)
+    best = select(points, units, [fit_unit(kind, u, X, y, fold_idx, deadline) for u in units])
     check_deadline(deadline)
     refit = make_classifier(kind, best.best_params, derive_seed(seed, "refit"))
-    best.model = refit.fit(X, y, **fit_args)
+    best.model = refit.fit(X, y, deadline=deadline)
     return best

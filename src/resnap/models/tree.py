@@ -795,19 +795,19 @@ class DecisionTree:
         self.tree_: Tree | None = None
         self.n_features_in_: int | None = None  # None once loaded by from_dict
 
-    def fit(self, X, y) -> "DecisionTree":
+    def fit(self, X, y, deadline: float | None = None) -> "DecisionTree":
         """Fit on the distinct rows of ``X`` with their class counts.
 
         Repeated rows (a bootstrap sample has many) are merged first; the
-        tree is the one grown on the one-hot rows themselves.
-        """
+        tree is the one grown on the one-hot rows themselves, checking
+        ``deadline`` before every :func:`grow_trees` batch."""
         check_params(self)
         X, y = check_training_data(X, y)
         self.n_features_in_ = X.shape[1]
         self.classes_, codes = np.unique(y, return_inverse=True)
         X, counts = distinct_rows(X, codes, len(self.classes_))
         sample = (np.arange(X.shape[0]), counts, np.random.default_rng(self.seed))
-        self.tree_ = grow_trees(X, [sample], **params_of(self))[0]
+        self.tree_ = grow_trees(X, [sample], deadline=deadline, **params_of(self))[0]
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -858,7 +858,7 @@ class MajorityClassifier:
         self.label_: int | None = None
         self.n_features_in_: int | None = None  # None once loaded by from_dict
 
-    def fit(self, X, y) -> "MajorityClassifier":
+    def fit(self, X, y, deadline: float | None = None) -> "MajorityClassifier":
         X, y = check_training_data(X, y)
         self.n_features_in_ = X.shape[1]
         self.classes_, counts = np.unique(y, return_counts=True)

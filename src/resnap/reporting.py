@@ -31,6 +31,7 @@ from typing import Iterable, Mapping, Sequence, get_type_hints
 from .encodings import ENCODINGS
 from .errors import ConfigError, ValidationError
 from .experiment import EXPERIMENT_MODELS, ResultRecord
+from .models.search import check_grid
 
 # the exported fields of a record, in column order, and their types
 _FIELDS = tuple(f.name for f in fields(ResultRecord) if f.name != "wall_time")
@@ -158,6 +159,10 @@ def _record(where: str, row, text: bool) -> ResultRecord:
         expected = "a number" if status == "ok" else "empty"
         raise ValidationError(f"{where}: accuracy must be {expected} when the status is "
                               f"{status!r}, got {accuracy!r}")
+    try:  # a record's point must be one its model's grid could hold
+        check_grid(values["model"], {k: [v] for k, v in values["best_params"].items()})
+    except ConfigError as exc:
+        raise ValidationError(f"{where}: best_params: {exc}") from None
     return ResultRecord(wall_time=0.0, **values)
 
 
@@ -167,10 +172,10 @@ def load_records(path: str | Path) -> list[ResultRecord]:
     A record with a missing or unknown key, a value of the wrong type, a
     model, encoding or status resnap does not know, an accuracy or
     leakage fraction outside [0, 1], a prefix length, ``n_train`` or
-    ``n_test`` below 1, or an accuracy where the status is not ``ok`` (or
-    none where it is) raises ValidationError naming the file, the record
-    and the key; a CSV row with more fields than the header raises it
-    naming the row.
+    ``n_test`` below 1, an accuracy where the status is not ``ok`` (or
+    none where it is), or ``best_params`` not a grid point of its model
+    raises ValidationError naming the file, the record and the key; a
+    CSV row with more fields than the header raises it naming the row.
     """
     path = Path(path)
     if path.suffix == ".json":

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import gzip
+import io
 import json
 import re
 import sys
@@ -256,6 +258,25 @@ def _json_records(**change) -> str:
     return json.dumps({"records": [GOOD_RECORD, bad]})
 
 
+def _csv_records(**change) -> str:
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(GOOD_RECORD)
+    for row in (GOOD_RECORD, {**GOOD_RECORD, **change}):
+        writer.writerow(json.dumps(v) if isinstance(v, dict) else v for v in row.values())
+    return text.getvalue()
+
+
+# (case, model, best_params, what the error says about them)
+BAD_PARAMS = [
+    ("nan-learning-rate", "boosted", {"learning_rate": float("nan")},
+     "boosted grid: learning_rate must be a finite number >= 0, got nan"),
+    ("unknown-key", "forest", {"depth": 3}, "unknown forest grid parameter(s) 'depth'"),
+    ("majority-key", "majority", {"n_estimators": 50},
+     "unknown majority grid parameter(s) 'n_estimators'; accepted: none"),
+]
+
+
 @pytest.mark.parametrize(
     "name, content, named",
     [
@@ -275,9 +296,16 @@ def _json_records(**change) -> str:
          _json_records(dataset="caf\xe9").encode("latin-1").replace(b"\\u00e9", b"\xe9"),
          "is not a records file"),
         ("records.txt", f"{CSV_HEADER}\n{CSV_GOOD}\n", ": unsupported records format '.txt'"),
+        *[
+            (f"{case}.{fmt}", write(model=model, best_params=params),
+             f"record 2: best_params: {named}")
+            for fmt, write in (("csv", _csv_records), ("json", _json_records))
+            for case, model, params, named in BAD_PARAMS
+        ],
     ],
     ids=["no-column", "bad-length", "no-key", "extra-key", "string-accuracy", "latin-1-csv",
-         "latin-1-json", "text-suffix"],
+         "latin-1-json", "text-suffix",
+         *[f"{case}-{fmt}" for fmt in ("csv", "json") for case, *_ in BAD_PARAMS]],
 )
 def test_report_malformed_records_file_exits_two(fixture_env, capsys, name, content, named):
     tmp_path, data = fixture_env

@@ -4,8 +4,9 @@
 derives the per-layer metrics from the spans and counts those wrappers
 record. This test installs its targets unchanged, runs ``resnap run``
 in-process on a small log with all four encodings, and checks that every
-span behind a prefix, encoding or experiment metric was recorded and that
-the sample and MI-column counts are positive. It also runs ``resnap
+span behind a prefix, encoding, experiment or search metric was recorded,
+that the sample and MI-column counts are positive and that the search
+counts its grid points and fold fits. It also runs ``resnap
 profile`` on an XES fixture and checks that the ``parsers.parse_xes``
 span was recorded with every event counted. A change that renames,
 removes or bypasses a patched function fails here, not in a traced
@@ -28,7 +29,7 @@ from resnap.cli import main  # noqa: E402
 from conftest import xes_bytes, xes_event  # noqa: E402
 from test_cli import write_config, write_fixture_csv  # noqa: E402
 
-LAYERS = ("prefixes.", "encodings.", "experiment.")
+LAYERS = ("prefixes.", "encodings.", "experiment.", "search.")
 ENCODINGS = ["SeqOnly", "SCap", "S2g", "S2gR"]
 
 
@@ -53,6 +54,9 @@ def test_traced_run_records_every_patched_span(tmp_path):
     assert metrics["prefixes.samples"] > 0
     assert metrics["encodings.mi_columns"] > 0
     assert metrics["encodings.encode_calls"] == len(ENCODINGS)  # one prefix length
+    # counted through expand_grid and make_classifier, looked up in resnap.models.search
+    assert metrics["search.grid_points"] == 8
+    assert metrics["search.fold_fits"] == 8
 
 
 def test_traced_profile_records_the_xes_reader(tmp_path):

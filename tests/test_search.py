@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import inspect
+import json
 import time
 from types import SimpleNamespace
 
@@ -21,7 +22,7 @@ from resnap.models import (
     stratified_kfold,
 )
 from resnap.models import tree as tree_core
-from resnap.models.search import _LEARNERS, check_grid
+from resnap.models.search import _LEARNERS, check_grid, fit_unit, plan, select
 from resnap.seeding import derive_seed
 
 from test_models import OUT_OF_RANGE
@@ -30,6 +31,10 @@ from test_models import OUT_OF_RANGE
 def test_published_grid_shapes():
     assert len(expand_grid(RANDOM_FOREST_GRID)) == 4 * 4 * 3 * 3 * 2
     assert len(expand_grid(GRADIENT_BOOSTING_GRID)) == 3 * 3 * 2 * 2 * 2
+    # one fit unit per group of points that differ only in n_estimators
+    assert len(plan("forest", expand_grid(RANDOM_FOREST_GRID), 3, seed=0)) == 4 * 3 * 3 * 2
+    assert len(plan("boosted", expand_grid(GRADIENT_BOOSTING_GRID), 3, seed=0)) == 3 * 2 * 2 * 2
+    assert plan("majority", expand_grid({}), 3, seed=0) == []
 
 
 def test_expand_grid_preserves_key_order():
@@ -144,7 +149,9 @@ def test_grid_search_majority_only_refits(monkeypatch):
     fitted = []
     fit = MajorityClassifier.fit
     monkeypatch.setattr(
-        MajorityClassifier, "fit", lambda self, X, y: fitted.append(len(y)) or fit(self, X, y)
+        MajorityClassifier,
+        "fit",
+        lambda self, X, y, deadline=None: fitted.append(len(y)) or fit(self, X, y),
     )
     X = np.zeros((8, 1))
     y = np.array([0, 0, 0, 1, 0, 1, 0, 1])
@@ -171,15 +178,15 @@ def _naive_search(kind, X, y, grid, folds, seed):
     return best
 
 
-@pytest.mark.parametrize(
-    "kind, grid",
-    [
-        ("forest", {"n_estimators": [3, 1, 5], "max_depth": [2, None], "bootstrap": [True, False]}),
-        ("forest", {"n_estimators": [4, 2, 4], "max_depth": [3]}),  # points 0 and 2 tie
-        ("boosted", {"n_estimators": [4, 2], "max_depth": [2], "subsample": [0.8, 1.0]}),
-        ("boosted", {"n_estimators": [3, 3], "max_depth": [None], "colsample": [0.6]}),
-    ],
-)
+STAGED_CASES = [
+    ("forest", {"n_estimators": [3, 1, 5], "max_depth": [2, None], "bootstrap": [True, False]}),
+    ("forest", {"n_estimators": [4, 2, 4], "max_depth": [3]}),  # points 0 and 2 tie
+    ("boosted", {"n_estimators": [4, 2], "max_depth": [2], "subsample": [0.8, 1.0]}),
+    ("boosted", {"n_estimators": [3, 3], "max_depth": [None], "colsample": [0.6]}),
+]
+
+
+@pytest.mark.parametrize("kind, grid", STAGED_CASES)
 def test_grid_search_staged_scores_match_naive_loop(kind, grid):
     rng = np.random.default_rng(61)
     X = rng.integers(0, 4, size=(48, 4)).astype(float)
@@ -191,6 +198,22 @@ def test_grid_search_staged_scores_match_naive_loop(kind, grid):
     assert outcome.mean_fold_accuracy == mean_acc
     refit = make_classifier(kind, best_params, derive_seed(2, "refit")).fit(X, y)
     assert outcome.model.predict(X).tolist() == refit.predict(X).tolist()
+
+
+@pytest.mark.parametrize("kind, grid", STAGED_CASES)
+def test_plan_units_fit_in_any_order_through_json(kind, grid):
+    rng = np.random.default_rng(61)
+    X = rng.integers(0, 4, size=(48, 4)).astype(float)
+    y = (X[:, 0].astype(int) + (rng.random(48) < 0.4)) % 3
+    points = expand_grid(grid)
+    units = json.loads(json.dumps(plan(kind, points, 3, seed=2)))[::-1]
+    fold_idx = stratified_kfold(y, 3, seed=2)
+    results = [json.loads(json.dumps(fit_unit(kind, unit, X, y, fold_idx))) for unit in units]
+    chosen = select(points, units, results)
+    outcome = grid_search_cv(kind, X, y, grid, folds=3, seed=2)
+    assert chosen.best_params == outcome.best_params
+    assert chosen.per_fold == outcome.per_fold
+    assert chosen.mean_fold_accuracy == outcome.mean_fold_accuracy
 
 
 def test_grid_search_fits_each_group_once_per_fold_at_its_largest_size(monkeypatch):
