@@ -102,7 +102,7 @@ def _load_config(args: argparse.Namespace) -> CliConfig:
         raise ConfigError(f"config file not found: {config_path}")
     try:
         raw = json.loads(config_path.read_text())
-    except ValueError as exc:  # not JSON, or not UTF-8 text
+    except (ValueError, RecursionError) as exc:  # not JSON or UTF-8 text, or nested too deep
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     raw = _fields(CliConfig, raw, "the config")
     if not isinstance(raw["datasets"], list) or not raw["datasets"]:

@@ -29,7 +29,7 @@ from .encodings import (
 )
 from .errors import CellTimeoutError, ConfigError, ValidationError
 from .eventlog import EventLog, resource_view
-from .models.search import DEFAULT_GRIDS, check_grid, grid_search_cv
+from .models.search import MODEL_KINDS, check_grid, grid_search_cv
 from .prefixes import (
     DEFAULT_PREFIX_CANDIDATES,
     PrefixDataset,
@@ -41,7 +41,6 @@ from .profiling import example_leakage
 from .seeding import derive_seed
 
 RARE_LABEL = "__RARE__"
-EXPERIMENT_MODELS = ("majority", "forest", "boosted")
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ class ExperimentConfig:
     prefix_candidates: tuple[int, ...] = DEFAULT_PREFIX_CANDIDATES
     min_resources: int = 100
     encodings: tuple[str, ...] = ENCODINGS
-    models: tuple[str, ...] = EXPERIMENT_MODELS
+    models: tuple[str, ...] = MODEL_KINDS
     split_ratio: float = 0.8
     seed: int = 0
     cv_folds: int = 3
@@ -64,7 +63,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise ConfigError naming the first field of the wrong type or range."""
         check_candidates(self.prefix_candidates)
-        for key, known in (("encodings", ENCODINGS), ("models", EXPERIMENT_MODELS)):
+        for key, known in (("encodings", ENCODINGS), ("models", MODEL_KINDS)):
             names = getattr(self, key)
             if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
                 raise ConfigError(f"{key} must be a list of names, got {names!r}")
@@ -95,15 +94,7 @@ class ExperimentConfig:
         if not isinstance(self.grids, Mapping):
             raise ConfigError(f"experiment.grids must be a JSON object, got {self.grids!r}")
         for model, grid in self.grids.items():
-            if model not in EXPERIMENT_MODELS:
-                accepted = ", ".join(EXPERIMENT_MODELS)
-                raise ConfigError(f"experiment.grids has a grid for {model!r}; accepted: {accepted}")
             check_grid(model, grid)
-
-    def grid_for(self, model: str) -> Mapping[str, Sequence]:
-        if model in self.grids:
-            return self.grids[model]
-        return DEFAULT_GRIDS[model]
 
 
 @dataclass(frozen=True)
@@ -188,7 +179,7 @@ class _Cell:
     y_train: np.ndarray
     X_test: np.ndarray
     y_test: np.ndarray
-    grid: Mapping
+    grid: Mapping | None
     folds: int
     seed: int
     timeout: float | None
@@ -285,7 +276,7 @@ def run_experiment(log: EventLog, cfg: ExperimentConfig) -> list[ResultRecord]:
                         y_train=encoded.targets[train_idx],
                         X_test=encoded.rows[test_idx],
                         y_test=encoded.targets[test_idx],
-                        grid=cfg.grid_for(model),
+                        grid=cfg.grids.get(model),
                         folds=cfg.cv_folds,
                         seed=derive_seed(cfg.seed, cfg.dataset_id, length, encoding, model),
                         timeout=cfg.cell_timeout,

@@ -13,7 +13,7 @@ from ..seeding import derive_seed
 from .boosting import GradientBoostedTrees
 from .ensemble import RandomForest
 from .params import check_value
-from .tree import DecisionTree, MajorityClassifier
+from .tree import MajorityClassifier
 
 # "None" and -1 both mean unlimited depth
 RANDOM_FOREST_GRID: dict[str, list] = {
@@ -34,14 +34,12 @@ GRADIENT_BOOSTING_GRID: dict[str, list] = {
 
 DEFAULT_GRIDS: dict[str, dict[str, list]] = {
     "majority": {},
-    "tree": {},
     "forest": RANDOM_FOREST_GRID,
     "boosted": GRADIENT_BOOSTING_GRID,
 }
 
 _LEARNERS = {
     "majority": MajorityClassifier,
-    "tree": DecisionTree,
     "forest": RandomForest,
     "boosted": GradientBoostedTrees,
 }
@@ -62,7 +60,7 @@ def _learner(kind: str):
     try:
         return _LEARNERS[kind]
     except KeyError:
-        raise ConfigError(f"unknown model kind {kind!r}") from None
+        raise ConfigError(f"unknown model kind {kind!r}; accepted: {', '.join(_LEARNERS)}") from None
 
 
 def make_classifier(kind: str, params: Mapping, seed: int):
@@ -172,8 +170,7 @@ def fit_unit(kind: str, unit: Mapping, X, y, fold_idx, deadline: float | None = 
     """Fit ``unit`` on every fold (tested on ``fold_idx[f]``, trained on the
     other rows); each member's fold accuracies as floats. A member scores
     the stage of its own number of trees or rounds, exactly the prediction
-    of a model fitted with that number; a learner without
-    ``staged_predict`` scores its one ``predict`` as its only stage."""
+    of a model fitted with that number."""
     models = [make_classifier(kind, unit["params"], seed) for seed in unit["seeds"]]
     train_idx = [np.setdiff1d(np.arange(len(y)), test, assume_unique=True) for test in fold_idx]
     if hasattr(models[0], "fit_many"):  # every fold's trees in one lock-step call
@@ -183,8 +180,7 @@ def fit_unit(kind: str, unit: Mapping, X, y, fold_idx, deadline: float | None = 
             model.fit(X[train], y[train], deadline=deadline)
     hits = []  # hits[f][n - 1]: fold f's accuracy after n trees or rounds
     for model, test in zip(models, fold_idx):
-        staged = getattr(model, "staged_predict", lambda rows: [model.predict(rows)])
-        hits.append([float(np.mean(p == y[test])) for p in staged(X[test])])
+        hits.append([float(np.mean(p == y[test])) for p in model.staged_predict(X[test])])
     return [[fold[(n or len(fold)) - 1] for fold in hits] for n in unit["stages"]]
 
 

@@ -30,8 +30,8 @@ from typing import Iterable, Mapping, Sequence, get_type_hints
 
 from .encodings import ENCODINGS
 from .errors import ConfigError, ValidationError
-from .experiment import EXPERIMENT_MODELS, ResultRecord
-from .models.search import check_grid
+from .experiment import ResultRecord
+from .models.search import MODEL_KINDS, check_grid
 
 # the exported fields of a record, in column order, and their types
 _FIELDS = tuple(f.name for f in fields(ResultRecord) if f.name != "wall_time")
@@ -40,7 +40,7 @@ _TYPES = get_type_hints(ResultRecord)
 _PARSE = {int: int, float: float, float | None: float, Mapping: json.loads}
 _ACCEPT = {float: numbers.Real, float | None: (numbers.Real, type(None)), Mapping: dict}
 # the names a record's model, encoding and status may take
-_NAMES = {"model": EXPERIMENT_MODELS, "encoding": ENCODINGS, "status": ("ok", "failed")}
+_NAMES = {"model": MODEL_KINDS, "encoding": ENCODINGS, "status": ("ok", "failed")}
 # the fractions a record holds, in [0, 1], and its counts, at least 1
 _FRACTIONS, _COUNTS = ("accuracy", "leakage_fraction"), ("prefix_length", "n_train", "n_test")
 
@@ -131,7 +131,7 @@ def _field(where: str, key: str, value, text: bool):
     value resnap knows, for a fraction one in [0, 1] (not NaN) and for a
     count one of at least 1."""
     kind, raw = _TYPES[key], value
-    with contextlib.suppress(ValueError, TypeError):  # unparsed text fails the check below
+    with contextlib.suppress(ValueError, TypeError, RecursionError):  # unparsed text fails below
         if text and kind is not str:  # CSV writes an accuracy of None as ""
             value = None if kind == float | None and value == "" else _PARSE[kind](value)
     if isinstance(value, bool) or not isinstance(value, _ACCEPT.get(kind, kind)):
@@ -175,13 +175,14 @@ def load_records(path: str | Path) -> list[ResultRecord]:
     ``n_test`` below 1, an accuracy where the status is not ``ok`` (or
     none where it is), or ``best_params`` not a grid point of its model
     raises ValidationError naming the file, the record and the key; a
-    CSV row with more fields than the header raises it naming the row.
+    CSV row with more fields than the header raises it naming the row,
+    and a CSV the csv module cannot read naming the line.
     """
     path = Path(path)
     if path.suffix == ".json":
         try:
             rows = json.loads(path.read_text())["records"]
-        except (ValueError, KeyError, TypeError):  # not JSON or not UTF-8 text, no records
+        except (ValueError, KeyError, TypeError, RecursionError):  # not JSON, too deep, no records
             rows = None
         if not isinstance(rows, list):
             raise ValidationError(
@@ -190,9 +191,12 @@ def load_records(path: str | Path) -> list[ResultRecord]:
     elif path.suffix == ".csv":
         try:
             with open(path, newline="") as handle:
-                rows = list(csv.DictReader(handle))
+                reader = csv.DictReader(handle)
+                rows = list(reader)
         except UnicodeDecodeError:
             raise ValidationError(f"{path} is not a records file (not UTF-8 text)") from None
+        except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+            raise ValidationError(f"{path}: line {reader.reader.line_num}: {exc}") from None
     else:
         raise ConfigError(f"{path}: unsupported records format {path.suffix!r}")
     text = path.suffix == ".csv"

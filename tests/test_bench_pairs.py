@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))
 
-from bench_pairs import quartiles, report, summarize  # noqa: E402
+from bench_pairs import cpu_ticks, quartiles, report, steal_share, summarize  # noqa: E402
 
 
 def test_quartiles_interpolate_linearly():
@@ -58,3 +58,14 @@ def test_report_line_names_the_metric_and_marks_a_gain():
     line = report("run_s", "s", s)
     assert line.startswith("run_s") and "-50.0%" in line and "10/10" in line
     assert line.endswith("GAIN")
+
+
+BEFORE = "cpu  100 0 50 800 10 0 5 35 0 0"
+AFTER = "cpu  200 0 60 1500 10 0 5 85 20 0"  # 20 guest ticks, already in user
+
+
+def test_steal_share_is_stolen_ticks_over_all_ticks_between_two_cpu_lines():
+    assert cpu_ticks(BEFORE) == (35, 1000)
+    assert cpu_ticks(AFTER) == (85, 1860)
+    assert steal_share(BEFORE, AFTER) == pytest.approx(50 / 860)
+    assert steal_share(BEFORE, BEFORE) == 0.0

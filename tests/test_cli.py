@@ -296,6 +296,11 @@ BAD_PARAMS = [
          _json_records(dataset="caf\xe9").encode("latin-1").replace(b"\\u00e9", b"\xe9"),
          "is not a records file"),
         ("records.txt", f"{CSV_HEADER}\n{CSV_GOOD}\n", ": unsupported records format '.txt'"),
+        ("deep.json", '{"records": ' + "[" * 3000 + "]" * 3000 + "}", "is not a records file"),
+        ("deep-params.csv", _csv_records(best_params="[" * 3000 + "]" * 3000),
+         "record 2: best_params has the wrong type"),
+        ("long-field.csv", _csv_records(dataset="x" * (csv.field_size_limit() + 1)),
+         "line 3: field larger than field limit"),
         *[
             (f"{case}.{fmt}", write(model=model, best_params=params),
              f"record 2: best_params: {named}")
@@ -304,7 +309,7 @@ BAD_PARAMS = [
         ],
     ],
     ids=["no-column", "bad-length", "no-key", "extra-key", "string-accuracy", "latin-1-csv",
-         "latin-1-json", "text-suffix",
+         "latin-1-json", "text-suffix", "deep-json", "deep-params-csv", "long-field-csv",
          *[f"{case}-{fmt}" for fmt in ("csv", "json") for case, *_ in BAD_PARAMS]],
 )
 def test_report_malformed_records_file_exits_two(fixture_env, capsys, name, content, named):
@@ -576,6 +581,12 @@ def _repeat_dataset(config):
     config["datasets"].append(dict(config["datasets"][0]))
 
 
+def _deep_grid(config):
+    """The config's text with a forest max_depth list nested 3,000 deep."""
+    config["experiment"]["grids"] = {"forest": {"max_depth": "DEEP"}}
+    return json.dumps(config).replace('"DEEP"', "[" * 3000 + "]" * 3000)
+
+
 @pytest.mark.parametrize(
     "edit, named",
     [
@@ -601,8 +612,9 @@ def _repeat_dataset(config):
         (_repeat_dataset, "id 'fixture' is already declared"),
         (_put(DATASET, "format", "parquet"), "format must be 'xes' or 'csv', got 'parquet'"),
         (lambda config: json.dumps(config)[:-1], "config file is not valid JSON"),
+        (_deep_grid, "config file is not valid JSON"),
         (_put(EXPERIMENT, "encodings", ["SeqOnly", "SeqOnly"]), "encodings must not repeat"),
-        (_put(EXPERIMENT, "grids", {"tree": {"max_depth": [3]}}), "a grid for 'tree'"),
+        (_put(EXPERIMENT, "grids", {"tree": {"max_depth": [3]}}), "unknown model kind 'tree'"),
         *(
             (_put(EXPERIMENT, "grids", {"forest": {"max_features": [value]}}), named)
             for value, named in [
@@ -631,7 +643,7 @@ def _repeat_dataset(config):
         "timestamp_format-number", "case-number", "candidates-descending", "candidates-empty",
         "ouput_dir", "prefix_candidate", "delimeter", "mi_K", "mi_k-true", "workers-fraction",
         "seed-string", "cv_folds-fraction", "split_ratio-string", "min_resources-false",
-        "min_resources-negative", "repeated-dataset-id", "format-parquet", "not-json",
+        "min_resources-negative", "repeated-dataset-id", "format-parquet", "not-json", "deep-json",
         "repeated-encoding", "tree-grid",
         "max_features-log2", "max_features-negative", "max_features-fraction",
         "max_features-true", "max_features-zero", "subsample-above-one", "subsample-zero",

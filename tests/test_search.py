@@ -13,6 +13,8 @@ from resnap.models import (
     GRADIENT_BOOSTING_GRID,
     MODEL_KINDS,
     RANDOM_FOREST_GRID,
+    DecisionTree,
+    GradientBoostedTrees,
     MajorityClassifier,
     RandomForest,
     expand_grid,
@@ -63,6 +65,16 @@ def test_make_classifier_unknown_kind():
         make_classifier("svm", {}, seed=0)
 
 
+def test_the_search_serves_the_experiment_learners_only():
+    assert MODEL_KINDS == ("majority", "forest", "boosted")
+    X, y = np.eye(6), np.array([0, 1] * 3)
+    accepted = "unknown model kind 'tree'; accepted: majority, forest, boosted"
+    with pytest.raises(ConfigError, match=accepted):
+        grid_search_cv("tree", X, y, {}, folds=3, seed=0)
+    with pytest.raises(ConfigError, match=accepted):
+        make_classifier("tree", {}, seed=0)
+
+
 def test_stratified_kfold_partitions_everything():
     y = np.array([0] * 9 + [1] * 6)
     folds = stratified_kfold(y, 3, seed=1)
@@ -87,12 +99,17 @@ def test_stratified_kfold_needs_enough_samples():
         stratified_kfold(np.array([0, 1]), 3)
 
 
+def _one_tree(**grid):
+    """A forest grid of one tree grown on every row and feature."""
+    return {"n_estimators": [1], "bootstrap": [False], "max_features": [None], **grid}
+
+
 def test_grid_search_single_point_returns_it():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(12, 2))
     y = np.array([0, 1] * 6)
-    outcome = grid_search_cv("tree", X, y, {"max_depth": [2]}, folds=3, seed=1)
-    assert outcome.best_params == {"max_depth": 2}
+    outcome = grid_search_cv("forest", X, y, _one_tree(max_depth=[2]), folds=3, seed=1)
+    assert outcome.best_params["max_depth"] == 2
     assert len(outcome.per_fold) == 3
     assert outcome.mean_fold_accuracy == pytest.approx(np.mean(outcome.per_fold))
 
@@ -103,21 +120,21 @@ def test_grid_search_prefers_depth_that_separates():
     base = rng.uniform(0, 1, size=(80, 2))
     X = np.vstack([base + [0, 0], base + [2, 0], base + [0, 2], base + [2, 2]])
     y = np.array([0] * 80 + [1] * 80 + [1] * 80 + [0] * 80)
-    outcome = grid_search_cv("tree", X, y, {"max_depth": [1, 2]}, folds=3, seed=3)
-    assert outcome.best_params == {"max_depth": 2}
+    outcome = grid_search_cv("forest", X, y, _one_tree(max_depth=[1, 2]), folds=3, seed=3)
+    assert outcome.best_params["max_depth"] == 2
 
 
 def test_grid_search_tie_keeps_enumeration_order():
     X = np.array([[0.0], [1.0], [0.0], [1.0], [0.0], [1.0]])
     y = np.array([0, 1, 0, 1, 0, 1])
-    outcome = grid_search_cv("tree", X, y, {"max_depth": [3, 5]}, folds=3, seed=0)
-    assert outcome.best_params == {"max_depth": 3}
+    outcome = grid_search_cv("forest", X, y, _one_tree(max_depth=[3, 5]), folds=3, seed=0)
+    assert outcome.best_params["max_depth"] == 3
 
 
 def test_grid_search_refits_on_full_data():
     X = np.array([[0.0], [1.0], [0.0], [1.0], [0.0], [1.0]])
     y = np.array([0, 1, 0, 1, 0, 1])
-    outcome = grid_search_cv("tree", X, y, {}, folds=3, seed=0)
+    outcome = grid_search_cv("forest", X, y, _one_tree(), folds=3, seed=0)
     assert outcome.model.predict(X).tolist() == y.tolist()
 
 
@@ -272,6 +289,25 @@ def test_grid_search_deadline_reaches_inside_ensemble_fits(monkeypatch):
     assert len(batches) == 6
 
 
+@pytest.mark.parametrize("budget", [0.05, 0.2])
+def test_a_cell_budget_is_overshot_by_at_most_the_longest_unchecked_step(budget):
+    # a boosting fit checks its deadline before each round, so the search
+    # raises within one round (presort included) of a deadline that falls mid-fit
+    rng = np.random.default_rng(83)
+    X = rng.integers(0, 4, size=(400, 30)).astype(float)
+    y = rng.integers(0, 8, size=400)
+    one_round = []
+    for _ in range(2):  # the slower of two timings, so one fast timing cannot set it
+        start = time.monotonic()
+        GradientBoostedTrees(n_estimators=1, seed=0).fit(X, y)
+        one_round.append(time.monotonic() - start)
+    deadline = time.monotonic() + budget
+    with pytest.raises(CellTimeoutError):
+        grid_search_cv("boosted", X, y, {"n_estimators": [50]}, folds=3, seed=0, deadline=deadline)
+    overshoot = time.monotonic() - deadline
+    assert 0 < overshoot < 2 * max(one_round) + 0.05, (overshoot, one_round)
+
+
 @pytest.mark.parametrize(
     "grid, key",
     [
@@ -287,9 +323,8 @@ def test_check_grid_rejects_bad_values(grid, key):
         check_grid("forest", grid)
 
 
-@pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_parameter_table_lists_the_constructor_parameters_in_order(kind):
-    cls = _LEARNERS[kind]
+@pytest.mark.parametrize("cls", [*_LEARNERS.values(), DecisionTree], ids=[*_LEARNERS, "tree"])
+def test_parameter_table_lists_the_constructor_parameters_in_order(cls):
     accepted = [p for p in inspect.signature(cls).parameters if p != "seed"]
     assert list(cls.PARAMETERS) == accepted
     if accepted:  # the tree learners save their parameters in table order
@@ -297,7 +332,8 @@ def test_parameter_table_lists_the_constructor_parameters_in_order(kind):
         assert list(model.to_dict()["params"]) == accepted
 
 
-KINDS = {learner: kind for kind, learner in _LEARNERS.items()}
+# a forest passes its tree parameters to its DecisionTrees
+KINDS = {**{learner: kind for kind, learner in _LEARNERS.items()}, DecisionTree: "forest"}
 
 
 @pytest.mark.parametrize(

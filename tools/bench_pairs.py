@@ -17,11 +17,24 @@ of the median, and the pairs the change wins (ties count for neither
 side). A gain holds when the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's interquartile
 range. ``--out`` also writes every run's metrics as JSON.
+
+Each run also records the load from outside it: the steal ticks of
+``/proc/stat``'s ``cpu`` line and ``os.getloadavg()``, read before and
+after the run (neither is read where ``/proc/stat`` is absent). The
+steal share is the share of the machine's CPU ticks during the run that
+the hypervisor gave to other guests. The summary prints the largest
+share, and flags the pair set ``OUTSIDE LOAD`` when a run's share
+exceeds ``STEAL_LIMIT``, 0.05: a CPU-bound run that loses 5% of the
+machine's time to other guests is slowed by about that much, more than
+the interquartile range of the end-to-end times of quiet runs (a few
+percent), so such a pair set can show a change that is only outside
+load. ``--out`` keeps every run's readings under ``load``.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -29,6 +42,8 @@ import sys
 from pathlib import Path
 
 WIN_SHARE = 0.9
+STEAL_LIMIT = 0.05
+PROC_STAT = Path("/proc/stat")
 
 
 def clear_bytecode(checkout: Path) -> None:
@@ -36,21 +51,50 @@ def clear_bytecode(checkout: Path) -> None:
         shutil.rmtree(cache, ignore_errors=True)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
-    """Metric name -> value of one ``perfbench/run.py`` run in ``checkout``."""
+def cpu_ticks(line: str) -> tuple[int, int]:
+    """(steal, total) ticks of ``/proc/stat``'s ``cpu`` line. The total sums
+    the first eight fields, user to steal; guest time is already counted in
+    user and nice."""
+    ticks = [int(value) for value in line.split()[1:9]]
+    return ticks[7], sum(ticks)
+
+
+def steal_share(before: str, after: str) -> float:
+    """The share of the CPU ticks between two ``cpu`` lines that were stolen."""
+    (steal0, total0), (steal1, total1) = cpu_ticks(before), cpu_ticks(after)
+    return (steal1 - steal0) / (total1 - total0) if total1 > total0 else 0.0
+
+
+def outside_load() -> dict | None:
+    """``/proc/stat``'s ``cpu`` line and the load averages, or None where
+    ``/proc/stat`` is absent."""
+    if not PROC_STAT.exists():
+        return None
+    return {"cpu": PROC_STAT.read_text().splitlines()[0], "loadavg": list(os.getloadavg())}
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict | None]:
+    """Metric name -> value of one ``perfbench/run.py`` run in ``checkout``,
+    and the outside load around it (None where it cannot be read)."""
     clear_bytecode(checkout)
+    before = outside_load()
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
         cwd=checkout, capture_output=True, text=True, check=False, timeout=600,
     )
+    after = outside_load()
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: run.py exited {out.returncode}\n{out.stderr}")
     result = json.loads(lines[-1])
     if not result["correct"]:
         raise RuntimeError(f"{checkout}: run.py reported failed operations\n{out.stdout}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    load = None
+    if before and after:
+        load = {"before": before, "after": after,
+                "steal_share": steal_share(before["cpu"], after["cpu"])}
+    return {name: m["value"] for name, m in result["metrics"].items()}, load
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -102,9 +146,12 @@ def main(argv: list[str] | None = None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     declared = json.loads((sides["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
+    loads: dict[str, list[dict | None]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            runs[side].append(run_once(sides[side], args.workload, args.seed, args.seconds))
+            metrics, load = run_once(sides[side], args.workload, args.seed, args.seconds)
+            runs[side].append(metrics)
+            loads[side].append(load)
         print(f"pair {i + 1}/{args.pairs}: run_s parent {runs['parent'][-1].get('run_s')} "
               f"change {runs['change'][-1].get('run_s')}", file=sys.stderr, flush=True)
     summaries = {}
@@ -116,9 +163,15 @@ def main(argv: list[str] | None = None) -> int:
             [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]], metric["better"]
         )
         print(report(name, metric["unit"], summaries[name]))
+    shares = [load["steal_share"] for side in loads.values() for load in side if load]
+    if shares:
+        worst = max(shares)
+        flag = f"  OUTSIDE LOAD (over {STEAL_LIMIT})" if worst > STEAL_LIMIT else ""
+        print(f"largest steal share {worst:.4f}{flag}")
     if args.out:
         args.out.write_text(json.dumps({"args": {k: str(v) for k, v in vars(args).items()},
-                                        "runs": runs, "summary": summaries}, indent=1))
+                                        "runs": runs, "load": loads, "summary": summaries},
+                                       indent=1))
     return 0
 
 
