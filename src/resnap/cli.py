@@ -15,7 +15,6 @@ stdout carries a single machine-parseable JSON summary.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -31,7 +30,7 @@ from .experiment import ExperimentConfig, run_experiment
 from .parsers import CsvMapping, parse_csv, parse_xes
 from .prefixes import DEFAULT_PREFIX_CANDIDATES, eligible_resources, prefix_grid
 from .profiling import profile
-from .reporting import aggregate, export_results, load_records
+from .reporting import aggregate, export_results, load_records, write_csv, write_json
 
 
 @dataclass
@@ -83,6 +82,8 @@ def _fields(cls, raw, what: str, skip: tuple[str, ...] = ()) -> dict:
 def _dataset(i: int, raw) -> DatasetEntry:
     entry = DatasetEntry(**_fields(DatasetEntry, raw, f"dataset entry {i}"))
     what = f"dataset {entry.id!r}"
+    if "/" in entry.id or "\0" in entry.id:  # the id names the profile's files
+        raise ConfigError(f"dataset entry {i}: id {entry.id!r} must not hold '/' or NUL")
     if entry.format not in ("xes", "csv"):
         raise ConfigError(f"{what}: format must be 'xes' or 'csv', got {entry.format!r}")
     if entry.csv_mapping is not None:
@@ -101,7 +102,7 @@ def _load_config(args: argparse.Namespace) -> CliConfig:
     if not config_path.is_file():
         raise ConfigError(f"config file not found: {config_path}")
     try:
-        raw = json.loads(config_path.read_text())
+        raw = json.loads(config_path.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # not JSON or UTF-8 text, or nested too deep
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     raw = _fields(CliConfig, raw, "the config")
@@ -178,14 +179,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
     prof = profile(log)
     out.mkdir(parents=True, exist_ok=True)
     data = prof.as_dict()
-    json_path = out / f"{entry.id}_profile.json"
-    json_path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    csv_path = out / f"{entry.id}_profile.csv"
-    with open(csv_path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        keys = sorted(data)
-        writer.writerow(["dataset"] + keys)
-        writer.writerow([entry.id] + [repr(data[k]) if isinstance(data[k], float) else data[k] for k in keys])
+    json_path = write_json(data, out / f"{entry.id}_profile.json")
+    keys = sorted(data)
+    row = [entry.id, *(data[k] for k in keys)]
+    csv_path = write_csv(["dataset", *keys], [row], out / f"{entry.id}_profile.csv")
     if args.quiet:
         print(json.dumps({"dataset": entry.id, **data}, sort_keys=True))
     else:

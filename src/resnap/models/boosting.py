@@ -81,7 +81,7 @@ class GradientBoostedTrees:
         self.init_scores_: np.ndarray | None = None
         self.rounds_: list[list[Tree]] = []
         self.train_log_loss_: list[float] = []
-        self.n_features_in_: int | None = None  # None once loaded by from_dict
+        self.n_features_in_: int | None = None
 
     def fit(self, X, y, deadline: float | None = None) -> "GradientBoostedTrees":
         """Fit the rounds in order.
@@ -176,7 +176,7 @@ class GradientBoostedTrees:
         if self.classes_ is None:
             raise ValidationError("model is not fitted")
         trees = [tree for round_trees in self.rounds_ for tree in round_trees]
-        X = check_features(X, self.n_features_in_, trees)
+        X = check_features(X, self.n_features_in_)
         scores = np.tile(self.init_scores_, (X.shape[0], 1))
         yield scores
         rounds = self.rounds_ if len(self.classes_) > 1 else [[]] * self.n_estimators
@@ -210,11 +210,3 @@ class GradientBoostedTrees:
             "init_scores": [float(v) for v in self.init_scores_],
             "rounds": [[tree.to_dict() for tree in trees] for trees in self.rounds_],
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "GradientBoostedTrees":
-        model = cls(seed=payload["seed"], **payload["params"])
-        model.classes_ = np.array(payload["classes"], dtype=np.int64)
-        model.init_scores_ = np.array(payload["init_scores"], dtype=float)
-        model.rounds_ = [[Tree.from_dict(t) for t in trees] for trees in payload["rounds"]]
-        return model

@@ -67,7 +67,7 @@ class RandomForest:
         self.seed = seed
         self.classes_: np.ndarray | None = None
         self.trees_: list[DecisionTree] = []
-        self.n_features_in_: int | None = None  # None once loaded by from_dict
+        self.n_features_in_: int | None = None
 
     def fit(self, X, y, deadline: float | None = None) -> "RandomForest":
         """Fit on all of ``X`` and ``y``: :meth:`fit_many` of this forest alone."""
@@ -144,7 +144,7 @@ class RandomForest:
         if not self.trees_:
             raise ValidationError("model is not fitted")
         trees = [tree.tree_ for tree in self.trees_]
-        X = check_features(X, self.n_features_in_, trees)
+        X = check_features(X, self.n_features_in_)
         rows = np.arange(X.shape[0])
         votes = np.zeros((X.shape[0], len(self.classes_)), dtype=np.int64)
         for tree, leaf in zip(self.trees_, apply_trees(trees, X)):
@@ -167,10 +167,3 @@ class RandomForest:
             "classes": [int(c) for c in self.classes_],
             "trees": [tree.to_dict() for tree in self.trees_],
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RandomForest":
-        model = cls(seed=payload["seed"], **payload["params"])
-        model.classes_ = np.array(payload["classes"], dtype=np.int64)
-        model.trees_ = [DecisionTree.from_dict(t) for t in payload["trees"]]
-        return model

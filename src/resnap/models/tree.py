@@ -90,10 +90,6 @@ class Tree:
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Tree":
-        return cls(**{f.name: np.asarray(payload[f.name]) for f in fields(cls)})
-
 
 # a block of apply_trees descends at most this many (tree, row) pairs,
 # unless one tree alone has more rows
@@ -707,7 +703,7 @@ def check_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     ``X`` must be a non-empty 2-D matrix of finite values and ``y`` a 1-D
     array with one label per row of ``X``.
     """
-    X = check_features(X, None, [])
+    X = check_features(X, None)
     y = np.asarray(y)
     if X.shape[0] == 0:
         raise ValidationError("training data must be a non-empty 2-D matrix")
@@ -716,30 +712,19 @@ def check_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def check_features(X, n_features: int | None, trees) -> np.ndarray:
-    """``X`` as a float matrix the fitted ``trees`` can descend, or ValidationError.
+def check_features(X, n_features: int | None) -> np.ndarray:
+    """``X`` as a float matrix, or ValidationError.
 
     ``X`` must be 2-D and finite, with the ``n_features`` columns of the
-    fitted data. A model loaded with ``from_dict`` does not know that width
-    (``n_features`` is None); then ``X`` needs every column the trees
-    split on.
+    fitted data; ``n_features=None`` takes training data of any width.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValidationError("X must be a 2-D matrix")
     if not np.isfinite(X).all():
         raise ValidationError("X must not hold NaN or infinite values")
-    if n_features is not None:
-        if X.shape[1] != n_features:
-            raise ValidationError(
-                f"X has {X.shape[1]} columns, the model was fitted on {n_features}"
-            )
-    else:
-        needed = max((int(tree.feature.max()) + 1 for tree in trees), default=0)
-        if X.shape[1] < needed:
-            raise ValidationError(
-                f"X has {X.shape[1]} columns, the model splits on column {needed - 1}"
-            )
+    if n_features is not None and X.shape[1] != n_features:
+        raise ValidationError(f"X has {X.shape[1]} columns, the model was fitted on {n_features}")
     return X
 
 
@@ -793,7 +778,7 @@ class DecisionTree:
         self.seed = seed
         self.classes_: np.ndarray | None = None
         self.tree_: Tree | None = None
-        self.n_features_in_: int | None = None  # None once loaded by from_dict
+        self.n_features_in_: int | None = None
 
     def fit(self, X, y, deadline: float | None = None) -> "DecisionTree":
         """Fit on the distinct rows of ``X`` with their class counts.
@@ -813,7 +798,7 @@ class DecisionTree:
     def predict(self, X) -> np.ndarray:
         if self.tree_ is None:
             raise ValidationError("model is not fitted")
-        X = check_features(X, self.n_features_in_, [self.tree_])
+        X = check_features(X, self.n_features_in_)
         counts = self.tree_.value[self.tree_.apply(X)]
         return self.classes_[np.argmax(counts, axis=1)]  # first max = lowest class id
 
@@ -834,13 +819,6 @@ class DecisionTree:
             "tree": self.tree_.to_dict(),
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DecisionTree":
-        model = cls(seed=payload["seed"], **payload["params"])
-        model.classes_ = np.array(payload["classes"], dtype=np.int64)
-        model.tree_ = Tree.from_dict(payload["tree"])
-        return model
-
 
 class MajorityClassifier:
     """Always predicts the most frequent training label.
@@ -856,7 +834,7 @@ class MajorityClassifier:
         self.seed = seed
         self.classes_: np.ndarray | None = None
         self.label_: int | None = None
-        self.n_features_in_: int | None = None  # None once loaded by from_dict
+        self.n_features_in_: int | None = None
 
     def fit(self, X, y, deadline: float | None = None) -> "MajorityClassifier":
         X, y = check_training_data(X, y)
@@ -868,7 +846,7 @@ class MajorityClassifier:
     def predict(self, X) -> np.ndarray:
         if self.label_ is None:
             raise ValidationError("model is not fitted")
-        X = check_features(X, self.n_features_in_, [])
+        X = check_features(X, self.n_features_in_)
         return np.full(X.shape[0], self.label_, dtype=np.int64)
 
     def to_dict(self) -> dict:
@@ -878,10 +856,3 @@ class MajorityClassifier:
             "classes": [int(c) for c in self.classes_],
             "label": self.label_,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MajorityClassifier":
-        model = cls(seed=payload["seed"])
-        model.classes_ = np.array(payload["classes"], dtype=np.int64)
-        model.label_ = payload["label"]
-        return model

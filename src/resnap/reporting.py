@@ -102,6 +102,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def write_json(payload, path: Path) -> Path:
+    """Write ``payload`` to ``path`` as indented JSON with sorted keys, in UTF-8."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
+def write_csv(header: Sequence[str], rows: Iterable[Sequence], path: Path) -> Path:
+    """Write ``header`` and ``rows`` to ``path`` as CSV in UTF-8, each value
+    in its :func:`_fmt` text."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+    return path
+
+
 def _record_row(record: ResultRecord) -> dict:
     return {key: getattr(record, key) for key in _FIELDS} | {"best_params": dict(record.best_params)}
 
@@ -109,20 +125,14 @@ def _record_row(record: ResultRecord) -> dict:
 def export_records(records: Sequence[ResultRecord], path: str | Path) -> Path:
     """Write the long-format records file; format comes from the suffix."""
     path = Path(path)
+    rows = [_record_row(r) for r in records]
     if path.suffix == ".json":
-        payload = {"records": [_record_row(r) for r in records]}
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    elif path.suffix == ".csv":
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(_FIELDS)
-            for r in records:
-                row = _record_row(r)
-                row["best_params"] = json.dumps(row["best_params"], sort_keys=True)
-                writer.writerow([_fmt(row[f]) for f in _FIELDS])
-    else:
-        raise ConfigError(f"{path}: unsupported records format {path.suffix!r}")
-    return path
+        return write_json({"records": rows}, path)
+    if path.suffix == ".csv":
+        for row in rows:
+            row["best_params"] = json.dumps(row["best_params"], sort_keys=True)
+        return write_csv(_FIELDS, ([row[f] for f in _FIELDS] for row in rows), path)
+    raise ConfigError(f"{path}: unsupported records format {path.suffix!r}")
 
 
 def _field(where: str, key: str, value, text: bool):
@@ -181,7 +191,7 @@ def load_records(path: str | Path) -> list[ResultRecord]:
     path = Path(path)
     if path.suffix == ".json":
         try:
-            rows = json.loads(path.read_text())["records"]
+            rows = json.loads(path.read_text(encoding="utf-8"))["records"]
         except (ValueError, KeyError, TypeError, RecursionError):  # not JSON, too deep, no records
             rows = None
         if not isinstance(rows, list):
@@ -190,7 +200,7 @@ def load_records(path: str | Path) -> list[ResultRecord]:
             )
     elif path.suffix == ".csv":
         try:
-            with open(path, newline="") as handle:
+            with open(path, newline="", encoding="utf-8") as handle:
                 reader = csv.DictReader(handle)
                 rows = list(reader)
         except UnicodeDecodeError:
@@ -223,15 +233,8 @@ def _export_wide(cells: Sequence[AggregateCell], path: Path) -> Path:
     """Write a wide table as CSV, or else as JSON."""
     header, rows = _wide_rows(cells)
     if path.suffix == ".csv":
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-    else:
-        payload = [dict(zip(header, row)) for row in rows]
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+        return write_csv(header, rows, path)
+    return write_json([dict(zip(header, row)) for row in rows], path)
 
 
 def export_results(

@@ -4,7 +4,9 @@ import csv
 import gzip
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -236,6 +238,33 @@ def test_report_reproduces_the_run_exports_byte_for_byte(fixture_env, fmt):
     assert main([*argv, "--out", str(report_out)]) == 0
     for name in EXPORTS:
         assert (report_out / name).read_bytes() == (run_out / name).read_bytes(), name
+
+
+# a locale whose text encoding is ASCII, with Python's UTF-8 mode and locale coercion off
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def test_run_and_report_read_and_write_utf8_under_an_ascii_locale(tmp_path):
+    config = json.loads((ROOT / "configs" / "example.json").read_text(encoding="utf-8"))
+    entry = {**config["datasets"][0], "id": "démo", "path": str(ROOT / "data" / "demo.csv")}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**config, "datasets": [entry]}, ensure_ascii=False),
+                           encoding="utf-8")
+    env = {**os.environ, **ASCII_LOCALE, "PYTHONPATH": str(ROOT / "src")}
+    ascii_out, default_out = tmp_path / "ascii", tmp_path / "default"
+    for out in (ascii_out, default_out):
+        # report reads the CSV records, which hold the id unescaped
+        for argv in (["run"], ["report", "--records", str(out / "records.csv")]):
+            argv += ["--config", str(config_path), "--quiet", "--out", str(out)]
+            if out is default_out:
+                assert main(argv) == 0
+                continue
+            done = subprocess.run([sys.executable, "-m", "resnap.cli", *argv], env=env,
+                                  capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+    assert "démo" in (default_out / "records.csv").read_text(encoding="utf-8")
+    for name in EXPORTS:
+        assert (ascii_out / name).read_bytes() == (default_out / name).read_bytes(), name
 
 
 def test_report_missing_records_exits_two(fixture_env, capsys):
@@ -593,6 +622,8 @@ def _deep_grid(config):
         (_put((), "output_dir", 5), "output_dir must be a string"),
         (_put(DATASET, "path", 5), "path must be a string"),
         (_put(DATASET, "id", ["x"]), "id must be a string"),
+        (_put(DATASET, "id", "team/a"), "dataset entry 0: id 'team/a' must not hold '/' or NUL"),
+        (_put(DATASET, "id", "a\0b"), "dataset entry 0: id 'a\\x00b' must not hold '/' or NUL"),
         (_put(MAPPING, "delimiter", ";;"), "delimiter must be one character"),
         (_put(MAPPING, "timestamp_format", 5), "timestamp_format must be a string"),
         (_put(MAPPING, "case", 3), "case must be a string"),
@@ -639,7 +670,7 @@ def _deep_grid(config):
         ),
     ],
     ids=[
-        "output_dir-number", "path-number", "id-list", "delimiter-two-chars",
+        "output_dir-number", "path-number", "id-list", "id-slash", "id-nul", "delimiter-two-chars",
         "timestamp_format-number", "case-number", "candidates-descending", "candidates-empty",
         "ouput_dir", "prefix_candidate", "delimeter", "mi_K", "mi_k-true", "workers-fraction",
         "seed-string", "cv_folds-fraction", "split_ratio-string", "min_resources-false",
@@ -682,7 +713,7 @@ def test_no_dataset_flag_with_several_datasets_exits_two_before_parsing(
 
 
 def _readme_config() -> dict:
-    readme = (ROOT / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     return json.loads(re.search(r"### Config schema\s+```json\n(.*?)```", readme, re.S)[1])
 
 

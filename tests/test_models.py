@@ -120,16 +120,6 @@ def test_tree_predictions_stay_in_label_space():
     assert set(tree.predict(rng.normal(size=(200, 3)))) <= set(y.tolist())
 
 
-def test_tree_json_round_trip():
-    rng = np.random.default_rng(11)
-    X = rng.normal(size=(30, 2))
-    y = rng.integers(0, 3, size=30)
-    tree = DecisionTree(max_depth=4).fit(X, y)
-    clone = DecisionTree.from_dict(json.loads(json.dumps(tree.to_dict())))
-    probe = rng.normal(size=(50, 2))
-    assert clone.predict(probe).tolist() == tree.predict(probe).tolist()
-
-
 # --- random forest -------------------------------------------------------------
 
 
@@ -170,16 +160,6 @@ def test_forest_separable_blobs_reach_training_accuracy():
     assert majority_acc >= 0.95
     forest = RandomForest(n_estimators=10, seed=1).fit(X, y)
     assert np.mean(forest.predict(X) == y) >= 0.95
-
-
-def test_forest_json_round_trip():
-    rng = np.random.default_rng(13)
-    X = rng.normal(size=(30, 3))
-    y = rng.integers(0, 3, size=30)
-    forest = RandomForest(n_estimators=3, max_depth=3, seed=2).fit(X, y)
-    clone = RandomForest.from_dict(json.loads(json.dumps(forest.to_dict())))
-    probe = rng.normal(size=(40, 3))
-    assert clone.predict(probe).tolist() == forest.predict(probe).tolist()
 
 
 # --- gradient boosting -----------------------------------------------------------
@@ -238,16 +218,6 @@ def test_boosting_predictions_stay_in_label_space():
     y = rng.integers(2, 5, size=40)
     model = GradientBoostedTrees(n_estimators=5, max_depth=2, seed=1).fit(X, y)
     assert set(model.predict(rng.normal(size=(100, 2)))) <= set(y.tolist())
-
-
-def test_boosting_json_round_trip():
-    rng = np.random.default_rng(37)
-    X = rng.normal(size=(40, 3))
-    y = rng.integers(0, 3, size=40)
-    model = GradientBoostedTrees(n_estimators=4, max_depth=2, seed=5).fit(X, y)
-    clone = GradientBoostedTrees.from_dict(json.loads(json.dumps(model.to_dict())))
-    probe = rng.normal(size=(60, 3))
-    assert clone.predict(probe).tolist() == model.predict(probe).tolist()
 
 
 # --- staged predictions and in-fit deadlines -------------------------------------
@@ -393,19 +363,6 @@ def test_predict_rejects_X_of_another_width_or_rank(make, X):
     assert model.predict(np.zeros((3, 2))).shape == (3,)
 
 
-@pytest.mark.parametrize("make", WIDTH_LEARNERS, ids=["tree", "forest", "boosted"])
-def test_loaded_model_checks_x_against_its_largest_split_feature(make):
-    model = _fitted_on_column_one(make)
-    clone = type(model).from_dict(json.loads(json.dumps(model.to_dict())))
-    probe = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 5.0]])
-    # the fitted width is not part of the saved model, so a wider X is accepted
-    assert clone.predict(probe).tolist() == model.predict(probe[:, :2]).tolist()
-    for X in (np.zeros((3, 1)), np.zeros(3)):
-        for predict in _predictions(clone, X):
-            with pytest.raises(ValidationError):
-                predict()
-
-
 # --- training and prediction input -------------------------------------------
 
 ALL_LEARNERS = WIDTH_LEARNERS + [lambda: MajorityClassifier()]
@@ -432,10 +389,6 @@ def test_majority_predict_checks_X_like_the_tree_learners(X):
     with pytest.raises(ValidationError):
         model.predict(X)
     assert model.predict(np.zeros((3, 2))).tolist() == [1, 1, 1]
-    # the fitted width is not part of the saved model, so a loaded one takes any width
-    assert sorted(model.to_dict()) == ["classes", "kind", "label", "seed"]
-    clone = MajorityClassifier.from_dict(json.loads(json.dumps(model.to_dict())))
-    assert clone.predict(np.zeros((2, 5))).tolist() == [1, 1]
 
 
 @pytest.mark.parametrize("make", [RandomForest, GradientBoostedTrees], ids=["forest", "boosted"])
@@ -574,18 +527,13 @@ def _descend(tree, x) -> int:
     return int(node)
 
 
-def _fitted_and_loaded(model):
-    yield model
-    yield type(model).from_dict(json.loads(json.dumps(model.to_dict())))
-
-
 @pytest.mark.parametrize("elements", [1, 100, 1 << 16], ids=["a tree a block", "small blocks", "one block"])
 def test_apply_trees_equals_each_trees_own_descent(monkeypatch, elements):
     monkeypatch.setattr(tree_core, "_APPLY_ELEMENTS", elements)
     X, y, probe = _staged_data(73)
     forest = RandomForest(n_estimators=9, seed=2).fit(X, y)
     boosted = GradientBoostedTrees(n_estimators=3, max_depth=3, seed=2).fit(X, y)
-    for model in (*_fitted_and_loaded(forest), *_fitted_and_loaded(boosted)):
+    for model in (forest, boosted):
         trees = _trees(model)
         leaves = list(tree_core.apply_trees(trees, probe))
         assert len(leaves) == len(trees)
@@ -600,20 +548,18 @@ def test_staged_votes_and_scores_equal_the_per_tree_loop(monkeypatch, elements):
     monkeypatch.setattr(tree_core, "_APPLY_ELEMENTS", elements)
     X, y, probe = _staged_data(79)
     forest = RandomForest(n_estimators=8, max_depth=4, seed=5).fit(X, y)
-    for model in _fitted_and_loaded(forest):
-        votes = np.zeros((len(probe), len(model.classes_)), dtype=np.int64)
-        for tree, staged in zip(model.trees_, model.staged_predict(probe), strict=True):
-            votes[np.arange(len(probe)), np.searchsorted(model.classes_, tree.predict(probe))] += 1
-            assert staged.tolist() == model.classes_[votes.argmax(axis=1)].tolist()
+    votes = np.zeros((len(probe), len(forest.classes_)), dtype=np.int64)
+    for tree, staged in zip(forest.trees_, forest.staged_predict(probe), strict=True):
+        votes[np.arange(len(probe)), np.searchsorted(forest.classes_, tree.predict(probe))] += 1
+        assert staged.tolist() == forest.classes_[votes.argmax(axis=1)].tolist()
     boosted = GradientBoostedTrees(n_estimators=4, max_depth=3, subsample=0.8, seed=5).fit(X, y)
-    for model in _fitted_and_loaded(boosted):
-        scores = np.tile(model.init_scores_, (len(probe), 1))
-        stages = model._staged_scores(probe)
-        assert np.array_equal(next(stages), scores)
-        for round_trees, staged in zip(model.rounds_, stages, strict=True):
-            for k, tree in enumerate(round_trees):
-                scores[:, k] += model.learning_rate * tree.value[_apply_alone(tree, probe)]
-            assert np.array_equal(staged, scores)  # bit for bit
+    scores = np.tile(boosted.init_scores_, (len(probe), 1))
+    stages = boosted._staged_scores(probe)
+    assert np.array_equal(next(stages), scores)
+    for round_trees, staged in zip(boosted.rounds_, stages, strict=True):
+        for k, tree in enumerate(round_trees):
+            scores[:, k] += boosted.learning_rate * tree.value[_apply_alone(tree, probe)]
+        assert np.array_equal(staged, scores)  # bit for bit
 
 
 def _apply_alone(tree, X):
