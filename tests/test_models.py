@@ -120,6 +120,39 @@ def test_tree_predictions_stay_in_label_space():
     assert set(tree.predict(rng.normal(size=(200, 3)))) <= set(y.tolist())
 
 
+def _json_leaf(tree: dict, x) -> int:
+    """Leaf of one row in a tree's JSON form, read as plain lists."""
+    node = 0
+    while tree["feature"][node] >= 0:
+        go_left = x[tree["feature"][node]] <= tree["threshold"][node]
+        node = tree["left"][node] if go_left else tree["right"][node]
+    return node
+
+
+def _json_tree_predict(model: dict, x) -> int:
+    """A CART tree's class of one row, from its JSON form: most counts, lowest id of a tie."""
+    counts = model["tree"]["value"][_json_leaf(model["tree"], x)]
+    return model["classes"][counts.index(max(counts))]
+
+
+def _json_round_trip(model) -> dict:
+    """The model's JSON form after a trip through JSON text, checked to be unchanged."""
+    form = json.loads(json.dumps(model.to_dict()))
+    assert form == model.to_dict()
+    return form
+
+
+def test_tree_json_round_trip():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(30, 2))
+    y = rng.integers(0, 3, size=30)
+    tree = DecisionTree(max_depth=4).fit(X, y)
+    form = _json_round_trip(tree)
+    assert form["kind"] == "tree" and form["params"]["max_depth"] == 4
+    probe = rng.normal(size=(50, 2))
+    assert [_json_tree_predict(form, x) for x in probe] == tree.predict(probe).tolist()
+
+
 # --- random forest -------------------------------------------------------------
 
 
@@ -160,6 +193,23 @@ def test_forest_separable_blobs_reach_training_accuracy():
     assert majority_acc >= 0.95
     forest = RandomForest(n_estimators=10, seed=1).fit(X, y)
     assert np.mean(forest.predict(X) == y) >= 0.95
+
+
+def test_forest_json_round_trip():
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(30, 3))
+    y = rng.integers(0, 3, size=30)
+    forest = RandomForest(n_estimators=3, max_depth=3, seed=2).fit(X, y)
+    form = _json_round_trip(forest)
+    assert form["kind"] == "forest" and len(form["trees"]) == 3
+    probe = rng.normal(size=(40, 3))
+    predicted = []
+    for x in probe:
+        votes = [0] * len(form["classes"])
+        for tree in form["trees"]:
+            votes[form["classes"].index(_json_tree_predict(tree, x))] += 1
+        predicted.append(form["classes"][votes.index(max(votes))])
+    assert predicted == forest.predict(probe).tolist()
 
 
 # --- gradient boosting -----------------------------------------------------------
@@ -218,6 +268,23 @@ def test_boosting_predictions_stay_in_label_space():
     y = rng.integers(2, 5, size=40)
     model = GradientBoostedTrees(n_estimators=5, max_depth=2, seed=1).fit(X, y)
     assert set(model.predict(rng.normal(size=(100, 2)))) <= set(y.tolist())
+
+
+def test_boosting_json_round_trip():
+    rng = np.random.default_rng(37)
+    X = rng.normal(size=(40, 3))
+    y = rng.integers(0, 3, size=40)
+    model = GradientBoostedTrees(n_estimators=4, max_depth=2, seed=5).fit(X, y)
+    form = _json_round_trip(model)
+    assert form["kind"] == "boosted" and len(form["rounds"]) == 4
+    probe = rng.normal(size=(60, 3))
+    scores = np.tile(form["init_scores"], (len(probe), 1))
+    for round_trees in form["rounds"]:
+        for k, tree in enumerate(round_trees):
+            leaves = [_json_leaf(tree, x) for x in probe]
+            scores[:, k] += form["params"]["learning_rate"] * np.array(tree["value"])[leaves]
+    assert np.array_equal(scores, model._raw_scores(probe))  # bit for bit
+    assert np.array(form["classes"])[scores.argmax(axis=1)].tolist() == model.predict(probe).tolist()
 
 
 # --- staged predictions and in-fit deadlines -------------------------------------
