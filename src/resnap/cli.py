@@ -262,6 +262,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    if args.dataset is not None:  # report reads no dataset, but a named one must be declared
+        _select_dataset(config, args.dataset)
     out = _out_dir(config, args)
     records_path = Path(args.records) if args.records else out / "records.json"
     if not records_path.is_file():

@@ -108,14 +108,14 @@ class GradientBoostedTrees:
         scores = np.tile(self.init_scores_, (n, 1))
         rng = np.random.default_rng(derive_seed(self.seed, "boost"))
         factor = (n_classes - 1) / n_classes
-        self.train_log_loss_.append(self._log_loss(scores, codes))
+        probs = _softmax(scores)  # the loss so far, and what the next round fits
+        self.train_log_loss_.append(self._log_loss(probs, codes))
         X = np.asfortranarray(X)  # the trees read X column by column
         order = presort(X)  # shared by every class tree of every round
         # the root's sorted values and cuts, shared while rows and features stay
         root = sorted_cuts(X, order) if self.colsample >= 1.0 else None
         for _ in range(self.n_estimators):
             check_deadline(deadline)
-            probs = _softmax(scores)
             rest = None  # rows left out of the round
             if self.subsample < 1.0:
                 n_rows = max(1, int(round(self.subsample * n)))
@@ -155,12 +155,12 @@ class GradientBoostedTrees:
                 scores[:, k] += self.learning_rate * tree.value[leaf]
                 round_trees.append(tree)
             self.rounds_.append(round_trees)
-            self.train_log_loss_.append(self._log_loss(scores, codes))
+            probs = _softmax(scores)
+            self.train_log_loss_.append(self._log_loss(probs, codes))
         return self
 
     @staticmethod
-    def _log_loss(scores: np.ndarray, codes: np.ndarray) -> float:
-        probs = _softmax(scores)
+    def _log_loss(probs: np.ndarray, codes: np.ndarray) -> float:
         picked = np.clip(probs[np.arange(len(codes)), codes], _EPS, None)
         return float(-np.mean(np.log(picked)))
 

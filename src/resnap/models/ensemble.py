@@ -18,14 +18,7 @@ from .params import (
     check_params,
     params_of,
 )
-from .tree import (
-    DecisionTree,
-    apply_trees,
-    check_features,
-    check_training_data,
-    grow_trees,
-    row_groups,
-)
+from .tree import DecisionTree, apply_trees, check_features, check_training_data
 
 
 class RandomForest:
@@ -77,56 +70,39 @@ class RandomForest:
     @staticmethod
     def fit_many(forests, X, y, row_sets, deadline: float | None = None) -> None:
         """Fit ``forests[i]`` on the rows ``row_sets[i]`` of ``X`` and ``y``,
-        growing every tree of every forest in one lock-step :func:`grow_trees` call.
+        growing every tree of every forest in one :meth:`DecisionTree.fit_many` call.
 
         Each forest ends exactly as ``fit(X[rows], y[rows])`` leaves it.
         Tree ``i`` of a forest is the :class:`DecisionTree` fit on its
-        bootstrap sample ``rows[rng.integers(0, n, n)]``, grown on the
-        distinct rows of ``X`` with the sample's class counts, coded over
-        the classes of ``y``: a class the sample lacks is a zero column,
-        which no split score or stopping rule sees, and is cut from the
-        tree's ``value``. The forests may differ in ``seed``,
-        ``n_estimators`` and ``bootstrap`` only. Before each lock-step
-        batch, raise :class:`CellTimeoutError` once ``time.monotonic()``
-        has passed ``deadline``.
+        bootstrap sample ``rows[rng.integers(0, n, n)]``. The forests may
+        differ in ``seed``, ``n_estimators`` and ``bootstrap`` only.
+        Before each lock-step batch, raise :class:`CellTimeoutError` once
+        ``time.monotonic()`` has passed ``deadline``.
         """
         for forest in forests:
             check_params(forest)
-        X, y = check_training_data(X, y)
-        params = [forest._tree_params(X.shape[1]) for forest in forests]
-        if any(p != params[0] for p in params):
-            raise ValidationError("forests fitted together must share their tree parameters")
-        classes, codes = np.unique(y, return_inverse=True)
-        k = len(classes)
-        distinct, group = row_groups(X)
-        samples, trees = [], []  # trees: (forest, tree model, the sample's classes)
+        X, y = check_training_data(X, y)  # "sqrt" needs the width before the trees exist
+        trees, samples = [], []  # (forest, tree) of every forest, and each tree's rows
         for forest, rows in zip(forests, row_sets):
             rows = np.asarray(rows, dtype=np.int64)
             n = rows.size
             if n == 0:
                 raise ValidationError("training data must be a non-empty 2-D matrix")
             forest.n_features_in_ = X.shape[1]
-            forest.classes_ = classes[np.unique(codes[rows])]
+            forest.classes_ = np.unique(y[rows])
             forest.trees_ = []
+            params = forest._tree_params(X.shape[1])
             for i in range(forest.n_estimators):
                 idx = rows
                 if forest.bootstrap:
                     draw = np.random.default_rng(derive_seed(forest.seed, "bootstrap", i))
                     idx = rows[draw.integers(0, n, size=n)]
-                counts = np.bincount(group[idx] * k + codes[idx], minlength=distinct.shape[0] * k)
-                counts = counts.reshape(-1, k)
-                kept = counts.any(axis=1).nonzero()[0]
                 seed = derive_seed(forest.seed, "features", i)
-                samples.append((kept, counts[kept], np.random.default_rng(seed)))
-                model = DecisionTree(seed=seed, **params[0])
-                trees.append((forest, model, counts.any(axis=0).nonzero()[0]))
-        grown = grow_trees(distinct, samples, deadline=deadline, **params[0])
-        for (forest, model, present), tree in zip(trees, grown):
-            model.n_features_in_ = X.shape[1]
-            model.classes_ = classes[present]
-            tree.value = tree.value[:, present]
-            model.tree_ = tree
-            forest.trees_.append(model)
+                trees.append((forest, DecisionTree(seed=seed, **params)))
+                samples.append(idx)
+        DecisionTree.fit_many([tree for _, tree in trees], X, y, samples, deadline)
+        for forest, tree in trees:
+            forest.trees_.append(tree)
 
     def _features_per_node(self, n_features: int) -> int | None:
         if self.max_features == "sqrt":

@@ -18,9 +18,10 @@ Training is therefore fully deterministic.
 Only cuts are scored: the positions where a column's sorted values rise,
 the counterpart of LightGBM's thresholds on bin boundaries. On encoded
 prefix matrices, with a few distinct values per column, a node has far
-fewer cuts than rows. The CART classifier also grows on the distinct
-rows of its data, each carrying its class counts, and a row of integer
-statistics weighs as many rows as its counts sum to; a bootstrap sample
+fewer cuts than rows. Every CART tree, alone or in a forest, is fitted
+by :meth:`DecisionTree.fit_many`, which grows it on the distinct rows of
+its data, each carrying its class counts; a row of integer statistics
+weighs as many rows as its counts sum to, and a bootstrap sample
 repeats most of its rows. Neither changes a tree: the cumulative sums
 read at the cuts are the ones the scan over every row computed.
 
@@ -41,8 +42,9 @@ instead of numpy's per-call overhead, and leaves the generator exactly
 where the calls would have. Every tree of class counts grows there,
 a lone CART tree as a batch of one. Boosting's trees, of float
 gradients, score every feature at every node: they sort each column
-once instead and grow one at a time (:func:`grow`). The trees of a
-fitted forest or boosting model descend together (:func:`apply_trees`).
+once instead and grow one at a time (:func:`grow`), stopping unsearched
+a node under ``2 * min_samples_leaf`` rows, which has no cut. The trees
+of a fitted forest or boosting model descend together (:func:`apply_trees`).
 """
 from __future__ import annotations
 
@@ -168,11 +170,10 @@ def _cuts(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return column[inside], position[inside]
 
 
-def _midpoint(lo: float, hi: float) -> float:
+def _midpoint(lo, hi):
+    """Thresholds between ``lo < hi``: the midpoints, or ``lo`` where one rounds up to ``hi``."""
     threshold = (lo + hi) / 2.0
-    if threshold >= hi:  # the midpoint of adjacent floats can round up
-        threshold = lo
-    return float(threshold)
+    return np.where(threshold >= hi, lo, threshold)
 
 
 def _exact_top(near, sq_left, sq_right, left_n, right_n) -> int:
@@ -572,9 +573,7 @@ def _search(batch: list, shared: tuple) -> None:
     cut_rank[has] = block_rank[best]
     feature = np.zeros(nodes, dtype=np.int64)
     feature[has] = candidates[block_seg[best]]
-    lo, hi = values[block_rank[best]], values[block_rank[best + 1]]
-    threshold = (lo + hi) / 2.0
-    threshold = np.where(threshold >= hi, lo, threshold)  # see _midpoint
+    threshold = _midpoint(values[block_rank[best]], values[block_rank[best + 1]])
     # the children's entries: one rank comparison over every entry, and one
     # stable sort that puts each split node's right child, then its left
     # child, together (split node k's children are 2k and 2k + 1)
@@ -613,7 +612,6 @@ def grow(
     grad: np.ndarray,
     *,
     max_depth: int | None = None,
-    min_samples_split: int = 2,
     min_samples_leaf: int = 1,
     features: np.ndarray | None = None,
     order: np.ndarray | None = None,
@@ -624,10 +622,10 @@ def grow(
     """Grow a regression tree on ``X`` with one float gradient per row.
 
     Node ids are preorder, and every node scores every column of
-    ``features`` (default: all). A node stays a leaf at ``max_depth``,
-    below ``min_samples_split`` rows, when it holds one row, or when no
-    split leaves ``min_samples_leaf`` rows on each side. Its gradients
-    are summed once; its value is that ``total``, or
+    ``features`` (default: all). A node stays a leaf at ``max_depth`` or
+    when no split leaves ``min_samples_leaf`` rows on each side, as in
+    every node under ``2 * min_samples_leaf`` rows. Its gradients are
+    summed once; its value is that ``total``, or
     ``node_value(rows, total)``. When given, ``reached`` is filled with
     the leaf each row of ``X`` ends in, which is ``tree.apply(X)``.
 
@@ -648,7 +646,7 @@ def grow(
     flat = columns.ravel()
     offsets = (features * X.shape[0])[:, None]
     side = np.zeros(X.shape[0], dtype=bool)
-    min_rows = max(min_samples_split, 2)  # a node of one row has no cut
+    min_rows = 2 * min_samples_leaf  # a smaller node has no cut that leaves the floor
     nodes = _Nodes()
     # (rows, depth, parent whose right child this is or -1, sorted rows or None)
     stack = [(np.arange(X.shape[0]), 0, -1, block)]
@@ -680,7 +678,7 @@ def grow(
         best = (left_sum * left_sum / left_n + right_sum * right_sum / right_n).argmax()
         j, i = column[best], position[best]
         f = int(features[j])
-        cut = _midpoint(xs[j, i], xs[j, i + 1])
+        cut = float(_midpoint(xs[j, i], xs[j, i + 1]))
         nodes.feature[node], nodes.threshold[node], nodes.left[node] = f, cut, node + 1
         mask = columns[f, rows] <= cut
         left_rows, right_rows = rows[mask], rows[~mask]
@@ -744,15 +742,6 @@ def row_groups(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X[order[first]], group
 
 
-def distinct_rows(X: np.ndarray, codes: np.ndarray, n_classes: int):
-    """The rows of ``X`` that differ bit for bit (see :func:`row_groups`),
-    and each one's class counts; ``codes`` are the rows' class ids in
-    ``range(n_classes)``."""
-    distinct, group = row_groups(X)
-    counts = np.bincount(group * n_classes + codes, minlength=distinct.shape[0] * n_classes)
-    return distinct, counts.reshape(-1, n_classes)
-
-
 class DecisionTree:
     """CART classifier with optional per-node feature subsampling."""
 
@@ -781,19 +770,48 @@ class DecisionTree:
         self.n_features_in_: int | None = None
 
     def fit(self, X, y, deadline: float | None = None) -> "DecisionTree":
-        """Fit on the distinct rows of ``X`` with their class counts.
-
-        Repeated rows (a bootstrap sample has many) are merged first; the
-        tree is the one grown on the one-hot rows themselves, checking
-        ``deadline`` before every :func:`grow_trees` batch."""
-        check_params(self)
-        X, y = check_training_data(X, y)
-        self.n_features_in_ = X.shape[1]
-        self.classes_, codes = np.unique(y, return_inverse=True)
-        X, counts = distinct_rows(X, codes, len(self.classes_))
-        sample = (np.arange(X.shape[0]), counts, np.random.default_rng(self.seed))
-        self.tree_ = grow_trees(X, [sample], deadline=deadline, **params_of(self))[0]
+        """Fit on all of ``X`` and ``y``: :meth:`fit_many` of this tree alone."""
+        DecisionTree.fit_many([self], X, y, [np.arange(np.size(y))], deadline)
         return self
+
+    @staticmethod
+    def fit_many(trees, X, y, row_sets, deadline: float | None = None) -> None:
+        """Fit ``trees[i]`` on the rows ``row_sets[i]`` of ``X`` and ``y``,
+        which may repeat, growing every tree in one :func:`grow_trees` call.
+
+        Each tree ends exactly as ``fit(X[rows], y[rows])`` leaves it: it
+        grows on the distinct rows of ``X`` (:func:`row_groups`) that its
+        rows hit, with their class counts coded over the classes of ``y``.
+        A class its rows lack is a zero column, which no split score or
+        stopping rule sees, and is cut from the tree's ``value``. The
+        trees may differ in ``seed`` only. Before each lock-step batch,
+        raise :class:`CellTimeoutError` once ``time.monotonic()`` has
+        passed ``deadline``.
+        """
+        for tree in trees:
+            check_params(tree)
+        params = params_of(trees[0])
+        if any(params_of(tree) != params for tree in trees):
+            raise ValidationError("trees fitted together must share their tree parameters")
+        X, y = check_training_data(X, y)
+        classes, codes = np.unique(y, return_inverse=True)
+        k = len(classes)
+        distinct, group = row_groups(X)
+        samples, present = [], []
+        for tree, rows in zip(trees, row_sets):
+            rows = np.asarray(rows, dtype=np.int64)
+            if rows.size == 0:
+                raise ValidationError("training data must be a non-empty 2-D matrix")
+            counts = np.bincount(group[rows] * k + codes[rows], minlength=distinct.shape[0] * k)
+            counts = counts.reshape(-1, k)
+            kept = counts.any(axis=1).nonzero()[0]
+            samples.append((kept, counts[kept], np.random.default_rng(tree.seed)))
+            present.append(counts.any(axis=0).nonzero()[0])
+        grown = grow_trees(distinct, samples, deadline=deadline, **params)
+        for tree, fitted, kept_classes in zip(trees, grown, present):
+            fitted.value = fitted.value[:, kept_classes]
+            tree.n_features_in_, tree.classes_ = X.shape[1], classes[kept_classes]
+            tree.tree_ = fitted
 
     def predict(self, X) -> np.ndarray:
         if self.tree_ is None:

@@ -273,6 +273,19 @@ def test_report_missing_records_exits_two(fixture_env, capsys):
     assert main(["report", "--config", str(config)]) == 2
 
 
+def test_report_unknown_dataset_exits_two_like_the_other_commands(fixture_env, capsys):
+    tmp_path, data = fixture_env
+    config = write_config(tmp_path, data)
+    records = tmp_path / "records.json"
+    records.write_text(json.dumps({"records": [GOOD_RECORD]}))
+    out = tmp_path / "report"
+    argv = ["report", "--config", str(config), "--records", str(records), "--out", str(out)]
+    assert main([*argv, "--dataset", "nope"]) == 2
+    assert "dataset 'nope' is not declared in the config" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv, "--dataset", "fixture"]) == 0
+
+
 GOOD_RECORD = {
     "dataset": "fixture", "model": "forest", "encoding": "SeqOnly", "prefix_length": 3,
     "accuracy": 0.5, "n_train": 8, "n_test": 2, "leakage_fraction": 0.0, "best_params": {},

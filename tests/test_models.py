@@ -585,6 +585,35 @@ def test_fit_many_needs_shared_tree_parameters_and_rows_in_every_set():
         RandomForest.fit_many([RandomForest(n_estimators=2)], X, y, [np.array([], dtype=int)])
 
 
+@pytest.mark.parametrize(
+    "params", [{}, {"max_features": 2, "min_samples_leaf": 2}, {"max_depth": 3}],
+    ids=["default", "max_features", "max_depth"],
+)
+def test_tree_fit_many_equals_one_fit_per_row_set(params):
+    """Row sets that repeat rows, and a fold that lacks class 9, each give
+    the tree that ``fit`` gives on those rows."""
+    X, y, folds = _fold_data()
+    row_sets = [np.random.default_rng(72).integers(0, 45, size=45), folds[1],
+                np.repeat(folds[0], 2)]
+    trees = [DecisionTree(seed=seed, **params) for seed in (3, 4, 5)]
+    DecisionTree.fit_many(trees, X, y, row_sets)
+    for tree, rows in zip(trees, row_sets):
+        alone = DecisionTree(seed=tree.seed, **params).fit(X[rows], y[rows])
+        assert json.dumps(tree.to_dict()) == json.dumps(alone.to_dict())
+        assert tree.n_features_in_ == alone.n_features_in_
+        assert tree.tree_.value.dtype == alone.tree_.value.dtype
+    assert 9 not in trees[1].classes_ and 9 in trees[2].classes_
+
+
+def test_tree_fit_many_needs_shared_tree_parameters_and_rows_in_every_set():
+    X, y, folds = _fold_data()
+    with pytest.raises(ValidationError, match="share their tree parameters"):
+        DecisionTree.fit_many([DecisionTree(max_depth=2), DecisionTree(max_depth=3)], X, y, folds[:2])
+    with pytest.raises(ValidationError, match="non-empty"):
+        DecisionTree.fit_many([DecisionTree(), DecisionTree(seed=1)], X, y,
+                              [folds[0], np.array([], dtype=int)])
+
+
 def _descend(tree, x) -> int:
     """Reference descent of one row."""
     node = 0

@@ -5,8 +5,9 @@ column once, hands every child its parent's sorted rows filtered by the
 split, and scores only the cuts where a sorted column's value rises.
 ``grow_trees`` grows trees of class counts in lock-step and searches
 one node of each tree per batch; a lone tree is a batch of one sample
-(``grow_counts``). ``DecisionTree`` and ``RandomForest`` grow on the
-distinct rows of their data with class counts. The reference in
+(``grow_counts``). ``DecisionTree.fit_many``, which every
+``DecisionTree`` and ``RandomForest`` fit goes through, grows on the
+distinct rows of the data (``row_groups``) with class counts. The reference in
 ``oracles`` sorts every candidate at every node and scans every position
 of the uncollapsed rows. Both must give the same tree, array for array.
 
@@ -24,10 +25,10 @@ import pytest
 from resnap import ValidationError
 from resnap.models import DecisionTree, GradientBoostedTrees, RandomForest
 from resnap.models import tree as tree_core
+from resnap.models.boosting import _softmax
 from resnap.models.tree import (
     Tree,
     _CandidateDraws,
-    distinct_rows,
     grow,
     grow_trees,
     presort,
@@ -57,6 +58,14 @@ def assert_same_tree(tree: Tree, reference: dict) -> None:
         got = getattr(tree, name)
         assert got.dtype == reference[name].dtype, name
         assert np.array_equal(got, reference[name]), name
+
+
+def distinct_counts(X, codes, n_classes):
+    """The distinct rows of ``X`` (:func:`row_groups`) and each one's class
+    counts; ``codes`` are the rows' class ids in ``range(n_classes)``."""
+    distinct, group = row_groups(X)
+    counts = np.bincount(group * n_classes + codes, minlength=distinct.shape[0] * n_classes)
+    return distinct, counts.reshape(-1, n_classes)
 
 
 def grow_counts(X, counts, rng=None, **params) -> Tree:
@@ -96,11 +105,7 @@ def test_grow_matches_reference_on_class_counts(seed, params):
     [
         pytest.param({"max_depth": None}, id="None"),
         pytest.param({"max_depth": 3}, id="3"),
-        pytest.param({"min_samples_split": 9}, id="split9"),
         pytest.param({"min_samples_leaf": 3}, id="leaf3"),
-        pytest.param(
-            {"max_depth": 4, "min_samples_split": 9, "min_samples_leaf": 2}, id="4-split9-leaf2"
-        ),
         pytest.param({"min_samples_leaf": 20}, id="leaf20"),  # LightGBM's default leaf floor
     ],
 )
@@ -117,6 +122,33 @@ def test_grow_matches_reference_on_gradients_with_row_and_feature_subsets(seed, 
     assert_same_tree(tree, expected)
     # sorting inside grow instead of passing the order gives the same tree
     assert_same_tree(grow(X[rows], grad[rows], features=features, **params), expected)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("min_samples_leaf", [3, 20])
+def test_grow_stops_nodes_under_twice_the_leaf_floor_like_the_reference(
+    min_samples_leaf, tied, seed
+):
+    """A node of fewer than ``2 * min_samples_leaf`` rows has no cut that
+    leaves the floor on both sides, so ``grow`` stops it unsearched; the
+    reference searches it and finds none."""
+    rng = np.random.default_rng(160 + seed)
+    X = tied_matrix(rng, 200, 6, levels=5) if tied else rng.normal(size=(200, 4))
+    grad = rng.normal(size=200)
+    tree = grow(X, grad, min_samples_leaf=min_samples_leaf)
+    assert_same_tree(tree, reference_on_gradients(X, grad, min_samples_leaf=min_samples_leaf))
+    assert any(1 < rows.size < 2 * min_samples_leaf for rows, _ in node_rows(tree, X))
+
+
+def test_float_threshold_is_the_guarded_midpoint():
+    lo = np.nextafter(1.0, 2.0)  # odd last bit, so the halfway sum rounds to hi
+    hi = np.nextafter(lo, 2.0)
+    assert tree_core._midpoint(lo, hi) == lo  # unguarded, grow would split the node forever
+    X, grad = np.array([[hi], [lo]]), np.array([1.0, -1.0])
+    tree = grow(X, grad)
+    assert_same_tree(tree, reference_on_gradients(X, grad))
+    assert tree.threshold[0] == lo and tree.value.tolist() == [0.0, -1.0, 1.0]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -190,7 +222,7 @@ def test_grow_on_class_counts_matches_weighted_reference(seed, params):
     rng = np.random.default_rng(500 + seed)
     X = duplicate_heavy(rng, 100, 4, n_distinct=30)
     codes = rng.integers(0, 3, size=100)
-    distinct, counts = distinct_rows(X, codes, 3)
+    distinct, counts = distinct_counts(X, codes, 3)
     assert counts.sum() == 100 and distinct.shape[0] == len(np.unique(X, axis=0))
     tree = grow_counts(distinct, counts, **params)
     assert_same_tree(tree, reference_grow(distinct, counts, **params))
@@ -209,15 +241,12 @@ def test_grow_rejects_a_row_weighing_nothing_or_a_negative_count(counts):
 
 def test_distinct_rows_merges_bit_equal_rows_only():
     X = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [2.0, 1.0], [0.0, 1.0]])
-    distinct, counts = distinct_rows(X, np.array([0, 1, 1, 0, 0]), 2)
-    merged = {tuple(row.view(np.uint64)): tuple(c) for row, c in zip(distinct, counts)}
-    assert merged == {
-        tuple(np.array([0.0, 1.0]).view(np.uint64)): (2, 1),
-        tuple(np.array([-0.0, 1.0]).view(np.uint64)): (0, 1),
-        tuple(np.array([2.0, 1.0]).view(np.uint64)): (1, 0),
-    }
-    no_columns, totals = distinct_rows(np.empty((4, 0)), np.array([0, 1, 1, 1]), 2)
-    assert no_columns.shape == (1, 0) and totals.tolist() == [[1, 3]]
+    distinct, group = row_groups(X)
+    assert distinct.shape == (3, 2)  # -0.0 is a row of its own
+    assert np.array_equal(distinct[group].view(np.uint64), X.view(np.uint64))
+    assert group[0] == group[2] == group[4] and len({group[0], group[1], group[3]}) == 3
+    no_columns, group = row_groups(np.empty((4, 0)))
+    assert no_columns.shape == (1, 0) and group.tolist() == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -297,7 +326,7 @@ def test_boosting_scores_rows_by_their_grown_leaf(sample):
     ).fit(X, y)
     codes = np.searchsorted(model.classes_, y)
     for stage, loss in zip(model._staged_scores(X), model.train_log_loss_):
-        assert model._log_loss(stage, codes) == loss
+        assert model._log_loss(_softmax(stage), codes) == loss
 
 
 @pytest.mark.parametrize("learner", [RandomForest, GradientBoostedTrees, DecisionTree])
@@ -436,7 +465,7 @@ def test_two_distinct_row_nodes_in_grown_trees(seed, min_samples_leaf):
     X = duplicate_heavy(rng, 240, 6, n_distinct=60, levels=4)
     y = rng.choice([0, 1, 2], size=240, p=[0.5, 0.3, 0.2])
     _, codes = np.unique(y, return_inverse=True)
-    distinct, counts = distinct_rows(X, codes, 3)
+    distinct, counts = distinct_counts(X, codes, 3)
     tree = grow_counts(distinct, counts, min_samples_leaf=min_samples_leaf, max_features=2,
                        rng=np.random.default_rng(seed))
     assert_same_tree(tree, reference_grow(
@@ -461,7 +490,7 @@ def test_one_distinct_row_nodes_deep_in_a_tree_keep_later_draws(seed):
     rng = np.random.default_rng(950 + seed)
     X = duplicate_heavy(rng, 200, 5, n_distinct=40, levels=3)
     y = rng.choice([0, 1, 2], size=200)
-    distinct, counts = distinct_rows(X, y, 3)
+    distinct, counts = distinct_counts(X, y, 3)
     got_rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     tree = grow_counts(distinct, counts, max_features=2, rng=got_rng)
     assert_same_tree(tree, reference_grow(X, np.eye(3, dtype=np.int64)[y], max_features=2,
