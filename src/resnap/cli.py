@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
+import stat
 import sys
 import typing
 from dataclasses import MISSING, dataclass, field
@@ -96,10 +98,27 @@ def _dataset(i: int, raw) -> DatasetEntry:
     return entry
 
 
+def _lookup(path: Path, what: str) -> os.stat_result | None:
+    """``path``'s status, or None when there is no such path; ConfigError
+    naming ``what`` when the OS cannot look it up (a NUL, a name too long)."""
+    try:
+        return path.stat()
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    except (OSError, ValueError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigError(f"{what} {str(path)!r} cannot be looked up: {reason}") from exc
+
+
+def _is_file(path: Path, what: str) -> bool:
+    status = _lookup(path, what)
+    return status is not None and stat.S_ISREG(status.st_mode)
+
+
 def _load_config(args: argparse.Namespace) -> CliConfig:
     """The config file with the --seed and --workers overrides, all checked."""
     config_path = Path(args.config)
-    if not config_path.is_file():
+    if not _is_file(config_path, "config file"):
         raise ConfigError(f"config file not found: {config_path}")
     try:
         raw = json.loads(config_path.read_text(encoding="utf-8"))
@@ -160,12 +179,14 @@ def _experiment_config(config: CliConfig, entry: DatasetEntry) -> ExperimentConf
 
 
 def _out_dir(config: CliConfig, args: argparse.Namespace) -> Path:
-    """The output directory, or ConfigError when it or the nearest of its
-    parents that exists is not a directory. It is made when written to."""
+    """The output directory, or ConfigError when it cannot be looked up or
+    the nearest of its parents that exists is not a directory. It is made
+    when written to."""
     out = Path(args.out or config.output_dir)
     for path in (out, *out.parents):
-        if path.exists():
-            if not path.is_dir():
+        status = _lookup(path, "output directory")
+        if status is not None:
+            if not stat.S_ISDIR(status.st_mode):
                 raise ConfigError(f"output directory {out} cannot be made: {path} is not a directory")
             break
     return out
@@ -179,10 +200,15 @@ def cmd_profile(args: argparse.Namespace) -> int:
     prof = profile(log)
     out.mkdir(parents=True, exist_ok=True)
     data = prof.as_dict()
-    json_path = write_json(data, out / f"{entry.id}_profile.json")
     keys = sorted(data)
     row = [entry.id, *(data[k] for k in keys)]
-    csv_path = write_csv(["dataset", *keys], [row], out / f"{entry.id}_profile.csv")
+    try:  # the file system, not the config, bounds the length of a file name
+        json_path = write_json(data, out / f"{entry.id}_profile.json")
+        csv_path = write_csv(["dataset", *keys], [row], out / f"{entry.id}_profile.csv")
+    except OSError as exc:
+        if exc.errno != errno.ENAMETOOLONG:
+            raise
+        raise ConfigError(f"profile file {exc.filename} cannot be written: {exc.strerror}") from exc
     if args.quiet:
         print(json.dumps({"dataset": entry.id, **data}, sort_keys=True))
     else:
@@ -266,7 +292,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         _select_dataset(config, args.dataset)
     out = _out_dir(config, args)
     records_path = Path(args.records) if args.records else out / "records.json"
-    if not records_path.is_file():
+    if not _is_file(records_path, "records file"):
         raise ConfigError(f"records file not found: {records_path}")
     records = load_records(records_path)
     table = aggregate(records)

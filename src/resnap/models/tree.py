@@ -38,8 +38,8 @@ over a whole batch gives every node's cuts. A node's candidate features
 are the sorted draw of ``rng.choice(d, m, replace=False)``; a tree makes
 its draws in batches from the same random words
 (:class:`_CandidateDraws`), which costs a node a few microseconds
-instead of numpy's per-call overhead, and leaves the generator exactly
-where the calls would have. Every tree of class counts grows there,
+instead of numpy's per-call overhead; the generator is read ahead and
+dropped with its tree. Every tree of class counts grows there,
 a lone CART tree as a batch of one. Boosting's trees, of float
 gradients, score every feature at every node: they sort each column
 once instead and grow one at a time (:func:`grow`), stopping unsearched
@@ -212,11 +212,10 @@ class _CandidateDraws:
     if any, reads its words one by one and ends the batch. The shuffle
     only reorders indices that are sorted anyway.
 
-    A batch reads ahead, so :meth:`finish` rewinds ``rng`` to its first
-    state and advances it past exactly the words of the draws taken,
-    which leaves it in the state those ``rng.choice`` calls would have.
-    Other bit generators, and numpy's tail shuffle for large ``d``, draw
-    with ``rng.choice``.
+    A batch reads ahead, so ``rng`` must be this object's alone: it ends
+    past the words of the last batch, not where the ``rng.choice`` calls
+    would have left it. Other bit generators, and numpy's tail shuffle
+    for large ``d``, draw with ``rng.choice``.
     """
 
     _MAX_WORDS = 1 << 15  # words per batch, which bounds a batch's memory
@@ -228,12 +227,10 @@ class _CandidateDraws:
         tail_shuffle = d > 10_000 and m > d // 50  # numpy's choice without Floyd
         self.exact = pcg and not tail_shuffle
         if self.exact:
-            self.state = rng.bit_generator.state  # finish() rewinds to it
-            buffered = [self.state["uinteger"]] if self.state["has_uint32"] else []
+            state = rng.bit_generator.state  # a buffered high half is the first word
+            buffered = [state["uinteger"]] if state["has_uint32"] else []
             self.words = np.array(buffered, dtype=np.uint64)
             self.taken = 0  # words of self.words read
-            self.used = 0  # words read by every batch
-            self.ends: np.ndarray | None = None  # self.used after each row of the batch
             # each word's exclusive bound: Floyd's words, then the shuffle's
             spans = np.concatenate((np.arange(d - m + 1, d + 1), np.arange(m, 1, -1)))
             self.spans = spans.astype(np.uint64)
@@ -260,12 +257,9 @@ class _CandidateDraws:
         for c in range(1, m):  # Floyd: a taken index gives way to j
             taken = (picks[:, :c] == picks[:, c, None]).any(axis=1)
             picks[taken, c] = d - m + c
-        self.ends = self.used + k * np.arange(1, n + 1)
         self.taken += n * k
-        self.used += n * k
         if rejected.size:
             picks = np.vstack((picks, self._one_by_one()))
-            self.ends = np.append(self.ends, self.used)
         picks.sort(axis=1)
         return picks
 
@@ -284,7 +278,6 @@ class _CandidateDraws:
         while True:
             product = int(self._peek(1)[0]) * span
             self.taken += 1
-            self.used += 1
             if product & 0xFFFFFFFF >= (1 << 32) % span:
                 return product >> 32
 
@@ -297,22 +290,6 @@ class _CandidateDraws:
         for i in range(m - 1, 0, -1):
             self._bounded(i)
         return picks
-
-    def finish(self) -> None:
-        """Advance ``rng`` past the words of every draw taken so far."""
-        if not self.exact or not self.next:
-            return
-        buffered = self.state["has_uint32"]
-        raw = int(self.ends[self.next - 1]) - buffered  # words of the generator's outputs
-        bit_generator = self.rng.bit_generator
-        bit_generator.state = self.state
-        high = self.state["uinteger"]
-        if raw:  # the last output read: its high half is buffered, or was read
-            bit_generator.advance((raw - 1) // 2)
-            high = int(bit_generator.random_raw()) >> 32
-        state = bit_generator.state
-        state["has_uint32"], state["uinteger"] = raw % 2, high
-        bit_generator.state = state
 
 
 def _column_ranks(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -408,8 +385,9 @@ def grow_trees(
     so class counts over the distinct rows of a data set grow the tree of
     its one-hot rows. Before its descendants, a node draws the sorted
     ``rng.choice(X.shape[1], max_features, replace=False)``, in batches
-    from :class:`_CandidateDraws`; the draws, and the state each ``rng``
-    is left in, buffered 32-bit word included, are those of the calls.
+    from :class:`_CandidateDraws`: the draws are those of the calls. Each
+    sample's ``rng`` must be its own, and it ends past the words its
+    batches read ahead, not where the calls would have left it.
 
     The trees advance together. At each step, every unfinished tree
     walks its own preorder, making its candidate draws, past the nodes
@@ -459,9 +437,6 @@ def grow_trees(
             check_deadline(deadline)
             _search(batch[start:stop], shared)
             start = stop
-    for tree in trees:
-        if tree.draws is not None:
-            tree.draws.finish()
     return [tree.tree() for tree in trees]
 
 

@@ -60,6 +60,24 @@ def test_report_line_names_the_metric_and_marks_a_gain():
     assert line.endswith("GAIN")
 
 
+def test_lower_is_better_is_worse_past_its_bound_of_the_parent_median():
+    parent = [10.0, 10.0, 10.0]
+    assert not summarize(parent, [12.5, 12.5, 12.5], "lower", 0.25)["worse"]
+    s = summarize(parent, [12.6, 12.6, 12.6], "lower", 0.25)
+    assert s["worse"] and report("run_s", "s", s).endswith("WORSE")
+    assert not summarize(parent, [5.0, 5.0, 5.0], "lower", 0.25)["worse"]
+    assert not summarize(parent, [100.0] * 3, "lower")["worse"]  # no bound given
+    assert not report("run_s", "s", summarize(parent, parent, "lower", 0.0)).endswith("WORSE")
+
+
+def test_higher_is_better_is_worse_past_its_bound_below_the_parent_median():
+    parent = [0.80, 0.80, 0.80]
+    assert not summarize(parent, [0.73, 0.73, 0.73], "higher", 0.1)["worse"]
+    s = summarize(parent, [0.71, 0.71, 0.71], "higher", 0.1)
+    assert s["worse"] and report("accuracy_mean", "fraction", s).endswith("WORSE")
+    assert not summarize(parent, [0.99, 0.99, 0.99], "higher", 0.1)["worse"]
+
+
 BEFORE = "cpu  100 0 50 800 10 0 5 35 0 0"
 AFTER = "cpu  200 0 60 1500 10 0 5 85 20 0"  # 20 guest ticks, already in user
 

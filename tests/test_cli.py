@@ -387,6 +387,18 @@ def test_config_or_records_path_naming_a_directory_exits_two(fixture_env, capsys
     assert f"records file not found: {tmp_path}" in capsys.readouterr().err
 
 
+def test_config_or_records_path_too_long_to_look_up_exits_two(fixture_env, capsys):
+    tmp_path, data = fixture_env
+    config = write_config(tmp_path, data)
+    long = tmp_path / ("x" * 300)
+    assert main(["report", "--config", str(long)]) == 2
+    err = capsys.readouterr().err
+    assert f"config file {str(long)!r} cannot be looked up" in err and "Traceback" not in err
+    assert main(["report", "--config", str(config), "--records", str(long)]) == 2
+    err = capsys.readouterr().err
+    assert f"records file {str(long)!r} cannot be looked up" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["profile", "run", "report"])
 @pytest.mark.parametrize("via_flag", [False, True], ids=["config", "flag"])
 @pytest.mark.parametrize("nested", [False, True], ids=["file", "below-a-file"])
@@ -404,6 +416,37 @@ def test_output_directory_naming_a_file_exits_two_before_parsing(
     err = capsys.readouterr().err
     assert f"{taken} is not a directory" in err and "not found" not in err
     assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["profile", "run", "report"])
+@pytest.mark.parametrize("how", ["nul-config", "long-config", "long-flag"])
+def test_output_directory_the_os_cannot_name_exits_two_before_parsing(
+    fixture_env, capsys, command, how
+):
+    tmp_path, data = fixture_env
+    out = "a\x00b" if how == "nul-config" else str(tmp_path / ("x" * 300) / "sub")
+    via_flag = how == "long-flag"
+    config_path = write_config(tmp_path, data, **({} if via_flag else {"output_dir": out}))
+    data.unlink()  # a parse attempt would fail with "dataset file not found"
+    argv = [command, "--config", str(config_path)] + (["--out", out] if via_flag else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"output directory {out!r} cannot be looked up" in err and "not found" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_profile_of_an_id_too_long_for_a_file_name_exits_two_naming_the_file(
+    fixture_env, capsys
+):
+    tmp_path, data = fixture_env
+    config_path = write_config(tmp_path, data)
+    config = json.loads(config_path.read_text())
+    config["datasets"][0]["id"] = "x" * 300
+    config_path.write_text(json.dumps(config))
+    assert main(["profile", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    name = tmp_path / "out" / f"{'x' * 300}_profile.json"
+    assert f"profile file {name} cannot be written" in err and "Traceback" not in err
 
 
 def test_grid_for_an_experiment_model_the_config_does_not_select_is_accepted(fixture_env, capsys):

@@ -132,7 +132,7 @@ def byte_edits(draw, data: bytes) -> bytes:
 
 NAMES = st.sampled_from(
     ["", "x", "3", "None", "sqrt", "majority", "forest", "boosted", "tree", "SeqOnly", "S2gR",
-     "csv", "xes", "demo", "data/demo.csv", ";", "%Y"]
+     "csv", "xes", "demo", "data/demo.csv", ";", "%Y", "a\x00b", "x" * 300]
 )
 SCALARS = st.one_of(
     st.none(),

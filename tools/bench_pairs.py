@@ -16,7 +16,11 @@ For every metric it prints each side's median and quartiles, the change
 of the median, and the pairs the change wins (ties count for neither
 side). A gain holds when the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's interquartile
-range. ``--out`` also writes every run's metrics as JSON.
+range, and the line ends in ``GAIN``. It ends in ``WORSE`` when the
+change's median is worse than the parent's by more than the metric's
+``bound`` in ``BENCHMARK.json``, a share of the parent's median: the
+benchmark refuses such a change. ``--out`` also writes every run's
+metrics as JSON.
 
 Each run also records the load from outside it: the steal ticks of
 ``/proc/stat``'s ``cpu`` line and ``os.getloadavg()``, read before and
@@ -105,8 +109,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
-    """Pairwise comparison of one metric; ``parent[i]`` and ``change[i]`` form pair i."""
+def summarize(
+    parent: list[float], change: list[float], better: str, bound: float = float("inf")
+) -> dict:
+    """Pairwise comparison of one metric; ``parent[i]`` and ``change[i]`` form pair i.
+    The change is worse when its median is worse by more than ``bound`` times
+    the parent's median."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need one parent and one change value per pair")
     sign = 1 if better == "lower" else -1
@@ -120,6 +128,7 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
         "wins": wins,
         "pairs": len(parent),
         "gain": wins >= WIN_SHARE * len(parent) and sign * (p_med - c_med) > p3 - p1,
+        "worse": sign * (c_med - p_med) > bound * abs(p_med),
     }
 
 
@@ -130,6 +139,7 @@ def report(name: str, unit: str, s: dict) -> str:
         f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {unit}  "
         f"{s['delta_pct']:+.1f}%  change wins {s['wins']}/{s['pairs']}"
         + ("  GAIN" if s["gain"] else "")
+        + ("  WORSE" if s["worse"] else "")
     )
 
 
@@ -160,7 +170,8 @@ def main(argv: list[str] | None = None) -> int:
     for metric in declared:
         name = metric["name"]
         summaries[name] = summarize(
-            [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]], metric["better"]
+            [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
+            metric["better"], metric["bound"],
         )
         print(report(name, metric["unit"], summaries[name]))
     shares = [load["steal_share"] for side in loads.values() for load in side if load]
